@@ -84,14 +84,42 @@ def tensor(*factors) -> np.ndarray:
     return out
 
 
+def row_dots(a, b) -> np.ndarray:
+    """sum(a * b) over the last axis, with the bits of np.dot on each row."""
+    return np.matmul(a[..., np.newaxis, :], b[..., :, np.newaxis])[..., 0, 0]
+
+
+def row_norms(v) -> np.ndarray:
+    """np.linalg.norm of each row of a complex stack, with the same bits."""
+    return np.sqrt(row_dots(v.real, v.real) + row_dots(v.imag, v.imag))
+
+
+def abs_squared(z) -> np.ndarray:
+    """abs(z) ** 2 for each entry, rounded as for a scalar: array abs and
+    ** 2 take faster routes (np.abs, x * x) whose last bits differ."""
+    return np.float_power(np.hypot(np.real(z), np.imag(z)), 2)
+
+
+def row_blocks(n: int, size: int):
+    """(lo, hi) row blocks of range(n); a lone last row joins the block before it,
+    since numpy multiplies a single row by another BLAS routine with other last bits."""
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= size + 1 else lo + size
+        yield lo, hi
+        lo = hi
+
+
 def apply(op, v) -> np.ndarray:
-    """Apply an operator to a vector.  The result is never renormalized,
-    so a non-isometric op leaves a visible norm defect."""
+    """Apply an operator to a vector, or to each row of a stack of them.
+
+    Every row gets the bits of op @ row.  The result is never
+    renormalized, so a non-isometric op leaves a visible norm defect."""
     op = np.asarray(op, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    if op.ndim != 2 or op.shape[1] != v.shape[0]:
+    if op.ndim != 2 or op.shape[1] != v.shape[-1]:
         raise ValueError(f"cannot apply {op.shape} to {v.shape}")
-    return op @ v
+    return np.matmul(op, v[..., np.newaxis])[..., 0]
 
 
 def is_unitary(op, atol: float = ATOL_VERDICT) -> bool:
@@ -182,8 +210,7 @@ class AntiUnitaryMap:
         return self.unitary_part.shape[0]
 
     def __call__(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        return self.unitary_part @ v.conj()
+        return apply(self.unitary_part, np.conj(v))
 
     def __repr__(self) -> str:
         return f"AntiUnitaryMap(dim={self.dim})"
@@ -223,7 +250,7 @@ class GeneralKMap:
         v = np.asarray(v, dtype=complex)
         out = np.zeros_like(v)
         if self.lam > 0.0:
-            out = out + np.sqrt(self.lam) * (self.unitary @ v)
+            out = out + np.sqrt(self.lam) * apply(self.unitary, v)
         if self.lam < 1.0:
             out = out + np.sqrt(1.0 - self.lam) * self.antiunitary(v)
         return out

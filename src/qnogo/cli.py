@@ -22,7 +22,9 @@ byte-identical machine-readable output.  Files are written atomically.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 import tempfile
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import is_unitary
+from .algebra import is_unitary, row_blocks
 from .dsl import CheckOptions, check_source
 from .fidelity import (
     CSV_HEADER,
@@ -39,30 +41,9 @@ from .fidelity import (
     records_to_csv,
     uniform_grid,
 )
-from .gates import (
-    cnot_computational,
-    hadamard,
-    hadamard_equatorial,
-    hadamard_polar,
-    unequal_gate,
-)
-from .states import (
-    bloch_set,
-    equatorial_pair,
-    equatorial_set,
-    ket_notation,
-    polar_pair,
-    polar_set,
-)
-from .verifier import (
-    check_cnot_universal,
-    check_universal_gate,
-    target_cnot,
-    target_hadamard9,
-    target_hadamard10,
-    target_unequal,
-    witness_search,
-)
+from .gates import NAMED_GATES, unequal_gate
+from .states import ket_notation, named_set, state_family
+from .verifier import check_cnot_universal, check_universal_gate, named_target, witness_search
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -71,10 +52,6 @@ EXIT_CONTENT = 3
 EXIT_IO = 4
 
 SCHEMA_VERSION = "1"
-
-_NAMED_GATES = {"H": hadamard, "HP": hadamard_polar, "HE": hadamard_equatorial,
-                "CNOT": cnot_computational}
-
 
 class _CliError(Exception):
     """Internal: carries an exit code and a message for stderr."""
@@ -103,23 +80,26 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.grid_n < 2:
             raise ValueError("grid size must be at least 2")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse a scalar like '0.6', '0.8i', '0.6+0.8i', '-i'."""
+    """Parse a finite scalar like '0.6', '0.8i', '0.6+0.8i', '-i'."""
     s = text.strip().replace(" ", "")
     if s in ("i", "+i"):
         return 1j
     if s == "-i":
         return -1j
     try:
-        return complex(s.replace("i", "j"))
+        value = complex(s.replace("i", "j"))
     except ValueError:
         raise ValueError(f"cannot parse complex number from {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ValueError(f"complex number {text!r} is not finite")
+    return value
 
 
 def parse_lambda_values(text: str) -> list[float]:
@@ -188,8 +168,8 @@ def load_matrix_file(path: str) -> np.ndarray:
 
 def resolve_gate(token: str) -> np.ndarray:
     """A gate is a known name, UG(a=..,b=..), or a matrix file path."""
-    if token in _NAMED_GATES:
-        return _NAMED_GATES[token]
+    if token in NAMED_GATES:
+        return NAMED_GATES[token]
     if token.startswith("UG(") and token.endswith(")"):
         body = token[3:-1]
         kv = {}
@@ -212,33 +192,22 @@ def resolve_gate(token: str) -> np.ndarray:
 
 
 def _resolve_target(name: str, a, b):
-    if name == "hadamard9":
-        return target_hadamard9()
-    if name == "hadamard10":
-        return target_hadamard10()
-    if name == "cnot23":
-        return target_cnot()
-    if a is None or b is None:
-        raise _CliError(EXIT_USAGE,
-                        "target 'unequal' needs --a and --b weights")
+    if name == "unequal" and (a is None or b is None):
+        raise _CliError(EXIT_USAGE, "target 'unequal' needs --a and --b weights")
     try:
-        return target_unequal(a, b)
+        return named_target("cnot" if name == "cnot23" else name, a, b)
     except ValueError as exc:
         raise _CliError(EXIT_CONTENT, str(exc))
-
-
-def _family(name: str, n: int, seed: int):
-    if name == "bloch":
-        return bloch_set(n, seed=seed)
-    if name == "polar":
-        return polar_set(n)
-    return equatorial_set(n)
 
 
 def _qubit_json(q) -> dict:
     return {"ket": ket_notation(q),
             "amplitudes": [[q.alpha.real, q.alpha.imag],
                            [q.beta.real, q.beta.imag]]}
+
+
+def _pair_json(pair) -> dict:
+    return {"state": _qubit_json(pair[0]), "partner": _qubit_json(pair[1])}
 
 
 def emit(cfg: RunConfig, payload: dict, human_lines: list[str]) -> None:
@@ -278,7 +247,7 @@ def _write_out(path: str | None, text: str) -> None:
 def cmd_gate_verify(args, cfg: RunConfig) -> int:
     gate = resolve_gate(args.gate)
     target = _resolve_target(args.target, args.a, args.b)
-    states = _family(args.set, cfg.grid_n, cfg.seed)
+    states = named_set(args.set, cfg.grid_n, cfg.seed)
     if args.target == "cnot23":
         if gate.shape != (4, 4):
             raise _CliError(EXIT_CONTENT,
@@ -299,9 +268,7 @@ def cmd_gate_verify(args, cfg: RunConfig) -> int:
         "violation": verdict.violation,
         "tolerance": verdict.tolerance,
         "condition": verdict.condition,
-        "witness": None if verdict.witness is None else {
-            "state": _qubit_json(verdict.witness[0]),
-            "partner": _qubit_json(verdict.witness[1])},
+        "witness": None if verdict.witness is None else _pair_json(verdict.witness),
         "detail": verdict.detail,
     }
     lines = [f"gate-verify: {verdict.status}",
@@ -328,8 +295,7 @@ def cmd_witness(args, cfg: RunConfig) -> int:
         "n": cfg.grid_n,
         "violation": result.violation,
         "condition": result.condition,
-        "pair": {"state": _qubit_json(result.pair[0]),
-                 "partner": _qubit_json(result.pair[1])},
+        "pair": _pair_json(result.pair),
     }
     lines = [f"witness: worst sampled pair for target {args.target}",
              f"  set: {args.set} (n={cfg.grid_n}, seed={cfg.seed})",
@@ -348,21 +314,15 @@ def _circle_residuals(kind: str, n: int) -> tuple[float, float, float]:
     swapped-pattern off-diagonal residual).  The diagonal identity is
     shared; the off-diagonal sign is what distinguishes the circles.
     """
-    if kind == "polar":
-        params = np.linspace(0.0, np.pi, n, endpoint=False)
-        pairs = [polar_pair(float(t)) for t in params]
-    else:
-        params = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-        pairs = [equatorial_pair(float(t)) for t in params]
-    s = np.array([q.vector for q, _ in pairs])
-    p = np.array([q.vector for _, q in pairs])
-    g00 = s.conj() @ s.T
-    g01 = s.conj() @ p.T
-    g10 = p.conj() @ s.T
-    g11 = p.conj() @ p.T
-    diag = float(np.abs(g00 - g11).max())
-    anti = float(np.abs(g01 + g10).max())   # polar sign pattern
-    sym = float(np.abs(g01 - g10).max())    # equatorial sign pattern
+    family = state_family(kind, n)
+    s, p = family.state_vectors, family.partner_vectors
+    diag = anti = sym = 0.0
+    for lo, hi in row_blocks(n, 256):   # 256 rows of Gram entries at a time
+        sc, pc = s[lo:hi].conj(), p[lo:hi].conj()
+        g01, g10 = sc @ p.T, pc @ s.T
+        diag = max(diag, float(np.abs(sc @ s.T - pc @ p.T).max()))
+        anti = max(anti, float(np.abs(g01 + g10).max()))   # polar sign pattern
+        sym = max(sym, float(np.abs(g01 - g10).max()))     # equatorial sign pattern
     if kind == "polar":
         return diag, anti, sym
     return diag, sym, anti
@@ -442,9 +402,7 @@ def cmd_dsl_check(args, cfg: RunConfig) -> int:
             {"name": name, "status": v.status, "realizable": v.realizable,
              "violation": v.violation, "tolerance": v.tolerance,
              "condition": v.condition,
-             "witness": None if v.witness is None else {
-                 "state": _qubit_json(v.witness[0]),
-                 "partner": _qubit_json(v.witness[1])}}
+             "witness": None if v.witness is None else _pair_json(v.witness)}
             for name, v in zip(report.names, report.verdicts)],
     }
     emit(cfg, payload, list(report.reports))
@@ -546,15 +504,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         seed = _resolve_seed(args.seed)
-        try:
-            cfg = RunConfig(subcommand=args.subcommand,
-                            tolerance=args.tolerance,
-                            grid_n=args.grid_n,
-                            seed=seed,
-                            fmt=args.fmt,
-                            output=args.output)
-        except ValueError as exc:
-            raise _CliError(EXIT_USAGE, str(exc))
+        cfg = RunConfig(subcommand=args.subcommand,
+                        tolerance=args.tolerance,
+                        grid_n=args.grid_n,
+                        seed=seed,
+                        fmt=args.fmt,
+                        output=args.output)
         if cfg.fmt == "csv" and cfg.subcommand != "fidelity-sweep":
             raise _CliError(EXIT_USAGE,
                             "csv output is only available for fidelity-sweep")
@@ -562,6 +517,10 @@ def main(argv=None) -> int:
     except _CliError as exc:
         sys.stderr.write(f"qnogo: {exc}\n")
         return exc.code
+    except ValueError as exc:
+        # RunConfig, CheckOptions, OptimizerConfig and uniform_grid refuse bad options
+        sys.stderr.write(f"qnogo: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

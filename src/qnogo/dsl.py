@@ -23,28 +23,14 @@ rather than exceptions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import (
-    cnot_computational,
-    hadamard,
-    hadamard_equatorial,
-    hadamard_polar,
-    unequal_gate,
-)
-from .states import (
-    Qubit,
-    StateSet,
-    bloch_set,
-    complement,
-    equatorial_set,
-    ket_notation,
-    listed_set,
-    polar_set,
-)
+from .gates import NAMED_GATES, unequal_gate
+from .states import Qubit, StateSet, complement, ket_notation, listed_set, named_set
 from .verifier import (
     MachineSpec,
     TargetTransform,
@@ -52,16 +38,9 @@ from .verifier import (
     check_cnot_universal,
     check_universal_gate,
     hybrid_machine,
-    machine_deviation,
+    machine_deviations,
     machine_output,
-    target_clone,
-    target_cnot,
-    target_complement,
-    target_conjugate,
-    target_hadamard9,
-    target_hadamard10,
-    target_hybrid,
-    target_unequal,
+    named_target,
 )
 
 ERROR = "error"
@@ -544,7 +523,7 @@ class _Parser:
         kw = self.advance()
         tok = self.expect("IDENT", "a gate name (H, HP, HE, CNOT, UG)")
         name = tok.value
-        if name in ("H", "HP", "HE", "CNOT"):
+        if name in NAMED_GATES:
             cand = Candidate(name, line=kw.line, column=kw.column)
         elif name == "UG":
             a, b = self.parse_weight_args()
@@ -683,29 +662,11 @@ def _normalized(vec: np.ndarray, where: tuple[int, int],
     return vec / norm
 
 
-_CANDIDATES = {"H": hadamard, "HP": hadamard_polar, "HE": hadamard_equatorial,
-               "CNOT": cnot_computational}
-
-
 def _compile_target(tgt: Target, where: tuple[int, int]) -> TargetTransform:
     try:
-        if tgt.kind == "clone":
-            return target_clone()
-        if tgt.kind == "complement":
-            return target_complement()
-        if tgt.kind == "conjugate":
-            return target_conjugate()
-        if tgt.kind == "hybrid":
-            if not 0.0 <= tgt.lam <= 1.0:
-                raise ValueError("lambda must lie in [0, 1]")
-            return target_hybrid(tgt.lam)
-        if tgt.kind == "hadamard9":
-            return target_hadamard9()
-        if tgt.kind == "hadamard10":
-            return target_hadamard10()
-        if tgt.kind == "unequal":
-            return target_unequal(tgt.a, tgt.b)
-        return target_cnot()
+        if tgt.kind == "hybrid" and not 0.0 <= tgt.lam <= 1.0:
+            raise ValueError("lambda must lie in [0, 1]")
+        return named_target(tgt.kind, tgt.a, tgt.b, tgt.lam)
     except ValueError as exc:
         raise _CompileError(str(exc), *where) from exc
 
@@ -758,7 +719,7 @@ def _compile_candidate(c: Candidate) -> np.ndarray:
             return unequal_gate((c.a, c.b))
         except (TypeError, ValueError) as exc:
             raise _CompileError(str(exc), c.line, c.column) from exc
-    return _CANDIDATES[c.name]
+    return NAMED_GATES[c.name]
 
 
 def compile_unit(ast: Ast, origin: str = "<stdin>"
@@ -824,20 +785,16 @@ class CheckOptions:
     seed: int = 42
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.samples < 1:
             raise ValueError("need at least one sample")
 
 
 def _family_states(c: CompiledMachine, opts: CheckOptions) -> StateSet:
-    if c.family == "bloch":
-        return bloch_set(opts.samples, seed=opts.seed)
-    if c.family == "polar":
-        return polar_set(opts.samples)
-    if c.family == "equatorial":
-        return equatorial_set(opts.samples)
-    return listed_set(list(c.listed), name="list")
+    if c.listed is not None:
+        return listed_set(list(c.listed), name="list")
+    return named_set(c.family, opts.samples, opts.seed)
 
 
 def check(c: CompiledMachine, opts: CheckOptions = CheckOptions()
@@ -882,12 +839,10 @@ def _check_basis(c: CompiledMachine, opts: CheckOptions) -> Verdict:
 
 
 def _check_machine_target(c: CompiledMachine, opts: CheckOptions) -> Verdict:
-    states = _family_states(c, opts).states()
-    worst, worst_q = 0.0, states[0]
-    for q in states:
-        v = machine_deviation(c.machine, c.target, q)
-        if v > worst:
-            worst, worst_q = v, q
+    states = _family_states(c, opts)
+    deviations = machine_deviations(c.machine, c.target, states)
+    i = int(np.argmax(deviations))
+    worst, worst_q = float(deviations[i]), states.pair(i)[0]
     ok = worst <= opts.tolerance
     return Verdict(realizable=ok, violation=worst, tolerance=opts.tolerance,
                    condition="ideal-vs-extended-output",

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .states import BlochAngles, Qubit, qubit_from_bloch, sample_bloch
 
@@ -249,6 +248,7 @@ def optimize_fidelity(lam: float, grid: QuadratureGrid,
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
+    from scipy import optimize as _sciopt   # deferred: only this function needs scipy
     s = grid.states_array()
     t = _targets(s, lam)
     w = grid.weights_array()

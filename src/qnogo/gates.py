@@ -37,6 +37,10 @@ cnot_computational = np.array([[1, 0, 0, 0],
                                [0, 0, 1, 0]], dtype=complex)
 cnot_computational.setflags(write=False)
 
+# the gate names shared by the command line and the DSL
+NAMED_GATES = {"H": hadamard, "HP": hadamard_polar, "HE": hadamard_equatorial,
+               "CNOT": cnot_computational}
+
 
 @dataclass(frozen=True)
 class UnequalAmplitudes:
@@ -46,7 +50,7 @@ class UnequalAmplitudes:
     b: float
 
     def __post_init__(self):
-        if abs(self.a ** 2 + self.b ** 2 - 1.0) > 1e-12:
+        if not abs(self.a ** 2 + self.b ** 2 - 1.0) <= 1e-12:   # NaN fails too
             raise ValueError(f"weights ({self.a!r}, {self.b!r}) do not satisfy a^2 + b^2 = 1")
 
 

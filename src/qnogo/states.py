@@ -19,11 +19,11 @@ ask circle_state for them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import inner_product, state_vector
+from .algebra import abs_squared, inner_product, state_vector
 
 _CIRCLE_KINDS = ("polar+", "polar-", "equatorial+", "equatorial-")
 
@@ -163,10 +163,7 @@ def polar_gram(theta1: float, theta2: float) -> np.ndarray:
     pattern has equal diagonal entries and antisymmetric off-diagonal
     entries, all real.
     """
-    s1, p1 = polar_pair(theta1)
-    s2, p2 = polar_pair(theta2)
-    return np.array([[s1.overlap(s2), s1.overlap(p2)],
-                     [p1.overlap(s2), p1.overlap(p2)]], dtype=complex)
+    return _pair_gram(polar_pair(theta1), polar_pair(theta2))
 
 
 def equatorial_gram(phi1: float, phi2: float) -> np.ndarray:
@@ -175,10 +172,11 @@ def equatorial_gram(phi1: float, phi2: float) -> np.ndarray:
     The expected pattern has equal diagonal entries and equal (not
     antisymmetric) off-diagonal entries.
     """
-    s1, p1 = equatorial_pair(phi1)
-    s2, p2 = equatorial_pair(phi2)
-    return np.array([[s1.overlap(s2), s1.overlap(p2)],
-                     [p1.overlap(s2), p1.overlap(p2)]], dtype=complex)
+    return _pair_gram(equatorial_pair(phi1), equatorial_pair(phi2))
+
+
+def _pair_gram(first: tuple[Qubit, Qubit], second: tuple[Qubit, Qubit]) -> np.ndarray:
+    return np.array([[a.overlap(b) for b in second] for a in first], dtype=complex)
 
 
 def gram_pattern_residual(gram: np.ndarray, pattern: str) -> float:
@@ -201,6 +199,37 @@ def gram_pattern_residual(gram: np.ndarray, pattern: str) -> float:
     raise ValueError(f"unknown pattern {pattern!r}; expected 'polar' or 'equatorial'")
 
 
+def _checked(vectors) -> np.ndarray:
+    """Qubit's checks on each row of an (n, 2) array: finite, |norm - 1| <= 1e-12."""
+    v = np.array(vectors, dtype=complex)
+    if v.ndim != 2 or v.shape[1] != 2 or not len(v):
+        raise ValueError(f"expected a non-empty (n, 2) array, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("qubit amplitudes must be finite")
+    norm = abs_squared(v[:, 0]) + abs_squared(v[:, 1])
+    bad = np.flatnonzero(np.abs(norm - 1.0) > 1e-12)
+    if bad.size:
+        raise ValueError(f"qubit amplitudes are not normalized (|.|^2 = {float(norm[bad[0]])!r})")
+    v.setflags(write=False)
+    return v
+
+
+def _rows(first, second) -> np.ndarray:
+    return np.stack([first, second], axis=1).astype(complex)
+
+
+def _complements(states: np.ndarray) -> np.ndarray:
+    return _rows(-states[:, 1].conj(), states[:, 0].conj())
+
+
+def _sphere_draw(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n states with cos(theta) and phi uniform, amplitudes as in qubit_from_bloch."""
+    cos_theta = rng.uniform(-1.0, 1.0, size=n)
+    phi = rng.uniform(0.0, _TWO_PI, size=n) % _TWO_PI
+    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
+    return _rows(np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi))
+
+
 def sample_bloch(n: int, seed: int | None = None,
                  rng: np.random.Generator | None = None) -> list[Qubit]:
     """n states drawn uniformly from the sphere (cos(theta) and phi uniform)."""
@@ -208,48 +237,100 @@ def sample_bloch(n: int, seed: int | None = None,
         raise ValueError("sample size must be positive")
     if rng is None:
         rng = np.random.default_rng(seed)
-    cos_theta = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, _TWO_PI, size=n)
-    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    return [qubit_from_bloch(BlochAngles(float(th), float(ph) % _TWO_PI))
-            for th, ph in zip(theta, phi)]
+    return [Qubit(*row) for row in _sphere_draw(n, rng)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSet:
-    """A named collection of (state, partner) pairs used as rule inputs.
+    """A named family of (state, partner) pairs used as rule inputs.
 
+    The pairs are two validated, read-only (n, 2) complex arrays; pair(i),
+    pairs, states() and partners() build Qubits from them on demand.
     The pairing convention travels with the set: circle sets carry their
     family partners, whole-sphere sets carry canonical complements.
     """
 
     name: str
-    pairs: tuple = field(default_factory=tuple)
+    state_vectors: np.ndarray
+    partner_vectors: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "state_vectors", _checked(self.state_vectors))
+        object.__setattr__(self, "partner_vectors", _checked(self.partner_vectors))
+        if self.state_vectors.shape != self.partner_vectors.shape:
+            raise ValueError("states and partners differ in number")
+
+    def pair(self, i: int) -> tuple[Qubit, Qubit]:
+        return Qubit(*self.state_vectors[i]), Qubit(*self.partner_vectors[i])
+
+    @property
+    def pairs(self) -> tuple:
+        return tuple(self.pair(i) for i in range(len(self)))
 
     def states(self) -> list[Qubit]:
-        return [p[0] for p in self.pairs]
+        return [Qubit(*row) for row in self.state_vectors]
 
     def partners(self) -> list[Qubit]:
-        return [p[1] for p in self.pairs]
+        return [Qubit(*row) for row in self.partner_vectors]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.state_vectors)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, StateSet) and self.name == other.name
+                and np.array_equal(self.state_vectors, other.state_vectors)
+                and np.array_equal(self.partner_vectors, other.partner_vectors))
+
+
+def state_family(name: str, n: int, seed: int | None = None, *,
+                 sampled: bool = False, anchors: bool = False) -> StateSet:
+    """The one generator of the named families.
+
+    bloch draws n states from seed (n - 2 after the anchors |+> and |+i>)
+    and pairs them with their complements.  polar and equatorial are
+    evenly spaced grids, or uniform draws from seed when sampled is set,
+    paired as by polar_pair and equatorial_pair.
+    """
+    if name not in ("bloch", "polar", "equatorial"):
+        raise ValueError(f"unknown family {name!r}; expected bloch, polar, or equatorial")
+    if n < 1:
+        raise ValueError("need at least one state")
+    r = 1.0 / np.sqrt(2.0)
+    if name == "bloch":
+        head = np.array([[r, r], [r, 1j * r]])[:n if anchors else 0]
+        s = np.concatenate([head, _sphere_draw(n - len(head), np.random.default_rng(seed))])
+        return StateSet(name, s, _complements(s))
+    top = np.pi if name == "polar" else _TWO_PI
+    t = (np.random.default_rng(seed).uniform(0.0, top, size=n) if sampled
+         else np.linspace(0.0, top, n, endpoint=False))
+    if name == "polar":
+        c, s = np.cos(t / 2.0), np.sin(t / 2.0)
+        return StateSet(name, _rows(c, s), _rows(-s, c))
+    h = np.full(n, r)
+    if sampled:
+        # the sampled equator keeps its own rounding, e^{i phi}/sqrt2 and
+        # the negated antipode; they agree with the grid form to an ulp
+        e = np.exp(1j * t) / np.sqrt(2.0)
+        return StateSet(name, _rows(h, e), _rows(h, -e))
+    return StateSet(name, _rows(h, r * np.exp(1j * t)),
+                    _rows(h, r * np.exp(1j * ((t + np.pi) % _TWO_PI))))
+
+
+def named_set(name: str, n: int, seed: int | None = 42) -> StateSet:
+    """bloch_set, polar_set or equatorial_set, chosen by family name."""
+    if name == "bloch":
+        return bloch_set(n, seed=seed)
+    return polar_set(n) if name == "polar" else equatorial_set(n)
 
 
 def polar_set(n: int = 64) -> StateSet:
     """n evenly spaced polar pairs; the pairs cover the full circle."""
-    if n < 1:
-        raise ValueError("need at least one grid point")
-    ts = np.linspace(0.0, np.pi, n, endpoint=False)
-    return StateSet("polar", tuple(polar_pair(float(t)) for t in ts))
+    return state_family("polar", n)
 
 
 def equatorial_set(n: int = 64) -> StateSet:
     """n evenly spaced equatorial pairs over one period."""
-    if n < 1:
-        raise ValueError("need at least one grid point")
-    phis = np.linspace(0.0, _TWO_PI, n, endpoint=False)
-    return StateSet("equatorial", tuple(equatorial_pair(float(p)) for p in phis))
+    return state_family("equatorial", n)
 
 
 def bloch_set(n: int = 256, seed: int | None = 42, anchors: bool = True) -> StateSet:
@@ -259,16 +340,7 @@ def bloch_set(n: int = 256, seed: int | None = 42, anchors: bool = True) -> Stat
     are prepended (within the requested n) so sphere-wide audits always
     include equator points with real and with imaginary amplitudes.
     """
-    if n < 1:
-        raise ValueError("need at least one state")
-    states: list[Qubit] = []
-    if anchors:
-        s = 1.0 / np.sqrt(2.0)
-        states = [Qubit(complex(s), complex(s)), Qubit(complex(s), complex(1j * s))][:n]
-    remaining = n - len(states)
-    if remaining > 0:
-        states.extend(sample_bloch(remaining, seed=seed))
-    return StateSet("bloch", tuple((q, complement(q)) for q in states))
+    return state_family("bloch", n, seed, anchors=anchors)
 
 
 def listed_set(qubits, name: str = "listed") -> StateSet:
@@ -279,7 +351,8 @@ def listed_set(qubits, name: str = "listed") -> StateSet:
     for q in qs:
         if not isinstance(q, Qubit):
             raise TypeError(f"expected Qubit, got {type(q).__name__}")
-    return StateSet(name, tuple((q, complement(q)) for q in qs))
+    s = np.array([q.vector for q in qs])
+    return StateSet(name, s, _complements(s))
 
 
 def ket_notation(v, digits: int = 4) -> str:

@@ -16,30 +16,38 @@ between required-output and input inner products.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
-    ATOL_STATE,
     ATOL_VERDICT,
     GeneralKMap,
+    abs_squared,
+    apply,
     complement_map,
     conjugation,
     haar_unitaries,
     inner_product,
+    row_blocks,
+    row_dots,
+    row_norms,
     state_vector,
     tensor,
 )
-from .states import Qubit, StateSet, complement, polar_pair, sample_bloch
+from .states import Qubit, StateSet, complement, listed_set, polar_pair, state_family
 
 _EXTENSIONS = ("linear", "antilinear", "hybrid")
 
 _MACHINE_KIND = "clone-like"
-_GATE_KINDS = ("hadamard9", "hadamard10", "unequal", "cnot")
+_QUBIT_GATE_KINDS = ("hadamard9", "hadamard10", "unequal")
+_GATE_KINDS = _QUBIT_GATE_KINDS + ("cnot",)
 
 # trivial one-dimensional ancilla factor
 _SCALAR = np.ones(1, dtype=complex)
+_BASIS = np.eye(2, dtype=complex)
+_BASIS.setflags(write=False)
 
 
 def _ancilla(value) -> np.ndarray:
@@ -100,8 +108,7 @@ class MachineSpec:
 def cloning_machine(extension: str = "linear", ancilla0=None, ancilla1=None) -> MachineSpec:
     """Machine copying each basis state: |i> -> |i>|i>, ancilla tags free."""
     a0, a1 = _ancilla(ancilla0), _ancilla(ancilla1)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
+    e0, e1 = _BASIS
     return MachineSpec(out0=tensor(e0, e0, a0), out1=tensor(e1, e1, a1),
                        extension=extension, ancilla0=a0, ancilla1=a1)
 
@@ -109,8 +116,7 @@ def cloning_machine(extension: str = "linear", ancilla0=None, ancilla1=None) -> 
 def complementing_machine(extension: str = "antilinear", ancilla0=None, ancilla1=None) -> MachineSpec:
     """Machine attaching the orthogonal state: |0> -> |0>|1>, |1> -> -|1>|0>."""
     a0, a1 = _ancilla(ancilla0), _ancilla(ancilla1)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
+    e0, e1 = _BASIS
     f0 = complement(Qubit(1.0, 0.0)).vector
     f1 = complement(Qubit(0.0, 1.0)).vector
     return MachineSpec(out0=tensor(e0, f0, a0), out1=tensor(e1, f1, a1),
@@ -120,8 +126,7 @@ def complementing_machine(extension: str = "antilinear", ancilla0=None, ancilla1
 def conjugating_machine(extension: str = "antilinear", ancilla0=None, ancilla1=None) -> MachineSpec:
     """Machine attaching the conjugate; on basis states it copies."""
     a0, a1 = _ancilla(ancilla0), _ancilla(ancilla1)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
+    e0, e1 = _BASIS
     return MachineSpec(out0=tensor(e0, e0.conj(), a0), out1=tensor(e1, e1.conj(), a1),
                        extension=extension, ancilla0=a0, ancilla1=a1)
 
@@ -137,8 +142,7 @@ def hybrid_machine(lam: float, unitary=None, antiunitary=None,
     """
     kmap = GeneralKMap(lam, unitary, antiunitary)
     a0, a1 = _ancilla(ancilla0), _ancilla(ancilla1)
-    e0 = np.array([1.0, 0.0], dtype=complex)
-    e1 = np.array([0.0, 1.0], dtype=complex)
+    e0, e1 = _BASIS
     k0, k1 = kmap(e0), kmap(e1)
     if abs(np.linalg.norm(k0) - 1.0) > ATOL_VERDICT or abs(np.linalg.norm(k1) - 1.0) > ATOL_VERDICT:
         raise ValueError("the chosen unitary/antiunitary parts do not act orthogonally "
@@ -147,18 +151,36 @@ def hybrid_machine(lam: float, unitary=None, antiunitary=None,
                        extension="hybrid", kmap=kmap, ancilla0=a0, ancilla1=a1)
 
 
+def _outputs(m: MachineSpec, s: np.ndarray) -> np.ndarray:
+    """The machine's action on each row of s under its declared extension."""
+    if m.extension == "linear":
+        return s[:, :1] * m.out0 + s[:, 1:] * m.out1
+    if m.extension == "antilinear":
+        return np.conj(s[:, :1]) * m.out0 + np.conj(s[:, 1:]) * m.out1
+    cu, ca = np.sqrt(m.kmap.lam), np.sqrt(1.0 - m.kmap.lam)
+    out = np.zeros((len(s), m.out0.size), dtype=complex)
+    for amp, e, anc in ((s[:, :1], _BASIS[0], m.ancilla0), (s[:, 1:], _BASIS[1], m.ancilla1)):
+        if cu > 0.0:
+            out = out + cu * amp * tensor(e, m.kmap.unitary @ e, anc)
+        if ca > 0.0:
+            out = out + ca * np.conj(amp) * tensor(e, m.kmap.antiunitary(e), anc)
+    return out
+
+
+def _extend(m: MachineSpec, q: Qubit, extension: str) -> np.ndarray:
+    if m.extension != extension:
+        raise ValueError(f"machine declares extension {m.extension!r}, not {extension}")
+    return machine_output(m, q)
+
+
 def extend_linear(m: MachineSpec, q: Qubit) -> np.ndarray:
     """alpha*out0 + beta*out1: the unique linear action fixed by the basis rules."""
-    if m.extension != "linear":
-        raise ValueError(f"machine declares extension {m.extension!r}, not linear")
-    return q.alpha * m.out0 + q.beta * m.out1
+    return _extend(m, q, "linear")
 
 
 def extend_antilinear(m: MachineSpec, q: Qubit) -> np.ndarray:
     """conj(alpha)*out0 + conj(beta)*out1."""
-    if m.extension != "antilinear":
-        raise ValueError(f"machine declares extension {m.extension!r}, not antilinear")
-    return np.conj(q.alpha) * m.out0 + np.conj(q.beta) * m.out1
+    return _extend(m, q, "antilinear")
 
 
 def extend_hybrid(m: MachineSpec, q: Qubit) -> np.ndarray:
@@ -167,29 +189,19 @@ def extend_hybrid(m: MachineSpec, q: Qubit) -> np.ndarray:
     Each basis branch i contributes sqrt(lam)*amp_i |i> (x) U|i> (x) |Q_i>
     plus sqrt(1-lam)*conj(amp_i) |i> (x) A|i> (x) |Q_i>.
     """
-    if m.extension != "hybrid":
-        raise ValueError(f"machine declares extension {m.extension!r}, not hybrid")
-    lam = m.kmap.lam
-    cu, ca = np.sqrt(lam), np.sqrt(1.0 - lam)
-    out = np.zeros_like(m.out0)
-    for i, amp in ((0, q.alpha), (1, q.beta)):
-        e = np.zeros(2, dtype=complex)
-        e[i] = 1.0
-        anc = m.ancilla0 if i == 0 else m.ancilla1
-        if cu > 0.0:
-            out = out + cu * amp * tensor(e, m.kmap.unitary @ e, anc)
-        if ca > 0.0:
-            out = out + ca * np.conj(amp) * tensor(e, m.kmap.antiunitary(e), anc)
-    return out
+    return _extend(m, q, "hybrid")
 
 
 def machine_output(m: MachineSpec, q: Qubit) -> np.ndarray:
     """The machine's action on q under its declared extension."""
-    if m.extension == "linear":
-        return extend_linear(m, q)
-    if m.extension == "antilinear":
-        return extend_antilinear(m, q)
-    return extend_hybrid(m, q)
+    return _outputs(m, q.vector[np.newaxis])[0]
+
+
+def _unit_weights(a, b) -> tuple[complex, complex]:
+    a, b = complex(a), complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)) or abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
+        raise ValueError("unequal weights must be finite and satisfy |a|^2 + |b|^2 = 1")
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +228,7 @@ class TargetTransform:
         if self.kind == "unequal":
             if self.a is None or self.b is None:
                 raise ValueError("unequal targets need weights a and b")
-            a, b = complex(self.a), complex(self.b)
-            if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
-                raise ValueError("unequal weights must satisfy |a|^2 + |b|^2 = 1")
+            a, b = _unit_weights(self.a, self.b)
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
         if self.ancilla_final is not None:
@@ -264,69 +274,98 @@ def target_cnot() -> TargetTransform:
     return TargetTransform("cnot")
 
 
-def target_rules(t: TargetTransform, pair: tuple[Qubit, Qubit]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(input, required output) rule list for a gate target on one pair."""
-    s, p = pair[0].vector, pair[1].vector
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of each row of a with the same row of b."""
+    return (a[:, :, np.newaxis] * b[:, np.newaxis, :]).reshape(len(a), -1)
+
+
+def _rule_table(t: TargetTransform, s: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (inputs, required outputs) of a gate target, each (rules, n, dim)."""
     r = 1.0 / np.sqrt(2.0)
     if t.kind == "hadamard9":
-        return [(s, r * (s + p)), (p, r * (s - p))]
-    if t.kind == "hadamard10":
-        return [(s, r * (s + 1j * p)), (p, r * (1j * s + p))]
-    if t.kind == "unequal":
-        return [(s, t.a * s + t.b * p), (p, t.b * s - t.a * p)]
-    if t.kind == "cnot":
-        return [(np.kron(s, s), np.kron(s, s)),
-                (np.kron(s, p), np.kron(s, p)),
-                (np.kron(p, s), np.kron(p, p)),
-                (np.kron(p, p), np.kron(p, s))]
-    raise ValueError(f"target kind {t.kind!r} has no per-state rules; use ideal_output")
+        ins, outs = (s, p), (r * (s + p), r * (s - p))
+    elif t.kind == "hadamard10":
+        ins, outs = (s, p), (r * (s + 1j * p), r * (1j * s + p))
+    elif t.kind == "unequal":
+        ins, outs = (s, p), (t.a * s + t.b * p, t.b * s - t.a * p)
+    elif t.kind == "cnot":
+        ss, sp, ps, pp = (_kron_rows(a, b) for a, b in ((s, s), (s, p), (p, s), (p, p)))
+        ins, outs = (ss, sp, ps, pp), (ss, sp, pp, ps)
+    else:
+        raise ValueError(f"target kind {t.kind!r} has no per-state rules; use ideal_output")
+    return np.stack(ins), np.stack(outs)
+
+
+def named_target(name: str, a=None, b=None, lam=None) -> TargetTransform:
+    """The target called name in the CLI and the DSL; unequal takes a and b, hybrid lam."""
+    if name == "unequal":
+        return target_unequal(a, b)
+    if name == "hybrid":
+        return target_hybrid(lam)
+    return {"clone": target_clone, "complement": target_complement,
+            "conjugate": target_conjugate, "hadamard9": target_hadamard9,
+            "hadamard10": target_hadamard10, "cnot": target_cnot}[name]()
+
+
+def target_rules(t: TargetTransform, pair: tuple[Qubit, Qubit]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(input, required output) rule list for a gate target on one pair."""
+    ins, outs = _rule_table(t, pair[0].vector[np.newaxis], pair[1].vector[np.newaxis])
+    return list(zip(ins[:, 0], outs[:, 0]))
 
 
 def ideal_output(t: TargetTransform, q: Qubit, ancilla_final=None) -> np.ndarray:
     """Normalized ideal output |q> (x) K|q> (x) |Q_final> of a clone-like target."""
     if t.kind != _MACHINE_KIND:
         raise ValueError(f"target kind {t.kind!r} is a gate target; use target_rules")
-    second = t.kmap(q.vector)
-    norm = np.linalg.norm(second)
-    if norm < 1e-12:
-        raise ValueError("ideal output vanishes for this state (the unitary and "
-                         "antiunitary branches cancel)")
     anc = ancilla_final if ancilla_final is not None else t.ancilla_final
-    return tensor(q.vector, second / norm, _ancilla(anc))
+    return tensor(_system_ideals(t, q.vector[np.newaxis])[0], _ancilla(anc))
 
 
-def machine_deviation(m: MachineSpec, t: TargetTransform, q: Qubit, mode: str = "fixed") -> float:
+def _system_ideals(t: TargetTransform, s: np.ndarray) -> np.ndarray:
+    """|psi> (x) K|psi> normalized, for each row psi of s."""
+    second = t.kmap(s)
+    norm = row_norms(second)
+    if np.any(norm < 1e-12):
+        raise ValueError("ideal output vanishes: the unitary and antiunitary branches cancel")
+    return _kron_rows(s, second / norm[:, np.newaxis])
+
+
+def machine_deviations(m: MachineSpec, t: TargetTransform, states,
+                       mode: str = "fixed") -> np.ndarray:
     """1 - |<ideal|actual>|^2 between the target and the extended machine.
 
-    In "fixed" mode the ideal's final ancilla is the target's (or the
+    One value per state; states is a StateSet or a list of Qubits.  In
+    "fixed" mode the ideal's final ancilla is the target's (or the
     machine's |Q_0> when the target leaves it free).  In "best" mode the
     overlap is maximized over all final ancilla states, which isolates
     the principal-system mismatch.
     """
     if mode not in ("fixed", "best"):
         raise ValueError(f"unknown mode {mode!r}; expected 'fixed' or 'best'")
-    actual = machine_output(m, q)
-    norm = np.linalg.norm(actual)
-    if norm < 1e-12:
+    s = _as_set(states).state_vectors
+    actual = _outputs(m, s)
+    norm = row_norms(actual)
+    if np.any(norm < 1e-12):
         raise ValueError("machine output vanishes for this state")
-    actual = actual / norm
-    second = t.kmap(q.vector)
-    snorm = np.linalg.norm(second)
-    if snorm < 1e-12:
-        raise ValueError("ideal output vanishes for this state")
-    sys_ideal = np.kron(q.vector, second / snorm)
+    actual = actual / norm[:, np.newaxis]
+    sys_ideal = _system_ideals(t, s)
     d = m.ancilla_dim
     if mode == "best":
-        residue = sys_ideal.conj() @ actual.reshape(4, d)
-        overlap_sq = float(np.linalg.norm(residue) ** 2)
+        residue = np.matmul(sys_ideal.conj()[:, np.newaxis, :], actual.reshape(-1, 4, d))
+        overlap_sq = abs_squared(row_norms(residue[:, 0]))
     else:
         anc = t.ancilla_final if t.ancilla_final is not None else m.ancilla0
         if anc.size != d:
             raise ValueError(f"final ancilla dimension {anc.size} does not match "
                              f"the machine's ancilla dimension {d}")
-        ideal = np.kron(sys_ideal, anc)
-        overlap_sq = abs(np.vdot(ideal, actual)) ** 2
-    return float(min(max(1.0 - overlap_sq, 0.0), 1.0))
+        ideal = _kron_rows(sys_ideal, np.broadcast_to(anc, (len(s), d)))
+        overlap_sq = abs_squared(row_dots(ideal.conj(), actual))
+    return np.clip(1.0 - overlap_sq, 0.0, 1.0)
+
+
+def machine_deviation(m: MachineSpec, t: TargetTransform, q: Qubit, mode: str = "fixed") -> float:
+    """machine_deviations for the single state q."""
+    return float(machine_deviations(m, t, [q], mode)[0])
 
 
 def audit_inner_product(t: TargetTransform, pair: tuple[Qubit, Qubit],
@@ -350,16 +389,10 @@ def audit_inner_product(t: TargetTransform, pair: tuple[Qubit, Qubit],
     p1, p2 = partners if partners is not None else (complement(q1), complement(q2))
     rules1 = target_rules(t, (q1, p1))
     rules2 = target_rules(t, (q2, p2))
-    if t.kind == "cnot":
-        worst = 0.0
-        for in1, out1 in rules1:
-            for in2, out2 in rules2:
-                gap = abs(inner_product(in1, in2) - inner_product(out1, out2))
-                worst = max(worst, float(gap))
-        return worst
-    in1, out1 = rules1[0]
-    in2, out2 = rules2[0]
-    return float(abs(inner_product(in1, in2) - inner_product(out1, out2)))
+    if t.kind != "cnot":
+        rules1, rules2 = rules1[:1], rules2[:1]
+    return max(float(abs(inner_product(in1, in2) - inner_product(out1, out2)))
+               for in1, out1 in rules1 for in2, out2 in rules2)
 
 
 def audit_unequal(a, b, theta_pair: tuple[float, float]) -> float:
@@ -368,9 +401,7 @@ def audit_unequal(a, b, theta_pair: tuple[float, float]) -> float:
     This is the residual by which the unequal-weight rules fail to
     preserve overlaps; it vanishes exactly when a and b are real.
     """
-    a, b = complex(a), complex(b)
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
-        raise ValueError("weights must satisfy |a|^2 + |b|^2 = 1")
+    a, b = _unit_weights(a, b)
     s1, _ = polar_pair(theta_pair[0])
     _, p2 = polar_pair(theta_pair[1])
     term = (np.conj(a) * b - a * np.conj(b)) * s1.overlap(p2)
@@ -406,29 +437,34 @@ class Verdict:
         return "REALIZABLE" if self.realizable else "IMPOSSIBLE"
 
 
-def _as_pairs(states) -> list[tuple[Qubit, Qubit]]:
-    if isinstance(states, StateSet):
-        return list(states.pairs)
-    pairs = []
-    for q in states:
-        if not isinstance(q, Qubit):
-            raise TypeError(f"expected Qubit, got {type(q).__name__}")
-        pairs.append((q, complement(q)))
-    if not pairs:
-        raise ValueError("no states to check")
-    return pairs
+def _as_set(states) -> StateSet:
+    """A StateSet as it is, or a list of Qubits paired with their complements."""
+    return states if isinstance(states, StateSet) else listed_set(states)
 
 
-def _rule_violation(candidate: np.ndarray, rules) -> float:
-    worst = 0.0
-    for vec_in, vec_out in rules:
-        actual = candidate @ vec_in
-        na, no = np.linalg.norm(actual), np.linalg.norm(vec_out)
-        if na < 1e-12 or no < 1e-12:
-            return 1.0
-        overlap_sq = abs(np.vdot(vec_out, actual)) ** 2 / (na * na * no * no)
-        worst = max(worst, float(min(max(1.0 - overlap_sq, 0.0), 1.0)))
-    return worst
+def _rule_violation(candidate: np.ndarray, ins: np.ndarray, outs: np.ndarray) -> np.ndarray:
+    """Worst phase-invariant rule mismatch of each state; 1 where a vector vanishes."""
+    actual = apply(candidate, ins)
+    na, no = row_norms(actual), row_norms(outs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        overlap_sq = abs_squared(row_dots(outs.conj(), actual)) / (na * na * no * no)
+    v = np.clip(1.0 - overlap_sq, 0.0, 1.0)
+    v[(na < 1e-12) | (no < 1e-12)] = 1.0
+    return v.max(axis=0)
+
+
+def _check_rules(candidate, t: TargetTransform, states, tol: float) -> Verdict:
+    candidate = np.asarray(candidate, dtype=complex)
+    family = _as_set(states)
+    v = _rule_violation(candidate, *_rule_table(t, family.state_vectors, family.partner_vectors))
+    i = int(np.argmax(v))
+    worst = float(v[i])
+    ok = worst <= tol
+    return Verdict(realizable=ok, violation=worst, tolerance=tol,
+                   condition=f"{t.kind}-rules",
+                   witness=None if ok else family.pair(i),
+                   realizing_operator=candidate if ok else None,
+                   detail=f"checked {len(family)} state pairs")
 
 
 def check_universal_gate(candidate, t: TargetTransform, states,
@@ -437,45 +473,20 @@ def check_universal_gate(candidate, t: TargetTransform, states,
 
     states may be a StateSet (whose own pairing convention is used) or a
     plain list of Qubits (canonical complements).  The verdict's witness
-    is the worst-violating (state, partner) pair.
+    is the worst-violating (state, partner) pair, the first one on ties.
     """
-    candidate = np.asarray(candidate, dtype=complex)
-    if candidate.shape != (2, 2):
-        raise ValueError(f"gate candidates are 2x2, got {candidate.shape}")
-    if t.kind not in ("hadamard9", "hadamard10", "unequal"):
+    if np.shape(candidate) != (2, 2):
+        raise ValueError(f"gate candidates are 2x2, got {np.shape(candidate)}")
+    if t.kind not in _QUBIT_GATE_KINDS:
         raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
-    pairs = _as_pairs(states)
-    worst, worst_pair = 0.0, pairs[0]
-    for pair in pairs:
-        v = _rule_violation(candidate, target_rules(t, pair))
-        if v > worst:
-            worst, worst_pair = v, pair
-    ok = worst <= tol
-    return Verdict(realizable=ok, violation=worst, tolerance=tol,
-                   condition=f"{t.kind}-rules",
-                   witness=None if ok else worst_pair,
-                   realizing_operator=candidate if ok else None,
-                   detail=f"checked {len(pairs)} state pairs")
+    return _check_rules(candidate, t, states, tol)
 
 
 def check_cnot_universal(candidate, states, tol: float = ATOL_VERDICT) -> Verdict:
     """Does one fixed 4x4 operator satisfy all four basis-flip rules per state?"""
-    candidate = np.asarray(candidate, dtype=complex)
-    if candidate.shape != (4, 4):
-        raise ValueError(f"two-qubit candidates are 4x4, got {candidate.shape}")
-    t = target_cnot()
-    pairs = _as_pairs(states)
-    worst, worst_pair = 0.0, pairs[0]
-    for pair in pairs:
-        v = _rule_violation(candidate, target_rules(t, pair))
-        if v > worst:
-            worst, worst_pair = v, pair
-    ok = worst <= tol
-    return Verdict(realizable=ok, violation=worst, tolerance=tol,
-                   condition="cnot-rules",
-                   witness=None if ok else worst_pair,
-                   realizing_operator=candidate if ok else None,
-                   detail=f"checked {len(pairs)} state pairs")
+    if np.shape(candidate) != (4, 4):
+        raise ValueError(f"two-qubit candidates are 4x4, got {np.shape(candidate)}")
+    return _check_rules(candidate, target_cnot(), states, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,38 +496,6 @@ class WitnessResult:
     pair: tuple[Qubit, Qubit]
     violation: float
     condition: str
-
-
-def _family_arrays(family: str, n: int, seed: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (states, partners) arrays of shape (n, 2) for a named family."""
-    rng = np.random.default_rng(seed)
-    if family == "bloch":
-        qs = sample_bloch(n, rng=rng)
-        s = np.array([q.vector for q in qs])
-        p = np.stack([-s[:, 1].conj(), s[:, 0].conj()], axis=1)
-        return s, p
-    if family == "polar":
-        t = rng.uniform(0.0, np.pi, size=n)
-        c, si = np.cos(t / 2.0), np.sin(t / 2.0)
-        return (np.stack([c, si], axis=1).astype(complex),
-                np.stack([-si, c], axis=1).astype(complex))
-    if family == "equatorial":
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        e = np.exp(1j * phi) / np.sqrt(2.0)
-        h = np.full(n, 1.0 / np.sqrt(2.0), dtype=complex)
-        return np.stack([h, e], axis=1), np.stack([h, -e], axis=1)
-    raise ValueError(f"unknown family {family!r}; expected bloch, polar, or equatorial")
-
-
-def _required_outputs(t: TargetTransform, s: np.ndarray, p: np.ndarray):
-    r = 1.0 / np.sqrt(2.0)
-    if t.kind == "hadamard9":
-        return r * (s + p), r * (s - p)
-    if t.kind == "hadamard10":
-        return r * (s + 1j * p), r * (1j * s + p)
-    if t.kind == "unequal":
-        return t.a * s + t.b * p, t.b * s - t.a * p
-    raise ValueError(f"no stacked rule form for target {t.kind!r}")
 
 
 def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
@@ -536,43 +515,41 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
         raise ValueError("need at least two samples to form a pair")
     if t.kind not in _GATE_KINDS:
         raise ValueError(f"target kind {t.kind!r} has no overlap audit")
-    s, p = _family_arrays(family, n_samples, seed)
+    family_set = state_family(family, n_samples, seed, sampled=True)
+    s, p = family_set.state_vectors, family_set.partner_vectors
     n = n_samples
     if t.kind == "cnot":
         # rule table: (control, target) -> (control, new target)
         rules = [("s", "s", "s", "s"), ("s", "p", "s", "p"),
                  ("p", "s", "p", "p"), ("p", "p", "p", "s")]
     else:
-        o1, _ = _required_outputs(t, s, p)
+        o1 = _rule_table(t, s, p)[1][0]
     best_v, best_i, best_j = -1.0, 0, 1
     vecs = {"s": s, "p": p}
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo, hi in row_blocks(n, chunk):
+        # Only columns j >= lo can hold a pair j > i.  Cutting at the block
+        # edge keeps BLAS's column alignment, so every Gram entry has the
+        # bits it has in the full product.
         if t.kind == "cnot":
-            g = {key: vecs[key[0]][lo:hi].conj() @ vecs[key[1]].T
+            g = {key: vecs[key[0]][lo:hi].conj() @ vecs[key[1]][lo:].T
                  for key in ("ss", "sp", "ps", "pp")}
-            block = np.zeros((hi - lo, n))
+            block = np.zeros((hi - lo, n - lo))
             for c1, t1, c1o, t1o in rules:
                 for c2, t2, c2o, t2o in rules:
                     gin = g[c1 + c2] * g[t1 + t2]
                     gout = g[c1o + c2o] * g[t1o + t2o]
                     np.maximum(block, np.abs(gin - gout), out=block)
         else:
-            gin = s[lo:hi].conj() @ s.T
-            gout = o1[lo:hi].conj() @ o1.T
+            gin = s[lo:hi].conj() @ s[lo:].T
+            gout = o1[lo:hi].conj() @ o1[lo:].T
             block = np.abs(gin - gout)
-        # keep strictly-upper pairs only: j > global row index
-        cols = np.arange(n)[np.newaxis, :]
-        rows = np.arange(lo, hi)[:, np.newaxis]
-        block = np.where(cols > rows, block, -1.0)
-        flat = int(np.argmax(block))
-        i_local, j = divmod(flat, n)
+        block[np.tril_indices(hi - lo, 0, n - lo)] = -1.0
+        i_local, j = divmod(int(np.argmax(block)), n - lo)
         v = float(block[i_local, j])
         if v > best_v:
-            best_v, best_i, best_j = v, lo + i_local, j
-    pair = (Qubit(complex(s[best_i, 0]), complex(s[best_i, 1])),
-            Qubit(complex(s[best_j, 0]), complex(s[best_j, 1])))
-    return WitnessResult(pair=pair, violation=max(best_v, 0.0),
+            best_v, best_i, best_j = v, lo + i_local, lo + j
+    return WitnessResult(pair=(family_set.pair(best_i)[0], family_set.pair(best_j)[0]),
+                         violation=max(best_v, 0.0),
                          condition="pairwise-overlap-consistency")
 
 
@@ -599,10 +576,11 @@ def survey_random_unitaries(t: TargetTransform, states, n_candidates: int,
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
-    pairs = _as_pairs(states)
-    s = np.array([q.vector for q, _ in pairs])
-    p = np.array([q.vector for _, q in pairs])
-    o1, o2 = _required_outputs(t, s, p)
+    if t.kind not in _QUBIT_GATE_KINDS:
+        raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
+    family = _as_set(states)
+    s, p = family.state_vectors, family.partner_vectors
+    o1, o2 = _rule_table(t, s, p)[1]
     rng = np.random.default_rng(seed)
     n_pass = 0
     min_worst = np.inf
