@@ -16,15 +16,10 @@ from .algebra import (
     apply,
     complement_map,
     conjugation,
-    density_operator,
-    fidelity_pure_mixed,
     haar_unitaries,
     inner_product,
     is_unitary,
-    ket,
     operator,
-    partial_trace,
-    pure_density,
     state_vector,
     tensor,
 )
@@ -46,7 +41,6 @@ from .fidelity import (
     OptimizerConfig,
     QuadratureGrid,
     average_fidelity,
-    monte_carlo_grid,
     optimize_fidelity,
     records_to_csv,
     sweep_lambda,
@@ -63,14 +57,10 @@ from .gates import (
     unequal_gate,
 )
 from .states import (
-    BlochAngles,
-    GreatCircleFamily,
     Qubit,
     StateSet,
     bloch_set,
-    circle_state,
     complement,
-    conjugate,
     equatorial_gram,
     equatorial_pair,
     equatorial_set,
@@ -80,7 +70,6 @@ from .states import (
     polar_gram,
     polar_pair,
     polar_set,
-    qubit_from_bloch,
     sample_bloch,
     state_family,
 )
@@ -90,18 +79,13 @@ from .verifier import (
     TargetTransform,
     Verdict,
     WitnessResult,
-    audit_inner_product,
     audit_unequal,
     check_cnot_universal,
     check_universal_gate,
     cloning_machine,
     complementing_machine,
     conjugating_machine,
-    extend_antilinear,
-    extend_hybrid,
-    extend_linear,
     hybrid_machine,
-    ideal_output,
     machine_deviation,
     machine_deviations,
     machine_output,

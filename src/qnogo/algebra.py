@@ -51,17 +51,6 @@ def operator(entries) -> np.ndarray:
     return m
 
 
-def ket(index: int, dim: int = 2) -> np.ndarray:
-    """Computational basis vector |index> in the given dimension."""
-    if dim not in SUPPORTED_DIMS:
-        raise ValueError(f"unsupported dimension {dim}")
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dimension {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def inner_product(u, v) -> complex:
     """<u|v>, conjugate-linear in the first argument."""
     u = np.asarray(u, dtype=complex)
@@ -129,71 +118,6 @@ def is_unitary(op, atol: float = ATOL_VERDICT) -> bool:
         return False
     gram = op.conj().T @ op
     return bool(np.max(np.abs(gram - np.eye(op.shape[0]))) <= atol)
-
-
-def pure_density(v) -> np.ndarray:
-    """|v><v| for a state vector v."""
-    v = np.asarray(v, dtype=complex)
-    return np.outer(v, v.conj())
-
-
-def density_operator(entries, atol: float = ATOL_STATE) -> np.ndarray:
-    """Validated density matrix: hermitian, unit trace, positive semidefinite."""
-    rho = operator(entries)
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
-        raise ValueError("density operator is not hermitian")
-    if abs(np.trace(rho).real - 1.0) > atol or abs(np.trace(rho).imag) > atol:
-        raise ValueError("density operator trace is not 1")
-    # eigvalsh is exact enough here; tiny negative values within atol pass
-    if np.min(np.linalg.eigvalsh(rho)) < -atol:
-        raise ValueError("density operator has a negative eigenvalue")
-    return rho
-
-
-def fidelity_pure_mixed(ideal, rho) -> float:
-    """<ideal| rho |ideal> as a real number clipped to [0, 1]."""
-    ideal = np.asarray(ideal, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (ideal.size, ideal.size):
-        raise ValueError(f"shape mismatch {rho.shape} vs state of dim {ideal.size}")
-    val = complex(np.vdot(ideal, rho @ ideal))
-    if abs(val.imag) > 1e-10 or val.real < -1e-10 or val.real > 1.0 + 1e-10:
-        raise ValueError(f"fidelity {val!r} outside the valid range")
-    return float(min(max(val.real, 0.0), 1.0))
-
-
-def partial_trace(rho, keep, dims) -> np.ndarray:
-    """Trace out every factor not listed in keep.
-
-    dims gives the factor dimensions of rho, most significant first.
-    The kept factors stay in their original relative order.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValueError(f"dims {dims} do not match operator shape {rho.shape}")
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    resh = rho.reshape(dims + dims)
-    row = list(range(n))
-    col = [i + n if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [i + n for i in keep]
-    reduced = np.einsum(resh, row + col, out)
-    d = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reduced.reshape(d, d)
-
-
-def equal_up_to_phase(u, v, atol: float = ATOL_STATE) -> bool:
-    """True when u and v describe the same ray: |<u|v>| = |u||v| within atol."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("zero vector has no ray")
-    return bool(abs(abs(np.vdot(u, v)) / (nu * nv) - 1.0) <= atol)
 
 
 class AntiUnitaryMap:

@@ -53,6 +53,9 @@ EXIT_IO = 4
 
 SCHEMA_VERSION = "1"
 
+MAX_LAMBDAS = 10_001
+
+
 class _CliError(Exception):
     """Internal: carries an exit code and a message for stderr."""
 
@@ -103,23 +106,33 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_lambda_values(text: str) -> list[float]:
-    """--lambda accepts a single value, a comma list, or start:stop:step."""
+    """--lambda accepts a single value, a comma list, or start:stop:step.
+
+    A range has at most MAX_LAMBDAS values; its parts are checked before
+    any value is built.
+    """
     s = text.strip()
     if ":" in s:
         parts = s.split(":")
         if len(parts) != 3:
             raise ValueError("range form is start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ValueError("range parts must be finite")
         if step <= 0.0:
             raise ValueError("step must be positive")
+        if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
+            raise ValueError("range endpoints must lie in [0, 1]")
+        span = (stop - start) / step   # inf when the step underflows
+        if span > MAX_LAMBDAS - 1:
+            raise ValueError(f"lambda range has more than {MAX_LAMBDAS} values")
         values = []
-        k = 0
-        while True:
+        # one k past the span, which rounding to 12 digits may still put at stop
+        for k in range(max(math.floor(span), -1) + 2):
             v = round(start + k * step, 12)
             if v > stop + 1e-12:
                 break
             values.append(min(v, stop))
-            k += 1
         if not values:
             raise ValueError("empty lambda range")
     elif "," in s:
@@ -373,7 +386,7 @@ def cmd_fidelity_sweep(args, cfg: RunConfig) -> int:
     if cfg.fmt == "csv" or (cfg.fmt == "human" and args.output_csv):
         _write_out(cfg.output, records_to_csv(records))
         return EXIT_OK
-    payload = {"mode": args.mode, "nodes": len(grid.nodes),
+    payload = {"mode": args.mode, "nodes": len(grid),
                "records": [r.to_dict() for r in records]}
     lines = [CSV_HEADER]
     lines += records_to_csv(records).splitlines()[1:]
@@ -470,12 +483,12 @@ def build_parser() -> _Parser:
     fs = subs.add_parser("fidelity-sweep", help="optimal fidelity vs lambda")
     fs.add_argument("--lambda", dest="lam", required=True,
                     help="single value, comma list, or start:stop:step")
-    fs.add_argument("--mode", choices=("second-register", "joint"),
-                    default="second-register")
-    fs.add_argument("--ancilla-dim", type=int, default=2)
-    fs.add_argument("--restarts", type=int, default=8)
-    fs.add_argument("--max-evals", type=int, default=4000)
-    fs.add_argument("--method", choices=("nelder-mead", "lbfgs"), default="lbfgs")
+    opt = OptimizerConfig()
+    fs.add_argument("--mode", choices=("second-register", "joint"), default=opt.mode)
+    fs.add_argument("--ancilla-dim", type=int, default=opt.ancilla_dim)
+    fs.add_argument("--restarts", type=int, default=opt.restarts)
+    fs.add_argument("--max-evals", type=int, default=opt.max_evals)
+    fs.add_argument("--method", choices=("nelder-mead", "lbfgs"), default=opt.method)
     fs.add_argument("--nodes", type=int, default=200,
                     help="minimum quadrature nodes (default 200)")
     fs.add_argument("--output-csv", action="store_true",

@@ -23,6 +23,7 @@ rather than exceptions.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, field
@@ -111,7 +112,8 @@ def tokenize(src: SourceUnit) -> tuple[list[Token], list[Diagnostic]]:
     Ket tokens carry their label ('0', '+', '01', ...).  A complex
     literal like 0.6+0.8i or 2i is one contiguous token; a plain number
     is NUM.  Unknown characters are reported and skipped so the rest of
-    the file still lexes.
+    the file still lexes; a number too large for a float is reported at
+    its own position.
     """
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
@@ -157,9 +159,14 @@ def tokenize(src: SourceUnit) -> tuple[list[Token], list[Diagnostic]]:
             m = _CPLX_RE.match(text, i)
             if m:
                 tokens.append(Token("CPLX", m.group(0), line, col))
+                value = _parse_cplx(m.group(0))
             else:
                 m = _NUM_RE.match(text, i)
                 tokens.append(Token("NUM", m.group(0), line, col))
+                value = float(m.group(0))
+            if not cmath.isfinite(value):
+                diags.append(Diagnostic(ERROR, line, col,
+                                        f"number {m.group(0)!r} overflows", src.origin))
             col += m.end() - i
             i = m.end()
             continue
@@ -457,7 +464,8 @@ class _Parser:
         self.expect("EQ", "'='")
         tok = self.peek()
         value = self.parse_scalar()
-        if value.imag != 0.0:
+        # a non-finite value comes from a literal the lexer already refused
+        if cmath.isfinite(value) and value.imag != 0.0:
             raise self.error(tok, "lambda must be a real number")
         self.expect("RPAREN", "')'")
         return value.real
@@ -641,7 +649,8 @@ def _eval_ketexpr(expr: KetExpr) -> np.ndarray:
             raise _CompileError("terms have mismatched register counts",
                                 term.line, term.column)
         else:
-            total = total + vec
+            with np.errstate(over="ignore"):   # an overflowing sum fails _normalized
+                total = total + vec
     return total
 
 
@@ -653,7 +662,8 @@ class _CompileError(Exception):
 
 def _normalized(vec: np.ndarray, where: tuple[int, int],
                 diags: list[Diagnostic], origin: str) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):   # huge amplitudes give an infinite norm
+        norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > _LITERAL_ATOL:
         raise _CompileError("output not normalized", *where)
     if abs(norm - 1.0) > 1e-12:

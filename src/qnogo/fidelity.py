@@ -23,38 +23,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import BlochAngles, Qubit, qubit_from_bloch, sample_bloch
+from .states import _bloch_rows, _checked, _complements
 
 _MODES = ("second-register", "joint")
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureGrid:
-    """Weighted states over which fidelities are averaged."""
+    """Weighted states over which fidelities are averaged.
 
-    nodes: tuple
+    states is a validated, read-only (n, 2) complex array; weights is a
+    read-only (n,) array of finite, non-negative weights that sum to 1.
+    """
+
+    states: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if not self.nodes:
-            raise ValueError("empty quadrature grid")
-        total = 0.0
-        for q, w in self.nodes:
-            if not isinstance(q, Qubit):
-                raise TypeError("grid nodes must be (Qubit, weight) pairs")
-            if w < 0.0:
-                raise ValueError("negative quadrature weight")
-            total += w
+        object.__setattr__(self, "states", _checked(self.states))
+        w = np.array(self.weights, dtype=float)
+        if w.shape != (len(self.states),):
+            raise ValueError(f"expected {len(self.states)} quadrature weights, got shape {w.shape}")
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+            raise ValueError("quadrature weights must be finite and non-negative")
+        total = float(w.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"quadrature weights sum to {total!r}, not 1")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    def states_array(self) -> np.ndarray:
-        return np.array([q.vector for q, _ in self.nodes])
-
-    def weights_array(self) -> np.ndarray:
-        return np.array([w for _, w in self.nodes])
+        return len(self.states)
 
 
 def _icosahedron() -> np.ndarray:
@@ -65,12 +64,6 @@ def _icosahedron() -> np.ndarray:
             raw.extend([(0.0, a, b), (a, b, 0.0), (b, 0.0, a)])
     pts = np.array(raw)
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def _bloch_to_qubit(xyz: np.ndarray) -> Qubit:
-    theta = float(np.arccos(np.clip(xyz[2], -1.0, 1.0)))
-    phi = float(np.arctan2(xyz[1], xyz[0])) % (2.0 * np.pi)
-    return qubit_from_bloch(BlochAngles(theta, phi))
 
 
 def uniform_grid(n_min: int = 200) -> QuadratureGrid:
@@ -93,15 +86,9 @@ def uniform_grid(n_min: int = 200) -> QuadratureGrid:
             q[:, 0] = -q[:, 0]
         blocks.append(base @ q.T)
     pts = np.concatenate(blocks, axis=0)
-    w = 1.0 / len(pts)
-    return QuadratureGrid(tuple((_bloch_to_qubit(p), w) for p in pts))
-
-
-def monte_carlo_grid(n: int, seed: int | None = 42) -> QuadratureGrid:
-    """Equal-weight uniform random sphere sample; deterministic per seed."""
-    qs = sample_bloch(n, seed=seed)
-    w = 1.0 / n
-    return QuadratureGrid(tuple((q, w) for q in qs))
+    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+    phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * np.pi)
+    return QuadratureGrid(_bloch_rows(theta, phi), np.full(len(pts), 1.0 / len(pts)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +130,7 @@ class IsometryParam:
 
 
 def _targets(states: np.ndarray, lam: float) -> np.ndarray:
-    comp = np.stack([-states[:, 1].conj(), states[:, 0].conj()], axis=1)
-    t = np.sqrt(lam) * states + np.sqrt(1.0 - lam) * comp
+    t = np.sqrt(lam) * states + np.sqrt(1.0 - lam) * _complements(states)
     return t / np.linalg.norm(t, axis=1, keepdims=True)
 
 
@@ -170,9 +156,9 @@ def average_fidelity(v: IsometryParam, lam: float, grid: QuadratureGrid,
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    s = grid.states_array()
+    s = grid.states
     val = _avg_fidelity_arrays(v.matrix, v.ancilla_dim, s, _targets(s, lam),
-                               grid.weights_array(), mode)
+                               grid.weights, mode)
     if val > 1.0 + 1e-9:
         raise ValueError(f"fidelity {val!r} exceeds 1: corrupted isometry or grid")
     return min(val, 1.0)
@@ -180,18 +166,19 @@ def average_fidelity(v: IsometryParam, lam: float, grid: QuadratureGrid,
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the fidelity search.
+    """Settings for the fidelity search; the CLI's defaults are these.
 
-    method "nelder-mead" is the default direct search; "lbfgs" switches
-    to gradient ascent with finite differences, which converges in far
-    fewer evaluations on this smooth objective.
+    method "lbfgs" is gradient ascent with finite differences, which
+    converges in few evaluations on this smooth objective; "nelder-mead"
+    is a direct search that needs far more and may stop short of the
+    optimum.
     """
 
     ancilla_dim: int = 2
-    restarts: int = 20
-    max_evals: int = 5000
+    restarts: int = 8
+    max_evals: int = 4000
     seed: int = 42
-    method: str = "nelder-mead"
+    method: str = "lbfgs"
     mode: str = "second-register"
 
     def __post_init__(self):
@@ -229,11 +216,10 @@ class FidelitySweepRecord:
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    """Best isometry found, its sweep record, and the improvement trace."""
+    """Best isometry found and its sweep record."""
 
     record: FidelitySweepRecord
     isometry: IsometryParam
-    trace: tuple
 
 
 def optimize_fidelity(lam: float, grid: QuadratureGrid,
@@ -241,19 +227,17 @@ def optimize_fidelity(lam: float, grid: QuadratureGrid,
     """Maximize average fidelity over isometries by seeded random restarts.
 
     Every candidate parameter vector is orthonormalized before being
-    scored, so the search never leaves the isometry manifold.  The trace
-    records the running best value at each improvement, and is monotone
-    by construction.  converged reflects the optimizer's own success
-    flag on the best restart.
+    scored, so the search never leaves the isometry manifold.  converged
+    reflects the optimizer's own success flag on the best restart.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
     from scipy import optimize as _sciopt   # deferred: only this function needs scipy
-    s = grid.states_array()
+    s = grid.states
     t = _targets(s, lam)
-    w = grid.weights_array()
+    w = grid.weights
     dim = 16 * cfg.ancilla_dim
-    state = {"best": -1.0, "best_x": None, "evals": 0, "trace": []}
+    state = {"best": -1.0, "best_x": None, "evals": 0}
 
     def objective(x: np.ndarray) -> float:
         iso = IsometryParam.from_unconstrained(x, cfg.ancilla_dim)
@@ -262,7 +246,6 @@ def optimize_fidelity(lam: float, grid: QuadratureGrid,
         if f > state["best"]:
             state["best"] = f
             state["best_x"] = x.copy()
-            state["trace"].append(f)
         return -f
 
     converged = False
@@ -284,7 +267,7 @@ def optimize_fidelity(lam: float, grid: QuadratureGrid,
                                  mode=cfg.mode, ancilla_dim=cfg.ancilla_dim,
                                  converged=converged, iterations=state["evals"],
                                  seed=cfg.seed)
-    return OptimizationResult(record=record, isometry=iso, trace=tuple(state["trace"]))
+    return OptimizationResult(record=record, isometry=iso)
 
 
 def sweep_lambda(lambdas, grid: QuadratureGrid,

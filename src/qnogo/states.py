@@ -6,15 +6,13 @@ complement with itself returns the input with a global minus sign, so
 the map is an involution on rays, not on vectors.
 
 Each great-circle family pairs a state with a partner on the opposite
-side of the circle.  On the polar circle the partner (the minus branch
-at the same parameter) coincides with the canonical complement.  On the
-equatorial circle the minus branch is also the exact canonical
-complement, but the overlap identities and the diagonal phase gate hold
-for the antipodal plus-branch state instead, which differs from the
-complement by the parameter-dependent phase -e^{-i phi}.  The pair
-helpers below therefore hand out (state, partner) with the antipodal
-convention; callers that need the literal minus-branch amplitudes can
-ask circle_state for them directly.
+side of the circle.  On the polar circle the partner coincides with the
+canonical complement.  On the equatorial circle the overlap identities
+and the diagonal phase gate hold for the antipodal state instead, which
+shares a ray with the complement but differs from it by the
+parameter-dependent phase -e^{-i phi}.  polar_pair and equatorial_pair
+write both conventions out for one parameter; state_family builds whole
+families as (n, 2) arrays.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import abs_squared, inner_product, state_vector
-
-_CIRCLE_KINDS = ("polar+", "polar-", "equatorial+", "equatorial-")
 
 _TWO_PI = 2.0 * np.pi
 
@@ -55,104 +51,38 @@ class Qubit:
         return inner_product(self.vector, other.vector)
 
 
-@dataclass(frozen=True)
-class BlochAngles:
-    """Spherical coordinates: theta in [0, pi], phi in [0, 2 pi)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.theta) and np.isfinite(self.phi)):
-            raise ValueError("angles must be finite")
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError(f"theta {self.theta!r} outside [0, pi]")
-        if not 0.0 <= self.phi < _TWO_PI:
-            raise ValueError(f"phi {self.phi!r} outside [0, 2 pi)")
-
-
-def qubit_from_bloch(angles: BlochAngles) -> Qubit:
-    """State with real cos(theta/2) on |0> and phase e^{i phi} on |1>."""
-    a = np.cos(angles.theta / 2.0)
-    b = np.sin(angles.theta / 2.0) * np.exp(1j * angles.phi)
-    return Qubit(complex(a), complex(b))
-
-
 def complement(q: Qubit) -> Qubit:
     """conj(alpha)|1> - conj(beta)|0>: the orthogonal state."""
     return Qubit(-np.conj(q.beta), np.conj(q.alpha))
 
 
-def conjugate(q: Qubit) -> Qubit:
-    """Componentwise conjugation in the computational basis."""
-    return Qubit(np.conj(q.alpha), np.conj(q.beta))
-
-
-@dataclass(frozen=True)
-class GreatCircleFamily:
-    """One point on a named great circle of the Bloch sphere.
-
-    kind selects the circle and the sign branch of its literal form.
-    Polar parameters live in [0, pi] (each branch covers half the
-    circle); equatorial parameters live in [0, 2 pi).
-    """
-
-    kind: str
-    parameter: float
-
-    def __post_init__(self):
-        if self.kind not in _CIRCLE_KINDS:
-            raise ValueError(f"unknown circle kind {self.kind!r}; expected one of {_CIRCLE_KINDS}")
-        t = self.parameter
-        if not np.isfinite(t):
-            raise ValueError("circle parameter must be finite")
-        if self.kind.startswith("polar"):
-            if not 0.0 <= t <= np.pi:
-                raise ValueError(f"polar parameter {t!r} outside [0, pi]")
-        elif not 0.0 <= t < _TWO_PI:
-            raise ValueError(f"equatorial parameter {t!r} outside [0, 2 pi)")
-
-
-def circle_state(point: GreatCircleFamily) -> Qubit:
-    """Literal amplitudes for a great-circle family member.
-
-    The minus branches are the exact canonical complements of the plus
-    branches at the same parameter.
-    """
-    t = point.parameter
-    if point.kind == "polar+":
-        return Qubit(complex(np.cos(t / 2.0)), complex(np.sin(t / 2.0)))
-    if point.kind == "polar-":
-        return Qubit(complex(-np.sin(t / 2.0)), complex(np.cos(t / 2.0)))
-    s = 1.0 / np.sqrt(2.0)
-    if point.kind == "equatorial+":
-        return Qubit(complex(s), complex(s * np.exp(1j * t)))
-    return Qubit(complex(-s * np.exp(-1j * t)), complex(s))
-
-
 def polar_pair(theta: float) -> tuple[Qubit, Qubit]:
-    """Polar-circle state at theta with its partner on the opposite side.
+    """Polar-circle state cos(theta/2)|0> + sin(theta/2)|1>, theta in [0, pi],
+    with its partner on the opposite side.
 
-    The partner is the minus branch at the same parameter, which equals
-    both the canonical complement and the plus-branch state at
-    theta + pi.
+    The partner -sin(theta/2)|0> + cos(theta/2)|1> is both the canonical
+    complement and the state at theta + pi.
     """
-    return (circle_state(GreatCircleFamily("polar+", theta)),
-            circle_state(GreatCircleFamily("polar-", theta)))
+    if not 0.0 <= theta <= np.pi:   # also refuses nan
+        raise ValueError(f"polar parameter {theta!r} outside [0, pi]")
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return Qubit(c, s), Qubit(-s, c)
 
 
 def equatorial_pair(phi: float) -> tuple[Qubit, Qubit]:
-    """Equatorial-circle state at phi with its antipodal partner.
+    """Equatorial-circle state (|0> + e^{i phi}|1>)/sqrt(2), phi in [0, 2 pi),
+    with its antipodal partner.
 
-    The partner is the plus-branch state at phi + pi, i.e.
-    (|0> - e^{i phi}|1>)/sqrt(2).  It shares a ray with the canonical
-    complement but carries the extra phase -e^{-i phi}; the overlap
-    identities checked by equatorial_gram hold for this partner and
-    fail for the literal complement.
+    The partner is the state at phi + pi, (|0> - e^{i phi}|1>)/sqrt(2).
+    It shares a ray with the canonical complement but carries the extra
+    phase -e^{-i phi}; the overlap identities checked by equatorial_gram
+    hold for this partner and fail for the literal complement.
     """
-    first = circle_state(GreatCircleFamily("equatorial+", phi))
-    partner = circle_state(GreatCircleFamily("equatorial+", (phi + np.pi) % _TWO_PI))
-    return (first, partner)
+    if not 0.0 <= phi < _TWO_PI:   # also refuses nan
+        raise ValueError(f"equatorial parameter {phi!r} outside [0, 2 pi)")
+    r = 1.0 / np.sqrt(2.0)
+    return (Qubit(r, r * np.exp(1j * phi)),
+            Qubit(r, r * np.exp(1j * ((phi + np.pi) % _TWO_PI))))
 
 
 def polar_gram(theta1: float, theta2: float) -> np.ndarray:
@@ -222,12 +152,16 @@ def _complements(states: np.ndarray) -> np.ndarray:
     return _rows(-states[:, 1].conj(), states[:, 0].conj())
 
 
+def _bloch_rows(theta, phi) -> np.ndarray:
+    """States cos(theta/2)|0> + sin(theta/2) e^{i phi}|1>, one row per angle pair."""
+    return _rows(np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi))
+
+
 def _sphere_draw(n: int, rng: np.random.Generator) -> np.ndarray:
-    """n states with cos(theta) and phi uniform, amplitudes as in qubit_from_bloch."""
+    """n states with cos(theta) and phi uniform."""
     cos_theta = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, _TWO_PI, size=n) % _TWO_PI
-    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    return _rows(np.cos(theta / 2.0), np.sin(theta / 2.0) * np.exp(1j * phi))
+    return _bloch_rows(np.arccos(np.clip(cos_theta, -1.0, 1.0)), phi)
 
 
 def sample_bloch(n: int, seed: int | None = None,
@@ -245,7 +179,7 @@ class StateSet:
     """A named family of (state, partner) pairs used as rule inputs.
 
     The pairs are two validated, read-only (n, 2) complex arrays; pair(i),
-    pairs, states() and partners() build Qubits from them on demand.
+    pairs and states() build Qubits from them on demand.
     The pairing convention travels with the set: circle sets carry their
     family partners, whole-sphere sets carry canonical complements.
     """
@@ -269,9 +203,6 @@ class StateSet:
 
     def states(self) -> list[Qubit]:
         return [Qubit(*row) for row in self.state_vectors]
-
-    def partners(self) -> list[Qubit]:
-        return [Qubit(*row) for row in self.partner_vectors]
 
     def __len__(self) -> int:
         return len(self.state_vectors)

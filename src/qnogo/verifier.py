@@ -167,33 +167,14 @@ def _outputs(m: MachineSpec, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extend(m: MachineSpec, q: Qubit, extension: str) -> np.ndarray:
-    if m.extension != extension:
-        raise ValueError(f"machine declares extension {m.extension!r}, not {extension}")
-    return machine_output(m, q)
-
-
-def extend_linear(m: MachineSpec, q: Qubit) -> np.ndarray:
-    """alpha*out0 + beta*out1: the unique linear action fixed by the basis rules."""
-    return _extend(m, q, "linear")
-
-
-def extend_antilinear(m: MachineSpec, q: Qubit) -> np.ndarray:
-    """conj(alpha)*out0 + conj(beta)*out1."""
-    return _extend(m, q, "antilinear")
-
-
-def extend_hybrid(m: MachineSpec, q: Qubit) -> np.ndarray:
-    """Four-term weighted mix of the linear and antilinear branch actions.
-
-    Each basis branch i contributes sqrt(lam)*amp_i |i> (x) U|i> (x) |Q_i>
-    plus sqrt(1-lam)*conj(amp_i) |i> (x) A|i> (x) |Q_i>.
-    """
-    return _extend(m, q, "hybrid")
-
-
 def machine_output(m: MachineSpec, q: Qubit) -> np.ndarray:
-    """The machine's action on q under its declared extension."""
+    """The machine's action on q under its declared extension.
+
+    linear gives alpha*out0 + beta*out1, antilinear conj(alpha)*out0 +
+    conj(beta)*out1.  hybrid adds, for each basis branch i,
+    sqrt(lam)*amp_i |i> (x) U|i> (x) |Q_i> and
+    sqrt(1-lam)*conj(amp_i) |i> (x) A|i> (x) |Q_i>.
+    """
     return _outputs(m, q.vector[np.newaxis])[0]
 
 
@@ -292,7 +273,7 @@ def _rule_table(t: TargetTransform, s: np.ndarray, p: np.ndarray) -> tuple[np.nd
         ss, sp, ps, pp = (_kron_rows(a, b) for a, b in ((s, s), (s, p), (p, s), (p, p)))
         ins, outs = (ss, sp, ps, pp), (ss, sp, pp, ps)
     else:
-        raise ValueError(f"target kind {t.kind!r} has no per-state rules; use ideal_output")
+        raise ValueError(f"target kind {t.kind!r} has no per-state rules")
     return np.stack(ins), np.stack(outs)
 
 
@@ -311,14 +292,6 @@ def target_rules(t: TargetTransform, pair: tuple[Qubit, Qubit]) -> list[tuple[np
     """(input, required output) rule list for a gate target on one pair."""
     ins, outs = _rule_table(t, pair[0].vector[np.newaxis], pair[1].vector[np.newaxis])
     return list(zip(ins[:, 0], outs[:, 0]))
-
-
-def ideal_output(t: TargetTransform, q: Qubit, ancilla_final=None) -> np.ndarray:
-    """Normalized ideal output |q> (x) K|q> (x) |Q_final> of a clone-like target."""
-    if t.kind != _MACHINE_KIND:
-        raise ValueError(f"target kind {t.kind!r} is a gate target; use target_rules")
-    anc = ancilla_final if ancilla_final is not None else t.ancilla_final
-    return tensor(_system_ideals(t, q.vector[np.newaxis])[0], _ancilla(anc))
 
 
 def _system_ideals(t: TargetTransform, s: np.ndarray) -> np.ndarray:
@@ -342,6 +315,8 @@ def machine_deviations(m: MachineSpec, t: TargetTransform, states,
     """
     if mode not in ("fixed", "best"):
         raise ValueError(f"unknown mode {mode!r}; expected 'fixed' or 'best'")
+    if t.kind != _MACHINE_KIND:
+        raise ValueError(f"target kind {t.kind!r} is a gate target; use target_rules")
     s = _as_set(states).state_vectors
     actual = _outputs(m, s)
     norm = row_norms(actual)
@@ -366,33 +341,6 @@ def machine_deviations(m: MachineSpec, t: TargetTransform, states,
 def machine_deviation(m: MachineSpec, t: TargetTransform, q: Qubit, mode: str = "fixed") -> float:
     """machine_deviations for the single state q."""
     return float(machine_deviations(m, t, [q], mode)[0])
-
-
-def audit_inner_product(t: TargetTransform, pair: tuple[Qubit, Qubit],
-                        partners: tuple[Qubit, Qubit] | None = None) -> float:
-    """Overlap discrepancy the target forces on two states.
-
-    pair holds the two input states; partners optionally supplies their
-    rule partners (defaulting to canonical complements, the right choice
-    for whole-sphere and polar inputs).  The required images of the two
-    states themselves are compared: |<in1|in2> - <out1|out2>|.  Zero
-    means the pair is consistent with a norm-preserving map; a nonzero
-    value certifies that no unitary can produce the demanded images.
-
-    For the basis-flip (cnot) target all sixteen rule products are
-    compared instead, since its per-basis realization is phase-exact and
-    every cross product is therefore an honest requirement.
-    """
-    if t.kind not in _GATE_KINDS:
-        raise ValueError(f"target kind {t.kind!r} has no overlap audit")
-    q1, q2 = pair
-    p1, p2 = partners if partners is not None else (complement(q1), complement(q2))
-    rules1 = target_rules(t, (q1, p1))
-    rules2 = target_rules(t, (q2, p2))
-    if t.kind != "cnot":
-        rules1, rules2 = rules1[:1], rules2[:1]
-    return max(float(abs(inner_product(in1, in2) - inner_product(out1, out2)))
-               for in1, out1 in rules1 for in2, out2 in rules2)
 
 
 def audit_unequal(a, b, theta_pair: tuple[float, float]) -> float:
@@ -502,10 +450,12 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
                    family: str = "bloch", chunk: int = 256) -> WitnessResult:
     """Scan all sampled pairs for the largest overlap discrepancy.
 
-    For single-qubit targets the discrepancy is the one audited by
-    audit_inner_product: the gap between each pair's input overlap and
-    the overlap of its required first-rule images.  For the basis-flip
-    target all sixteen two-qubit rule products are compared.
+    For single-qubit targets the discrepancy of states s1, s2 is
+    |<s1|s2> - <o1|o2>|, where o1 and o2 are their images under the
+    first rule: a nonzero value certifies that no unitary produces the
+    demanded images.  For the basis-flip target, whose per-basis
+    realization is phase-exact, the largest such gap over all sixteen
+    pairs of two-qubit rules is taken.
 
     Deterministic for a fixed seed; ties break to the first pair found
     in (i, j) index order.  The scan is exhaustive over the sample, done

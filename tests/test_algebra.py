@@ -9,16 +9,10 @@ from qnogo.algebra import (
     apply,
     complement_map,
     conjugation,
-    density_operator,
-    equal_up_to_phase,
-    fidelity_pure_mixed,
     haar_unitaries,
     inner_product,
     is_unitary,
-    ket,
     operator,
-    partial_trace,
-    pure_density,
     state_vector,
     tensor,
 )
@@ -48,14 +42,6 @@ def test_state_vector_enforces_normalization():
     assert np.allclose(v, [1.0, 1.0])
 
 
-def test_ket_basis_vectors():
-    assert np.allclose(ket(0), [1, 0])
-    assert np.allclose(ket(1), [0, 1])
-    assert np.allclose(ket(2, dim=4), [0, 0, 1, 0])
-    with pytest.raises(ValueError):
-        ket(2, dim=2)
-
-
 def test_inner_product_conjugates_first_argument():
     u = state_vector([RT2, RT2 * 1j])
     v = state_vector([RT2, -RT2 * 1j])
@@ -72,7 +58,7 @@ def test_tensor_matches_kron():
 
 def test_apply_shapes():
     h = operator([[RT2, RT2], [RT2, -RT2]])
-    assert np.allclose(apply(h, ket(0)), [RT2, RT2])
+    assert np.allclose(apply(h, state_vector([1.0, 0.0])), [RT2, RT2])
     with pytest.raises(ValueError):
         apply(h, np.ones(4) / 2.0)
 
@@ -81,52 +67,6 @@ def test_is_unitary():
     h = operator([[RT2, RT2], [RT2, -RT2]])
     assert is_unitary(h)
     assert not is_unitary([[1, 1], [0, 1]])
-
-
-def test_pure_density_and_fidelity():
-    plus = state_vector([RT2, RT2])
-    rho = pure_density(plus)
-    assert np.allclose(rho, rho.conj().T)
-    assert np.trace(rho) == pytest.approx(1.0)
-    assert fidelity_pure_mixed(plus, rho) == pytest.approx(1.0)
-    minus = state_vector([RT2, -RT2])
-    assert fidelity_pure_mixed(minus, rho) == pytest.approx(0.0, abs=1e-12)
-    # maximally mixed gives 1/2 for any pure state
-    assert fidelity_pure_mixed(plus, np.eye(2) / 2.0) == pytest.approx(0.5)
-
-
-def test_density_operator_validation():
-    with pytest.raises(ValueError):
-        density_operator([[1.0, 0.0], [0.0, 0.5]])  # trace 1.5
-    with pytest.raises(ValueError):
-        density_operator([[0.5, 0.5j], [0.5j, 0.5]])  # not hermitian
-
-
-def test_partial_trace_of_product_state():
-    a = state_vector([0.6, 0.8])
-    b = state_vector([RT2, RT2 * 1j])
-    rho = pure_density(tensor(a, b))
-    assert np.allclose(partial_trace(rho, keep=(0,), dims=(2, 2)), pure_density(a))
-    assert np.allclose(partial_trace(rho, keep=(1,), dims=(2, 2)), pure_density(b))
-
-
-def test_partial_trace_of_entangled_state_is_mixed():
-    bell = state_vector([RT2, 0.0, 0.0, RT2])
-    reduced = partial_trace(pure_density(bell), keep=(0,), dims=(2, 2))
-    assert np.allclose(reduced, np.eye(2) / 2.0)
-
-
-def test_partial_trace_three_registers():
-    a, b, c = ket(0), state_vector([RT2, RT2]), ket(1)
-    rho = pure_density(tensor(a, b, c))
-    kept = partial_trace(rho, keep=(0, 2), dims=(2, 2, 2))
-    assert np.allclose(kept, pure_density(tensor(a, c)))
-
-
-def test_equal_up_to_phase():
-    v = state_vector([0.6, 0.8j])
-    assert equal_up_to_phase(v, np.exp(0.3j) * v)
-    assert not equal_up_to_phase(v, state_vector([0.8, 0.6]))
 
 
 def test_conjugation_is_antilinear():

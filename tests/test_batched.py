@@ -22,7 +22,6 @@ from qnogo.gates import (
     unequal_gate,
 )
 from qnogo.states import (
-    BlochAngles,
     Qubit,
     bloch_set,
     complement,
@@ -30,7 +29,6 @@ from qnogo.states import (
     equatorial_set,
     polar_pair,
     polar_set,
-    qubit_from_bloch,
     state_family,
 )
 from qnogo.verifier import (
@@ -65,8 +63,8 @@ def ref_sphere(n, rng):
     cos_theta = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
     theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    return [qubit_from_bloch(BlochAngles(float(th), float(ph) % (2.0 * np.pi)))
-            for th, ph in zip(theta, phi)]
+    return [Qubit(np.cos(th / 2.0), np.sin(th / 2.0) * np.exp(1j * (ph % (2.0 * np.pi))))
+            for th, ph in zip(theta.tolist(), phi.tolist())]
 
 
 def ref_pairs(name, n, seed):

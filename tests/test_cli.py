@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from qnogo.cli import (
+    MAX_LAMBDAS,
     _CliError,
+    build_parser,
     load_matrix_file,
     main,
     parse_complex,
     parse_lambda_values,
     resolve_gate,
 )
-from qnogo.fidelity import CSV_HEADER
+from qnogo.fidelity import CSV_HEADER, OptimizerConfig
 from qnogo.gates import hadamard, unequal_gate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,6 +83,22 @@ def test_parse_lambda_range_is_inclusive():
 def test_parse_lambda_rejects(text):
     with pytest.raises(ValueError):
         parse_lambda_values(text)
+
+
+def test_parse_lambda_range_size_is_bounded():
+    assert len(parse_lambda_values("0:1:0.0001")) == MAX_LAMBDAS
+    with pytest.raises(ValueError, match="more than"):
+        parse_lambda_values("0:1:0.00009")
+    with pytest.raises(ValueError, match="more than"):
+        parse_lambda_values("0:1:5e-324")
+
+
+def test_fidelity_sweep_defaults_are_the_optimizer_config():
+    args = build_parser().parse_args(["fidelity-sweep", "--lambda", "1"])
+    cfg = OptimizerConfig()
+    cli = (args.ancilla_dim, args.restarts, args.max_evals, args.method, args.mode)
+    assert cli == (cfg.ancilla_dim, cfg.restarts, cfg.max_evals, cfg.method, cfg.mode)
+    assert cli == (2, 8, 4000, "lbfgs", "second-register")
 
 
 def test_load_matrix_file_roundtrip(tmp_path):

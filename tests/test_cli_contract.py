@@ -4,7 +4,8 @@ Non-finite weights and tolerances used to slip through (a NaN weight
 passes an `abs(...) > 1e-12` check and then loses every comparison, so
 the run reported REALIZABLE with violation 0.0), and four option errors
 ended in a Python traceback.  Every case here must end with exit 1 and a
-one-line message instead.
+one-line message instead.  A .qmachine number too large for a float is
+malformed content: exit 3, reported at the literal, with no numpy warning.
 """
 
 import math
@@ -80,6 +81,33 @@ def test_bad_options_exit_1_without_a_traceback(argv, needle, capsys):
     assert out == ""
     assert err.startswith("qnogo: ") and err.count("\n") == 1
     assert needle in err
+
+
+@pytest.mark.parametrize("text", ["0:nan:0.1", "0:1:nan", "0:inf:0.5", "0:1:1e-9",
+                                  "0:2:0.5", "-1:1:0.5"])
+def test_lambda_ranges_are_checked_before_they_are_built(text, capsys):
+    code, out, err = exit_code(["fidelity-sweep", f"--lambda={text}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qnogo: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source,where,literal", [
+    ("machine big;\non |0> -> 1e999|0>|0>;\non |1> -> |1>|1>;\nextend linear;\n"
+     "require universal on bloch target clone;\n", "2:11", "1e999"),
+    ("machine u;\ncandidate UG(a=0.6, b=1e999i);\n"
+     "require universal on polar target unequal(a=0.6, b=0.8);\n", "2:23", "1e999i"),
+    ("machine h;\non |0> -> |0>|0>;\non |1> -> |1>|1>;\nextend hybrid(lambda=1e999);\n"
+     "require universal on bloch target clone;\n", "4:22", "1e999"),
+])
+def test_overflowing_dsl_literals_are_refused_at_the_literal(source, where, literal,
+                                                             tmp_path, capsys):
+    path = tmp_path / "big.qmachine"
+    path.write_text(source)
+    code, out, err = exit_code(["dsl-check", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"{path}:{where}: error: number {literal!r} overflows\n"
 
 
 def test_library_entry_points_refuse_non_finite_numbers():

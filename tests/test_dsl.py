@@ -369,10 +369,13 @@ def test_check_source_stops_on_lex_or_parse_errors():
 
 
 def test_check_source_stops_on_compile_errors():
-    report = check_source("on |0> -> 2|0>|0>;\non |1> -> |1>|1>;\n"
-                          "extend linear;\nrequire basis;\n")
-    assert report.has_errors
-    assert report.verdicts == ()
+    # amplitudes whose norm or sum overflows fail the norm check without a numpy warning
+    for expr in ("2|0>|0>", "1e200|0>|0>", "1e308|0>|0> + 1e308|0>|0>"):
+        report = check_source(f"on |0> -> {expr};\non |1> -> |1>|1>;\n"
+                              "extend linear;\nrequire basis;\n")
+        assert report.has_errors
+        assert report.verdicts == ()
+        assert [d.message for d in report.diagnostics] == ["output not normalized"]
 
 
 # --- pretty printing ---------------------------------------------------------

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from qnogo.states import (
-    BlochAngles,
-    GreatCircleFamily,
     Qubit,
     StateSet,
+    _bloch_rows,
     bloch_set,
-    circle_state,
     complement,
-    conjugate,
     equatorial_gram,
     equatorial_pair,
     equatorial_set,
@@ -19,7 +16,6 @@ from qnogo.states import (
     polar_gram,
     polar_pair,
     polar_set,
-    qubit_from_bloch,
     sample_bloch,
 )
 
@@ -48,18 +44,12 @@ def test_qubit_validates_normalization():
         Qubit(np.inf, 0.0)
 
 
-def test_qubit_from_bloch_round_trip():
-    for th, ph in [(0.3, 1.2), (2.9, 5.7), (np.pi / 2, 0.0)]:
-        q = qubit_from_bloch(BlochAngles(th, ph))
-        assert abs(q.alpha - np.cos(th / 2)) < 1e-12
-        assert abs(q.beta - np.sin(th / 2) * np.exp(1j * ph)) < 1e-12
-
-
-def test_bloch_angles_range_checks():
-    with pytest.raises(ValueError):
-        BlochAngles(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        BlochAngles(0.5, 7.0)
+def test_bloch_rows_round_trip():
+    angles = [(0.3, 1.2), (2.9, 5.7), (np.pi / 2, 0.0)]
+    rows = _bloch_rows(*np.array(angles).T)
+    for (th, ph), (a, b) in zip(angles, rows):
+        assert abs(a - np.cos(th / 2)) < 1e-12
+        assert abs(b - np.sin(th / 2) * np.exp(1j * ph)) < 1e-12
 
 
 def test_complement_is_orthogonal():
@@ -72,35 +62,14 @@ def test_complement_is_orthogonal():
     assert cc.beta == pytest.approx(-q.beta)
 
 
-def test_conjugate_flips_phase():
-    q = Qubit(RT2, RT2 * 1j)
-    assert conjugate(q).beta == pytest.approx(-RT2 * 1j)
-
-
-def test_circle_state_branches():
-    t = 0.77
-    plus = circle_state(GreatCircleFamily("polar+", t))
-    minus = circle_state(GreatCircleFamily("polar-", t))
-    # the minus branch is the canonical complement of the plus branch
-    cm = complement(plus)
-    assert minus.alpha == pytest.approx(cm.alpha)
-    assert minus.beta == pytest.approx(cm.beta)
-
-    phi = 2.1
-    eplus = circle_state(GreatCircleFamily("equatorial+", phi))
-    eminus = circle_state(GreatCircleFamily("equatorial-", phi))
-    ecm = complement(eplus)
-    assert eminus.alpha == pytest.approx(ecm.alpha)
-    assert eminus.beta == pytest.approx(ecm.beta)
-
-
 def test_circle_family_rejects_bad_input():
-    with pytest.raises(ValueError):
-        GreatCircleFamily("diagonal", 0.1)
-    with pytest.raises(ValueError):
-        GreatCircleFamily("polar+", 4.0)
-    with pytest.raises(ValueError):
-        GreatCircleFamily("equatorial+", -0.1)
+    polar_pair(0.0), polar_pair(np.pi), equatorial_pair(0.0)
+    for theta in (-0.1, 4.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="polar parameter"):
+            polar_pair(theta)
+    for phi in (-0.1, 2.0 * np.pi, np.nan, -np.inf):
+        with pytest.raises(ValueError, match="equatorial parameter"):
+            equatorial_pair(phi)
 
 
 def test_polar_pair_partner_is_complement():

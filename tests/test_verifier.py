@@ -24,18 +24,13 @@ from qnogo.states import (
 from qnogo.verifier import (
     MachineSpec,
     Verdict,
-    audit_inner_product,
     audit_unequal,
     check_cnot_universal,
     check_universal_gate,
     cloning_machine,
     complementing_machine,
     conjugating_machine,
-    extend_antilinear,
-    extend_hybrid,
-    extend_linear,
     hybrid_machine,
-    ideal_output,
     machine_deviation,
     machine_output,
     survey_random_unitaries,
@@ -55,6 +50,12 @@ RT2 = 1.0 / np.sqrt(2.0)
 KET0 = Qubit(1.0, 0.0)
 KET1 = Qubit(0.0, 1.0)
 PLUS = Qubit(RT2, RT2)
+
+
+def first_rule_gap(t, pair1, pair2):
+    """|<s1|s2> - <o1|o2>|, where o is each state's required first-rule image."""
+    (s1, o1), (s2, o2) = target_rules(t, pair1)[0], target_rules(t, pair2)[0]
+    return abs(np.vdot(s1, s2) - np.vdot(o1, o2))
 
 
 # --- machine construction and extensions ---------------------------------
@@ -84,17 +85,15 @@ def test_cloning_machine_basis_outputs():
 
 def test_extend_linear_on_plus():
     m = cloning_machine()
-    out = extend_linear(m, PLUS)
+    out = machine_output(m, PLUS)
     want = RT2 * (tensor([1, 0], [1, 0]) + tensor([0, 1], [0, 1]))
     assert np.allclose(out, want)
-    with pytest.raises(ValueError):
-        extend_antilinear(m, PLUS)
 
 
 def test_extend_antilinear_conjugates_amplitudes():
     m = conjugating_machine()
     q = Qubit(0.6, 0.8j)
-    out = extend_antilinear(m, q)
+    out = machine_output(m, q)
     want = 0.6 * m.out0 + np.conj(0.8j) * m.out1
     assert np.allclose(out, want)
 
@@ -111,13 +110,12 @@ def test_hybrid_endpoints_match_pure_machines():
 def test_extend_hybrid_mixes_both_branches():
     m = hybrid_machine(0.5)
     q = Qubit(0.6, 0.8j)
-    out = extend_hybrid(m, q)
+    out = machine_output(m, q)
     e0, e1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
     r = np.sqrt(0.5)
     want = (r * 0.6 * tensor(e0, e0) + r * 0.8j * tensor(e1, e1)
             + r * 0.6 * tensor(e0, e1) + r * np.conj(0.8j) * tensor(e1, -e0))
     assert np.allclose(out, want)
-    assert np.allclose(machine_output(m, q), out)
 
 
 def test_machine_output_respects_declared_extension():
@@ -137,19 +135,21 @@ def test_target_validation():
     with pytest.raises(ValueError):
         target_unequal(0.6, 0.9)
     with pytest.raises(ValueError):
-        ideal_output(target_hadamard9(), PLUS)
+        machine_deviation(cloning_machine(), target_hadamard9(), PLUS)
     with pytest.raises(ValueError):
         target_rules(target_clone(), (KET0, KET1))
 
 
 def test_ideal_output_of_clone_target():
+    # each clone-like target demands |q> (x) K|q>; the deviation measures the machine against it
     q = Qubit(0.6, 0.8j)
-    out = ideal_output(target_clone(), q)
-    assert np.allclose(out, np.kron(q.vector, q.vector))
-    comp = ideal_output(target_complement(), q)
-    assert np.allclose(comp, np.kron(q.vector, complement(q).vector))
-    conj = ideal_output(target_conjugate(), q)
-    assert np.allclose(conj, np.kron(q.vector, q.vector.conj()))
+    m = cloning_machine()
+    actual = machine_output(m, q)
+    for t, second in ((target_clone(), q.vector), (target_complement(), complement(q).vector),
+                      (target_conjugate(), q.vector.conj())):
+        ideal = np.kron(q.vector, second)
+        want = 1.0 - abs(np.vdot(ideal, actual)) ** 2
+        assert machine_deviation(m, t, q) == pytest.approx(want, abs=1e-12)
 
 
 def test_machine_deviation_vanishes_on_basis_states():
@@ -201,16 +201,16 @@ def test_audit_polar_pairs_are_consistent():
     t = target_hadamard9()
     s1, p1 = polar_pair(0.4)
     s2, p2 = polar_pair(2.0)
-    # polar partners coincide with canonical complements: defaults suffice
-    assert audit_inner_product(t, (s1, s2)) < 1e-12
-    assert audit_inner_product(t, (s1, s2), partners=(p1, p2)) < 1e-12
+    # polar partners coincide with canonical complements
+    assert first_rule_gap(t, (s1, complement(s1)), (s2, complement(s2))) < 1e-12
+    assert first_rule_gap(t, (s1, p1), (s2, p2)) < 1e-12
 
 
 def test_audit_equatorial_pair_breaks_plain_hadamard():
     t = target_hadamard9()
     s1, p1 = equatorial_pair(0.0)
     s2, p2 = equatorial_pair(np.pi / 2)
-    gap = audit_inner_product(t, (s1, s2), partners=(p1, p2))
+    gap = first_rule_gap(t, (s1, p1), (s2, p2))
     assert gap == pytest.approx(RT2, abs=1e-12)
     assert gap > 0.1
 
@@ -220,20 +220,21 @@ def test_audit_equatorial_pair_passes_phase_variant():
     for d in (0.3, 1.1, 2.5, 4.4):
         s1, p1 = equatorial_pair(0.0)
         s2, p2 = equatorial_pair(d)
-        assert audit_inner_product(t, (s1, s2), partners=(p1, p2)) < 1e-12
+        assert first_rule_gap(t, (s1, p1), (s2, p2)) < 1e-12
 
 
 def test_audit_rejects_machine_targets():
-    with pytest.raises(ValueError):
-        audit_inner_product(target_clone(), (KET0, KET1))
+    for t in (target_clone(), target_complement(), target_conjugate(), target_hybrid(0.5)):
+        with pytest.raises(ValueError):
+            target_rules(t, (KET0, KET1))
+        with pytest.raises(ValueError):
+            witness_search(t, n_samples=16)
 
 
 def test_audit_unequal_real_weights_vanish():
     assert audit_unequal(3 / 5, 4 / 5, (0.3, 1.9)) == 0.0
     t = target_unequal(3 / 5, 4 / 5)
-    s1, _ = polar_pair(0.3)
-    s2, _ = polar_pair(1.9)
-    assert audit_inner_product(t, (s1, s2)) < 1e-12
+    assert first_rule_gap(t, polar_pair(0.3), polar_pair(1.9)) < 1e-12
 
 
 def test_audit_unequal_complex_weights_match_generic_audit():
@@ -241,9 +242,7 @@ def test_audit_unequal_complex_weights_match_generic_audit():
     closed = audit_unequal(a, b, (0.0, np.pi / 2))
     assert closed == pytest.approx(RT2, abs=1e-10)
     t = target_unequal(a, b)
-    s1, p1 = polar_pair(0.0)
-    s2, p2 = polar_pair(np.pi / 2)
-    generic = audit_inner_product(t, (s1, s2), partners=(p1, p2))
+    generic = first_rule_gap(t, polar_pair(0.0), polar_pair(np.pi / 2))
     assert abs(generic - closed) < 1e-12
     with pytest.raises(ValueError):
         audit_unequal(0.5, 0.5, (0.0, 1.0))
