@@ -34,13 +34,7 @@ import numpy as np
 
 from .algebra import is_unitary, row_blocks
 from .dsl import CheckOptions, check_source
-from .fidelity import (
-    CSV_HEADER,
-    OptimizerConfig,
-    optimize_fidelity,
-    records_to_csv,
-    uniform_grid,
-)
+from .fidelity import OptimizerConfig, records_to_csv, sweep_lambda, uniform_grid
 from .gates import NAMED_GATES, unequal_gate
 from .states import ket_notation, named_set, state_family
 from .verifier import check_cnot_universal, check_universal_gate, named_target, witness_search
@@ -142,7 +136,7 @@ def parse_lambda_values(text: str) -> list[float]:
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"lambda {v} outside [0, 1]")
-    return values
+    return [v + 0.0 for v in values]   # -0.0 + 0.0 is 0.0
 
 
 def load_matrix_file(path: str) -> np.ndarray:
@@ -374,23 +368,16 @@ def cmd_fidelity_sweep(args, cfg: RunConfig) -> int:
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
     grid = uniform_grid(args.nodes)
-    records = []
-    for lam in lams:
-        ocfg = OptimizerConfig(ancilla_dim=args.ancilla_dim,
-                               restarts=args.restarts,
-                               max_evals=args.max_evals,
-                               seed=cfg.seed,
-                               method=args.method,
-                               mode=args.mode)
-        records.append(optimize_fidelity(lam, grid, ocfg).record)
+    ocfg = OptimizerConfig(ancilla_dim=args.ancilla_dim, restarts=args.restarts,
+                           max_evals=args.max_evals, seed=cfg.seed, method=args.method,
+                           mode=args.mode)
+    records = sweep_lambda(lams, grid, ocfg)
     if cfg.fmt == "csv" or (cfg.fmt == "human" and args.output_csv):
         _write_out(cfg.output, records_to_csv(records))
         return EXIT_OK
     payload = {"mode": args.mode, "nodes": len(grid),
                "records": [r.to_dict() for r in records]}
-    lines = [CSV_HEADER]
-    lines += records_to_csv(records).splitlines()[1:]
-    emit(cfg, payload, lines)
+    emit(cfg, payload, records_to_csv(records).splitlines())
     return EXIT_OK
 
 
@@ -486,9 +473,10 @@ def build_parser() -> _Parser:
     opt = OptimizerConfig()
     fs.add_argument("--mode", choices=("second-register", "joint"), default=opt.mode)
     fs.add_argument("--ancilla-dim", type=int, default=opt.ancilla_dim)
-    fs.add_argument("--restarts", type=int, default=opt.restarts)
-    fs.add_argument("--max-evals", type=int, default=opt.max_evals)
-    fs.add_argument("--method", choices=("nelder-mead", "lbfgs"), default=opt.method)
+    fs.add_argument("--restarts", type=int, default=opt.restarts, help="most starts tried")
+    fs.add_argument("--max-evals", type=int, default=opt.max_evals, help="most steps per start")
+    fs.add_argument("--method", choices=("nelder-mead", "lbfgs"), default=opt.method,
+                    help="legacy name; both run the one fixed-point solver")
     fs.add_argument("--nodes", type=int, default=200,
                     help="minimum quadrature nodes (default 200)")
     fs.add_argument("--output-csv", action="store_true",

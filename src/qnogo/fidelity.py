@@ -14,6 +14,8 @@ average over the sphere.  Two gradings are provided:
 Averages use a deterministic quadrature: unions of rotated icosahedra,
 whose vertices integrate degree-2 polynomials of the Bloch vector
 exactly, so the endpoint objectives are averaged without grid error.
+Both gradings are linear in the 8x8 Choi matrix of the machine, so the
+optimum is a small SDP, solved with numpy alone and certified by its dual.
 """
 
 from __future__ import annotations
@@ -109,44 +111,31 @@ class IsometryParam:
             raise ValueError("columns are not orthonormal: not an isometry")
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def from_unconstrained(cls, x: np.ndarray, ancilla_dim: int) -> "IsometryParam":
-        """Orthonormalize a free real vector into an isometry.
-
-        x holds the real parts of the 2 columns followed by the
-        imaginary parts (16*ancilla_dim real numbers in total).  QR with
-        the R-diagonal phases folded back keeps the map smooth almost
-        everywhere, which is what the optimizer needs.
-        """
-        d = 4 * ancilla_dim
-        x = np.asarray(x, dtype=float)
-        if x.size != 4 * d:
-            raise ValueError(f"expected {4 * d} parameters, got {x.size}")
-        z = (x[:2 * d] + 1j * x[2 * d:]).reshape(d, 2)
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r)
-        safe = np.where(np.abs(diag) > 1e-12, diag, 1.0)
-        return cls(matrix=q * (safe / np.abs(safe))[np.newaxis, :], ancilla_dim=ancilla_dim)
-
 
 def _targets(states: np.ndarray, lam: float) -> np.ndarray:
     t = np.sqrt(lam) * states + np.sqrt(1.0 - lam) * _complements(states)
     return t / np.linalg.norm(t, axis=1, keepdims=True)
 
 
-def _avg_fidelity_arrays(v: np.ndarray, ancilla_dim: int, states: np.ndarray,
-                         targets: np.ndarray, weights: np.ndarray, mode: str) -> float:
-    out = (v @ states.T).T.reshape(-1, 2, 2, ancilla_dim)
-    if mode == "joint":
-        resid = np.einsum("ni,nj,nijk->nk", states.conj(), targets.conj(), out)
-        f = np.abs(np.einsum("nk,nk->n", resid.conj(), resid))
-    else:
-        r1 = np.einsum("ni,nijk->njk", states.conj(), out)
-        r2 = np.einsum("nj,nijk->nik", targets.conj(), out)
-        f1 = np.einsum("njk,njk->n", r1.conj(), r1).real
-        f2 = np.einsum("nik,nik->n", r2.conj(), r2).real
-        f = 0.5 * (f1 + f2)
-    return float(np.dot(weights, f))
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+def _omega(grid: QuadratureGrid, lam: float, mode: str) -> np.ndarray:
+    """Omega = sum_n w_n conj(psi_n) psi_n^T (x) A_n, so F = tr(J Omega) for the
+    Choi matrix J, indexed (input, register 1, register 2).  Each sum over nodes
+    is one matmul of (n, 4) or (n, 8) rows; no (n, 8, 8) stack is built."""
+    s, w = grid.states, grid.weights
+    t = _targets(s, lam)
+    psi = _outer_rows(s.conj(), s)
+    if mode == "joint":   # A_n = |psi t><psi t|
+        r = _outer_rows(psi, t)
+        return (r.T * w) @ r.conj()
+    # A_n = (|psi><psi| (x) I + I (x) |t><t|) / 2
+    g1, g2 = ((r.T * w) @ r.conj() for r in (psi, _outer_rows(s.conj(), t)))
+    e = np.eye(2) / 2.0
+    return (np.einsum("aibk,jl->aijbkl", g1.reshape(2, 2, 2, 2), e)
+            + np.einsum("ajbl,ik->aijbkl", g2.reshape(2, 2, 2, 2), e)).reshape(8, 8)
 
 
 def average_fidelity(v: IsometryParam, lam: float, grid: QuadratureGrid,
@@ -156,9 +145,9 @@ def average_fidelity(v: IsometryParam, lam: float, grid: QuadratureGrid,
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    s = grid.states
-    val = _avg_fidelity_arrays(v.matrix, v.ancilla_dim, s, _targets(s, lam),
-                               grid.weights, mode)
+    # Kraus vectors W[(m, i, j), k] = V[(i, j, k), m], so that J = W W^dagger
+    w = v.matrix.reshape(2, 2, v.ancilla_dim, 2).transpose(3, 0, 1, 2).reshape(8, -1)
+    val = float(np.vdot(w, _omega(grid, lam, mode) @ w).real)
     if val > 1.0 + 1e-9:
         raise ValueError(f"fidelity {val!r} exceeds 1: corrupted isometry or grid")
     return min(val, 1.0)
@@ -168,10 +157,9 @@ def average_fidelity(v: IsometryParam, lam: float, grid: QuadratureGrid,
 class OptimizerConfig:
     """Settings for the fidelity search; the CLI's defaults are these.
 
-    method "lbfgs" is gradient ascent with finite differences, which
-    converges in few evaluations on this smooth objective; "nelder-mead"
-    is a direct search that needs far more and may stop short of the
-    optimum.
+    restarts is the most random starts tried and max_evals the most
+    fixed-point steps per start.  method is a legacy name: "lbfgs" and
+    "nelder-mead" both run the one fixed-point solver.
     """
 
     ancilla_dim: int = 2
@@ -194,7 +182,9 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class FidelitySweepRecord:
-    """One optimized point of the fidelity-vs-lam curve."""
+    """One optimized point of the fidelity-vs-lam curve: the returned isometry
+    achieves f_opt, and the optimum lies in [f_opt, f_upper], gap = f_upper - f_opt.
+    kraus_rank is the smallest ancilla dimension that achieves f_opt."""
 
     lam: float
     f_opt: float
@@ -203,6 +193,9 @@ class FidelitySweepRecord:
     converged: bool
     iterations: int
     seed: int
+    f_upper: float
+    gap: float
+    kraus_rank: int
 
     def __post_init__(self):
         if not -1e-9 <= self.f_opt <= 1.0 + 1e-9:
@@ -211,7 +204,8 @@ class FidelitySweepRecord:
     def to_dict(self) -> dict:
         return {"lambda": self.lam, "f_opt": self.f_opt, "mode": self.mode,
                 "ancilla_dim": self.ancilla_dim, "converged": self.converged,
-                "iterations": self.iterations, "seed": self.seed}
+                "iterations": self.iterations, "seed": self.seed,
+                "f_upper": self.f_upper, "gap": self.gap, "kraus_rank": self.kraus_rank}
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,64 +216,97 @@ class OptimizationResult:
     isometry: IsometryParam
 
 
+_STOP_GAP = 1e-10        # a start stops once its certificate closes this far
+_CONVERGED_GAP = 1e-9    # a record is converged when its gap is at most this
+_CHECK_EVERY = 10        # fixed-point steps between certificate checks
+_SHIFT = 1e-3            # Omega + _SHIFT I has the same maximizer, since tr J = 2
+
+
+def _normalized(x: np.ndarray) -> np.ndarray:
+    """(tr_out X X^dagger)^(-1/2) (x) I applied to stacked Kraus vectors X."""
+    blocks = x.reshape(2, -1)   # rows: input index; columns: (out1, out2, ancilla)
+    vals, vecs = np.linalg.eigh(blocks @ blocks.conj().T)
+    return ((vecs / np.sqrt(vals)) @ vecs.conj().T @ blocks).reshape(x.shape)
+
+
+def _bounds(omega: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """tr(J Omega) for J = W W^dagger, and the dual bound tr Y + 2 lambda_max(Omega - Y (x) I)
+    from Y = Herm(tr_out Omega J): Y shifted by that lambda_max is dual feasible."""
+    x = omega @ w
+    y = x.reshape(2, -1) @ w.reshape(2, -1).conj().T
+    y = 0.5 * (y + y.conj().T)
+    shift = np.linalg.eigvalsh(omega - np.kron(y, np.eye(4)))[-1]
+    return float(np.vdot(w, x).real), float(np.trace(y).real + 2.0 * shift)
+
+
+def _aitken(w: np.ndarray, d: np.ndarray, d_prev: np.ndarray):
+    """Jump a linearly converging sequence towards its limit along its last step d."""
+    norm = np.vdot(d_prev, d_prev).real
+    r = np.vdot(d_prev, d).real / norm if norm > 0.0 else 0.0
+    return _normalized(w + r / (1.0 - r) * d) if 0.0 < r < 1.0 else None
+
+
 def optimize_fidelity(lam: float, grid: QuadratureGrid,
                       cfg: OptimizerConfig = OptimizerConfig()) -> OptimizationResult:
-    """Maximize average fidelity over isometries by seeded random restarts.
+    """Maximize average fidelity over isometries, with a certified upper bound.
 
-    Every candidate parameter vector is orthonormalized before being
-    scored, so the search never leaves the isometry manifold.  converged
-    reflects the optimizer's own success flag on the best restart.
+    F is linear in the Choi matrix J: maximize tr(J Omega) over J >= 0 with
+    tr_out J = I.  Each start runs Fiurasek's extremal-equation iteration
+    (PRA 64, 062310 (2001)) on J = W W^dagger, W an 8 x ancilla_dim matrix of
+    Kraus vectors.  Every _CHECK_EVERY steps it checks the dual bound and
+    keeps an Aitken jump that scores higher: near a change of Kraus rank the
+    plain iteration takes thousands of steps.  Restarts stop at the first
+    start whose gap closes to _STOP_GAP.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-    from scipy import optimize as _sciopt   # deferred: only this function needs scipy
-    s = grid.states
-    t = _targets(s, lam)
-    w = grid.weights
-    dim = 16 * cfg.ancilla_dim
-    state = {"best": -1.0, "best_x": None, "evals": 0}
-
-    def objective(x: np.ndarray) -> float:
-        iso = IsometryParam.from_unconstrained(x, cfg.ancilla_dim)
-        f = _avg_fidelity_arrays(iso.matrix, cfg.ancilla_dim, s, t, w, cfg.mode)
-        state["evals"] += 1
-        if f > state["best"]:
-            state["best"] = f
-            state["best_x"] = x.copy()
-        return -f
-
-    converged = False
-    best_fun = np.inf
+    omega = _omega(grid, lam, cfg.mode)
+    climb = omega + _SHIFT * np.eye(8)   # keeps tr_out X X^dagger invertible
+    a = cfg.ancilla_dim
+    best_f, best_w, f_upper, steps = -math.inf, None, math.inf, 0
     for k in range(cfg.restarts):
-        x0 = np.random.default_rng([cfg.seed, k]).standard_normal(dim)
-        if cfg.method == "lbfgs":
-            res = _sciopt.minimize(objective, x0, method="L-BFGS-B",
-                                   options={"maxfun": cfg.max_evals})
-        else:
-            res = _sciopt.minimize(objective, x0, method="Nelder-Mead",
-                                   options={"maxfev": cfg.max_evals, "xatol": 1e-8,
-                                            "fatol": 1e-10, "adaptive": True})
-        if res.fun < best_fun:
-            best_fun = res.fun
-            converged = bool(res.success)
-    iso = IsometryParam.from_unconstrained(state["best_x"], cfg.ancilla_dim)
-    record = FidelitySweepRecord(lam=float(lam), f_opt=min(state["best"], 1.0),
-                                 mode=cfg.mode, ancilla_dim=cfg.ancilla_dim,
-                                 converged=converged, iterations=state["evals"],
-                                 seed=cfg.seed)
+        z = np.random.default_rng([cfg.seed, k]).standard_normal((2, 8, a))
+        w = w_seen = _normalized(z[0] + 1j * z[1])
+        d_seen = np.zeros_like(w)
+        for n in range(1, cfg.max_evals + 1):
+            w = _normalized(climb @ w)
+            if n % _CHECK_EVERY and n < cfg.max_evals:
+                continue
+            f, upper = _bounds(omega, w)
+            d = w - w_seen
+            jump = _aitken(w, d, d_seen)
+            if jump is not None:
+                f_jump, upper_jump = _bounds(omega, jump)
+                upper = min(upper, upper_jump)
+                if f_jump > f:
+                    w, f = jump, f_jump
+            w_seen, d_seen = w, d
+            f_upper = min(f_upper, upper)
+            if f > best_f:
+                best_f, best_w = f, w
+            if upper - f <= _STOP_GAP:
+                break
+        steps += n
+        if f_upper - best_f <= _STOP_GAP:
+            break
+    f_opt = min(best_f, 1.0)
+    f_upper = max(f_upper, f_opt)   # rounding may put the bound 1 ulp below
+    rank = int(np.sum(np.linalg.eigvalsh(best_w.conj().T @ best_w) > 1e-9))
+    iso = IsometryParam(best_w.reshape(2, 2, 2, a).transpose(1, 2, 3, 0).reshape(4 * a, 2), a)
+    record = FidelitySweepRecord(lam=float(lam), f_opt=f_opt, mode=cfg.mode, ancilla_dim=a,
+                                 converged=f_upper - f_opt <= _CONVERGED_GAP, iterations=steps,
+                                 seed=cfg.seed, f_upper=f_upper, gap=f_upper - f_opt,
+                                 kraus_rank=rank)
     return OptimizationResult(record=record, isometry=iso)
 
 
 def sweep_lambda(lambdas, grid: QuadratureGrid,
                  cfg: OptimizerConfig = OptimizerConfig()) -> list[FidelitySweepRecord]:
     """One optimized record per weight; deterministic for a fixed config."""
-    records = []
-    for lam in lambdas:
-        records.append(optimize_fidelity(float(lam), grid, cfg).record)
-    return records
+    return [optimize_fidelity(float(lam), grid, cfg).record for lam in lambdas]
 
 
-CSV_HEADER = "lambda,f_opt,mode,ancilla_dim,converged,iterations,seed"
+CSV_HEADER = "lambda,f_opt,mode,ancilla_dim,converged,iterations,seed,f_upper,gap,kraus_rank"
 
 
 def records_to_csv(records) -> str:
@@ -287,5 +314,6 @@ def records_to_csv(records) -> str:
     lines = [CSV_HEADER]
     for r in records:
         lines.append(f"{r.lam!r},{r.f_opt!r},{r.mode},{r.ancilla_dim},"
-                     f"{str(r.converged).lower()},{r.iterations},{r.seed}")
+                     f"{str(r.converged).lower()},{r.iterations},{r.seed},"
+                     f"{r.f_upper!r},{r.gap!r},{r.kraus_rank}")
     return "\n".join(lines) + "\n"

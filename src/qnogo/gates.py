@@ -50,7 +50,7 @@ class UnequalAmplitudes:
     b: float
 
     def __post_init__(self):
-        if not abs(self.a ** 2 + self.b ** 2 - 1.0) <= 1e-12:   # NaN fails too
+        if not abs(self.a * self.a + self.b * self.b - 1.0) <= 1e-12:   # NaN and inf fail too
             raise ValueError(f"weights ({self.a!r}, {self.b!r}) do not satisfy a^2 + b^2 = 1")
 
 

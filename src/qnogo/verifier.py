@@ -180,7 +180,8 @@ def machine_output(m: MachineSpec, q: Qubit) -> np.ndarray:
 
 def _unit_weights(a, b) -> tuple[complex, complex]:
     a, b = complex(a), complex(b)
-    if not (cmath.isfinite(a) and cmath.isfinite(b)) or abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-12:
+    norm = a.real * a.real + a.imag * a.imag + b.real * b.real + b.imag * b.imag   # inf, no raise
+    if not (cmath.isfinite(a) and cmath.isfinite(b)) or abs(norm - 1.0) > 1e-12:
         raise ValueError("unequal weights must be finite and satisfy |a|^2 + |b|^2 = 1")
     return a, b
 

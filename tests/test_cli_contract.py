@@ -8,6 +8,7 @@ one-line message instead.  A .qmachine number too large for a float is
 malformed content: exit 3, reported at the literal, with no numpy warning.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from qnogo.cli import main, parse_complex
+from qnogo.cli import main, parse_complex, parse_lambda_values
 from qnogo.dsl import CheckOptions
 from qnogo.gates import UnequalAmplitudes
 from qnogo.verifier import audit_unequal, target_unequal
@@ -126,8 +127,48 @@ def test_library_entry_points_refuse_non_finite_numbers():
             CheckOptions(tolerance=tol)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gate-verify", "--gate", "UG(a=0.6,b=1e200)", "--target", "hadamard9"],
+    ["witness", "--target", "unequal", "--a", "0.6", "--b", "1e200", "--set", "polar"],
+    ["witness", "--target", "unequal", "--a", "1e308+1e308i", "--b", "0.8"],
+])
+def test_weights_whose_squares_overflow_exit_1(argv, capsys):
+    # squaring 1e200 raised OverflowError, which ended in a traceback
+    code, out, err = exit_code(argv, capsys)
+    assert code in (1, 3)
+    assert out == ""
+    assert err.startswith("qnogo: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["-0.0", "-0.0,0.5", "-0.0:1:0.5"])
+def test_negative_zero_lambda_is_reported_as_zero(text, capsys):
+    values = parse_lambda_values(text)
+    assert values[0] == 0.0 and math.copysign(1.0, values[0]) == 1.0
+    code, out, _ = exit_code(["fidelity-sweep", f"--lambda={text}", "--format", "csv",
+                              "--restarts", "1", "--max-evals", "20"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith("0.0,")
+
+
+@pytest.mark.parametrize("restarts,max_evals,ancilla_dim", [(1, 5, 1), (2, 7, 1), (1, 1, 2),
+                                                            (3, 40, 2), (2, 200, 1)])
+def test_iterations_count_fixed_point_steps_within_the_budget(restarts, max_evals,
+                                                             ancilla_dim, capsys):
+    code, out, _ = exit_code(["fidelity-sweep", "--lambda", "0,1", "--format", "json",
+                              "--restarts", str(restarts), "--max-evals", str(max_evals),
+                              "--ancilla-dim", str(ancilla_dim)], capsys)
+    assert code == 0
+    for record in json.loads(out)["records"]:
+        assert 1 <= record["iterations"] <= restarts * max_evals
+        assert record["converged"] == (record["gap"] <= 1e-9)
+
+
 def test_importing_the_cli_does_not_load_scipy():
-    code = "import sys, qnogo.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}).stdout
-    assert out.strip() == "False"
+    # a whole fidelity-sweep runs on numpy alone
+    code = ("import sys, qnogo.cli\n"
+            "qnogo.cli.main(['fidelity-sweep', '--lambda', '0:1:0.5', '--format', 'csv'])\n"
+            "sys.stderr.write(str('scipy' in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert len(run.stdout.splitlines()) == 4
+    assert run.stderr == "False"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnogo.fidelity import (
     CSV_HEADER,
@@ -7,6 +9,7 @@ from qnogo.fidelity import (
     IsometryParam,
     OptimizerConfig,
     QuadratureGrid,
+    _targets,
     average_fidelity,
     optimize_fidelity,
     records_to_csv,
@@ -30,6 +33,25 @@ def basis_cloner(ancilla_dim: int = 1) -> IsometryParam:
     m[0, 0] = 1.0
     m[3 * ancilla_dim, 1] = 1.0
     return IsometryParam(matrix=m, ancilla_dim=ancilla_dim)
+
+
+def per_state_fidelity(iso: IsometryParam, lam: float, grid: QuadratureGrid, mode: str) -> float:
+    """The definition, one node at a time: the reference for the 8x8 tr(J Omega) form."""
+    total = 0.0
+    for psi, t, w in zip(grid.states, _targets(grid.states, lam), grid.weights):
+        out = (iso.matrix @ psi).reshape(2, 2, iso.ancilla_dim)   # registers 1, 2, ancilla
+        if mode == "joint":
+            f = np.linalg.norm(np.einsum("i,j,ijk->k", psi.conj(), t.conj(), out)) ** 2
+        else:
+            f = 0.5 * (np.linalg.norm(np.einsum("i,ijk->jk", psi.conj(), out)) ** 2
+                       + np.linalg.norm(np.einsum("j,ijk->ik", t.conj(), out)) ** 2)
+        total += w * f
+    return total
+
+
+def random_isometry(rng, ancilla_dim: int) -> IsometryParam:
+    z = rng.standard_normal((4 * ancilla_dim, 2)) + 1j * rng.standard_normal((4 * ancilla_dim, 2))
+    return IsometryParam(matrix=np.linalg.qr(z)[0], ancilla_dim=ancilla_dim)
 
 
 def test_quadrature_grid_validation():
@@ -88,21 +110,6 @@ def test_isometry_param_validation():
         IsometryParam(matrix=np.eye(4, 2, dtype=complex), ancilla_dim=0)
 
 
-def test_from_unconstrained_always_lands_on_the_manifold():
-    rng = np.random.default_rng(17)
-    for dim in (1, 2):
-        for _ in range(10):
-            x = rng.standard_normal(16 * dim)
-            iso = IsometryParam.from_unconstrained(x, dim)
-            gram = iso.matrix.conj().T @ iso.matrix
-            assert np.max(np.abs(gram - np.eye(2))) < 1e-9
-    # deterministic in the input vector
-    x = rng.standard_normal(16)
-    a = IsometryParam.from_unconstrained(x, 1).matrix
-    b = IsometryParam.from_unconstrained(x, 1).matrix
-    assert np.array_equal(a, b)
-
-
 def test_average_fidelity_of_basis_cloner_is_two_thirds():
     # per-state score |alpha|^4 + |beta|^4 averages to 2/3 over the sphere,
     # and the grid integrates that degree-2 expression exactly
@@ -119,12 +126,24 @@ def test_average_fidelity_validation():
         average_fidelity(basis_cloner(), 0.5, g, mode="sideways")
 
 
+def test_average_fidelity_equals_the_per_state_reference():
+    rng = np.random.default_rng(5)
+    for nodes in (12, 50, 200):
+        g = uniform_grid(nodes)
+        for lam in (0.0, 0.3, 0.7, 1.0):
+            for mode in ("second-register", "joint"):
+                for dim in (1, 2, 3, 4):
+                    iso = random_isometry(rng, dim)
+                    ref = per_state_fidelity(iso, lam, g, mode)
+                    assert abs(average_fidelity(iso, lam, g, mode) - ref) <= 1e-12
+
+
 def test_average_fidelity_bounds_hold_everywhere():
     g = QuadratureGrid(state_family("bloch", 50, seed=23).state_vectors, np.full(50, 1.0 / 50))
     rng = np.random.default_rng(2)
     for lam in (0.0, 0.3, 1.0):
         for mode in ("second-register", "joint"):
-            iso = IsometryParam.from_unconstrained(rng.standard_normal(32), 2)
+            iso = random_isometry(rng, 2)
             f = average_fidelity(iso, lam, g, mode=mode)
             assert 0.0 <= f <= 1.0
 
@@ -169,12 +188,12 @@ def test_optimize_joint_mode_endpoint():
     assert res.record.mode == "joint"
 
 
-def test_optimize_nelder_mead_backend_runs():
+def test_both_method_names_run_the_one_solver():
     g = uniform_grid(200)
-    cfg = OptimizerConfig(restarts=1, max_evals=400, method="nelder-mead", seed=3)
-    res = optimize_fidelity(1.0, g, cfg)
-    assert 0.5 <= res.record.f_opt <= 1.0
-    assert res.record.iterations > 0
+    records = [optimize_fidelity(1.0, g, OptimizerConfig(method=m, seed=3)).record
+               for m in ("lbfgs", "nelder-mead")]
+    assert records[0] == records[1]
+    assert records[0].converged and records[0].iterations > 0
 
 
 def test_optimize_validates_lambda():
@@ -199,10 +218,65 @@ def test_sweep_lambda_and_csv():
 
 
 def test_sweep_record_fields():
+    cert = {"f_upper": 0.9, "gap": 0.0, "kraus_rank": 1}
     r = FidelitySweepRecord(lam=0.5, f_opt=0.9, mode="joint", ancilla_dim=2,
-                            converged=True, iterations=10, seed=1)
+                            converged=True, iterations=10, seed=1, **cert)
     d = r.to_dict()
     assert d["lambda"] == 0.5 and d["mode"] == "joint"
+    assert d["f_upper"] == 0.9 and d["gap"] == 0.0 and d["kraus_rank"] == 1
     with pytest.raises(ValueError):
         FidelitySweepRecord(lam=0.5, f_opt=1.2, mode="joint", ancilla_dim=2,
-                            converged=True, iterations=10, seed=1)
+                            converged=True, iterations=10, seed=1, **cert)
+
+
+# --- the certified optimum ----------------------------------------------------
+
+# Bužek and Hillery, PRA 54, 1844 (1996); Bužek, Hillery and Werner,
+# PRA 60, R2626 (1999); (3 + sqrt 3)/6 for the complement in register 2.
+CLOSED_FORMS = [("second-register", 1.0, 5.0 / 6.0),
+                ("second-register", 0.0, (3.0 + np.sqrt(3.0)) / 6.0),
+                ("joint", 0.0, 2.0 / 3.0),
+                ("joint", 1.0, 2.0 / 3.0)]
+
+
+@pytest.mark.parametrize("mode,lam,exact", CLOSED_FORMS)
+def test_endpoints_hit_their_closed_forms(mode, lam, exact):
+    rec = optimize_fidelity(lam, uniform_grid(200), OptimizerConfig(mode=mode)).record
+    assert abs(rec.f_opt - exact) <= 1e-12
+    assert rec.converged and rec.gap <= 1e-9
+    assert rec.f_opt <= rec.f_upper and abs(rec.f_upper - exact) <= 1e-9
+    assert rec.kraus_rank == 2   # the optimal endpoint machines need a 2-level ancilla
+
+
+def test_a_one_level_ancilla_leaves_the_certificate_open():
+    # the optimal cloner has Kraus rank 2, so rank 1 stops short and says so
+    cfg = OptimizerConfig(ancilla_dim=1, restarts=2, max_evals=500)
+    rec = optimize_fidelity(1.0, uniform_grid(200), cfg).record
+    assert rec.converged is False
+    assert rec.gap > 0.0 and rec.kraus_rank == 1
+    assert rec.f_upper >= 5.0 / 6.0 - 1e-12
+    assert rec.f_opt < 5.0 / 6.0
+    assert rec.iterations == 2 * 500
+
+
+def test_restarts_stop_at_the_first_certified_start():
+    rec = optimize_fidelity(0.5, uniform_grid(200), OptimizerConfig()).record
+    assert rec.converged
+    assert 1 <= rec.iterations <= OptimizerConfig().max_evals   # one start was enough
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(0.0, 1.0), mode=st.sampled_from(["second-register", "joint"]),
+       nodes=st.integers(12, 1000), ancilla_dim=st.sampled_from([2, 3, 4]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_the_certificate_brackets_the_optimum(lam, mode, nodes, ancilla_dim, seed):
+    grid = uniform_grid(nodes)
+    cfg = OptimizerConfig(ancilla_dim=ancilla_dim, mode=mode, seed=seed)
+    res = optimize_fidelity(lam, grid, cfg)
+    rec = res.record
+    assert rec.f_opt <= rec.f_upper
+    assert rec.gap <= 1e-9 and rec.converged
+    assert 1 <= rec.kraus_rank <= ancilla_dim
+    assert 1 <= rec.iterations <= cfg.restarts * cfg.max_evals
+    assert abs(average_fidelity(res.isometry, lam, grid, mode) - rec.f_opt) <= 1e-12
+    assert abs(per_state_fidelity(res.isometry, lam, grid, mode) - rec.f_opt) <= 1e-12
