@@ -414,15 +414,16 @@ def cmd_dsl_check(args, cfg: RunConfig) -> int:
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("QNOGO_SEED")
-    if env is None:
-        return 42
+    source, text = "--seed", value
+    if value is None:
+        source, text = "QNOGO_SEED", os.environ.get("QNOGO_SEED", "42")
     try:
-        return int(env)
+        seed = int(text)
     except ValueError:
-        raise _CliError(EXIT_USAGE, f"QNOGO_SEED must be an integer, got {env!r}")
+        raise _CliError(EXIT_USAGE, f"QNOGO_SEED must be an integer, got {text!r}")
+    if seed < 0:
+        raise _CliError(EXIT_USAGE, f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _add_common(sub, grid_help: str):

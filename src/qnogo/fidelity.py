@@ -255,8 +255,8 @@ def optimize_fidelity(lam: float, grid: QuadratureGrid,
     (PRA 64, 062310 (2001)) on J = W W^dagger, W an 8 x ancilla_dim matrix of
     Kraus vectors.  Every _CHECK_EVERY steps it checks the dual bound and
     keeps an Aitken jump that scores higher: near a change of Kraus rank the
-    plain iteration takes thousands of steps.  Restarts stop at the first
-    start whose gap closes to _STOP_GAP.
+    plain iteration takes thousands of steps.  A start stops at gap _STOP_GAP,
+    the restarts once the best start is within _CONVERGED_GAP of the bound.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
@@ -287,7 +287,7 @@ def optimize_fidelity(lam: float, grid: QuadratureGrid,
             if upper - f <= _STOP_GAP:
                 break
         steps += n
-        if f_upper - best_f <= _STOP_GAP:
+        if f_upper - best_f <= _CONVERGED_GAP:
             break
     f_opt = min(best_f, 1.0)
     f_upper = max(f_upper, f_opt)   # rounding may put the bound 1 ulp below

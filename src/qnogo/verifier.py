@@ -49,6 +49,10 @@ _SCALAR = np.ones(1, dtype=complex)
 _BASIS = np.eye(2, dtype=complex)
 _BASIS.setflags(write=False)
 
+_SCREEN_MARGIN = 1e-12   # over twice the screen's error, 1e-14 on squared gaps of at most 4
+_SCREEN_TILE = 1024   # columns per product in both passes: the temporaries stay in cache
+_CNOT_RULES = [("s", "s", "s", "s"), ("s", "p", "s", "p"), ("p", "s", "p", "p"), ("p", "p", "p", "s")]
+
 
 def _ancilla(value) -> np.ndarray:
     if value is None:
@@ -447,6 +451,61 @@ class WitnessResult:
     condition: str
 
 
+def _squares(v: np.ndarray) -> np.ndarray:
+    """Real rows whose dot products are the squared moduli |<x|y>|^2 of the rows of v."""
+    a, b = np.triu_indices(v.shape[1], 1)
+    upper = np.sqrt(2.0) * v[:, a] * v[:, b].conj()
+    return np.hstack([abs_squared(v), upper.real, upper.imag])
+
+
+def _witness_screen(s, p, o1, lo: int, hi: int) -> float:
+    """The largest squared gap of rows lo:hi over pairs j > i, to 1e-14; o1 is None for cnot."""
+    s, p, m = s[lo:], p[lo:], hi - lo   # the block is the first m rows against all of these
+    if o1 is None:
+        # Every rule keeps its control: a rule pair's gap is |g[c1 c2]| |g[t1 t2] - g[t1' t2']|,
+        # 0 for two s controls, else the larger of two differences, each one product.
+        ss, ps, ds, qs, r1, r2 = (_squares(np.hstack(v)) for v in (
+            [s], [p], [s - p], [s, p], [s, -p], [p, -s]))
+        terms = [((ss, ps), (ss, ds), (ps, ds)), ((ps, ss), (ds, ss), (ds, ps)),
+                 ((ps, ps), (qs, r1), (qs, r2))]
+    else:   # <s_i|s_j> - <o_i|o_j> is one product of the rows (s, o1) and (s, -o1)
+        terms = [((_squares(np.hstack([s, o1[lo:]])), _squares(np.hstack([s, -o1[lo:]]))),)]
+    w, top = max(_SCREEN_TILE, m), -1.0
+    buf = np.empty((4, m * w))   # every tile reuses these, as fresh ones cost page faults
+    for c in range(0, len(s), w):
+        est, *out = (b[:m * min(w, len(s) - c)].reshape(m, -1) for b in buf)
+        est[:] = 0.0
+        for term in terms:
+            sq, *diffs = [np.matmul(x[:m], y[c:c + w].T, out=o) for (x, y), o in zip(term, out)]
+            if diffs:
+                sq *= np.maximum(*diffs, out=diffs[0])
+            np.maximum(est, sq, out=est)
+        est[np.tril_indices(m, -c, m)] = -1.0   # j <= i, met by the first tile only
+        top = max(top, float(est.max()))
+    return top
+
+
+def _witness_tile(s, p, o1, lo: int, hi: int, c0: int, c1: int) -> tuple[float, int, int]:
+    """The first largest exact gap over j > i of rows lo:hi x columns c0:c1, as (gap, i, j)."""
+    if o1 is None:
+        vecs = {"s": s, "p": p}   # _CNOT_RULES: (control, target) -> (control, new target)
+        g = {key: vecs[key[0]][lo:hi].conj() @ vecs[key[1]][c0:c1].T
+             for key in ("ss", "sp", "ps", "pp")}
+        block = np.zeros((hi - lo, c1 - c0))
+        for a1, b1, a1o, b1o in _CNOT_RULES:
+            for a2, b2, a2o, b2o in _CNOT_RULES:
+                gap = g[a1 + a2] * g[b1 + b2]
+                gap -= g[a1o + a2o] * g[b1o + b2o]
+                np.maximum(block, np.abs(gap), out=block)
+    else:
+        gap = s[lo:hi].conj() @ s[c0:c1].T
+        gap -= o1[lo:hi].conj() @ o1[c0:c1].T
+        block = np.abs(gap)
+    block[np.tril_indices(hi - lo, lo - c0, hi - lo)] = -1.0   # j <= i, met by the first tile only
+    i, j = divmod(int(np.argmax(block)), c1 - c0)
+    return float(block[i, j]), lo + i, c0 + j
+
+
 def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
                    family: str = "bloch", chunk: int = 256) -> WitnessResult:
     """Scan all sampled pairs for the largest overlap discrepancy.
@@ -458,47 +517,27 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     realization is phase-exact, the largest such gap over all sixteen
     pairs of two-qubit rules is taken.
 
-    Deterministic for a fixed seed; ties break to the first pair found
-    in (i, j) index order.  The scan is exhaustive over the sample, done
-    in row blocks so even 10^4 states stay within modest memory.
+    Deterministic for a fixed seed; ties break to the first pair found in
+    (i, j) order.  The scan is exhaustive, in row blocks to bound memory;
+    blocks that a cheap screen rules out are skipped, which changes no bit.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples to form a pair")
     if t.kind not in _GATE_KINDS:
         raise ValueError(f"target kind {t.kind!r} has no overlap audit")
     family_set = state_family(family, n_samples, seed, sampled=True)
-    s, p = family_set.state_vectors, family_set.partner_vectors
-    n = n_samples
-    if t.kind == "cnot":
-        # rule table: (control, target) -> (control, new target)
-        rules = [("s", "s", "s", "s"), ("s", "p", "s", "p"),
-                 ("p", "s", "p", "p"), ("p", "p", "p", "s")]
-    else:
-        o1 = _rule_table(t, s, p)[1][0]
+    s, p, n = family_set.state_vectors, family_set.partner_vectors, n_samples
+    o1 = None if t.kind == "cnot" else _rule_table(t, s, p)[1][0]
+    blocks = [(lo, hi, _witness_screen(s, p, o1, lo, hi)) for lo, hi in row_blocks(n, chunk)]
+    top = max(square for _, _, square in blocks)
     best_v, best_i, best_j = -1.0, 0, 1
-    vecs = {"s": s, "p": p}
-    for lo, hi in row_blocks(n, chunk):
-        # Only columns j >= lo can hold a pair j > i.  Cutting at the block
-        # edge keeps BLAS's column alignment, so every Gram entry has the
-        # bits it has in the full product.
-        if t.kind == "cnot":
-            g = {key: vecs[key[0]][lo:hi].conj() @ vecs[key[1]][lo:].T
-                 for key in ("ss", "sp", "ps", "pp")}
-            block = np.zeros((hi - lo, n - lo))
-            for c1, t1, c1o, t1o in rules:
-                for c2, t2, c2o, t2o in rules:
-                    gin = g[c1 + c2] * g[t1 + t2]
-                    gout = g[c1o + c2o] * g[t1o + t2o]
-                    np.maximum(block, np.abs(gin - gout), out=block)
-        else:
-            gin = s[lo:hi].conj() @ s[lo:].T
-            gout = o1[lo:hi].conj() @ o1[lo:].T
-            block = np.abs(gin - gout)
-        block[np.tril_indices(hi - lo, 0, n - lo)] = -1.0
-        i_local, j = divmod(int(np.argmax(block)), n - lo)
-        v = float(block[i_local, j])
-        if v > best_v:
-            best_v, best_i, best_j = v, lo + i_local, lo + j
+    for lo, hi in [(lo, hi) for lo, hi, square in blocks if square >= top - _SCREEN_MARGIN]:
+        # Only columns j >= lo hold pairs j > i.  In tiles a multiple of _SCREEN_TILE wide, BLAS
+        # groups them as in one product, so the bits are the same, and no tile outlives its call.
+        for c0, c1 in row_blocks(n - lo, -((lo - hi) // _SCREEN_TILE) * _SCREEN_TILE):
+            v, i, j = _witness_tile(s, p, o1, lo, hi, lo + c0, lo + c1)
+            if v > best_v or v == best_v and i < best_i:   # the first pair in (i, j) order
+                best_v, best_i, best_j = v, i, j
     return WitnessResult(pair=(family_set.pair(best_i)[0], family_set.pair(best_j)[0]),
                          violation=max(best_v, 0.0),
                          condition="pairwise-overlap-consistency")

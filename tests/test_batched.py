@@ -6,12 +6,14 @@ vector, and a strict `v > worst` scan.  The batched kernels must give
 the same numbers bit for bit, and the same witness on ties.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qnogo.algebra import haar_unitaries
+from qnogo.algebra import haar_unitaries, row_blocks
 from qnogo.cli import _circle_residuals
 from qnogo.gates import (
     cnot_computational,
@@ -50,6 +52,7 @@ from qnogo.verifier import (
     target_unequal,
     witness_search,
 )
+from qnogo.verifier import _SCREEN_MARGIN, _witness_screen
 
 RT2 = 1.0 / np.sqrt(2.0)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -172,32 +175,41 @@ def ref_deviation(m, t, q, mode):
     return float(min(max(1.0 - overlap_sq, 0.0), 1.0))
 
 
-def ref_witness(kind, s, p, chunk, a=None, b=None):
-    """The full-width row-block scan with a mask on j <= i."""
+def ref_witness(kind, s, p, chunk, a=None, b=None, blocks=None):
+    """The row-block scan with a mask on j <= i.
+
+    By default each block of chunk rows meets every column.  Given (lo, hi)
+    blocks, each meets the columns lo: only, as in witness_search: a block
+    that starts at another column can take other BLAS code, with other last
+    bits, when it is small.
+    """
     n = len(s)
+    cut = blocks is not None
+    if blocks is None:
+        blocks = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
     if kind != "cnot":
         o1 = ref_rules(kind, s, p, a, b)[0][1]
     rules = [("s", "s", "s", "s"), ("s", "p", "s", "p"),
              ("p", "s", "p", "p"), ("p", "p", "p", "s")]
     vecs = {"s": s, "p": p}
     best_v, best_i, best_j = -1.0, 0, 1
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo, hi in blocks:
+        c0 = lo if cut else 0
         if kind == "cnot":
-            g = {k: vecs[k[0]][lo:hi].conj() @ vecs[k[1]].T for k in ("ss", "sp", "ps", "pp")}
-            block = np.zeros((hi - lo, n))
+            g = {k: vecs[k[0]][lo:hi].conj() @ vecs[k[1]][c0:].T for k in ("ss", "sp", "ps", "pp")}
+            block = np.zeros((hi - lo, n - c0))
             for c1, t1, c1o, t1o in rules:
                 for c2, t2, c2o, t2o in rules:
                     gap = np.abs(g[c1 + c2] * g[t1 + t2] - g[c1o + c2o] * g[t1o + t2o])
                     np.maximum(block, gap, out=block)
         else:
-            block = np.abs(s[lo:hi].conj() @ s.T - o1[lo:hi].conj() @ o1.T)
-        cols = np.arange(n)[np.newaxis, :]
+            block = np.abs(s[lo:hi].conj() @ s[c0:].T - o1[lo:hi].conj() @ o1[c0:].T)
+        cols = np.arange(c0, n)[np.newaxis, :]
         rows = np.arange(lo, hi)[:, np.newaxis]
         block = np.where(cols > rows, block, -1.0)
-        i_local, j = divmod(int(np.argmax(block)), n)
+        i_local, j = divmod(int(np.argmax(block)), n - c0)
         if block[i_local, j] > best_v:
-            best_v, best_i, best_j = float(block[i_local, j]), lo + i_local, j
+            best_v, best_i, best_j = float(block[i_local, j]), lo + i_local, c0 + j
     return max(best_v, 0.0), best_i, best_j
 
 
@@ -397,6 +409,88 @@ def test_witness_search_matches_the_full_width_scan(kind, weights, name, seed, n
     result = witness_search(target, n, seed=seed, family=name, chunk=chunk)
     assert result.violation == violation
     assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
+
+
+def witness_target(kind, a, b):
+    return {"hadamard9": target_hadamard9, "hadamard10": target_hadamard10,
+            "unequal": lambda: target_unequal(a, b), "cnot": target_cnot}[kind]()
+
+
+# Families on which every pair ties near 0, so each block is certified and
+# the first pair must win across blocks: polar hadamard9, equatorial
+# hadamard10 and real weights on polar.
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["hadamard9", "hadamard10", "unequal", "cnot"]),
+       weights=unit_weights(), name=FAMILIES, seed=SEEDS,
+       n=st.integers(2, 300), chunk=st.sampled_from([1, 2, 3, 5, 8]))
+@example(kind="hadamard9", weights=(1.0, 0.0), name="polar", seed=0, n=300, chunk=8)
+@example(kind="hadamard10", weights=(1.0, 0.0), name="equatorial", seed=1, n=257, chunk=5)
+@example(kind="unequal", weights=(0.6, 0.8), name="polar", seed=2, n=200, chunk=3)
+@example(kind="cnot", weights=(1.0, 0.0), name="polar", seed=3, n=120, chunk=1)
+@example(kind="unequal", weights=(-0.9364566872907963, -0.35078322768961984), name="bloch",
+         seed=7753470, n=6, chunk=2)   # the full-width product differs in the last bit
+def test_screened_witness_search_equals_the_exhaustive_scan(kind, weights, name, seed, n,
+                                                            chunk):
+    if kind == "cnot":
+        n = min(n, 150)
+    a, b = weights
+    s, p = ref_sampled(name, n, seed)
+    # the exhaustive scan of the same blocks, cut at the same columns
+    violation, i, j = ref_witness(kind, s, p, chunk, a, b, list(row_blocks(n, chunk)))
+    result = witness_search(witness_target(kind, a, b), n, seed=seed, family=name, chunk=chunk)
+    assert result.violation == violation
+    assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
+
+
+@pytest.mark.parametrize("kind,name,seed,n,chunk,tile", [
+    ("hadamard9", "bloch", 0, 300, 8, 16), ("hadamard10", "equatorial", 1, 257, 5, 16),
+    ("unequal", "bloch", 4, 301, 16, 32), ("cnot", "bloch", 3, 120, 1, 16),
+    ("cnot", "polar", 5, 150, 7, 32), ("cnot", "equatorial", 6, 97, 4, 16),
+    # ties across tiles: a later tile of a block holds the same largest gap in an earlier row
+    ("hadamard9", "polar", 17, 249, 5, 32), ("hadamard9", "polar", 29, 146, 20, 32),
+    ("unequal", "polar", 3, 286, 40, 32)])
+def test_the_exact_pass_in_column_tiles_equals_the_exhaustive_scan(monkeypatch, kind, name,
+                                                                   seed, n, chunk, tile):
+    # tiles far narrower than the family, so each certified block spans several of them
+    monkeypatch.setattr("qnogo.verifier._SCREEN_TILE", tile)
+    a, b = 0.6, 0.8
+    s, p = ref_sampled(name, n, seed)
+    violation, i, j = ref_witness(kind, s, p, chunk, a, b, list(row_blocks(n, chunk)))
+    result = witness_search(witness_target(kind, a, b), n, seed=seed, family=name, chunk=chunk)
+    assert result.violation == violation
+    assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["hadamard9", "hadamard10", "unequal", "cnot"]),
+       weights=unit_weights(), name=FAMILIES, seed=SEEDS,
+       n=st.integers(2, 300), chunk=st.sampled_from([1, 2, 3, 5, 8, 64]))
+def test_the_screen_estimates_each_block_maximum_well_inside_the_margin(kind, weights, name,
+                                                                       seed, n, chunk):
+    # the certify pass is exact only if no estimate strays by half the margin
+    a, b = weights
+    s, p = ref_sampled(name, n, seed)
+    o1 = None if kind == "cnot" else ref_rules(kind, s, p, a, b)[0][1]
+    for lo, hi in row_blocks(n, chunk):
+        exact = ref_witness(kind, s, p, chunk, a, b, [(lo, hi)])[0]
+        assert abs(_witness_screen(s, p, o1, lo, hi) - exact * exact) <= _SCREEN_MARGIN / 10
+
+
+@pytest.mark.parametrize("kind,n,bound", [("hadamard9", 4096, 11_600_000),
+                                           ("cnot", 2048, 30_100_000)])
+def test_the_witness_scan_holds_few_gram_blocks_at_once(kind, n, bound):
+    # 1.1 x the measured peaks of 10.6 MB and 27.4 MB, one column tile at a time;
+    # whole-width blocks peaked at 27.8 MB and 47.8 MB, and computing both Gram
+    # blocks and their difference beside them at 64.0 MB and 84.0 MB
+    target = witness_target(kind, None, None)
+    witness_search(target, 64, seed=0)   # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        witness_search(target, n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
 
 
 # --- circle-check row blocks ---------------------------------------------------------

@@ -150,6 +150,26 @@ def test_negative_zero_lambda_is_reported_as_zero(text, capsys):
     assert out.splitlines()[1].startswith("0.0,")
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "--target", "hadamard9", "--grid-n", "8"],
+    ["gate-verify", "--gate", "H", "--target", "hadamard9", "--grid-n", "8"],
+    ["circle-check", "--grid-n", "8"],
+    ["fidelity-sweep", "--lambda", "0.5", "--nodes", "12"],
+    ["dsl-check", CLONE, "--samples", "8"],
+])
+@pytest.mark.parametrize("flag,env,source", [(["--seed", "-1"], None, "--seed"),
+                                             ([], "-3", "QNOGO_SEED")])
+def test_negative_seeds_exit_1_naming_their_source(argv, flag, env, source, monkeypatch, capsys):
+    # numpy's own refusal names neither the option nor the value
+    if env is not None:
+        monkeypatch.setenv("QNOGO_SEED", env)
+    code, out, err = exit_code(argv + flag, capsys)
+    assert code == 1
+    assert out == ""
+    value = flag[1] if flag else env
+    assert err == f"qnogo: {source} must be a non-negative integer, got {value}\n"
+
+
 @pytest.mark.parametrize("restarts,max_evals,ancilla_dim", [(1, 5, 1), (2, 7, 1), (1, 1, 2),
                                                             (3, 40, 2), (2, 200, 1)])
 def test_iterations_count_fixed_point_steps_within_the_budget(restarts, max_evals,

@@ -265,6 +265,16 @@ def test_restarts_stop_at_the_first_certified_start():
     assert 1 <= rec.iterations <= OptimizerConfig().max_evals   # one start was enough
 
 
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_restarts_stop_at_a_converged_start_that_misses_the_stop_gap(seed):
+    # at this change of Kraus rank every start ends its steps with a gap of
+    # about 2e-10: above the 1e-10 that stops a start, inside converged
+    cfg = OptimizerConfig(seed=seed)
+    rec = optimize_fidelity(0.976, uniform_grid(13), cfg).record
+    assert rec.converged and rec.gap > 1e-10
+    assert rec.iterations <= cfg.max_evals
+
+
 @settings(max_examples=40, deadline=None)
 @given(lam=st.floats(0.0, 1.0), mode=st.sampled_from(["second-register", "joint"]),
        nodes=st.integers(12, 1000), ancilla_dim=st.sampled_from([2, 3, 4]),
