@@ -73,6 +73,11 @@ def tensor(*factors) -> np.ndarray:
     return out
 
 
+def kron_rows(a, b) -> np.ndarray:
+    """np.kron of each row of a with the same row of b."""
+    return (a[:, :, np.newaxis] * b[:, np.newaxis, :]).reshape(len(a), -1)
+
+
 def row_dots(a, b) -> np.ndarray:
     """sum(a * b) over the last axis, with the bits of np.dot on each row."""
     return np.matmul(a[..., np.newaxis, :], b[..., :, np.newaxis])[..., 0, 0]

@@ -48,6 +48,7 @@ EXIT_IO = 4
 SCHEMA_VERSION = "1"
 
 MAX_LAMBDAS = 10_001
+MAX_GRID_N = 65_536   # circle-check holds four 256-row Gram blocks, 16 KiB a point: 1 GiB
 
 
 class _CliError(Exception):
@@ -79,8 +80,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.grid_n < 2:
-            raise ValueError("grid size must be at least 2")
+        if not 2 <= self.grid_n <= MAX_GRID_N:
+            raise ValueError(f"grid size must lie in [2, {MAX_GRID_N}], got {self.grid_n}")
 
 
 def parse_complex(text: str) -> complex:

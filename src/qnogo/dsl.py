@@ -46,6 +46,7 @@ from .verifier import (
 
 ERROR = "error"
 WARNING = "warning"
+MAX_SAMPLES = 800_000   # a cnot check holds about 1.2 KB per sample: at most about 1 GB
 
 # a ket label is one to four of these, e.g. |0>, |+>, |01>, |1+->
 _KET_CHARS = "01+-"
@@ -797,8 +798,8 @@ class CheckOptions:
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be positive and finite")
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}], got {self.samples}")
 
 
 def _family_states(c: CompiledMachine, opts: CheckOptions) -> StateSet:
@@ -926,9 +927,11 @@ def check_source(text: str, origin: str = "<stdin>",
 
 
 def _fmt_scalar(value: complex) -> str:
-    value = complex(value)
+    value = complex(value) + 0.0   # -0.0 parts print as 0.0: "+ -0.0|0>" would not parse
     if value.imag == 0.0:
         return repr(value.real)
+    if value.real < 0.0:   # a leading "-" negates the whole literal, "-1-1i" is -(1-1i)
+        return "-" + _fmt_scalar(-value)
     re_part = repr(value.real)
     im_part = repr(value.imag)
     if not im_part.startswith("-"):

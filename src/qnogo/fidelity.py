@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import kron_rows
 from .states import _bloch_rows, _checked, _complements
 
 _MODES = ("second-register", "joint")
@@ -117,22 +118,18 @@ def _targets(states: np.ndarray, lam: float) -> np.ndarray:
     return t / np.linalg.norm(t, axis=1, keepdims=True)
 
 
-def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
-
-
 def _omega(grid: QuadratureGrid, lam: float, mode: str) -> np.ndarray:
     """Omega = sum_n w_n conj(psi_n) psi_n^T (x) A_n, so F = tr(J Omega) for the
     Choi matrix J, indexed (input, register 1, register 2).  Each sum over nodes
     is one matmul of (n, 4) or (n, 8) rows; no (n, 8, 8) stack is built."""
     s, w = grid.states, grid.weights
     t = _targets(s, lam)
-    psi = _outer_rows(s.conj(), s)
+    psi = kron_rows(s.conj(), s)
     if mode == "joint":   # A_n = |psi t><psi t|
-        r = _outer_rows(psi, t)
+        r = kron_rows(psi, t)
         return (r.T * w) @ r.conj()
     # A_n = (|psi><psi| (x) I + I (x) |t><t|) / 2
-    g1, g2 = ((r.T * w) @ r.conj() for r in (psi, _outer_rows(s.conj(), t)))
+    g1, g2 = ((r.T * w) @ r.conj() for r in (psi, kron_rows(s.conj(), t)))
     e = np.eye(2) / 2.0
     return (np.einsum("aibk,jl->aijbkl", g1.reshape(2, 2, 2, 2), e)
             + np.einsum("ajbl,ik->aijbkl", g2.reshape(2, 2, 2, 2), e)).reshape(8, 8)

@@ -30,6 +30,7 @@ from .algebra import (
     conjugation,
     haar_unitaries,
     inner_product,
+    kron_rows,
     row_blocks,
     row_dots,
     row_norms,
@@ -260,11 +261,6 @@ def target_cnot() -> TargetTransform:
     return TargetTransform("cnot")
 
 
-def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of each row of a with the same row of b."""
-    return (a[:, :, np.newaxis] * b[:, np.newaxis, :]).reshape(len(a), -1)
-
-
 def _rule_table(t: TargetTransform, s: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (inputs, required outputs) of a gate target, each (rules, n, dim)."""
     r = 1.0 / np.sqrt(2.0)
@@ -275,7 +271,7 @@ def _rule_table(t: TargetTransform, s: np.ndarray, p: np.ndarray) -> tuple[np.nd
     elif t.kind == "unequal":
         ins, outs = (s, p), (t.a * s + t.b * p, t.b * s - t.a * p)
     elif t.kind == "cnot":
-        ss, sp, ps, pp = (_kron_rows(a, b) for a, b in ((s, s), (s, p), (p, s), (p, p)))
+        ss, sp, ps, pp = (kron_rows(a, b) for a, b in ((s, s), (s, p), (p, s), (p, p)))
         ins, outs = (ss, sp, ps, pp), (ss, sp, pp, ps)
     else:
         raise ValueError(f"target kind {t.kind!r} has no per-state rules")
@@ -305,7 +301,7 @@ def _system_ideals(t: TargetTransform, s: np.ndarray) -> np.ndarray:
     norm = row_norms(second)
     if np.any(norm < 1e-12):
         raise ValueError("ideal output vanishes: the unitary and antiunitary branches cancel")
-    return _kron_rows(s, second / norm[:, np.newaxis])
+    return kron_rows(s, second / norm[:, np.newaxis])
 
 
 def machine_deviations(m: MachineSpec, t: TargetTransform, states,
@@ -338,7 +334,7 @@ def machine_deviations(m: MachineSpec, t: TargetTransform, states,
         if anc.size != d:
             raise ValueError(f"final ancilla dimension {anc.size} does not match "
                              f"the machine's ancilla dimension {d}")
-        ideal = _kron_rows(sys_ideal, np.broadcast_to(anc, (len(s), d)))
+        ideal = kron_rows(sys_ideal, np.broadcast_to(anc, (len(s), d)))
         overlap_sq = abs_squared(row_dots(ideal.conj(), actual))
     return np.clip(1.0 - overlap_sq, 0.0, 1.0)
 
@@ -458,31 +454,43 @@ def _squares(v: np.ndarray) -> np.ndarray:
     return np.hstack([abs_squared(v), upper.real, upper.imag])
 
 
-def _witness_screen(s, p, o1, lo: int, hi: int) -> float:
-    """The largest squared gap of rows lo:hi over pairs j > i, to 1e-14; o1 is None for cnot."""
-    s, p, m = s[lo:], p[lo:], hi - lo   # the block is the first m rows against all of these
-    if o1 is None:
-        # Every rule keeps its control: a rule pair's gap is |g[c1 c2]| |g[t1 t2] - g[t1' t2']|,
-        # 0 for two s controls, else the larger of two differences, each one product.
-        ss, ps, ds, qs, r1, r2 = (_squares(np.hstack(v)) for v in (
-            [s], [p], [s - p], [s, p], [s, -p], [p, -s]))
-        terms = [((ss, ps), (ss, ds), (ps, ds)), ((ps, ss), (ds, ss), (ds, ps)),
-                 ((ps, ps), (qs, r1), (qs, r2))]
-    else:   # <s_i|s_j> - <o_i|o_j> is one product of the rows (s, o1) and (s, -o1)
-        terms = [((_squares(np.hstack([s, o1[lo:]])), _squares(np.hstack([s, -o1[lo:]]))),)]
-    w, top = max(_SCREEN_TILE, m), -1.0
-    buf = np.empty((4, m * w))   # every tile reuses these, as fresh ones cost page faults
-    for c in range(0, len(s), w):
-        est, *out = (b[:m * min(w, len(s) - c)].reshape(m, -1) for b in buf)
-        est[:] = 0.0
-        for term in terms:
-            sq, *diffs = [np.matmul(x[:m], y[c:c + w].T, out=o) for (x, y), o in zip(term, out)]
-            if diffs:
-                sq *= np.maximum(*diffs, out=diffs[0])
-            np.maximum(est, sq, out=est)
-        est[np.tril_indices(m, -c, m)] = -1.0   # j <= i, met by the first tile only
-        top = max(top, float(est.max()))
-    return top
+def _screen_terms(s, p, o1) -> list:
+    """The screen's products as pairs of real rows, built once per scan; o1 is None for cnot."""
+    if o1 is not None:   # <s_i|s_j> - <o_i|o_j> is one product of the rows (s, o1) and (s, -o1)
+        return [((_squares(np.hstack([s, o1])), _squares(np.hstack([s, -o1]))),)]
+    # Every rule keeps its control: a rule pair's gap is |g[c1 c2]| |g[t1 t2] - g[t1' t2']|,
+    # 0 for two s controls, else the larger of two differences, each one product.
+    ss, ps, ds, qs, r1, r2 = (_squares(np.hstack(v)) for v in (
+        [s], [p], [s - p], [s, p], [s, -p], [p, -s]))
+    return [((ss, ps), (ss, ds), (ps, ds)), ((ps, ss), (ds, ss), (ds, ps)),
+            ((ps, ps), (qs, r1), (qs, r2))]
+
+
+def _witness_screen(terms, blocks) -> list[float]:
+    """The largest squared gap of each row block over pairs j > i, to 1e-14."""
+    n, size = len(terms[0][0][0]), max(hi - lo for lo, hi in blocks)
+    # every tile of every block reuses these, as fresh ones cost page faults
+    buf = np.empty((1 if len(terms) == 1 else 4, size * max(_SCREEN_TILE, size)))
+    tops = []
+    for lo, hi in blocks:   # rows lo:hi against the columns lo:
+        m = hi - lo
+        w, top = max(_SCREEN_TILE, m), -1.0
+        for c in range(lo, n, w):
+            est, *out = (b[:m * min(w, n - c)].reshape(m, -1) for b in buf)
+            if not out:   # a single-qubit target: one product, straight into the estimate
+                left, right = terms[0][0]
+                np.matmul(left[lo:hi], right[c:c + w].T, out=est)
+            else:
+                est[:] = 0.0
+                for term in terms:
+                    sq, *diffs = [np.matmul(x[lo:hi], y[c:c + w].T, out=o)
+                                  for (x, y), o in zip(term, out)]
+                    sq *= np.maximum(*diffs, out=diffs[0])
+                    np.maximum(est, sq, out=est)
+            est[np.tril_indices(m, lo - c, m)] = -1.0   # j <= i, met by the first tile only
+            top = max(top, float(est.max()))
+        tops.append(top)
+    return tops
 
 
 def _witness_tile(s, p, o1, lo: int, hi: int, c0: int, c1: int) -> tuple[float, int, int]:
@@ -523,15 +531,18 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     """
     if n_samples < 2:
         raise ValueError("need at least two samples to form a pair")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
     if t.kind not in _GATE_KINDS:
         raise ValueError(f"target kind {t.kind!r} has no overlap audit")
     family_set = state_family(family, n_samples, seed, sampled=True)
     s, p, n = family_set.state_vectors, family_set.partner_vectors, n_samples
     o1 = None if t.kind == "cnot" else _rule_table(t, s, p)[1][0]
-    blocks = [(lo, hi, _witness_screen(s, p, o1, lo, hi)) for lo, hi in row_blocks(n, chunk)]
-    top = max(square for _, _, square in blocks)
+    blocks = list(row_blocks(n, chunk))
+    squares = _witness_screen(_screen_terms(s, p, o1), blocks)
+    top = max(squares)
     best_v, best_i, best_j = -1.0, 0, 1
-    for lo, hi in [(lo, hi) for lo, hi, square in blocks if square >= top - _SCREEN_MARGIN]:
+    for lo, hi in [b for b, square in zip(blocks, squares) if square >= top - _SCREEN_MARGIN]:
         # Only columns j >= lo hold pairs j > i.  In tiles a multiple of _SCREEN_TILE wide, BLAS
         # groups them as in one product, so the bits are the same, and no tile outlives its call.
         for c0, c1 in row_blocks(n - lo, -((lo - hi) // _SCREEN_TILE) * _SCREEN_TILE):
@@ -566,25 +577,25 @@ def survey_random_unitaries(t: TargetTransform, states, n_candidates: int,
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
+    if chunk < 1:
+        raise ValueError(f"chunk must be at least 1, got {chunk}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     if t.kind not in _QUBIT_GATE_KINDS:
         raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
     family = _as_set(states)
     s, p = family.state_vectors, family.partner_vectors
     o1, o2 = _rule_table(t, s, p)[1]
+    # <o|U|x> = sum_ij conj(o_i) U_ij x_j, so a chunk's amplitudes are one (b, 4) x (4, 2n) product
+    features = np.vstack([kron_rows(o1.conj(), s), kron_rows(o2.conj(), p)]).T
+    amp = np.empty((min(chunk, n_candidates), features.shape[1]), dtype=complex)
     rng = np.random.default_rng(seed)
-    n_pass = 0
-    min_worst = np.inf
-    done = 0
-    while done < n_candidates:
+    n_pass, min_worst = 0, np.inf
+    for done in range(0, n_candidates, chunk):
         b = min(chunk, n_candidates - done)
-        u = haar_unitaries(b, rng=rng)
-        act_s = np.einsum("bij,nj->bni", u, s)
-        act_p = np.einsum("bij,nj->bni", u, p)
-        v1 = 1.0 - np.abs(np.einsum("ni,bni->bn", o1.conj(), act_s)) ** 2
-        v2 = 1.0 - np.abs(np.einsum("ni,bni->bn", o2.conj(), act_p)) ** 2
-        worst = np.maximum(v1, v2).max(axis=1)
+        np.matmul(haar_unitaries(b, rng=rng).reshape(b, 4), features, out=amp[:b])
+        worst = 1.0 - (np.abs(amp[:b]) ** 2).min(axis=1)
         n_pass += int(np.count_nonzero(worst <= tol))
         min_worst = min(min_worst, float(worst.min()))
-        done += b
     return SurveyResult(n_candidates=n_candidates, n_pass=n_pass,
                         min_worst_violation=min_worst, tolerance=tol, seed=seed)

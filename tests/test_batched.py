@@ -49,10 +49,11 @@ from qnogo.verifier import (
     target_hadamard9,
     target_hadamard10,
     target_hybrid,
+    survey_random_unitaries,
     target_unequal,
     witness_search,
 )
-from qnogo.verifier import _SCREEN_MARGIN, _witness_screen
+from qnogo.verifier import _SCREEN_MARGIN, _screen_terms, _witness_screen
 
 RT2 = 1.0 / np.sqrt(2.0)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -471,9 +472,10 @@ def test_the_screen_estimates_each_block_maximum_well_inside_the_margin(kind, we
     a, b = weights
     s, p = ref_sampled(name, n, seed)
     o1 = None if kind == "cnot" else ref_rules(kind, s, p, a, b)[0][1]
-    for lo, hi in row_blocks(n, chunk):
+    blocks = list(row_blocks(n, chunk))
+    for (lo, hi), square in zip(blocks, _witness_screen(_screen_terms(s, p, o1), blocks)):
         exact = ref_witness(kind, s, p, chunk, a, b, [(lo, hi)])[0]
-        assert abs(_witness_screen(s, p, o1, lo, hi) - exact * exact) <= _SCREEN_MARGIN / 10
+        assert abs(square - exact * exact) <= _SCREEN_MARGIN / 10
 
 
 @pytest.mark.parametrize("kind,n,bound", [("hadamard9", 4096, 11_600_000),
@@ -491,6 +493,43 @@ def test_the_witness_scan_holds_few_gram_blocks_at_once(kind, n, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+# --- Haar survey -----------------------------------------------------------------------
+
+
+def ref_survey(kind, s, p, a, b, n_candidates, tol, seed, chunk):
+    """(n_pass, min worst violation) with U applied to every state, then one overlap per rule."""
+    (_, o1), (_, o2) = ref_rules(kind, s, p, a, b)
+    rng = np.random.default_rng(seed)
+    n_pass, min_worst = 0, np.inf
+    for done in range(0, n_candidates, chunk):
+        u = haar_unitaries(min(chunk, n_candidates - done), rng=rng)
+        act_s = np.einsum("bij,nj->bni", u, s)
+        act_p = np.einsum("bij,nj->bni", u, p)
+        v1 = 1.0 - np.abs(np.einsum("ni,bni->bn", o1.conj(), act_s)) ** 2
+        v2 = 1.0 - np.abs(np.einsum("ni,bni->bn", o2.conj(), act_p)) ** 2
+        worst = np.maximum(v1, v2).max(axis=1)
+        n_pass += int(np.count_nonzero(worst <= tol))
+        min_worst = min(min_worst, float(worst.min()))
+    return n_pass, min_worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["hadamard9", "hadamard10", "unequal"]), weights=unit_weights(),
+       name=FAMILIES, n=st.integers(1, 80), seed=SEEDS,
+       n_candidates=st.integers(1, 600), chunk=st.integers(1, 300),
+       tol=st.sampled_from([0.0, 1e-3, 0.05, 0.5]))
+def test_the_survey_product_equals_the_per_state_einsums(kind, weights, name, n, seed,
+                                                         n_candidates, chunk, tol):
+    a, b = weights
+    family = state_family(name, n, seed)
+    s, p = family.state_vectors, family.partner_vectors
+    n_pass, min_worst = ref_survey(kind, s, p, a, b, n_candidates, tol, seed, chunk)
+    result = survey_random_unitaries(witness_target(kind, a, b), family, n_candidates,
+                                     tol=tol, seed=seed, chunk=chunk)
+    assert result.n_pass == n_pass
+    assert abs(result.min_worst_violation - min_worst) <= 1e-12
 
 
 # --- circle-check row blocks ---------------------------------------------------------

@@ -17,10 +17,18 @@ from pathlib import Path
 
 import pytest
 
-from qnogo.cli import main, parse_complex, parse_lambda_values
-from qnogo.dsl import CheckOptions
+import qnogo.cli
+from qnogo.cli import MAX_GRID_N, RunConfig, main, parse_complex, parse_lambda_values
+from qnogo.dsl import MAX_SAMPLES, CheckOptions
 from qnogo.gates import UnequalAmplitudes
-from qnogo.verifier import audit_unequal, target_unequal
+from qnogo.states import polar_set
+from qnogo.verifier import (
+    audit_unequal,
+    survey_random_unitaries,
+    target_hadamard9,
+    target_unequal,
+    witness_search,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 CLONE = str(ROOT / "machines" / "clone.qmachine")
@@ -125,6 +133,59 @@ def test_library_entry_points_refuse_non_finite_numbers():
     for tol in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError):
             CheckOptions(tolerance=tol)
+
+
+def test_library_scans_refuse_bad_chunks_and_tolerances():
+    # chunk=0 failed inside numpy (a reshape of size 0, a reduction over nothing), and
+    # a NaN tol was accepted and reported back as the survey's tolerance
+    target = target_hadamard9()
+    for chunk in (0, -3):
+        with pytest.raises(ValueError, match="chunk"):
+            witness_search(target, 8, chunk=chunk)
+        with pytest.raises(ValueError, match="chunk"):
+            survey_random_unitaries(target, polar_set(8), 4, chunk=chunk)
+    for tol in (math.nan, math.inf, -math.inf, -1e-3):
+        with pytest.raises(ValueError, match="tol"):
+            survey_random_unitaries(target, polar_set(8), 4, tol=tol)
+    assert survey_random_unitaries(target, polar_set(8), 4, tol=0.0).tolerance == 0.0
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("a refused size reached a command")
+
+
+@pytest.mark.parametrize("value", [MAX_GRID_N + 1, 10**12])
+@pytest.mark.parametrize("argv", [
+    ["witness", "--target", "hadamard9"],
+    ["witness", "--target", "cnot23", "--set", "polar"],
+    ["gate-verify", "--gate", "CNOT", "--target", "cnot23"],
+    ["circle-check"],
+])
+def test_grid_sizes_above_the_cap_exit_1_before_any_family(argv, value, monkeypatch, capsys):
+    # RunConfig refuses the size, so no command runs and no family is allocated
+    for name in ("gate-verify", "witness", "circle-check"):
+        monkeypatch.setitem(qnogo.cli._COMMANDS, name, _forbidden)
+    code, out, err = exit_code(argv + ["--grid-n", str(value)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"qnogo: grid size must lie in [2, {MAX_GRID_N}], got {value}\n"
+
+
+@pytest.mark.parametrize("value", [MAX_SAMPLES + 1, 10**12])
+def test_sample_counts_above_the_cap_exit_1_before_any_family(value, monkeypatch, capsys):
+    monkeypatch.setattr(qnogo.cli, "check_source", _forbidden)
+    code, out, err = exit_code(["dsl-check", CLONE, "--samples", str(value)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"qnogo: samples must lie in [1, {MAX_SAMPLES}], got {value}\n"
+    with pytest.raises(ValueError, match="samples"):
+        CheckOptions(samples=value)
+
+
+def test_the_caps_admit_every_size_the_suite_and_benchmark_use():
+    # sizes of 10 000 are the largest in use; both caps are checked without running them
+    assert RunConfig(subcommand="witness", grid_n=MAX_GRID_N).grid_n >= 10_000
+    assert CheckOptions(samples=MAX_SAMPLES).samples >= 10_000
 
 
 @pytest.mark.parametrize("argv", [

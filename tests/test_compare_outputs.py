@@ -1,0 +1,32 @@
+"""tools/compare_outputs.py: the command list and the difference report."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("compare_outputs",
+                                               ROOT / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def test_every_workload_command_and_the_witness_matrix_run_at_both_seeds():
+    argvs = compare_outputs.commands([2, 257])
+    assert len(argvs) == len(set(argvs))
+    for seed in ("0", "42"):
+        mine = [a for a in argvs if a[-2:] == ("--seed", seed)]
+        witness = [a for a in mine if a[0] == "witness" and "--set" in a and "--grid-n" in a
+                   and a[a.index("--grid-n") + 1] in ("2", "257")]
+        assert len(witness) == 4 * 3 * 2
+        # the 43 command lines of the three workloads; the survey is a library call
+        assert len(mine) - len(witness) == 43
+    assert all("--output" not in a for a in argvs)
+
+
+def test_a_difference_names_the_exit_code_or_the_first_line_that_differs():
+    same = (0, b'{\n  "violation": 1.0\n}\n')
+    assert compare_outputs.difference(same, same) is None
+    assert compare_outputs.difference(same, (2, same[1])) == "exit 0 -> 2"
+    report = compare_outputs.difference(same, (0, b'{\n  "violation": 1.5\n}\n'))
+    assert report.startswith("stdout line 2:") and "1.5" in report
+    assert compare_outputs.difference(same, (0, same[1] + b"extra\n")).startswith("stdout line 4")

@@ -1,0 +1,99 @@
+"""Compare qnogo's command-line output between two source trees.
+
+    python tools/compare_outputs.py PARENT_TREE CHANGE_TREE
+    python tools/compare_outputs.py PARENT_TREE CHANGE_TREE --grid-n 10000
+
+Each command runs as `python -m qnogo` with the tree's src/ on PYTHONPATH
+and the tree as the working directory, so file names in the reports
+read the same in both.  The commands are
+
+  * every command-line operation of perfbench/workloads.py (all three
+    workloads; none writes a file), and
+  * witness for every target and family at each --grid-n,
+
+each at seeds 0 and 42, two commands at a time.  A command whose exit
+code or stdout differs between the trees is printed with the first line
+that differs, and the script exits 1 if there is one, 0 if all agree.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+TARGETS = (("hadamard9",), ("hadamard10",), ("unequal", "--a", "0.6", "--b", "0.8i"),
+           ("cnot23",))
+FAMILIES = ("bloch", "polar", "equatorial")
+SEEDS = (0, 42)
+
+
+def commands(grid_sizes) -> list[tuple[str, ...]]:
+    """The argv of every command to compare, in a fixed order and without repeats."""
+    argvs = []
+    for seed in SEEDS:
+        for name in workloads.NAMES:
+            ops = workloads.build(name, Path("."), seed).ops
+            argvs += [op.argv for op in ops if op.argv is not None]   # the survey has none
+        for target, family, n in itertools.product(TARGETS, FAMILIES, grid_sizes):
+            argvs.append(("witness", "--target", *target, "--set", family,
+                          "--grid-n", str(n), "--format", "json", "--seed", str(seed)))
+    return list(dict.fromkeys(argvs))
+
+
+def run(tree: Path, argv: tuple[str, ...]) -> tuple[int, bytes]:
+    env = {k: v for k, v in os.environ.items() if k not in ("QNOGO_SEED", "PYTHONPATH")}
+    env["PYTHONPATH"] = str(tree / "src")
+    done = subprocess.run([sys.executable, "-m", "qnogo", *argv], cwd=tree, env=env,
+                          capture_output=True, timeout=600)
+    return done.returncode, done.stdout
+
+
+def difference(before: tuple[int, bytes], after: tuple[int, bytes]) -> str | None:
+    """How two (exit code, stdout) results differ, or None when they agree."""
+    if before[0] != after[0]:
+        return f"exit {before[0]} -> {after[0]}"
+    if before[1] == after[1]:
+        return None
+    old, new = before[1].splitlines(), after[1].splitlines()
+    for k, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=b"")):
+        if a != b:
+            return f"stdout line {k + 1}: {a.decode(errors='replace')!r} -> " \
+                   f"{b.decode(errors='replace')!r}"
+    return "stdout differs"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="tools/compare_outputs.py",
+                                     description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path, help="tree of the parent commit")
+    parser.add_argument("change", type=Path, help="tree of the change")
+    parser.add_argument("--grid-n", type=int, nargs="+", default=[2, 257, 2000],
+                        help="witness sizes (default 2 257 2000)")
+    args = parser.parse_args(argv)
+    trees = [tree.resolve() for tree in (args.parent, args.change)]
+    for tree in trees:
+        if not (tree / "src" / "qnogo").is_dir():
+            parser.error(f"{tree} has no src/qnogo")
+    argvs = commands(args.grid_n)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = [pool.map(lambda a, tree=tree: run(tree, a), argvs) for tree in trees]
+        differences = [(a, difference(b, c)) for a, b, c in zip(argvs, *results)]
+    differing = [(a, d) for a, d in differences if d is not None]
+    for a, d in differing:
+        print(f"DIFFERS  qnogo {' '.join(a)}\n         {d}")
+    print(f"{len(argvs)} commands, {len(differing)} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
