@@ -325,10 +325,10 @@ def _circle_residuals(kind: str, n: int) -> tuple[float, float, float]:
     family = state_family(kind, n)
     s, p = family.state_vectors, family.partner_vectors
     diag = anti = sym = 0.0
-    for lo, hi in row_blocks(n, 256):   # 256 rows of Gram entries at a time
+    for lo, hi in row_blocks(n, 256):   # columns lo: hold every pair, as |R_ij| = |R_ji|
         sc, pc = s[lo:hi].conj(), p[lo:hi].conj()
-        g01, g10 = sc @ p.T, pc @ s.T
-        diag = max(diag, float(np.abs(sc @ s.T - pc @ p.T).max()))
+        g01, g10 = sc @ p[lo:].T, pc @ s[lo:].T
+        diag = max(diag, float(np.abs(sc @ s[lo:].T - pc @ p[lo:].T).max()))
         anti = max(anti, float(np.abs(g01 + g10).max()))   # polar sign pattern
         sym = max(sym, float(np.abs(g01 - g10).max()))     # equatorial sign pattern
     if kind == "polar":

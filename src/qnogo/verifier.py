@@ -51,7 +51,10 @@ _BASIS = np.eye(2, dtype=complex)
 _BASIS.setflags(write=False)
 
 _SCREEN_MARGIN = 1e-12   # over twice the screen's error, 1e-14 on squared gaps of at most 4
-_SCREEN_TILE = 1024   # columns per product in both passes: the temporaries stay in cache
+# Columns per tile in both passes, one more where row_blocks joins a lone last column: the
+# temporaries stay in cache, and tiles that start at the block edge and are this wide keep
+# BLAS's column groups, so every entry keeps its bits.
+_SCREEN_TILE = 1024
 _CNOT_RULES = [("s", "s", "s", "s"), ("s", "p", "s", "p"), ("p", "s", "p", "p"), ("p", "p", "p", "s")]
 
 
@@ -466,51 +469,57 @@ def _screen_terms(s, p, o1) -> list:
             ((ps, ps), (qs, r1), (qs, r2))]
 
 
+def _tile_estimate(terms, buf, lo: int, hi: int, c0: int, c1: int) -> np.ndarray:
+    """The squared gaps of rows lo:hi x columns c0:c1 to 1e-14, -1 where j <= i, in buf."""
+    m, w = hi - lo, c1 - c0
+    est, *out = (b[:m * w].reshape(m, w) for b in buf)
+    if not out:   # a single-qubit target: one product, straight into the estimate
+        left, right = terms[0][0]
+        np.matmul(left[lo:hi], right[c0:c1].T, out=est)
+    else:
+        est[:] = 0.0
+        for term in terms:
+            sq, *diffs = [np.matmul(x[lo:hi], y[c0:c1].T, out=o)
+                          for (x, y), o in zip(term, out)]
+            sq *= np.maximum(*diffs, out=diffs[0])
+            np.maximum(est, sq, out=est)
+    est[np.tril_indices(m, lo - c0, min(m, w))] = -1.0   # j <= i, in columns below hi
+    return est
+
+
 def _witness_screen(terms, blocks) -> list[float]:
     """The largest squared gap of each row block over pairs j > i, to 1e-14."""
     n, size = len(terms[0][0][0]), max(hi - lo for lo, hi in blocks)
-    # every tile of every block reuses these, as fresh ones cost page faults
-    buf = np.empty((1 if len(terms) == 1 else 4, size * max(_SCREEN_TILE, size)))
-    tops = []
-    for lo, hi in blocks:   # rows lo:hi against the columns lo:
-        m = hi - lo
-        w, top = max(_SCREEN_TILE, m), -1.0
-        for c in range(lo, n, w):
-            est, *out = (b[:m * min(w, n - c)].reshape(m, -1) for b in buf)
-            if not out:   # a single-qubit target: one product, straight into the estimate
-                left, right = terms[0][0]
-                np.matmul(left[lo:hi], right[c:c + w].T, out=est)
-            else:
-                est[:] = 0.0
-                for term in terms:
-                    sq, *diffs = [np.matmul(x[lo:hi], y[c:c + w].T, out=o)
-                                  for (x, y), o in zip(term, out)]
-                    sq *= np.maximum(*diffs, out=diffs[0])
-                    np.maximum(est, sq, out=est)
-            est[np.tril_indices(m, lo - c, m)] = -1.0   # j <= i, met by the first tile only
-            top = max(top, float(est.max()))
-        tops.append(top)
-    return tops
+    buf = np.empty((1 if len(terms) == 1 else 4, size * min(_SCREEN_TILE + 1, n)))   # all tiles
+    return [max(float(_tile_estimate(terms, buf, lo, hi, lo + c0, lo + c1).max())
+                for c0, c1 in row_blocks(n - lo, _SCREEN_TILE)) for lo, hi in blocks]
 
 
-def _witness_tile(s, p, o1, lo: int, hi: int, c0: int, c1: int) -> tuple[float, int, int]:
-    """The first largest exact gap over j > i of rows lo:hi x columns c0:c1, as (gap, i, j)."""
-    if o1 is None:
-        vecs = {"s": s, "p": p}   # _CNOT_RULES: (control, target) -> (control, new target)
-        g = {key: vecs[key[0]][lo:hi].conj() @ vecs[key[1]][c0:c1].T
-             for key in ("ss", "sp", "ps", "pp")}
-        block = np.zeros((hi - lo, c1 - c0))
-        for a1, b1, a1o, b1o in _CNOT_RULES:
+def _witness_tile(s, p, o1, terms, buf, floor: float, lo: int, hi: int, c0: int, c1: int):
+    """The first largest exact gap over j > i of rows lo:hi x columns c0:c1, as (gap, i, j).
+    cnot computes only the cells whose estimate reaches floor; a single-qubit target computes
+    the whole tile, as its estimate would cost as much."""
+    m, w = hi - lo, c1 - c0
+    if o1 is not None:
+        gap = np.matmul(s[lo:hi].conj(), s[c0:c1].T, out=buf[0, :m * w].reshape(m, w))
+        gap -= np.matmul(o1[lo:hi].conj(), o1[c0:c1].T, out=buf[1, :m * w].reshape(m, w))
+        block = np.abs(gap, out=buf[1].view(float)[:m * w].reshape(m, w))   # in the spent product
+        block[np.tril_indices(m, lo - c0, min(m, w))] = -1.0   # j <= i, in columns below hi
+    else:
+        block = _tile_estimate(terms, buf[1:].view(float).reshape(4, -1), lo, hi, c0, c1)
+        rows, cols = np.nonzero(block >= floor)   # in (i, j) order; j <= i reads -1
+        vecs, tile = {"s": s, "p": p}, buf[0, :m * w].reshape(m, w)
+        g = {k: np.matmul(vecs[k[0]][lo:hi].conj(), vecs[k[1]][c0:c1].T, out=tile)[rows, cols]
+             for k in ("ss", "sp", "ps", "pp")}   # one Gram tile at a time, kept cells only
+        cells = np.zeros(rows.size)
+        for a1, b1, a1o, b1o in _CNOT_RULES:   # (control, target) -> (control, new target)
             for a2, b2, a2o, b2o in _CNOT_RULES:
                 gap = g[a1 + a2] * g[b1 + b2]
                 gap -= g[a1o + a2o] * g[b1o + b2o]
-                np.maximum(block, np.abs(gap), out=block)
-    else:
-        gap = s[lo:hi].conj() @ s[c0:c1].T
-        gap -= o1[lo:hi].conj() @ o1[c0:c1].T
-        block = np.abs(gap)
-    block[np.tril_indices(hi - lo, lo - c0, hi - lo)] = -1.0   # j <= i, met by the first tile only
-    i, j = divmod(int(np.argmax(block)), c1 - c0)
+                np.maximum(cells, np.abs(gap), out=cells)
+        block.fill(-1.0)
+        block[rows, cols] = cells
+    i, j = divmod(int(np.argmax(block)), w)
     return float(block[i, j]), lo + i, c0 + j
 
 
@@ -527,7 +536,7 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
 
     Deterministic for a fixed seed; ties break to the first pair found in
     (i, j) order.  The scan is exhaustive, in row blocks to bound memory;
-    blocks that a cheap screen rules out are skipped, which changes no bit.
+    blocks and cnot cells that a cheap screen rules out are skipped, which changes no bit.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples to form a pair")
@@ -538,15 +547,16 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     family_set = state_family(family, n_samples, seed, sampled=True)
     s, p, n = family_set.state_vectors, family_set.partner_vectors, n_samples
     o1 = None if t.kind == "cnot" else _rule_table(t, s, p)[1][0]
-    blocks = list(row_blocks(n, chunk))
-    squares = _witness_screen(_screen_terms(s, p, o1), blocks)
-    top = max(squares)
+    terms, blocks = _screen_terms(s, p, o1), list(row_blocks(n, chunk))
+    squares = _witness_screen(terms, blocks)
+    floor = max(squares) - _SCREEN_MARGIN
+    size = max(hi - lo for lo, hi in blocks)
+    # every exact tile reuses these: two Gram tiles, or for cnot one and the estimate's four
+    buf = np.empty((2 if o1 is not None else 3, size * min(_SCREEN_TILE + 1, n)), complex)
     best_v, best_i, best_j = -1.0, 0, 1
-    for lo, hi in [b for b, square in zip(blocks, squares) if square >= top - _SCREEN_MARGIN]:
-        # Only columns j >= lo hold pairs j > i.  In tiles a multiple of _SCREEN_TILE wide, BLAS
-        # groups them as in one product, so the bits are the same, and no tile outlives its call.
-        for c0, c1 in row_blocks(n - lo, -((lo - hi) // _SCREEN_TILE) * _SCREEN_TILE):
-            v, i, j = _witness_tile(s, p, o1, lo, hi, lo + c0, lo + c1)
+    for lo, hi in [b for b, square in zip(blocks, squares) if square >= floor]:
+        for c0, c1 in row_blocks(n - lo, _SCREEN_TILE):   # only j >= lo holds j > i
+            v, i, j = _witness_tile(s, p, o1, terms, buf, floor, lo, hi, lo + c0, lo + c1)
             if v > best_v or v == best_v and i < best_i:   # the first pair in (i, j) order
                 best_v, best_i, best_j = v, i, j
     return WitnessResult(pair=(family_set.pair(best_i)[0], family_set.pair(best_j)[0]),

@@ -447,6 +447,9 @@ def test_screened_witness_search_equals_the_exhaustive_scan(kind, weights, name,
     ("hadamard9", "bloch", 0, 300, 8, 16), ("hadamard10", "equatorial", 1, 257, 5, 16),
     ("unequal", "bloch", 4, 301, 16, 32), ("cnot", "bloch", 3, 120, 1, 16),
     ("cnot", "polar", 5, 150, 7, 32), ("cnot", "equatorial", 6, 97, 4, 16),
+    # the cnot pass computes only the cells the screen keeps, on the tie-heavy families too
+    ("cnot", "polar", 8, 200, 20, 16), ("cnot", "polar", 9, 161, 40, 32),
+    ("cnot", "equatorial", 10, 200, 33, 16), ("cnot", "equatorial", 11, 129, 16, 32),
     # ties across tiles: a later tile of a block holds the same largest gap in an earlier row
     ("hadamard9", "polar", 17, 249, 5, 32), ("hadamard9", "polar", 29, 146, 20, 32),
     ("unequal", "polar", 3, 286, 40, 32)])
@@ -479,11 +482,12 @@ def test_the_screen_estimates_each_block_maximum_well_inside_the_margin(kind, we
 
 
 @pytest.mark.parametrize("kind,n,bound", [("hadamard9", 4096, 11_600_000),
-                                           ("cnot", 2048, 30_100_000)])
+                                           ("cnot", 2048, 15_750_000)])
 def test_the_witness_scan_holds_few_gram_blocks_at_once(kind, n, bound):
-    # 1.1 x the measured peaks of 10.6 MB and 27.4 MB, one column tile at a time;
-    # whole-width blocks peaked at 27.8 MB and 47.8 MB, and computing both Gram
-    # blocks and their difference beside them at 64.0 MB and 84.0 MB
+    # 1.1 x the measured peaks of 10.6 MB and 14.3 MB, one column tile at a time and
+    # for cnot one Gram tile and the kept cells; whole-width blocks peaked at 27.8 MB
+    # and 47.8 MB, and computing both Gram blocks and their difference beside them at
+    # 64.0 MB and 84.0 MB
     target = witness_target(kind, None, None)
     witness_search(target, 64, seed=0)   # first-call allocations stay out of the count
     tracemalloc.start()
@@ -533,6 +537,34 @@ def test_the_survey_product_equals_the_per_state_einsums(kind, weights, name, n,
 
 
 # --- circle-check row blocks ---------------------------------------------------------
+
+
+def ref_circle_residuals(kind, n):
+    """The three residual maxima over every (i, j) of the square: each row meets all n columns."""
+    pairs = ref_pairs(kind, n, None)
+    s, p = (np.array([q.vector for q in states]) for states in zip(*pairs))
+    diag = anti = sym = 0.0
+    # 64 rows keep the temporaries in cache; the maxima equal those of 256-row blocks, which the
+    # test below pins to the whole Gram, for every n up to 2500 and at 4096 and 4097 (measured)
+    for lo, hi in row_blocks(n, 64):
+        sc, pc = s[lo:hi].conj(), p[lo:hi].conj()
+        g01, g10 = sc @ p.T, pc @ s.T
+        diag = max(diag, float(np.abs(sc @ s.T - pc @ p.T).max()))
+        anti = max(anti, float(np.abs(g01 + g10).max()))
+        sym = max(sym, float(np.abs(g01 - g10).max()))
+    return (diag, anti, sym) if kind == "polar" else (diag, sym, anti)
+
+
+@settings(max_examples=6, deadline=None)
+@given(n=st.integers(2, 1500))
+@example(n=2000)
+@example(n=2049)
+@example(n=4097)
+def test_circle_residuals_over_the_upper_triangle_equal_the_whole_square(n):
+    # |R_ij| = |R_ji| holds exactly, but the computed Gram is not bitwise Hermitian: the
+    # maxima must still come out the same
+    for kind in ("polar", "equatorial"):
+        assert _circle_residuals(kind, n) == ref_circle_residuals(kind, n)
 
 
 @pytest.mark.parametrize("n", [2, 255, 257, 300, 513, 700])

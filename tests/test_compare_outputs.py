@@ -18,8 +18,12 @@ def test_every_workload_command_and_the_witness_matrix_run_at_both_seeds():
         witness = [a for a in mine if a[0] == "witness" and "--set" in a and "--grid-n" in a
                    and a[a.index("--grid-n") + 1] in ("2", "257")]
         assert len(witness) == 4 * 3 * 2
-        # the 43 command lines of the three workloads; the survey is a library call
-        assert len(mine) - len(witness) == 43
+        # the 43 command lines of the three workloads (the survey is a library call) and
+        # circle-check at 2 and 257; the workloads run it at the default 256 and at 2000
+        assert len(mine) - len(witness) == 43 + 2
+        circles = [a[a.index("--grid-n") + 1] for a in mine
+                   if a[0] == "circle-check" and "--grid-n" in a]
+        assert sorted(circles) == ["2", "2000", "257"]
     assert all("--output" not in a for a in argvs)
 
 

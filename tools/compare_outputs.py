@@ -8,8 +8,9 @@ and the tree as the working directory, so file names in the reports
 read the same in both.  The commands are
 
   * every command-line operation of perfbench/workloads.py (all three
-    workloads; none writes a file), and
-  * witness for every target and family at each --grid-n,
+    workloads; none writes a file),
+  * witness for every target and family at each --grid-n, and
+  * circle-check at each --grid-n,
 
 each at seeds 0 and 42, two commands at a time.  A command whose exit
 code or stdout differs between the trees is printed with the first line
@@ -47,6 +48,8 @@ def commands(grid_sizes) -> list[tuple[str, ...]]:
         for target, family, n in itertools.product(TARGETS, FAMILIES, grid_sizes):
             argvs.append(("witness", "--target", *target, "--set", family,
                           "--grid-n", str(n), "--format", "json", "--seed", str(seed)))
+        argvs += [("circle-check", "--grid-n", str(n), "--format", "json", "--seed", str(seed))
+                  for n in grid_sizes]
     return list(dict.fromkeys(argvs))
 
 
@@ -78,7 +81,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path, help="tree of the parent commit")
     parser.add_argument("change", type=Path, help="tree of the change")
     parser.add_argument("--grid-n", type=int, nargs="+", default=[2, 257, 2000],
-                        help="witness sizes (default 2 257 2000)")
+                        help="witness and circle-check sizes (default 2 257 2000)")
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in (args.parent, args.change)]
     for tree in trees:
