@@ -29,6 +29,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,7 +49,8 @@ EXIT_IO = 4
 SCHEMA_VERSION = "1"
 
 MAX_LAMBDAS = 10_001
-MAX_GRID_N = 65_536   # circle-check holds four 256-row Gram blocks, 16 KiB a point: 1 GiB
+MAX_GRID_N = 65_536   # circle-check memory is fixed, but its time grows as n^2: 99 s on 2 cores
+_CIRCLE_TILE = 64     # columns: four 256 x 64 complex Gram tiles are 1 MiB, in a 2 MiB L2
 
 
 class _CliError(Exception):
@@ -324,16 +326,21 @@ def _circle_residuals(kind: str, n: int) -> tuple[float, float, float]:
     """
     family = state_family(kind, n)
     s, p = family.state_vectors, family.partner_vectors
+    grams = np.empty((4, 257 * min(_CIRCLE_TILE + 1, n)), complex)   # lone rows, columns join
     diag = anti = sym = 0.0
     for lo, hi in row_blocks(n, 256):   # columns lo: hold every pair, as |R_ij| = |R_ji|
         sc, pc = s[lo:hi].conj(), p[lo:hi].conj()
-        g01, g10 = sc @ p[lo:].T, pc @ s[lo:].T
-        diag = max(diag, float(np.abs(sc @ s[lo:].T - pc @ p[lo:].T).max()))
-        anti = max(anti, float(np.abs(g01 + g10).max()))   # polar sign pattern
-        sym = max(sym, float(np.abs(g01 - g10).max()))     # equatorial sign pattern
-    if kind == "polar":
-        return diag, anti, sym
-    return diag, sym, anti
+        for c0, c1 in row_blocks(n - lo, _CIRCLE_TILE):   # from the block edge: BLAS's bits
+            st, pt = s[lo + c0:lo + c1].T, p[lo + c0:lo + c1].T
+            g00, g11, g01, g10, r = (x[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
+                                     for x in (*grams, grams[1].view(float)))   # r: spent g11
+            np.subtract(np.matmul(sc, st, out=g00), np.matmul(pc, pt, out=g11), out=g00)
+            diag = max(diag, float(np.abs(g00, out=r).max()))
+            np.matmul(sc, pt, out=g01)
+            np.matmul(pc, st, out=g10)
+            anti = max(anti, float(np.abs(np.add(g01, g10, out=g00), out=r).max()))
+            sym = max(sym, float(np.abs(np.subtract(g01, g10, out=g00), out=r).max()))
+    return (diag, anti, sym) if kind == "polar" else (diag, sym, anti)
 
 
 def cmd_circle_check(args, cfg: RunConfig) -> int:
@@ -439,6 +446,7 @@ def _add_common(sub, grid_help: str):
                      help="write the report to this file atomically")
 
 
+@lru_cache(maxsize=1)   # built once per process: parsing leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="qnogo",
                      description="Numerical audits of impossible qubit operations")

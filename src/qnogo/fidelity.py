@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,6 +70,7 @@ def _icosahedron() -> np.ndarray:
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+@lru_cache(maxsize=8)   # calls with one n_min share a grid: its arrays are read-only
 def uniform_grid(n_min: int = 200) -> QuadratureGrid:
     """Deterministic sphere quadrature with at least n_min nodes.
 

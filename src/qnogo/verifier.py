@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -483,8 +484,18 @@ def _tile_estimate(terms, buf, lo: int, hi: int, c0: int, c1: int) -> np.ndarray
                           for (x, y), o in zip(term, out)]
             sq *= np.maximum(*diffs, out=diffs[0])
             np.maximum(est, sq, out=est)
-    est[np.tril_indices(m, lo - c0, min(m, w))] = -1.0   # j <= i, in columns below hi
-    return est
+    return _mask_lower(est, lo, c0)
+
+
+@lru_cache(maxsize=8)   # a scan meets a few shapes: full tiles and the narrower last ones
+def _tri_mask(m: int, w: int, k: int) -> np.ndarray:
+    return np.broadcast_to(np.tri(m, w, k, dtype=bool), (m, w))   # a read-only view, shared
+
+
+def _mask_lower(tile: np.ndarray, lo: int, c0: int) -> np.ndarray:   # rows lo:, columns c0:
+    if c0 - lo < len(tile):   # -1 where j <= i, which only a tile that meets the diagonal holds
+        np.copyto(tile, -1.0, where=_tri_mask(*tile.shape, lo - c0))
+    return tile
 
 
 def _witness_screen(terms, blocks) -> list[float]:
@@ -503,8 +514,7 @@ def _witness_tile(s, p, o1, terms, buf, floor: float, lo: int, hi: int, c0: int,
     if o1 is not None:
         gap = np.matmul(s[lo:hi].conj(), s[c0:c1].T, out=buf[0, :m * w].reshape(m, w))
         gap -= np.matmul(o1[lo:hi].conj(), o1[c0:c1].T, out=buf[1, :m * w].reshape(m, w))
-        block = np.abs(gap, out=buf[1].view(float)[:m * w].reshape(m, w))   # in the spent product
-        block[np.tril_indices(m, lo - c0, min(m, w))] = -1.0   # j <= i, in columns below hi
+        block = _mask_lower(np.abs(gap, out=buf[1].view(float)[:m * w].reshape(m, w)), lo, c0)
     else:
         block = _tile_estimate(terms, buf[1:].view(float).reshape(4, -1), lo, hi, c0, c1)
         rows, cols = np.nonzero(block >= floor)   # in (i, j) order; j <= i reads -1

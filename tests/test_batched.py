@@ -25,6 +25,7 @@ from qnogo.gates import (
 )
 from qnogo.states import (
     Qubit,
+    StateSet,
     bloch_set,
     complement,
     equatorial_pair,
@@ -53,7 +54,13 @@ from qnogo.verifier import (
     target_unequal,
     witness_search,
 )
-from qnogo.verifier import _SCREEN_MARGIN, _screen_terms, _witness_screen
+from qnogo.verifier import (
+    _SCREEN_MARGIN,
+    _mask_lower,
+    _screen_terms,
+    _tri_mask,
+    _witness_screen,
+)
 
 RT2 = 1.0 / np.sqrt(2.0)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -95,9 +102,13 @@ def ref_sampled(name, n, seed):
         c, si = np.cos(t / 2.0), np.sin(t / 2.0)
         return (np.stack([c, si], axis=1).astype(complex),
                 np.stack([-si, c], axis=1).astype(complex))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    return ref_equator(rng.uniform(0.0, 2.0 * np.pi, size=n))
+
+
+def ref_equator(phi):
+    """Equator states at the angles phi and their partners, as the sampled family builds them."""
     e = np.exp(1j * phi) / np.sqrt(2.0)
-    h = np.full(n, RT2, dtype=complex)
+    h = np.full(len(phi), RT2, dtype=complex)
     return np.stack([h, e], axis=1), np.stack([h, -e], axis=1)
 
 
@@ -452,13 +463,22 @@ def test_screened_witness_search_equals_the_exhaustive_scan(kind, weights, name,
     ("cnot", "equatorial", 10, 200, 33, 16), ("cnot", "equatorial", 11, 129, 16, 32),
     # ties across tiles: a later tile of a block holds the same largest gap in an earlier row
     ("hadamard9", "polar", 17, 249, 5, 32), ("hadamard9", "polar", 29, 146, 20, 32),
-    ("unequal", "polar", 3, 286, 40, 32)])
+    ("unequal", "polar", 3, 286, 40, 32),
+    # six equator points and their antipodes: the six antipodal pairs all have cnot gap 1, so
+    # the top squared gaps lie within 1e-14 of each other and only the margin keeps the first
+    ("cnot", "antipodes", 0, 12, 4, 16)])
 def test_the_exact_pass_in_column_tiles_equals_the_exhaustive_scan(monkeypatch, kind, name,
                                                                    seed, n, chunk, tile):
     # tiles far narrower than the family, so each certified block spans several of them
     monkeypatch.setattr("qnogo.verifier._SCREEN_TILE", tile)
     a, b = 0.6, 0.8
-    s, p = ref_sampled(name, n, seed)
+    if name == "antipodes":   # hand-built, so witness_search is handed it in place of a draw
+        s, p = ref_equator(np.concatenate([np.arange(n // 2) * 0.5,
+                                           np.arange(n // 2) * 0.5 + np.pi]))
+        monkeypatch.setattr("qnogo.verifier.state_family",
+                            lambda *args, **kwargs: StateSet("equatorial", s, p))
+    else:
+        s, p = ref_sampled(name, n, seed)
     violation, i, j = ref_witness(kind, s, p, chunk, a, b, list(row_blocks(n, chunk)))
     result = witness_search(witness_target(kind, a, b), n, seed=seed, family=name, chunk=chunk)
     assert result.violation == violation
@@ -497,6 +517,23 @@ def test_the_witness_scan_holds_few_gram_blocks_at_once(kind, n, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 300), w=st.integers(1, 1100), lo=st.integers(0, 5000),
+       offset=st.integers(0, 310))
+@example(m=256, w=1024, lo=0, offset=0)       # at the diagonal
+@example(m=257, w=65, lo=768, offset=192)     # across it
+@example(m=256, w=1024, lo=256, offset=256)   # just past it
+def test_the_mask_covers_exactly_the_cells_with_j_at_most_i(m, w, lo, offset):
+    c0 = lo + offset   # tiles start at or after their block's first row
+    tile = np.full((m, w), 0.5)
+    assert _mask_lower(tile, lo, c0) is tile
+    i, j = np.indices((m, w))
+    assert np.array_equal(tile == -1.0, c0 + j <= lo + i)
+    assert np.all(tile[c0 + j > lo + i] == 0.5)
+    if offset < m:
+        assert not _tri_mask(m, w, lo - c0).flags.writeable
 
 
 # --- Haar survey -----------------------------------------------------------------------
@@ -557,6 +594,16 @@ def ref_circle_residuals(kind, n):
 
 @settings(max_examples=6, deadline=None)
 @given(n=st.integers(2, 1500))
+@example(n=63)   # the sizes at which a block's columns end on, next to or past a tile edge
+@example(n=64)
+@example(n=65)
+@example(n=255)
+@example(n=256)
+@example(n=257)
+@example(n=319)
+@example(n=320)
+@example(n=321)
+@example(n=513)
 @example(n=2000)
 @example(n=2049)
 @example(n=4097)
@@ -565,6 +612,22 @@ def test_circle_residuals_over_the_upper_triangle_equal_the_whole_square(n):
     # maxima must still come out the same
     for kind in ("polar", "equatorial"):
         assert _circle_residuals(kind, n) == ref_circle_residuals(kind, n)
+
+
+def test_circle_residuals_hold_fixed_tiles_whatever_the_size():
+    # the same 257 x 65 tile buffers at every size, so only the family arrays grow with n;
+    # whole-width row blocks peaked at 135 MB for 8192 states
+    def peak(n):
+        tracemalloc.start()
+        try:
+            _circle_residuals("equatorial", n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    family = state_family("equatorial", 8192)
+    arrays = family.state_vectors.nbytes + family.partner_vectors.nbytes
+    assert peak(8192) <= 1.1 * peak(1024) + arrays
 
 
 @pytest.mark.parametrize("n", [2, 255, 257, 300, 513, 700])

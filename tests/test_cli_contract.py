@@ -244,6 +244,19 @@ def test_iterations_count_fixed_point_steps_within_the_budget(restarts, max_eval
         assert record["converged"] == (record["gap"] <= 1e-9)
 
 
+def test_a_usage_error_leaves_the_shared_parser_as_a_fresh_process_finds_it(capsys):
+    # main builds its parser once per process; a refused command line that set --set and
+    # --grid-n before failing must not change what the next one parses to
+    assert exit_code(["witness", "--target", "hadamard9", "--set", "polar", "--grid-n", "x"],
+                     capsys)[0] == 1
+    argv = ["witness", "--target", "hadamard9", "--format", "json", "--seed", "3"]
+    code, out, _ = exit_code(argv, capsys)
+    fresh = subprocess.run([sys.executable, "-m", "qnogo", *argv], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert json.loads(out)["set"] == "bloch"
+
+
 def test_importing_the_cli_does_not_load_scipy():
     # a whole fidelity-sweep runs on numpy alone
     code = ("import sys, qnogo.cli\n"

@@ -96,8 +96,15 @@ def test_uniform_grid_integrates_degree_two_exactly():
 
 def test_uniform_grid_is_deterministic():
     a = uniform_grid(250).states
-    b = uniform_grid(250).states
+    b = uniform_grid.__wrapped__(250).states   # built again, not the shared grid
     assert np.array_equal(a, b)
+
+
+def test_uniform_grid_is_built_once_and_shared_read_only():
+    g = uniform_grid(250)
+    assert uniform_grid(250) is g
+    assert not g.states.flags.writeable
+    assert not g.weights.flags.writeable
 
 
 def test_isometry_param_validation():

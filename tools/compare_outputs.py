@@ -80,8 +80,8 @@ def main(argv=None) -> int:
                                      description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="tree of the parent commit")
     parser.add_argument("change", type=Path, help="tree of the change")
-    parser.add_argument("--grid-n", type=int, nargs="+", default=[2, 257, 2000],
-                        help="witness and circle-check sizes (default 2 257 2000)")
+    parser.add_argument("--grid-n", type=int, nargs="+", default=[2, 257, 321, 2000],
+                        help="witness and circle-check sizes (default 2 257 321 2000)")
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in (args.parent, args.change)]
     for tree in trees:
