@@ -5,101 +5,63 @@ into executable checks: exact constructions succeed on their restricted
 state families, the same demands fail on the whole sphere with explicit
 witness pairs, and the best achievable approximation is quantified by a
 fidelity optimizer over isometric machines.
+
+The public names below load with their submodule on first use (PEP 562),
+so `import qnogo.cli` or `import qnogo.dsl` pays for nothing it does not run.
 """
 
-from .algebra import (
-    ATOL_STATE,
-    ATOL_VERDICT,
-    SUPPORTED_DIMS,
-    AntiUnitaryMap,
-    GeneralKMap,
-    apply,
-    complement_map,
-    conjugation,
-    haar_unitaries,
-    inner_product,
-    is_unitary,
-    operator,
-    state_vector,
-    tensor,
-)
-from .dsl import (
-    CheckOptions,
-    CompiledMachine,
-    Diagnostic,
-    SourceUnit,
-    UnitReport,
-    check_source,
-    compile_unit,
-    parse,
-    pretty_print,
-    tokenize,
-)
-from .fidelity import (
-    FidelitySweepRecord,
-    IsometryParam,
-    OptimizerConfig,
-    QuadratureGrid,
-    average_fidelity,
-    optimize_fidelity,
-    records_to_csv,
-    sweep_lambda,
-    uniform_grid,
-)
-from .gates import (
-    UnequalAmplitudes,
-    cnot_computational,
-    cnot_in_basis,
-    hadamard,
-    hadamard_equatorial,
-    hadamard_polar,
-    pauli_in_basis,
-    unequal_gate,
-)
-from .states import (
-    Qubit,
-    StateSet,
-    bloch_set,
-    complement,
-    equatorial_gram,
-    equatorial_pair,
-    equatorial_set,
-    gram_pattern_residual,
-    ket_notation,
-    listed_set,
-    polar_gram,
-    polar_pair,
-    polar_set,
-    sample_bloch,
-    state_family,
-)
-from .verifier import (
-    MachineSpec,
-    SurveyResult,
-    TargetTransform,
-    Verdict,
-    WitnessResult,
-    audit_unequal,
-    check_cnot_universal,
-    check_universal_gate,
-    cloning_machine,
-    complementing_machine,
-    conjugating_machine,
-    hybrid_machine,
-    machine_deviation,
-    machine_deviations,
-    machine_output,
-    survey_random_unitaries,
-    target_clone,
-    target_cnot,
-    target_complement,
-    target_conjugate,
-    target_hadamard9,
-    target_hadamard10,
-    target_hybrid,
-    target_unequal,
-    target_rules,
-    witness_search,
-)
+import importlib
 
+_EXPORTS = {
+    "algebra": (
+        "ATOL_STATE", "ATOL_VERDICT", "SUPPORTED_DIMS", "AntiUnitaryMap", "GeneralKMap",
+        "apply", "complement_map", "conjugation", "haar_unitaries", "inner_product",
+        "is_unitary", "operator", "state_vector", "tensor",
+    ),
+    "dsl": (
+        "CheckOptions", "CompiledMachine", "Diagnostic", "SourceUnit", "UnitReport",
+        "check_source", "compile_unit", "parse", "pretty_print", "tokenize",
+    ),
+    "fidelity": (
+        "FidelitySweepRecord", "IsometryParam", "OptimizerConfig", "QuadratureGrid",
+        "average_fidelity", "optimize_fidelity", "records_to_csv", "sweep_lambda",
+        "uniform_grid",
+    ),
+    "gates": (
+        "UnequalAmplitudes", "cnot_computational", "cnot_in_basis", "hadamard",
+        "hadamard_equatorial", "hadamard_polar", "pauli_in_basis", "unequal_gate",
+    ),
+    "states": (
+        "Qubit", "StateSet", "bloch_set", "complement", "equatorial_gram", "equatorial_pair",
+        "equatorial_set", "gram_pattern_residual", "ket_notation", "listed_set", "polar_gram",
+        "polar_pair", "polar_set", "sample_bloch", "state_family",
+    ),
+    "verifier": (
+        "MachineSpec", "SurveyResult", "TargetTransform", "Verdict", "WitnessResult",
+        "audit_unequal", "check_cnot_universal", "check_universal_gate", "cloning_machine",
+        "complementing_machine", "conjugating_machine", "hybrid_machine", "machine_deviation",
+        "machine_deviations", "machine_output", "survey_random_unitaries", "target_clone",
+        "target_cnot", "target_complement", "target_conjugate", "target_hadamard9",
+        "target_hadamard10", "target_hybrid", "target_unequal", "target_rules",
+        "witness_search",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:   # a submodule, as `import qnogo` once loaded them all
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -28,17 +28,13 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
+from ._record import record
+from ._shared import GATE_NAMES, OPTIMIZER_DEFAULTS
 
-from .algebra import is_unitary, row_blocks
-from .dsl import CheckOptions, check_source
-from .fidelity import OptimizerConfig, records_to_csv, sweep_lambda, uniform_grid
-from .gates import NAMED_GATES, unequal_gate
-from .states import ket_notation, named_set, state_family
-from .verifier import check_cnot_universal, check_universal_gate, named_target, witness_search
+# Each subcommand imports the qnogo modules and numpy it runs, when it runs:
+# a process loads only what its command needs.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,6 +46,7 @@ SCHEMA_VERSION = "1"
 
 MAX_LAMBDAS = 10_001
 MAX_GRID_N = 65_536   # circle-check memory is fixed, but its time grows as n^2: 99 s on 2 cores
+MAX_NODES = 65_536    # fidelity-sweep quadrature nodes; the grid's arrays grow linearly
 _CIRCLE_TILE = 64     # columns: four 256 x 64 complex Gram tiles are 1 MiB, in a 2 MiB L2
 
 
@@ -68,7 +65,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     """Resolved options shared by the subcommands."""
 
@@ -105,8 +102,8 @@ def parse_complex(text: str) -> complex:
 def parse_lambda_values(text: str) -> list[float]:
     """--lambda accepts a single value, a comma list, or start:stop:step.
 
-    A range has at most MAX_LAMBDAS values; its parts are checked before
-    any value is built.
+    A list or a range has from 1 to MAX_LAMBDAS values; a range's parts
+    are checked before any value is built.
     """
     s = text.strip()
     if ":" in s:
@@ -133,7 +130,12 @@ def parse_lambda_values(text: str) -> list[float]:
         if not values:
             raise ValueError("empty lambda range")
     elif "," in s:
-        values = [float(p) for p in s.split(",") if p.strip()]
+        parts = [p for p in s.split(",") if p.strip()]
+        if not parts:
+            raise ValueError("empty lambda list")
+        if len(parts) > MAX_LAMBDAS:
+            raise ValueError(f"lambda list has more than {MAX_LAMBDAS} values")
+        values = [float(p) for p in parts]
     else:
         values = [float(s)]
     for v in values:
@@ -142,13 +144,22 @@ def parse_lambda_values(text: str) -> list[float]:
     return [v + 0.0 for v in values]   # -0.0 + 0.0 is 0.0
 
 
-def load_matrix_file(path: str) -> np.ndarray:
-    """Read a 2x2 or 4x4 complex matrix: one row per line, 're,im' entries."""
+def _read_text(path: str, what: str) -> str:
+    """A file's UTF-8 text: exit 4 when it cannot be read, 3 when it is not UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read matrix file {path!r}: {exc}")
+        raise _CliError(EXIT_IO, f"cannot read {what}{path!r}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_CONTENT, f"{what}{path!r} is not UTF-8 text: {exc}")
+
+
+def load_matrix_file(path: str) -> np.ndarray:
+    """Read a 2x2 or 4x4 complex matrix: one row per line, 're,im' entries."""
+    import numpy as np
+    from .algebra import is_unitary
+    raw = _read_text(path, "matrix file ")
     lines = [ln for ln in raw.splitlines() if ln.strip()]
     if len(lines) not in (2, 4):
         raise _CliError(EXIT_CONTENT,
@@ -178,6 +189,7 @@ def load_matrix_file(path: str) -> np.ndarray:
 
 def resolve_gate(token: str) -> np.ndarray:
     """A gate is a known name, UG(a=..,b=..), or a matrix file path."""
+    from .gates import NAMED_GATES, unequal_gate
     if token in NAMED_GATES:
         return NAMED_GATES[token]
     if token.startswith("UG(") and token.endswith(")"):
@@ -202,6 +214,7 @@ def resolve_gate(token: str) -> np.ndarray:
 
 
 def _resolve_target(name: str, a, b):
+    from .verifier import named_target
     if name == "unequal" and (a is None or b is None):
         raise _CliError(EXIT_USAGE, "target 'unequal' needs --a and --b weights")
     try:
@@ -211,6 +224,7 @@ def _resolve_target(name: str, a, b):
 
 
 def _qubit_json(q) -> dict:
+    from .states import ket_notation
     return {"ket": ket_notation(q),
             "amplitudes": [[q.alpha.real, q.alpha.imag],
                            [q.beta.real, q.beta.imag]]}
@@ -255,6 +269,8 @@ def _write_out(path: str | None, text: str) -> None:
 
 
 def cmd_gate_verify(args, cfg: RunConfig) -> int:
+    from .states import ket_notation, named_set
+    from .verifier import check_cnot_universal, check_universal_gate
     gate = resolve_gate(args.gate)
     target = _resolve_target(args.target, args.a, args.b)
     states = named_set(args.set, cfg.grid_n, cfg.seed)
@@ -296,6 +312,8 @@ def cmd_gate_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_witness(args, cfg: RunConfig) -> int:
+    from .states import ket_notation
+    from .verifier import witness_search
     target = _resolve_target(args.target, args.a, args.b)
     result = witness_search(target, n_samples=cfg.grid_n, seed=cfg.seed,
                             family=args.set)
@@ -324,6 +342,9 @@ def _circle_residuals(kind: str, n: int) -> tuple[float, float, float]:
     swapped-pattern off-diagonal residual).  The diagonal identity is
     shared; the off-diagonal sign is what distinguishes the circles.
     """
+    import numpy as np
+    from .algebra import row_blocks
+    from .states import state_family
     family = state_family(kind, n)
     s, p = family.state_vectors, family.partner_vectors
     grams = np.empty((4, 257 * min(_CIRCLE_TILE + 1, n)), complex)   # lone rows, columns join
@@ -375,6 +396,9 @@ def cmd_fidelity_sweep(args, cfg: RunConfig) -> int:
         lams = parse_lambda_values(args.lam)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
+    if not 1 <= args.nodes <= MAX_NODES:
+        raise _CliError(EXIT_USAGE, f"nodes must lie in [1, {MAX_NODES}], got {args.nodes}")
+    from .fidelity import OptimizerConfig, records_to_csv, sweep_lambda, uniform_grid
     grid = uniform_grid(args.nodes)
     ocfg = OptimizerConfig(ancilla_dim=args.ancilla_dim, restarts=args.restarts,
                            max_evals=args.max_evals, seed=cfg.seed, method=args.method,
@@ -390,11 +414,8 @@ def cmd_fidelity_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_dsl_check(args, cfg: RunConfig) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot read {args.file!r}: {exc}")
+    from .dsl import CheckOptions, check_source
+    text = _read_text(args.file, "")
     opts = CheckOptions(tolerance=cfg.tolerance, samples=args.samples,
                         seed=cfg.seed)
     report = check_source(text, args.file, opts)
@@ -454,7 +475,7 @@ def build_parser() -> _Parser:
 
     gv = subs.add_parser("gate-verify", parents=[], help="check one gate on a family")
     gv.add_argument("--gate", required=True,
-                    help="H | HP | HE | CNOT | UG(a=..,b=..) | matrix file")
+                    help=" | ".join(GATE_NAMES + ("UG(a=..,b=..)", "matrix file")))
     gv.add_argument("--target", required=True,
                     choices=("hadamard9", "hadamard10", "unequal", "cnot23"))
     gv.add_argument("--set", default="bloch",
@@ -480,15 +501,15 @@ def build_parser() -> _Parser:
     fs = subs.add_parser("fidelity-sweep", help="optimal fidelity vs lambda")
     fs.add_argument("--lambda", dest="lam", required=True,
                     help="single value, comma list, or start:stop:step")
-    opt = OptimizerConfig()
-    fs.add_argument("--mode", choices=("second-register", "joint"), default=opt.mode)
-    fs.add_argument("--ancilla-dim", type=int, default=opt.ancilla_dim)
-    fs.add_argument("--restarts", type=int, default=opt.restarts, help="most starts tried")
-    fs.add_argument("--max-evals", type=int, default=opt.max_evals, help="most steps per start")
-    fs.add_argument("--method", choices=("nelder-mead", "lbfgs"), default=opt.method,
+    fs.set_defaults(**OPTIMIZER_DEFAULTS)   # OptimizerConfig's, read without loading fidelity
+    fs.add_argument("--mode", choices=("second-register", "joint"))
+    fs.add_argument("--ancilla-dim", type=int)
+    fs.add_argument("--restarts", type=int, help="most starts tried")
+    fs.add_argument("--max-evals", type=int, help="most steps per start")
+    fs.add_argument("--method", choices=("nelder-mead", "lbfgs"),
                     help="legacy name; both run the one fixed-point solver")
     fs.add_argument("--nodes", type=int, default=200,
-                    help="minimum quadrature nodes (default 200)")
+                    help=f"minimum quadrature nodes, at most {MAX_NODES} (default 200)")
     fs.add_argument("--output-csv", action="store_true",
                     help="force CSV rows even in human mode")
     _add_common(fs, "unused for this subcommand")

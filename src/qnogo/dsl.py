@@ -26,30 +26,19 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, field
 
-import numpy as np
+from ._record import field, record
+from ._shared import GATE_NAMES
 
-from .gates import NAMED_GATES, unequal_gate
-from .states import Qubit, StateSet, complement, ket_notation, listed_set, named_set
-from .verifier import (
-    MachineSpec,
-    TargetTransform,
-    Verdict,
-    check_cnot_universal,
-    check_universal_gate,
-    hybrid_machine,
-    machine_deviations,
-    machine_output,
-    named_target,
-)
+# Lexing and parsing need nothing but the standard library.  numpy, gates,
+# states and verifier load in compile_unit and check, once a unit has parsed
+# cleanly, so a malformed unit is reported without them.
 
 ERROR = "error"
 WARNING = "warning"
 MAX_SAMPLES = 800_000   # a cnot check holds about 1.2 KB per sample: at most about 1 GB
 
-# a ket label is one to four of these, e.g. |0>, |+>, |01>, |1+->
-_KET_CHARS = "01+-"
+# a ket label is one to four of 0, 1, + and -, e.g. |0>, |+>, |01>, |1+->
 _KET_RE = re.compile(r"\|([01+\-]{1,4})>")
 _NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 _CPLX_RE = re.compile(
@@ -65,19 +54,16 @@ _MACHINE_TARGETS = ("clone", "complement", "conjugate", "hybrid")
 _GATE_TARGETS = ("hadamard9", "hadamard10", "unequal", "cnot")
 _FAMILIES = ("bloch", "polar", "equatorial", "list")
 
-_KET_VECTORS = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-    "-": np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0),
-}
+_R = 1.0 / math.sqrt(2.0)   # the bits of numpy's 1 / np.sqrt(2.0)
+_KET_AMPLITUDES = {"0": (1 + 0j, 0j), "1": (0j, 1 + 0j), "+": (_R + 0j, _R + 0j),
+                   "-": (_R + 0j, -_R + 0j)}
 
 # compile-time grace for hand-written amplitudes; exact values are
 # restored by renormalization before the strict model types see them
 _LITERAL_ATOL = 1e-6
 
 
-@dataclass(frozen=True)
+@record
 class SourceUnit:
     """Raw text plus where it came from (file path or '<stdin>')."""
 
@@ -85,7 +71,7 @@ class SourceUnit:
     origin: str = "<stdin>"
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     """A positioned problem report; renders as origin:line:col: severity: message."""
 
@@ -99,7 +85,7 @@ class Diagnostic:
         return f"{self.origin}:{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-@dataclass(frozen=True)
+@record
 class Token:
     kind: str
     value: str
@@ -202,7 +188,7 @@ def _parse_cplx(text: str) -> complex:
 # syntax tree
 
 
-@dataclass(frozen=True)
+@record
 class Term:
     """One additive term: a scalar coefficient times a product of kets."""
 
@@ -212,12 +198,12 @@ class Term:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class KetExpr:
     terms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     basis: str  # '0' or '1'
     expr: KetExpr
@@ -225,7 +211,7 @@ class Rule:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Extension:
     kind: str  # linear | antilinear | hybrid
     lam: float | None = None
@@ -233,7 +219,7 @@ class Extension:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Target:
     kind: str
     a: complex | None = None
@@ -241,7 +227,7 @@ class Target:
     lam: float | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Requirement:
     kind: str  # basis | universal
     family: str | None = None
@@ -251,7 +237,7 @@ class Requirement:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Candidate:
     name: str  # H | HP | HE | CNOT | UG
     a: complex | None = None
@@ -260,7 +246,7 @@ class Candidate:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class MachineNode:
     name: str
     rules: tuple[Rule, ...]
@@ -271,7 +257,7 @@ class MachineNode:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class Ast:
     machines: tuple[MachineNode, ...]
 
@@ -532,7 +518,7 @@ class _Parser:
         kw = self.advance()
         tok = self.expect("IDENT", "a gate name (H, HP, HE, CNOT, UG)")
         name = tok.value
-        if name in NAMED_GATES:
+        if name in GATE_NAMES:
             cand = Candidate(name, line=kw.line, column=kw.column)
         elif name == "UG":
             a, b = self.parse_weight_args()
@@ -614,7 +600,7 @@ def parse(tokens: list[Token], origin: str = "<stdin>") -> tuple[Ast, list[Diagn
 # compilation
 
 
-@dataclass(frozen=True)
+@record
 class CompiledMachine:
     """A checked unit member: model objects ready for the verifier.
 
@@ -638,12 +624,13 @@ class CompiledMachine:
 
 
 def _eval_ketexpr(expr: KetExpr) -> np.ndarray:
+    import numpy as np
     total = None
     for term in expr.terms:
         vec = np.ones(1, dtype=complex) * term.coefficient
         for label in term.kets:
             for ch in label:
-                vec = np.kron(vec, _KET_VECTORS[ch])
+                vec = np.kron(vec, _KET_AMPLITUDES[ch])
         if total is None:
             total = vec
         elif vec.size != total.size:
@@ -663,6 +650,7 @@ class _CompileError(Exception):
 
 def _normalized(vec: np.ndarray, where: tuple[int, int],
                 diags: list[Diagnostic], origin: str) -> np.ndarray:
+    import numpy as np
     with np.errstate(over="ignore"):   # huge amplitudes give an infinite norm
         norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > _LITERAL_ATOL:
@@ -674,6 +662,7 @@ def _normalized(vec: np.ndarray, where: tuple[int, int],
 
 
 def _compile_target(tgt: Target, where: tuple[int, int]) -> TargetTransform:
+    from .verifier import named_target
     try:
         if tgt.kind == "hybrid" and not 0.0 <= tgt.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
@@ -684,6 +673,8 @@ def _compile_target(tgt: Target, where: tuple[int, int]) -> TargetTransform:
 
 def _compile_machine_spec(m: MachineNode, diags: list[Diagnostic],
                           origin: str) -> MachineSpec:
+    import numpy as np
+    from .verifier import MachineSpec, hybrid_machine
     by_basis = {r.basis: r for r in m.rules}
     outs = {}
     for basis in ("0", "1"):
@@ -725,6 +716,7 @@ def _compile_machine_spec(m: MachineNode, diags: list[Diagnostic],
 
 
 def _compile_candidate(c: Candidate) -> np.ndarray:
+    from .gates import NAMED_GATES, unequal_gate
     if c.name == "UG":
         try:
             return unequal_gate((c.a, c.b))
@@ -753,6 +745,7 @@ def compile_unit(ast: Ast, origin: str = "<stdin>"
 
 def _compile_one(m: MachineNode, diags: list[Diagnostic],
                  origin: str) -> CompiledMachine:
+    from .states import Qubit
     spec = _compile_machine_spec(m, diags, origin) if m.rules else None
     candidate = _compile_candidate(m.candidate) if m.candidate else None
     req = m.requirement
@@ -765,7 +758,7 @@ def _compile_one(m: MachineNode, diags: list[Diagnostic],
         if bad:
             raise _CompileError("listed states must be single qubits",
                                 req.line, req.column)
-        listed = tuple(Qubit(*_KET_VECTORS[label]) for label in req.listed)
+        listed = tuple(Qubit(*_KET_AMPLITUDES[label]) for label in req.listed)
     if candidate is not None:
         need = 4 if target.kind == "cnot" else 2
         if candidate.shape[0] != need:
@@ -787,7 +780,7 @@ def _compile_one(m: MachineNode, diags: list[Diagnostic],
 # checking
 
 
-@dataclass(frozen=True)
+@record
 class CheckOptions:
     """Knobs shared by every check: tolerance, sample count, seed."""
 
@@ -803,6 +796,7 @@ class CheckOptions:
 
 
 def _family_states(c: CompiledMachine, opts: CheckOptions) -> StateSet:
+    from .states import listed_set, named_set
     if c.listed is not None:
         return listed_set(list(c.listed), name="list")
     return named_set(c.family, opts.samples, opts.seed)
@@ -818,6 +812,7 @@ def check(c: CompiledMachine, opts: CheckOptions = CheckOptions()
     and gate targets check the candidate against the per-state rules.
     Returns the verdict and a deterministic multi-line report.
     """
+    from .verifier import check_cnot_universal, check_universal_gate
     if c.requirement == "basis":
         verdict = _check_basis(c, opts)
     elif c.is_gate_check:
@@ -833,9 +828,12 @@ def check(c: CompiledMachine, opts: CheckOptions = CheckOptions()
 
 
 def _check_basis(c: CompiledMachine, opts: CheckOptions) -> Verdict:
+    import numpy as np
+    from .states import Qubit, complement
+    from .verifier import Verdict, machine_output
     worst = 0.0
     for basis, out in (("0", c.machine.out0), ("1", c.machine.out1)):
-        q = Qubit(*_KET_VECTORS[basis])
+        q = Qubit(*_KET_AMPLITUDES[basis])
         actual = machine_output(c.machine, q)
         overlap_sq = abs(np.vdot(out, actual)) ** 2
         worst = max(worst, float(min(max(1.0 - overlap_sq, 0.0), 1.0)))
@@ -850,6 +848,9 @@ def _check_basis(c: CompiledMachine, opts: CheckOptions) -> Verdict:
 
 
 def _check_machine_target(c: CompiledMachine, opts: CheckOptions) -> Verdict:
+    import numpy as np
+    from .states import complement
+    from .verifier import Verdict, machine_deviations
     states = _family_states(c, opts)
     deviations = machine_deviations(c.machine, c.target, states)
     i = int(np.argmax(deviations))
@@ -862,6 +863,7 @@ def _check_machine_target(c: CompiledMachine, opts: CheckOptions) -> Verdict:
 
 
 def _describe_requirement(c: CompiledMachine) -> str:
+    from .states import ket_notation
     if c.requirement == "basis":
         return "basis"
     fam = c.family
@@ -871,6 +873,7 @@ def _describe_requirement(c: CompiledMachine) -> str:
 
 
 def _report(c: CompiledMachine, verdict: Verdict) -> str:
+    from .states import ket_notation
     lines = [f"machine {c.name}: {verdict.status}",
              f"  requirement: {_describe_requirement(c)}",
              f"  condition: {verdict.condition}",
@@ -887,7 +890,7 @@ def _report(c: CompiledMachine, verdict: Verdict) -> str:
 # whole-unit convenience and pretty-printing
 
 
-@dataclass(frozen=True)
+@record
 class UnitReport:
     """Everything a caller needs after checking one source unit."""
 

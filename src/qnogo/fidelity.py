@@ -21,18 +21,19 @@ optimum is a small SDP, solved with numpy alone and certified by its dual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import record
+from ._shared import OPTIMIZER_DEFAULTS
 from .algebra import kron_rows
 from .states import _bloch_rows, _checked, _complements
 
 _MODES = ("second-register", "joint")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class QuadratureGrid:
     """Weighted states over which fidelities are averaged.
 
@@ -96,7 +97,7 @@ def uniform_grid(n_min: int = 200) -> QuadratureGrid:
     return QuadratureGrid(_bloch_rows(theta, phi), np.full(len(pts), 1.0 / len(pts)))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class IsometryParam:
     """A (4*ancilla_dim) x 2 isometry from the input qubit to the output registers."""
 
@@ -152,7 +153,7 @@ def average_fidelity(v: IsometryParam, lam: float, grid: QuadratureGrid,
     return min(val, 1.0)
 
 
-@dataclass(frozen=True)
+@record
 class OptimizerConfig:
     """Settings for the fidelity search; the CLI's defaults are these.
 
@@ -161,12 +162,12 @@ class OptimizerConfig:
     "nelder-mead" both run the one fixed-point solver.
     """
 
-    ancilla_dim: int = 2
-    restarts: int = 8
-    max_evals: int = 4000
+    ancilla_dim: int = OPTIMIZER_DEFAULTS["ancilla_dim"]
+    restarts: int = OPTIMIZER_DEFAULTS["restarts"]
+    max_evals: int = OPTIMIZER_DEFAULTS["max_evals"]
     seed: int = 42
-    method: str = "lbfgs"
-    mode: str = "second-register"
+    method: str = OPTIMIZER_DEFAULTS["method"]
+    mode: str = OPTIMIZER_DEFAULTS["mode"]
 
     def __post_init__(self):
         if not 1 <= self.ancilla_dim <= 4:
@@ -179,7 +180,7 @@ class OptimizerConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@record
 class FidelitySweepRecord:
     """One optimized point of the fidelity-vs-lam curve: the returned isometry
     achieves f_opt, and the optimum lies in [f_opt, f_upper], gap = f_upper - f_opt.
@@ -207,7 +208,7 @@ class FidelitySweepRecord:
                 "f_upper": self.f_upper, "gap": self.gap, "kraus_rank": self.kraus_rank}
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class OptimizationResult:
     """Best isometry found and its sweep record."""
 

@@ -12,10 +12,10 @@ with each other, which is what the universality audits probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
+from ._shared import GATE_NAMES
 from .algebra import operator
 from .states import Qubit, complement
 
@@ -37,12 +37,12 @@ cnot_computational = np.array([[1, 0, 0, 0],
                                [0, 0, 1, 0]], dtype=complex)
 cnot_computational.setflags(write=False)
 
-# the gate names shared by the command line and the DSL
-NAMED_GATES = {"H": hadamard, "HP": hadamard_polar, "HE": hadamard_equatorial,
-               "CNOT": cnot_computational}
+# the gates named on the command line and in the DSL
+NAMED_GATES = dict(zip(GATE_NAMES, (hadamard, hadamard_polar, hadamard_equatorial,
+                                    cnot_computational), strict=True))
 
 
-@dataclass(frozen=True)
+@record
 class UnequalAmplitudes:
     """Real mixing weights (a, b) with a^2 + b^2 = 1 for the rotation gate."""
 

@@ -17,16 +17,15 @@ families as (n, 2) arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .algebra import abs_squared, inner_product, state_vector
 
 _TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
+@record
 class Qubit:
     """A single-qubit pure state with validated amplitudes."""
 
@@ -174,7 +173,7 @@ def sample_bloch(n: int, seed: int | None = None,
     return [Qubit(*row) for row in _sphere_draw(n, rng)]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class StateSet:
     """A named family of (state, partner) pairs used as rule inputs.
 

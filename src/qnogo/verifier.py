@@ -17,11 +17,11 @@ between required-output and input inner products.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._record import record
 from .algebra import (
     ATOL_VERDICT,
     GeneralKMap,
@@ -65,7 +65,7 @@ def _ancilla(value) -> np.ndarray:
     return state_vector(value)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class MachineSpec:
     """A candidate machine, defined by its outputs on basis inputs.
 
@@ -195,7 +195,7 @@ def _unit_weights(a, b) -> tuple[complex, complex]:
     return a, b
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TargetTransform:
     """What the machine or gate is demanded to do for every input state.
 
@@ -361,7 +361,7 @@ def audit_unequal(a, b, theta_pair: tuple[float, float]) -> float:
     return float(abs(term))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Verdict:
     """Outcome of a realizability check.
 
@@ -442,7 +442,7 @@ def check_cnot_universal(candidate, states, tol: float = ATOL_VERDICT) -> Verdic
     return _check_rules(candidate, target_cnot(), states, tol)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class WitnessResult:
     """Worst pair found by witness_search."""
 
@@ -574,7 +574,7 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
                          condition="pairwise-overlap-consistency")
 
 
-@dataclass(frozen=True)
+@record
 class SurveyResult:
     """Outcome of scanning random candidate gates against a rule target."""
 

@@ -17,8 +17,19 @@ from pathlib import Path
 
 import pytest
 
+import qnogo
 import qnogo.cli
-from qnogo.cli import MAX_GRID_N, RunConfig, main, parse_complex, parse_lambda_values
+import qnogo.dsl
+import qnogo.fidelity
+from qnogo.cli import (
+    MAX_GRID_N,
+    MAX_LAMBDAS,
+    MAX_NODES,
+    RunConfig,
+    main,
+    parse_complex,
+    parse_lambda_values,
+)
 from qnogo.dsl import MAX_SAMPLES, CheckOptions
 from qnogo.gates import UnequalAmplitudes
 from qnogo.states import polar_set
@@ -173,13 +184,53 @@ def test_grid_sizes_above_the_cap_exit_1_before_any_family(argv, value, monkeypa
 
 @pytest.mark.parametrize("value", [MAX_SAMPLES + 1, 10**12])
 def test_sample_counts_above_the_cap_exit_1_before_any_family(value, monkeypatch, capsys):
-    monkeypatch.setattr(qnogo.cli, "check_source", _forbidden)
+    monkeypatch.setattr(qnogo.dsl, "check_source", _forbidden)
     code, out, err = exit_code(["dsl-check", CLONE, "--samples", str(value)], capsys)
     assert code == 1
     assert out == ""
     assert err == f"qnogo: samples must lie in [1, {MAX_SAMPLES}], got {value}\n"
     with pytest.raises(ValueError, match="samples"):
         CheckOptions(samples=value)
+
+
+@pytest.mark.parametrize("value", [MAX_NODES + 1, 10**8])
+def test_node_counts_above_the_cap_exit_1_before_any_grid(value, monkeypatch, capsys):
+    # 10^6 nodes took 5.5 s and 433 MB; 65 536 take about 0.5 s and 63 MB (whole process)
+    monkeypatch.setattr(qnogo.fidelity, "uniform_grid", _forbidden)
+    code, out, err = exit_code(["fidelity-sweep", "--lambda", "0.5", "--nodes", str(value)],
+                               capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"qnogo: nodes must lie in [1, {MAX_NODES}], got {value}\n"
+
+
+@pytest.mark.parametrize("text,message", [
+    (",", "empty lambda list"),
+    (" , ,", "empty lambda list"),
+    (",".join(["0.5"] * (MAX_LAMBDAS + 1)), f"lambda list has more than {MAX_LAMBDAS} values"),
+])
+def test_lambda_lists_are_refused_when_empty_or_over_the_range_cap(text, message, monkeypatch,
+                                                                   capsys):
+    # "," ran no weight and exited 0 with "records": []; a list skipped the range's cap
+    monkeypatch.setattr(qnogo.fidelity, "sweep_lambda", _forbidden)
+    code, out, err = exit_code(["fidelity-sweep", f"--lambda={text}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"qnogo: {message}\n"
+    assert parse_lambda_values(",".join(["1"] * MAX_LAMBDAS) + ",") == [1.0] * MAX_LAMBDAS
+
+
+@pytest.mark.parametrize("argv", [["dsl-check", "{path}"],
+                                  ["gate-verify", "--gate", "{path}", "--target", "hadamard9"]])
+def test_undecodable_files_exit_3_naming_the_file(argv, tmp_path, capsys):
+    # a UnicodeDecodeError is a ValueError, which ended as exit 1 without the file's name
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# r\u00e9sum\u00e9\nmachine main;\n".encode("latin-1"))
+    code, out, err = exit_code([a.format(path=path) for a in argv], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("qnogo: ") and err.count("\n") == 1
+    assert f"{str(path)!r} is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9" in err
 
 
 def test_the_caps_admit_every_size_the_suite_and_benchmark_use():
@@ -266,3 +317,47 @@ def test_importing_the_cli_does_not_load_scipy():
                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert len(run.stdout.splitlines()) == 4
     assert run.stderr == "False"
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
+def test_importing_the_cli_loads_neither_numpy_nor_the_dsl_nor_fidelity():
+    # each subcommand imports what it runs when it runs
+    run = _python("import sys, qnogo.cli\n"
+                  "sys.stdout.write(' '.join(m for m in ('numpy', 'qnogo.dsl', 'qnogo.fidelity')"
+                  " if m in sys.modules))")
+    assert run.stdout == ""
+
+
+@pytest.mark.parametrize("stem", ["invalid_bad_ket", "invalid_missing_extend", "invalid_syntax"])
+def test_a_malformed_unit_exits_3_without_loading_numpy(stem):
+    # lexing and parsing are numpy-free, and compile_unit runs only on a clean parse
+    path = str(ROOT / "machines" / f"{stem}.qmachine")
+    run = _python("import sys, qnogo.cli\n"
+                  f"code = qnogo.cli.main(['dsl-check', {path!r}])\n"
+                  "sys.stdout.write(f'{code} {\"numpy\" in sys.modules}')")
+    assert run.stdout == "3 False"
+    lines = run.stderr.splitlines()
+    assert lines and all(line.startswith(f"{path}:") and ": error: " in line for line in lines)
+
+
+def test_every_public_name_resolves_to_its_submodule_object():
+    # qnogo/__init__ loads a submodule on first use of one of its names
+    run = _python("import importlib, sys, qnogo\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('qnogo')))\n"
+                  "mods = [importlib.import_module('qnogo.' + m) for m in\n"
+                  "        ('algebra', 'dsl', 'fidelity', 'gates', 'states', 'verifier')]\n"
+                  "print([n for n in qnogo.__all__\n"
+                  "       if not any(vars(m).get(n, qnogo) is getattr(qnogo, n) for m in mods)])")
+    assert run.stdout.splitlines() == ["['qnogo']", "[]"]
+    assert len(qnogo.__all__) == len(set(qnogo.__all__)) == 82
+    star = {}
+    exec("from qnogo import *", star)
+    assert set(star) - {"__builtins__"} == set(qnogo.__all__)
+    assert set(qnogo.__all__) <= set(dir(qnogo))
+    assert qnogo.states is sys.modules["qnogo.states"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qnogo.no_such_name

@@ -28,9 +28,21 @@ def test_every_workload_command_and_the_witness_matrix_run_at_both_seeds():
 
 
 def test_a_difference_names_the_exit_code_or_the_first_line_that_differs():
-    same = (0, b'{\n  "violation": 1.0\n}\n')
+    same = (0, b'{\n  "violation": 1.0\n}\n', b"")
     assert compare_outputs.difference(same, same) is None
-    assert compare_outputs.difference(same, (2, same[1])) == "exit 0 -> 2"
-    report = compare_outputs.difference(same, (0, b'{\n  "violation": 1.5\n}\n'))
+    assert compare_outputs.difference(same, (2, *same[1:])) == "exit 0 -> 2"
+    report = compare_outputs.difference(same, (0, b'{\n  "violation": 1.5\n}\n', b""))
     assert report.startswith("stdout line 2:") and "1.5" in report
-    assert compare_outputs.difference(same, (0, same[1] + b"extra\n")).startswith("stdout line 4")
+    assert compare_outputs.difference(same, (0, same[1] + b"extra\n", b"")).startswith(
+        "stdout line 4")
+
+
+def test_stderr_is_compared_after_the_exit_code_and_stdout():
+    # the diagnostics of a malformed unit go to stderr, with exit 3 and nothing on stdout
+    bad = (3, b"", b"m.qmachine:3:8: error: expected '->', found '0'\n")
+    assert compare_outputs.difference(bad, bad) is None
+    moved = (3, b"", b"m.qmachine:3:9: error: expected '->', found '0'\n")
+    report = compare_outputs.difference(bad, moved)
+    assert report.startswith("stderr line 1:") and "3:9" in report
+    assert compare_outputs.difference(bad, (3, b"", b"")).startswith("stderr line 1:")
+    assert compare_outputs.difference(bad, (3, b"x\n", b"")).startswith("stdout line 1:")

@@ -13,8 +13,9 @@ read the same in both.  The commands are
   * circle-check at each --grid-n,
 
 each at seeds 0 and 42, two commands at a time.  A command whose exit
-code or stdout differs between the trees is printed with the first line
-that differs, and the script exits 1 if there is one, 0 if all agree.
+code, stdout or stderr differs between the trees is printed with the
+first line that differs, and the script exits 1 if there is one, 0 if
+all agree.
 """
 
 from __future__ import annotations
@@ -53,26 +54,28 @@ def commands(grid_sizes) -> list[tuple[str, ...]]:
     return list(dict.fromkeys(argvs))
 
 
-def run(tree: Path, argv: tuple[str, ...]) -> tuple[int, bytes]:
+def run(tree: Path, argv: tuple[str, ...]) -> tuple[int, bytes, bytes]:
     env = {k: v for k, v in os.environ.items() if k not in ("QNOGO_SEED", "PYTHONPATH")}
     env["PYTHONPATH"] = str(tree / "src")
     done = subprocess.run([sys.executable, "-m", "qnogo", *argv], cwd=tree, env=env,
                           capture_output=True, timeout=600)
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
-def difference(before: tuple[int, bytes], after: tuple[int, bytes]) -> str | None:
-    """How two (exit code, stdout) results differ, or None when they agree."""
+def difference(before: tuple[int, bytes, bytes], after: tuple[int, bytes, bytes]) -> str | None:
+    """How two (exit code, stdout, stderr) results differ, or None when they agree."""
     if before[0] != after[0]:
         return f"exit {before[0]} -> {after[0]}"
-    if before[1] == after[1]:
-        return None
-    old, new = before[1].splitlines(), after[1].splitlines()
-    for k, (a, b) in enumerate(itertools.zip_longest(old, new, fillvalue=b"")):
-        if a != b:
-            return f"stdout line {k + 1}: {a.decode(errors='replace')!r} -> " \
-                   f"{b.decode(errors='replace')!r}"
-    return "stdout differs"
+    for stream, old, new in (("stdout", before[1], after[1]), ("stderr", before[2], after[2])):
+        if old == new:
+            continue
+        pairs = itertools.zip_longest(old.splitlines(), new.splitlines(), fillvalue=b"")
+        for k, (a, b) in enumerate(pairs):
+            if a != b:
+                return f"{stream} line {k + 1}: {a.decode(errors='replace')!r} -> " \
+                       f"{b.decode(errors='replace')!r}"
+        return f"{stream} differs"
+    return None
 
 
 def main(argv=None) -> int:
