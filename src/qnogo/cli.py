@@ -261,7 +261,7 @@ def _write_out(path: str | None, text: str) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise _CliError(EXIT_IO, f"cannot write {path!r}: {exc}")
+        raise _CliError(EXIT_IO, f"cannot write {path!r}: {exc.strerror}")   # not the temp name
 
 
 # ---------------------------------------------------------------------------

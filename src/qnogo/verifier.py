@@ -51,11 +51,12 @@ _SCALAR = np.ones(1, dtype=complex)
 _BASIS = np.eye(2, dtype=complex)
 _BASIS.setflags(write=False)
 
-_SCREEN_MARGIN = 1e-12   # over twice the screen's error, 1e-14 on squared gaps of at most 4
-# Columns per tile in both passes, one more where row_blocks joins a lone last column: the
-# temporaries stay in cache, and tiles that start at the block edge and are this wide keep
-# BLAS's column groups, so every entry keeps its bits.
-_SCREEN_TILE = 1024
+_SCREEN_MARGIN = 1e-12   # over twice the screen's error: 1e-14 rounding, 5e-14 from _reduced
+# Columns per tile, one more where row_blocks joins a lone last column.  The estimate's tiles
+# stay in cache; exact tiles that start at the block edge and are this wide keep BLAS's
+# column groups, so every entry keeps its bits.
+_SCREEN_TILE = 256
+_EXACT_TILE = 1024
 _CNOT_RULES = [("s", "s", "s", "s"), ("s", "p", "s", "p"), ("p", "s", "p", "p"), ("p", "p", "p", "s")]
 
 
@@ -455,23 +456,36 @@ def _squares(v: np.ndarray) -> np.ndarray:
     """Real rows whose dot products are the squared moduli |<x|y>|^2 of the rows of v."""
     a, b = np.triu_indices(v.shape[1], 1)
     upper = np.sqrt(2.0) * v[:, a] * v[:, b].conj()
-    return np.hstack([abs_squared(v), upper.real, upper.imag])
+    return np.hstack([v.real * v.real + v.imag * v.imag, upper.real, upper.imag])
+
+
+def _reduced(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left q, right q), q an orthonormal basis of the span of left's rows, when that has
+    fewer dimensions and keeps every product left_i . right_j to 5e-14; else (left, right)."""
+    w, v = np.linalg.eigh(left.T @ left)
+    q = v[:, w > 1e-12 * w[-1]]
+    lq = left @ q
+    if q.shape == v.shape or row_norms(left - lq @ q.T).max() * row_norms(right).max() > 5e-14:
+        return left, right
+    return lq, right @ q
 
 
 def _screen_terms(s, p, o1) -> list:
-    """The screen's products as pairs of real rows, built once per scan; o1 is None for cnot."""
+    """The screen's products as pairs of real rows in the few dimensions the family spans,
+    built once per scan; o1 is None for cnot."""
     if o1 is not None:   # <s_i|s_j> - <o_i|o_j> is one product of the rows (s, o1) and (s, -o1)
-        return [((_squares(np.hstack([s, o1])), _squares(np.hstack([s, -o1]))),)]
+        return [(_reduced(_squares(np.hstack([s, o1])), _squares(np.hstack([s, -o1]))),)]
     # Every rule keeps its control: a rule pair's gap is |g[c1 c2]| |g[t1 t2] - g[t1' t2']|,
     # 0 for two s controls, else the larger of two differences, each one product.
     ss, ps, ds, qs, r1, r2 = (_squares(np.hstack(v)) for v in (
         [s], [p], [s - p], [s, p], [s, -p], [p, -s]))
-    return [((ss, ps), (ss, ds), (ps, ds)), ((ps, ss), (ds, ss), (ds, ps)),
-            ((ps, ps), (qs, r1), (qs, r2))]
+    return [tuple(_reduced(*pair) for pair in term) for term in (
+        ((ss, ps), (ss, ds), (ps, ds)), ((ps, ss), (ds, ss), (ds, ps)),
+        ((ps, ps), (qs, r1), (qs, r2)))]
 
 
 def _tile_estimate(terms, buf, lo: int, hi: int, c0: int, c1: int) -> np.ndarray:
-    """The squared gaps of rows lo:hi x columns c0:c1 to 1e-14, -1 where j <= i, in buf."""
+    """The squared gaps of rows lo:hi x columns c0:c1 to 6e-14, -1 where j <= i, in buf."""
     m, w = hi - lo, c1 - c0
     est, *out = (b[:m * w].reshape(m, w) for b in buf)
     if not out:   # a single-qubit target: one product, straight into the estimate
@@ -498,12 +512,13 @@ def _mask_lower(tile: np.ndarray, lo: int, c0: int) -> np.ndarray:   # rows lo:,
     return tile
 
 
-def _witness_screen(terms, blocks) -> list[float]:
-    """The largest squared gap of each row block over pairs j > i, to 1e-14."""
+def _witness_screen(terms, blocks) -> list[list[float]]:
+    """The largest squared gap over pairs j > i of each row block, per column tile of
+    row_blocks(n - lo, _SCREEN_TILE) from the block's first row, to 6e-14."""
     n, size = len(terms[0][0][0]), max(hi - lo for lo, hi in blocks)
     buf = np.empty((1 if len(terms) == 1 else 4, size * min(_SCREEN_TILE + 1, n)))   # all tiles
-    return [max(float(_tile_estimate(terms, buf, lo, hi, lo + c0, lo + c1).max())
-                for c0, c1 in row_blocks(n - lo, _SCREEN_TILE)) for lo, hi in blocks]
+    return [[float(_tile_estimate(terms, buf, lo, hi, lo + c0, lo + c1).max())
+             for c0, c1 in row_blocks(n - lo, _SCREEN_TILE)] for lo, hi in blocks]
 
 
 def _witness_tile(s, p, o1, terms, buf, floor: float, lo: int, hi: int, c0: int, c1: int):
@@ -546,7 +561,7 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
 
     Deterministic for a fixed seed; ties break to the first pair found in
     (i, j) order.  The scan is exhaustive, in row blocks to bound memory;
-    blocks and cnot cells that a cheap screen rules out are skipped, which changes no bit.
+    column tiles and cnot cells that a cheap screen rules out are skipped, which changes no bit.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples to form a pair")
@@ -559,13 +574,17 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     o1 = None if t.kind == "cnot" else _rule_table(t, s, p)[1][0]
     terms, blocks = _screen_terms(s, p, o1), list(row_blocks(n, chunk))
     squares = _witness_screen(terms, blocks)
-    floor = max(squares) - _SCREEN_MARGIN
+    floor = max(map(max, squares)) - _SCREEN_MARGIN
     size = max(hi - lo for lo, hi in blocks)
     # every exact tile reuses these: two Gram tiles, or for cnot one and the estimate's four
-    buf = np.empty((2 if o1 is not None else 3, size * min(_SCREEN_TILE + 1, n)), complex)
+    buf = np.empty((2 if o1 is not None else 3, size * min(_EXACT_TILE + 1, n)), complex)
     best_v, best_i, best_j = -1.0, 0, 1
-    for lo, hi in [b for b, square in zip(blocks, squares) if square >= floor]:
-        for c0, c1 in row_blocks(n - lo, _SCREEN_TILE):   # only j >= lo holds j > i
+    for (lo, hi), tiles in zip(blocks, squares):
+        screened = list(zip(row_blocks(n - lo, _SCREEN_TILE), tiles))
+        for c0, c1 in row_blocks(n - lo, _EXACT_TILE):   # only j >= lo holds j > i
+            # a tile that meets no estimate tile at the floor holds neither the maximum nor a tie
+            if all(e1 <= c0 or c1 <= e0 or square < floor for (e0, e1), square in screened):
+                continue
             v, i, j = _witness_tile(s, p, o1, terms, buf, floor, lo, hi, lo + c0, lo + c1)
             if v > best_v or v == best_v and i < best_i:   # the first pair in (i, j) order
                 best_v, best_i, best_j = v, i, j

@@ -7,12 +7,14 @@ the same numbers bit for bit, and the same witness on ties.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qnogo.verifier
 from qnogo.algebra import haar_unitaries, row_blocks
 from qnogo.cli import _circle_residuals
 from qnogo.gates import (
@@ -55,8 +57,10 @@ from qnogo.verifier import (
     witness_search,
 )
 from qnogo.verifier import (
+    _EXACT_TILE,
     _SCREEN_MARGIN,
     _mask_lower,
+    _reduced,
     _screen_terms,
     _tri_mask,
     _witness_screen,
@@ -454,7 +458,7 @@ def test_screened_witness_search_equals_the_exhaustive_scan(kind, weights, name,
     assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
 
 
-@pytest.mark.parametrize("kind,name,seed,n,chunk,tile", [
+TILED_SCANS = [
     ("hadamard9", "bloch", 0, 300, 8, 16), ("hadamard10", "equatorial", 1, 257, 5, 16),
     ("unequal", "bloch", 4, 301, 16, 32), ("cnot", "bloch", 3, 120, 1, 16),
     ("cnot", "polar", 5, 150, 7, 32), ("cnot", "equatorial", 6, 97, 4, 16),
@@ -466,11 +470,13 @@ def test_screened_witness_search_equals_the_exhaustive_scan(kind, weights, name,
     ("unequal", "polar", 3, 286, 40, 32),
     # six equator points and their antipodes: the six antipodal pairs all have cnot gap 1, so
     # the top squared gaps lie within 1e-14 of each other and only the margin keeps the first
-    ("cnot", "antipodes", 0, 12, 4, 16)])
-def test_the_exact_pass_in_column_tiles_equals_the_exhaustive_scan(monkeypatch, kind, name,
-                                                                   seed, n, chunk, tile):
+    ("cnot", "antipodes", 0, 12, 4, 16)]
+
+
+def check_tiled_scan(monkeypatch, kind, name, seed, n, chunk, screen_tile, exact_tile):
     # tiles far narrower than the family, so each certified block spans several of them
-    monkeypatch.setattr("qnogo.verifier._SCREEN_TILE", tile)
+    monkeypatch.setattr("qnogo.verifier._SCREEN_TILE", screen_tile)
+    monkeypatch.setattr("qnogo.verifier._EXACT_TILE", exact_tile)
     a, b = 0.6, 0.8
     if name == "antipodes":   # hand-built, so witness_search is handed it in place of a draw
         s, p = ref_equator(np.concatenate([np.arange(n // 2) * 0.5,
@@ -485,6 +491,22 @@ def test_the_exact_pass_in_column_tiles_equals_the_exhaustive_scan(monkeypatch, 
     assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
 
 
+@pytest.mark.parametrize("kind,name,seed,n,chunk,tile", TILED_SCANS)
+def test_the_exact_pass_in_column_tiles_equals_the_exhaustive_scan(monkeypatch, kind, name,
+                                                                   seed, n, chunk, tile):
+    check_tiled_scan(monkeypatch, kind, name, seed, n, chunk, tile, tile)
+
+
+@pytest.mark.parametrize("exact", ["twice", "half"])
+@pytest.mark.parametrize("kind,name,seed,n,chunk,tile", TILED_SCANS)
+def test_exact_tiles_wider_or_narrower_than_the_estimate_tiles_change_no_bit(
+        monkeypatch, kind, name, seed, n, chunk, tile, exact):
+    # an exact tile is skipped unless an estimate tile it meets reaches the floor, so each
+    # exact tile must be matched to every estimate tile it overlaps, not only to aligned ones
+    check_tiled_scan(monkeypatch, kind, name, seed, n, chunk, tile,
+                     {"twice": 2 * tile, "half": tile // 2}[exact])
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["hadamard9", "hadamard10", "unequal", "cnot"]),
        weights=unit_weights(), name=FAMILIES, seed=SEEDS,
@@ -496,9 +518,52 @@ def test_the_screen_estimates_each_block_maximum_well_inside_the_margin(kind, we
     s, p = ref_sampled(name, n, seed)
     o1 = None if kind == "cnot" else ref_rules(kind, s, p, a, b)[0][1]
     blocks = list(row_blocks(n, chunk))
-    for (lo, hi), square in zip(blocks, _witness_screen(_screen_terms(s, p, o1), blocks)):
+    for (lo, hi), tiles in zip(blocks, _witness_screen(_screen_terms(s, p, o1), blocks)):
         exact = ref_witness(kind, s, p, chunk, a, b, [(lo, hi)])[0]
-        assert abs(square - exact * exact) <= _SCREEN_MARGIN / 10
+        assert abs(max(tiles) - exact * exact) <= _SCREEN_MARGIN / 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["hadamard9", "hadamard10", "unequal", "cnot"]),
+       weights=unit_weights(), name=FAMILIES, seed=SEEDS, n=st.integers(2, 400))
+def test_the_reduced_rows_keep_every_screen_product_to_5e_14(kind, weights, name, seed, n):
+    a, b = weights
+    s, p = ref_sampled(name, n, seed)
+    o1 = None if kind == "cnot" else ref_rules(kind, s, p, a, b)[0][1]
+    with mock.patch("qnogo.verifier._reduced", lambda left, right: (left, right)):
+        full = _screen_terms(s, p, o1)
+    for term, full_term in zip(_screen_terms(s, p, o1), full, strict=True):
+        for (left, right), (full_left, full_right) in zip(term, full_term, strict=True):
+            assert left.shape[1] <= full_left.shape[1]
+            assert np.abs(left @ right.T - full_left @ full_right.T).max() <= 5e-14
+
+
+@pytest.mark.parametrize("off_span", [1.0, 1e-8])
+def test_rows_that_span_every_dimension_come_back_unchanged(off_span):
+    # random rows span all 16 columns; rows in 6 of them plus 1e-8 in the other 10 have
+    # eigenvalues below 1e-12 of the largest there, but residuals far above 5e-14
+    rng = np.random.default_rng(0)
+    left, right = rng.standard_normal((2, 300, 16))
+    left[:, 6:] *= off_span
+    assert all(x is y for x, y in zip(_reduced(left, right), (left, right)))
+
+
+@pytest.mark.parametrize("name,fewer", [("bloch", True), ("polar", False)])
+def test_the_exact_pass_skips_the_tiles_no_estimate_tile_reaches(monkeypatch, name, fewer):
+    # bloch has one block whose estimate reaches the floor in only a few of its columns;
+    # polar hadamard9 ties near 0 everywhere, so every tile of every block is computed
+    n, target = 4096, target_hadamard9()
+    s, p = ref_sampled(name, n, 0)
+    blocks = list(row_blocks(n, 256))
+    squares = _witness_screen(_screen_terms(s, p, ref_rules("hadamard9", s, p)[0][1]), blocks)
+    floor = max(map(max, squares)) - _SCREEN_MARGIN
+    held = sum(len(list(row_blocks(n - lo, _EXACT_TILE)))
+               for (lo, _), tiles in zip(blocks, squares) if max(tiles) >= floor)
+    calls = []
+    tile = qnogo.verifier._witness_tile
+    monkeypatch.setattr("qnogo.verifier._witness_tile", lambda *a: calls.append(a) or tile(*a))
+    witness_search(target, n, seed=0, family=name)
+    assert 0 < len(calls) < held if fewer else len(calls) == held
 
 
 @pytest.mark.parametrize("kind,n,bound", [("hadamard9", 4096, 11_600_000),

@@ -403,6 +403,19 @@ def test_output_to_missing_directory_is_io_error(capsys):
     assert "cannot write" in err
 
 
+@pytest.mark.parametrize("where", ["nodir/o.json", "."])
+def test_output_errors_name_only_the_users_path(tmp_path, capsys, where):
+    # the temporary file beside the target has a random name, which stderr must not show
+    target = str(tmp_path / where)
+    argv = ["circle-check", "--grid-n", "16", "--output", target]
+    runs = [run(argv, capsys) for _ in range(2)]
+    assert runs[0] == runs[1]
+    code, _, err = runs[0]
+    assert code == 4
+    assert err.startswith(f"qnogo: cannot write {target!r}: ")
+    assert ".qnogo-" not in err and err.count("\n") == 1
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as ei:
         main([])

@@ -83,8 +83,10 @@ def main(argv=None) -> int:
                                      description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="tree of the parent commit")
     parser.add_argument("change", type=Path, help="tree of the change")
-    parser.add_argument("--grid-n", type=int, nargs="+", default=[2, 257, 321, 2000],
-                        help="witness and circle-check sizes (default 2 257 321 2000)")
+    # 1281 = 5 x 256 + 1 = 1024 + 257: the first row block's last column tile is 257 wide at
+    # both the estimate's and the exact pass's tile width, a lone column joined to each
+    parser.add_argument("--grid-n", type=int, nargs="+", default=[2, 257, 321, 1281, 2000],
+                        help="witness and circle-check sizes (default 2 257 321 1281 2000)")
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in (args.parent, args.change)]
     for tree in trees:
