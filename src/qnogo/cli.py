@@ -31,7 +31,7 @@ import tempfile
 from functools import lru_cache
 
 from ._record import record
-from ._shared import GATE_NAMES, OPTIMIZER_DEFAULTS
+from ._shared import FAMILIES, GATE_NAMES, OPTIMIZER_DEFAULTS, QUBIT_GATE_TARGETS
 
 # Each subcommand imports the qnogo modules and numpy it runs, when it runs:
 # a process loads only what its command needs.
@@ -467,6 +467,14 @@ def _add_common(sub, grid_help: str):
                      help="write the report to this file atomically")
 
 
+def _add_target(sub):
+    sub.add_argument("--target", required=True, choices=QUBIT_GATE_TARGETS + ("cnot23",))
+    sub.add_argument("--set", default="bloch", choices=FAMILIES)
+    for weight in "ab":
+        sub.add_argument(f"--{weight}", type=parse_complex, default=None,
+                         help=f"weight {weight} for the unequal target")
+
+
 @lru_cache(maxsize=1)   # built once per process: parsing leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="qnogo",
@@ -476,23 +484,11 @@ def build_parser() -> _Parser:
     gv = subs.add_parser("gate-verify", parents=[], help="check one gate on a family")
     gv.add_argument("--gate", required=True,
                     help=" | ".join(GATE_NAMES + ("UG(a=..,b=..)", "matrix file")))
-    gv.add_argument("--target", required=True,
-                    choices=("hadamard9", "hadamard10", "unequal", "cnot23"))
-    gv.add_argument("--set", default="bloch",
-                    choices=("bloch", "polar", "equatorial"))
-    gv.add_argument("--a", type=parse_complex, default=None,
-                    help="weight a for the unequal target")
-    gv.add_argument("--b", type=parse_complex, default=None,
-                    help="weight b for the unequal target")
+    _add_target(gv)
     _add_common(gv, "number of states in the family (default 256)")
 
     wt = subs.add_parser("witness", help="search for the worst overlap witness")
-    wt.add_argument("--target", required=True,
-                    choices=("hadamard9", "hadamard10", "unequal", "cnot23"))
-    wt.add_argument("--set", default="bloch",
-                    choices=("bloch", "polar", "equatorial"))
-    wt.add_argument("--a", type=parse_complex, default=None)
-    wt.add_argument("--b", type=parse_complex, default=None)
+    _add_target(wt)
     _add_common(wt, "number of sampled states (default 256)")
 
     cc = subs.add_parser("circle-check", help="great-circle overlap identities")

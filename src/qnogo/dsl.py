@@ -28,7 +28,7 @@ import math
 import re
 
 from ._record import field, record
-from ._shared import GATE_NAMES
+from ._shared import FAMILIES, GATE_NAMES, GATE_TARGETS, MACHINE_TARGETS
 
 # Lexing and parsing need nothing but the standard library.  numpy, gates,
 # states and verifier load in compile_unit and check, once a unit has parsed
@@ -38,21 +38,18 @@ ERROR = "error"
 WARNING = "warning"
 MAX_SAMPLES = 800_000   # a cnot check holds about 1.2 KB per sample: at most about 1 GB
 
-# a ket label is one to four of 0, 1, + and -, e.g. |0>, |+>, |01>, |1+->
-_KET_RE = re.compile(r"\|([01+\-]{1,4})>")
-_NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
-_CPLX_RE = re.compile(
-    r"(\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)((?:[+-]\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)?)i")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NUM = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"   # ASCII digits: float() would read any script's
+# Each character starts the first of these that matches there; the last matches any one.
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("NEWLINE", r"\n"), ("SPACE", r"[ \t\r]+"), ("COMMENT", r"#[^\n]*"),
+    ("KET", r"\|[01+\-]{1,4}>"),   # one to four of 0, 1, + and -: |0>, |+>, |01>, |1+->
+    ("BADKET", r"\|(?:[^>\n]{0,6}>)?"),   # to a '>' close by on the same line, else the bar
+    ("ARROW", "->"), ("CPLX", rf"{_NUM}(?:[+-]{_NUM})?i"), ("NUM", _NUM),
+    ("WORD", "[A-Za-z_][A-Za-z0-9_]*"), ("SEMI", ";"), ("COMMA", ","), ("LPAREN", r"\("),
+    ("RPAREN", r"\)"), ("EQ", "="), ("PLUS", r"\+"), ("MINUS", "-"), ("OTHER", r"[\s\S]"))))
 
 _KEYWORDS = {"machine": "MACHINE", "on": "ON", "extend": "EXTEND",
              "require": "REQUIRE", "candidate": "CANDIDATE"}
-_PUNCT = {";": "SEMI", ",": "COMMA", "(": "LPAREN", ")": "RPAREN",
-          "=": "EQ", "+": "PLUS", "-": "MINUS"}
-
-_MACHINE_TARGETS = ("clone", "complement", "conjugate", "hybrid")
-_GATE_TARGETS = ("hadamard9", "hadamard10", "unequal", "cnot")
-_FAMILIES = ("bloch", "polar", "equatorial", "list")
 
 _R = 1.0 / math.sqrt(2.0)   # the bits of numpy's 1 / np.sqrt(2.0)
 _KET_AMPLITUDES = {"0": (1 + 0j, 0j), "1": (0j, 1 + 0j), "+": (_R + 0j, _R + 0j),
@@ -104,84 +101,34 @@ def tokenize(src: SourceUnit) -> tuple[list[Token], list[Diagnostic]]:
     """
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
-    i, text = 0, src.text
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "|":
-            m = _KET_RE.match(text, i)
-            if m:
-                tokens.append(Token("KET", m.group(1), line, col))
-                col += m.end() - i
-                i = m.end()
-            else:
-                diags.append(Diagnostic(ERROR, line, col, "unknown ket label",
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN_RE.finditer(src.text):
+        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        # a comment that ends the input puts the end of input at its '#'
+        end = m.start() if kind == "COMMENT" else m.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, end
+        elif kind == "BADKET":
+            diags.append(Diagnostic(ERROR, line, col, "unknown ket label", src.origin))
+        elif kind == "OTHER":
+            diags.append(Diagnostic(ERROR, line, col, f"unexpected character {text!r}",
+                                    src.origin))
+        elif kind not in ("SPACE", "COMMENT"):
+            if kind == "KET":
+                text = text[1:-1]
+            elif kind == "WORD":
+                kind = _KEYWORDS.get(text, "IDENT")
+            elif kind in ("NUM", "CPLX") and not cmath.isfinite(_number(text)):
+                diags.append(Diagnostic(ERROR, line, col, f"number {text!r} overflows",
                                         src.origin))
-                # skip to the closing '>' if one is near, else just the bar
-                stop = text.find(">", i, i + 8)
-                step = (stop - i + 1) if stop != -1 else 1
-                col += step
-                i += step
-            continue
-        if c == "-" and text.startswith("->", i):
-            tokens.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit():
-            m = _CPLX_RE.match(text, i)
-            if m:
-                tokens.append(Token("CPLX", m.group(0), line, col))
-                value = _parse_cplx(m.group(0))
-            else:
-                m = _NUM_RE.match(text, i)
-                tokens.append(Token("NUM", m.group(0), line, col))
-                value = float(m.group(0))
-            if not cmath.isfinite(value):
-                diags.append(Diagnostic(ERROR, line, col,
-                                        f"number {m.group(0)!r} overflows", src.origin))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            tokens.append(Token(_KEYWORDS.get(word, "IDENT"), word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        diags.append(Diagnostic(ERROR, line, col, f"unexpected character {c!r}",
-                                src.origin))
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", line, col))
+            tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("EOF", "", line, end - line_start + 1))
     return tokens, diags
 
 
-def _parse_cplx(text: str) -> complex:
-    m = _CPLX_RE.fullmatch(text)
-    if m.group(2):
-        return complex(float(m.group(1)), float(m.group(2)))
-    return complex(0.0, float(m.group(1)))
+def _number(text: str) -> complex:
+    """The value of a NUM or CPLX token, which complex() reads once its 'i' is a 'j'."""
+    return complex(text.replace("i", "j"))
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +210,15 @@ class Ast:
 
 
 class _ParseError(Exception):
-    def __init__(self, diag: Diagnostic):
-        super().__init__(diag.message)
-        self.diag = diag
+    def __init__(self, at, message: str):   # at: a token or a node, read for its position
+        super().__init__(message)
+        self.at = at
 
 
-class _MachineBuilder:
-    def __init__(self, name: str, line: int, col: int):
-        self.name = name
-        self.line, self.col = line, col
-        self.rules: list[Rule] = []
-        self.extension: Extension | None = None
-        self.requirement: Requirement | None = None
-        self.candidate: Candidate | None = None
-
-    def build(self) -> MachineNode:
-        return MachineNode(self.name, tuple(self.rules), self.extension,
-                           self.requirement, self.candidate,
-                           line=self.line, column=self.col)
+def _machine(name: str, at: Token) -> dict:
+    """A MachineNode's fields, for the parser to fill in."""
+    return {"name": name, "rules": (), "extension": None, "requirement": None,
+            "candidate": None, "line": at.line, "column": at.column}
 
 
 class _Parser:
@@ -303,15 +241,15 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, tok: Token, message: str) -> _ParseError:
-        return _ParseError(Diagnostic(ERROR, tok.line, tok.column, message,
-                                      self.origin))
+    def report(self, at, message: str):
+        """An error at the line and column of at, a token or a node."""
+        self.diags.append(Diagnostic(ERROR, at.line, at.column, message, self.origin))
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise self.error(tok, f"expected {what}, found {tok.value!r}"
-                             if tok.kind != "EOF" else f"expected {what}, found end of input")
+            raise _ParseError(tok, f"expected {what}, found {tok.value!r}"
+                              if tok.kind != "EOF" else f"expected {what}, found end of input")
         return self.advance()
 
     def expect_word(self, word: str) -> Token:
@@ -320,7 +258,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "EOF" or tok.value != word:
             found = tok.value if tok.kind != "EOF" else "end of input"
-            raise self.error(tok, f"expected '{word}', found {found!r}")
+            raise _ParseError(tok, f"expected '{word}', found {found!r}")
         return self.advance()
 
     def skip_statement(self):
@@ -333,20 +271,20 @@ class _Parser:
 
     def parse_unit(self) -> Ast:
         machines: list[MachineNode] = []
-        current: _MachineBuilder | None = None
+        current: dict | None = None
         while self.peek().kind != "EOF":
             tok = self.peek()
             try:
                 if tok.kind == "MACHINE":
                     if current is not None:
-                        machines.append(current.build())
+                        machines.append(MachineNode(**current))
                     self.advance()
                     name = self.expect("IDENT", "a machine name")
                     self.expect("SEMI", "';'")
-                    current = _MachineBuilder(name.value, tok.line, tok.column)
+                    current = _machine(name.value, tok)
                     continue
                 if current is None:
-                    current = _MachineBuilder("main", tok.line, tok.column)
+                    current = _machine("main", tok)
                 if tok.kind == "ON":
                     self.parse_rule(current)
                 elif tok.kind == "EXTEND":
@@ -356,25 +294,32 @@ class _Parser:
                 elif tok.kind == "CANDIDATE":
                     self.parse_candidate(current)
                 else:
-                    raise self.error(tok, f"expected a statement, found {tok.value!r}")
+                    raise _ParseError(tok, f"expected a statement, found {tok.value!r}")
             except _ParseError as exc:
-                self.diags.append(exc.diag)
+                self.report(exc.at, str(exc))
                 self.skip_statement()
         if current is not None:
-            machines.append(current.build())
+            machines.append(MachineNode(**current))
         ast = Ast(tuple(machines))
         self.validate(ast)
         return ast
 
-    def parse_rule(self, m: _MachineBuilder):
+    def set_clause(self, m: dict, clause: str, value, kw: Token):
+        """End the statement that kw opened, and set its clause once."""
+        self.expect("SEMI", "';'")
+        if m[clause] is not None:
+            raise _ParseError(kw, f"duplicate {clause} clause")
+        m[clause] = value
+
+    def parse_rule(self, m: dict):
         on = self.advance()
         ket = self.expect("KET", "a basis ket like |0>")
         if ket.value not in ("0", "1"):
-            raise self.error(ket, "basis rules must be on |0> or |1>")
+            raise _ParseError(ket, "basis rules must be on |0> or |1>")
         self.expect("ARROW", "'->'")
         expr = self.parse_ketexpr()
         self.expect("SEMI", "';'")
-        m.rules.append(Rule(ket.value, expr, line=on.line, column=on.column))
+        m["rules"] += (Rule(ket.value, expr, line=on.line, column=on.column),)
 
     def parse_ketexpr(self) -> KetExpr:
         terms = [self.parse_term(leading=True)]
@@ -387,13 +332,13 @@ class _Parser:
             terms.append(term)
         return KetExpr(tuple(terms))
 
+    def parse_sign(self) -> float:
+        if self.peek().kind in ("PLUS", "MINUS"):
+            return -1.0 if self.advance().kind == "MINUS" else 1.0
+        return 1.0
+
     def parse_term(self, leading: bool) -> Term:
-        tok = self.peek()
-        sign = 1.0
-        if leading and tok.kind in ("PLUS", "MINUS"):
-            self.advance()
-            if tok.kind == "MINUS":
-                sign = -1.0
+        sign = self.parse_sign() if leading else 1.0
         coeff = complex(1.0)
         head = self.peek()
         if head.kind in ("NUM", "CPLX", "LPAREN"):
@@ -402,50 +347,37 @@ class _Parser:
         while self.peek().kind == "KET":
             kets.append(self.advance().value)
         if not kets:
-            raise self.error(self.peek(), "expected a ket in this term")
+            raise _ParseError(self.peek(), "expected a ket in this term")
         return Term(sign * coeff, tuple(kets), line=head.line, column=head.column)
 
     def parse_scalar(self) -> complex:
-        tok = self.peek()
-        sign = 1.0
-        if tok.kind in ("PLUS", "MINUS"):
-            self.advance()
-            if tok.kind == "MINUS":
-                sign = -1.0
-        return sign * self.parse_scalar_body()
+        return self.parse_sign() * self.parse_scalar_body()
 
     def parse_scalar_body(self) -> complex:
         tok = self.peek()
-        if tok.kind == "NUM":
+        if tok.kind in ("NUM", "CPLX"):
             self.advance()
-            return complex(float(tok.value))
-        if tok.kind == "CPLX":
-            self.advance()
-            return _parse_cplx(tok.value)
+            return _number(tok.value)
         if tok.kind == "LPAREN":
             self.advance()
             value = self.parse_scalar()
             self.expect("RPAREN", "')'")
             return value
-        raise self.error(tok, f"expected a number, found {tok.value!r}")
+        raise _ParseError(tok, f"expected a number, found {tok.value!r}")
 
-    def parse_extend(self, m: _MachineBuilder):
+    def parse_extend(self, m: dict):
         kw = self.advance()
         tok = self.expect("IDENT", "an extension kind (linear, antilinear, hybrid)")
         if tok.value in ("linear", "antilinear"):
             ext = Extension(tok.value, line=kw.line, column=kw.column)
         elif tok.value == "hybrid":
-            lam = self.parse_lambda_args(tok)
-            ext = Extension("hybrid", lam=lam, line=kw.line, column=kw.column)
+            ext = Extension("hybrid", lam=self.parse_lambda_args(), line=kw.line, column=kw.column)
         else:
-            raise self.error(tok, f"unknown extension {tok.value!r}; "
-                                  "expected linear, antilinear, or hybrid(lambda=...)")
-        self.expect("SEMI", "';'")
-        if m.extension is not None:
-            raise self.error(kw, "duplicate extension clause")
-        m.extension = ext
+            raise _ParseError(tok, f"unknown extension {tok.value!r}; "
+                                   "expected linear, antilinear, or hybrid(lambda=...)")
+        self.set_clause(m, "extension", ext, kw)
 
-    def parse_lambda_args(self, at: Token) -> float:
+    def parse_lambda_args(self) -> float:
         self.expect("LPAREN", "'('")
         self.expect_word("lambda")
         self.expect("EQ", "'='")
@@ -453,7 +385,7 @@ class _Parser:
         value = self.parse_scalar()
         # a non-finite value comes from a literal the lexer already refused
         if cmath.isfinite(value) and value.imag != 0.0:
-            raise self.error(tok, "lambda must be a real number")
+            raise _ParseError(tok, "lambda must be a real number")
         self.expect("RPAREN", "')'")
         return value.real
 
@@ -469,7 +401,7 @@ class _Parser:
         self.expect("RPAREN", "')'")
         return a, b
 
-    def parse_require(self, m: _MachineBuilder):
+    def parse_require(self, m: dict):
         kw = self.advance()
         tok = self.expect("IDENT", "'basis' or 'universal'")
         if tok.value == "basis":
@@ -477,8 +409,8 @@ class _Parser:
         elif tok.value == "universal":
             self.expect_word("on")
             fam = self.expect("IDENT", "a family (bloch, polar, equatorial, list)")
-            if fam.value not in _FAMILIES:
-                raise self.error(fam, f"unknown family {fam.value!r}")
+            if fam.value not in FAMILIES + ("list",):
+                raise _ParseError(fam, f"unknown family {fam.value!r}")
             listed = None
             if fam.value == "list":
                 self.expect("LPAREN", "'('")
@@ -493,96 +425,62 @@ class _Parser:
             req = Requirement("universal", family=fam.value, listed=listed,
                               target=target, line=kw.line, column=kw.column)
         else:
-            raise self.error(tok, f"unknown requirement {tok.value!r}; "
-                                  "expected basis or universal")
-        self.expect("SEMI", "';'")
-        if m.requirement is not None:
-            raise self.error(kw, "duplicate requirement clause")
-        m.requirement = req
+            raise _ParseError(tok, f"unknown requirement {tok.value!r}; "
+                                   "expected basis or universal")
+        self.set_clause(m, "requirement", req, kw)
 
     def parse_target(self) -> Target:
         tok = self.expect("IDENT", "a target name")
-        name = tok.value
-        if name in ("clone", "complement", "conjugate", "hadamard9",
-                    "hadamard10", "cnot"):
-            return Target(name)
-        if name == "unequal":
-            a, b = self.parse_weight_args()
-            return Target("unequal", a=a, b=b)
-        if name == "hybrid":
-            lam = self.parse_lambda_args(tok)
-            return Target("hybrid", lam=lam)
-        raise self.error(tok, f"unknown target {name!r}")
+        if tok.value not in MACHINE_TARGETS + GATE_TARGETS:
+            raise _ParseError(tok, f"unknown target {tok.value!r}")
+        if tok.value == "unequal":
+            return Target("unequal", *self.parse_weight_args())
+        if tok.value == "hybrid":
+            return Target("hybrid", lam=self.parse_lambda_args())
+        return Target(tok.value)
 
-    def parse_candidate(self, m: _MachineBuilder):
+    def parse_candidate(self, m: dict):
         kw = self.advance()
         tok = self.expect("IDENT", "a gate name (H, HP, HE, CNOT, UG)")
-        name = tok.value
-        if name in GATE_NAMES:
-            cand = Candidate(name, line=kw.line, column=kw.column)
-        elif name == "UG":
-            a, b = self.parse_weight_args()
-            cand = Candidate("UG", a=a, b=b, line=kw.line, column=kw.column)
+        if tok.value in GATE_NAMES:
+            cand = Candidate(tok.value, line=kw.line, column=kw.column)
+        elif tok.value == "UG":
+            cand = Candidate("UG", *self.parse_weight_args(), line=kw.line, column=kw.column)
         else:
-            raise self.error(tok, f"unknown gate {name!r}; expected H, HP, HE, CNOT, or UG")
-        self.expect("SEMI", "';'")
-        if m.candidate is not None:
-            raise self.error(kw, "duplicate candidate clause")
-        m.candidate = cand
+            raise _ParseError(tok, f"unknown gate {tok.value!r}; "
+                                   "expected H, HP, HE, CNOT, or UG")
+        self.set_clause(m, "candidate", cand, kw)
 
     # --- structural validation
 
     def validate(self, ast: Ast):
         for m in ast.machines:
-            at = (m.line, m.column)
             seen = set()
             for rule in m.rules:
                 if rule.basis in seen:
-                    self.diags.append(Diagnostic(
-                        ERROR, rule.line, rule.column, "duplicate basis rule",
-                        self.origin))
+                    self.report(rule, "duplicate basis rule")
                 seen.add(rule.basis)
             if m.rules and m.candidate is not None:
-                self.diags.append(Diagnostic(
-                    ERROR, m.candidate.line, m.candidate.column,
-                    "machine cannot declare both basis rules and a gate candidate",
-                    self.origin))
+                self.report(m.candidate,
+                            "machine cannot declare both basis rules and a gate candidate")
             if m.rules:
                 if len(seen) < 2 and len(m.rules) == len(seen):
-                    self.diags.append(Diagnostic(
-                        ERROR, at[0], at[1],
-                        "machine must declare rules for both |0> and |1>",
-                        self.origin))
+                    self.report(m, "machine must declare rules for both |0> and |1>")
                 if m.extension is None:
-                    self.diags.append(Diagnostic(
-                        ERROR, at[0], at[1], "machine must declare extension",
-                        self.origin))
+                    self.report(m, "machine must declare extension")
             elif m.extension is not None:
-                self.diags.append(Diagnostic(
-                    ERROR, m.extension.line, m.extension.column,
-                    "extension clause needs basis rules", self.origin))
-            if m.requirement is None:
-                self.diags.append(Diagnostic(
-                    ERROR, at[0], at[1], "machine must declare a requirement",
-                    self.origin))
-                continue
+                self.report(m.extension, "extension clause needs basis rules")
             req = m.requirement
-            if req.kind == "basis" and not m.rules:
-                self.diags.append(Diagnostic(
-                    ERROR, req.line, req.column,
-                    "basis requirement needs basis rules", self.origin))
-            if req.kind == "universal":
-                tgt = req.target
-                if tgt.kind in _MACHINE_TARGETS and not m.rules:
-                    self.diags.append(Diagnostic(
-                        ERROR, req.line, req.column,
-                        f"target {tgt.kind!r} needs basis rules and an extension",
-                        self.origin))
-                if tgt.kind in _GATE_TARGETS and m.candidate is None:
-                    self.diags.append(Diagnostic(
-                        ERROR, req.line, req.column,
-                        f"target {tgt.kind!r} needs a candidate clause",
-                        self.origin))
+            if req is None:
+                self.report(m, "machine must declare a requirement")
+            elif req.kind == "basis" and not m.rules:
+                self.report(req, "basis requirement needs basis rules")
+            elif req.kind == "universal":
+                kind = req.target.kind
+                if kind in MACHINE_TARGETS and not m.rules:
+                    self.report(req, f"target {kind!r} needs basis rules and an extension")
+                if kind in GATE_TARGETS and m.candidate is None:
+                    self.report(req, f"target {kind!r} needs a candidate clause")
 
 
 def parse(tokens: list[Token], origin: str = "<stdin>") -> tuple[Ast, list[Diagnostic]]:
@@ -764,15 +662,9 @@ def _compile_one(m: MachineNode, diags: list[Diagnostic],
         if candidate.shape[0] != need:
             raise _CompileError("candidate dimension does not match the target",
                                 req.line, req.column)
-    tgt = req.target
-    if tgt.kind == "unequal":
-        target_name = f"unequal(a={_fmt_scalar(tgt.a)}, b={_fmt_scalar(tgt.b)})"
-    elif tgt.kind == "hybrid":
-        target_name = f"hybrid(lambda={tgt.lam!r})"
-    else:
-        target_name = tgt.kind
     return CompiledMachine(m.name, "universal", machine=spec, target=target,
-                           target_name=target_name, family=req.family,
+                           target_name=_fmt_target(req.target.kind, req.target),
+                           family=req.family,
                            listed=listed, candidate=candidate)
 
 
@@ -942,6 +834,15 @@ def _fmt_scalar(value: complex) -> str:
     return f"{re_part}{im_part}i"
 
 
+def _fmt_target(name: str, node) -> str:
+    """A target, an extension or a gate candidate called name as the DSL writes it."""
+    if name in ("unequal", "UG"):
+        return f"{name}(a={_fmt_scalar(node.a)}, b={_fmt_scalar(node.b)})"
+    if name == "hybrid":
+        return f"hybrid(lambda={node.lam!r})"
+    return name
+
+
 def _fmt_term(term: Term, first: bool) -> str:
     c = term.coefficient
     negative = c.real < 0.0 or (c.real == 0.0 and c.imag < 0.0)
@@ -969,16 +870,9 @@ def pretty_print(ast: Ast) -> str:
                             for i, t in enumerate(rule.expr.terms))
             out.append(f"on |{rule.basis}> -> {expr};")
         if m.extension is not None:
-            if m.extension.kind == "hybrid":
-                out.append(f"extend hybrid(lambda={m.extension.lam!r});")
-            else:
-                out.append(f"extend {m.extension.kind};")
+            out.append(f"extend {_fmt_target(m.extension.kind, m.extension)};")
         if m.candidate is not None:
-            c = m.candidate
-            if c.name == "UG":
-                out.append(f"candidate UG(a={_fmt_scalar(c.a)}, b={_fmt_scalar(c.b)});")
-            else:
-                out.append(f"candidate {c.name};")
+            out.append(f"candidate {_fmt_target(m.candidate.name, m.candidate)};")
         if m.requirement is not None:
             req = m.requirement
             if req.kind == "basis":
@@ -988,12 +882,6 @@ def pretty_print(ast: Ast) -> str:
                     fam = "list(" + ", ".join(f"|{x}>" for x in req.listed) + ")"
                 else:
                     fam = req.family
-                t = req.target
-                if t.kind == "unequal":
-                    tgt = f"unequal(a={_fmt_scalar(t.a)}, b={_fmt_scalar(t.b)})"
-                elif t.kind == "hybrid":
-                    tgt = f"hybrid(lambda={t.lam!r})"
-                else:
-                    tgt = t.kind
-                out.append(f"require universal on {fam} target {tgt};")
+                out.append(f"require universal on {fam} target "
+                           f"{_fmt_target(req.target.kind, req.target)};")
     return "\n".join(out) + "\n"

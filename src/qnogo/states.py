@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import record
+from ._shared import FAMILIES
 from .algebra import abs_squared, inner_product, state_vector
 
 _TWO_PI = 2.0 * np.pi
@@ -221,7 +222,7 @@ def state_family(name: str, n: int, seed: int | None = None, *,
     evenly spaced grids, or uniform draws from seed when sampled is set,
     paired as by polar_pair and equatorial_pair.
     """
-    if name not in ("bloch", "polar", "equatorial"):
+    if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; expected bloch, polar, or equatorial")
     if n < 1:
         raise ValueError("need at least one state")

@@ -22,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._record import record
+from ._shared import GATE_TARGETS, QUBIT_GATE_TARGETS
 from .algebra import (
     ATOL_VERDICT,
     GeneralKMap,
@@ -43,8 +44,6 @@ from .states import Qubit, StateSet, complement, listed_set, polar_pair, state_f
 _EXTENSIONS = ("linear", "antilinear", "hybrid")
 
 _MACHINE_KIND = "clone-like"
-_QUBIT_GATE_KINDS = ("hadamard9", "hadamard10", "unequal")
-_GATE_KINDS = _QUBIT_GATE_KINDS + ("cnot",)
 
 # trivial one-dimensional ancilla factor
 _SCALAR = np.ones(1, dtype=complex)
@@ -82,8 +81,6 @@ class MachineSpec:
 
     out0: np.ndarray
     out1: np.ndarray
-    blank: np.ndarray | None = None
-    ancilla_init: np.ndarray | None = None
     extension: str = "linear"
     kmap: GeneralKMap | None = None
     ancilla0: np.ndarray | None = None
@@ -96,11 +93,6 @@ class MachineSpec:
             raise ValueError("basis outputs live in different dimensions")
         if abs(inner_product(self.out0, self.out1)) > ATOL_VERDICT:
             raise ValueError("basis outputs are not orthogonal; the machine cannot be isometric")
-        blank = self.blank if self.blank is not None else np.array([1.0, 0.0], dtype=complex)
-        object.__setattr__(self, "blank", state_vector(blank))
-        if self.blank.size != 2:
-            raise ValueError("the blank register is a single qubit")
-        object.__setattr__(self, "ancilla_init", _ancilla(self.ancilla_init))
         object.__setattr__(self, "ancilla0", _ancilla(self.ancilla0))
         object.__setattr__(self, "ancilla1", _ancilla(self.ancilla1))
         if self.ancilla0.size != self.ancilla1.size:
@@ -213,7 +205,7 @@ class TargetTransform:
     ancilla_final: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind != _MACHINE_KIND and self.kind not in _GATE_KINDS:
+        if self.kind != _MACHINE_KIND and self.kind not in GATE_TARGETS:
             raise ValueError(f"unknown target kind {self.kind!r}")
         if self.kind == _MACHINE_KIND and self.kmap is None:
             raise ValueError("clone-like targets need a kmap")
@@ -431,7 +423,7 @@ def check_universal_gate(candidate, t: TargetTransform, states,
     """
     if np.shape(candidate) != (2, 2):
         raise ValueError(f"gate candidates are 2x2, got {np.shape(candidate)}")
-    if t.kind not in _QUBIT_GATE_KINDS:
+    if t.kind not in QUBIT_GATE_TARGETS:
         raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
     return _check_rules(candidate, t, states, tol)
 
@@ -470,16 +462,17 @@ def _reduced(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lq, right @ q
 
 
-def _screen_terms(s, p, o1) -> list:
-    """The screen's products as pairs of real rows in the few dimensions the family spans,
-    built once per scan; o1 is None for cnot."""
+def _screen_terms(s, p, o1, reduce: bool = True) -> list:
+    """The screen's products as pairs of real rows, in the few dimensions the family spans
+    when reduce is set, built once per scan; o1 is None for cnot."""
+    fit = _reduced if reduce else lambda left, right: (left, right)
     if o1 is not None:   # <s_i|s_j> - <o_i|o_j> is one product of the rows (s, o1) and (s, -o1)
-        return [(_reduced(_squares(np.hstack([s, o1])), _squares(np.hstack([s, -o1]))),)]
+        return [(fit(_squares(np.hstack([s, o1])), _squares(np.hstack([s, -o1]))),)]
     # Every rule keeps its control: a rule pair's gap is |g[c1 c2]| |g[t1 t2] - g[t1' t2']|,
     # 0 for two s controls, else the larger of two differences, each one product.
     ss, ps, ds, qs, r1, r2 = (_squares(np.hstack(v)) for v in (
         [s], [p], [s - p], [s, p], [s, -p], [p, -s]))
-    return [tuple(_reduced(*pair) for pair in term) for term in (
+    return [tuple(fit(*pair) for pair in term) for term in (
         ((ss, ps), (ss, ds), (ps, ds)), ((ps, ss), (ds, ss), (ds, ps)),
         ((ps, ps), (qs, r1), (qs, r2)))]
 
@@ -567,12 +560,14 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
         raise ValueError("need at least two samples to form a pair")
     if chunk < 1:
         raise ValueError(f"chunk must be at least 1, got {chunk}")
-    if t.kind not in _GATE_KINDS:
+    if t.kind not in GATE_TARGETS:
         raise ValueError(f"target kind {t.kind!r} has no overlap audit")
     family_set = state_family(family, n_samples, seed, sampled=True)
     s, p, n = family_set.state_vectors, family_set.partner_vectors, n_samples
     o1 = None if t.kind == "cnot" else _rule_table(t, s, p)[1][0]
-    terms, blocks = _screen_terms(s, p, o1), list(row_blocks(n, chunk))
+    # One estimate tile of rows gains nothing from the reduction, and its eigh, a process's
+    # first LAPACK call, would add about 1 MB to the peak RSS of a witness run.
+    terms, blocks = _screen_terms(s, p, o1, n > _SCREEN_TILE + 1), list(row_blocks(n, chunk))
     squares = _witness_screen(terms, blocks)
     floor = max(map(max, squares)) - _SCREEN_MARGIN
     size = max(hi - lo for lo, hi in blocks)
@@ -620,7 +615,7 @@ def survey_random_unitaries(t: TargetTransform, states, n_candidates: int,
         raise ValueError(f"chunk must be at least 1, got {chunk}")
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol}")
-    if t.kind not in _QUBIT_GATE_KINDS:
+    if t.kind not in QUBIT_GATE_TARGETS:
         raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
     family = _as_set(states)
     s, p = family.state_vectors, family.partner_vectors

@@ -548,6 +548,25 @@ def test_rows_that_span_every_dimension_come_back_unchanged(off_span):
     assert all(x is y for x, y in zip(_reduced(left, right), (left, right)))
 
 
+@pytest.mark.parametrize("kind", ["hadamard9", "cnot"])
+def test_a_scan_of_one_estimate_tile_of_rows_is_not_reduced(monkeypatch, kind):
+    # the reduction's eigh would be a witness process's first LAPACK call, and add about
+    # 1 MB to its peak RSS; rows that fit one estimate tile keep their 16 columns instead
+    def refuse(*_):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    target = witness_target(kind, None, None)
+    for n in (256, 257):
+        s, p = ref_sampled("bloch", n, 0)
+        violation, i, j = ref_witness(kind, s, p, 256, blocks=list(row_blocks(n, 256)))
+        result = witness_search(target, n, seed=0)
+        assert result.violation == violation
+        assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
+    with pytest.raises(AssertionError, match="eigh called"):
+        witness_search(target, 258, seed=0)
+
+
 @pytest.mark.parametrize("name,fewer", [("bloch", True), ("polar", False)])
 def test_the_exact_pass_skips_the_tiles_no_estimate_tile_reaches(monkeypatch, name, fewer):
     # bloch has one block whose estimate reaches the floor in only a few of its columns;

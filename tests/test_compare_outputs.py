@@ -11,8 +11,13 @@ _spec.loader.exec_module(compare_outputs)
 
 
 def test_every_workload_command_and_the_witness_matrix_run_at_both_seeds():
-    argvs = compare_outputs.commands([2, 257])
+    argvs = compare_outputs.commands([2, 257], Path("units"))
     assert len(argvs) == len(set(argvs))
+    # 69 commands at each seed, then dsl-check once on each of the 24 malformed units
+    assert len(compare_outputs.UNITS) == 24
+    assert len(argvs) == 2 * 69 + 24
+    assert argvs[-24:] == [("dsl-check", str(Path("units") / f"{name}.qmachine"))
+                           for name in compare_outputs.UNITS]
     for seed in ("0", "42"):
         mine = [a for a in argvs if a[-2:] == ("--seed", seed)]
         witness = [a for a in mine if a[0] == "witness" and "--set" in a and "--grid-n" in a

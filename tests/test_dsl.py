@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qnogo.cli import main
 from qnogo.dsl import (
     Ast,
     CheckOptions,
@@ -83,6 +84,31 @@ def test_tokenize_unexpected_character_and_comments():
     _, diags = lex("machine m; @ # trailing comment with |junk\nrequire basis;")
     assert len(diags) == 1
     assert "unexpected character" in diags[0].message
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])   # superscript two, Arabic-Indic three
+def test_non_ascii_digits_are_unexpected_characters(tmp_path, capsys, digit):
+    # str.isdigit accepts both, \d only the second; neither is part of a number
+    tokens, diags = lex(f"0.5{digit}")
+    assert [(t.kind, t.value) for t in tokens] == [("NUM", "0.5"), ("EOF", "")]
+    assert [d.render() for d in diags] == [f"<stdin>:1:4: error: unexpected character {digit!r}"]
+    unit = tmp_path / "digit.qmachine"
+    unit.write_text(f"candidate H; {digit}\nrequire universal on polar target hadamard9;\n",
+                    encoding="utf-8")
+    assert main(["dsl-check", str(unit)]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"{unit}:1:14: error: unexpected character {digit!r}\n")
+
+
+def test_a_bad_ket_skip_stops_at_the_newline():
+    # no '>' before the line ends: only the bar is skipped, and every later position holds
+    src = "machine m;\non |0> -> |2\n>|00>;\non |1> -> |1>|1>;\nextend linear;\nrequire\n"
+    _, diags = parse_text(src)
+    assert [d.render() for d in diags] == [
+        "<stdin>:2:11: error: unknown ket label",
+        "<stdin>:3:1: error: unexpected character '>'",
+        "<stdin>:7:1: error: expected 'basis' or 'universal', found end of input",
+        "<stdin>:1:1: error: machine must declare a requirement"]
 
 
 def test_tokenize_arrow_vs_minus():

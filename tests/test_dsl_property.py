@@ -4,8 +4,9 @@ Units are drawn from the README grammar as token lists: rule machines
 (both basis rules, an extension and a requirement) and candidate
 machines (a gate and a gate target).  Every generated unit parses without
 error and pretty_print round-trips it.  Mutated units, with tokens
-dropped, swapped or duplicated, may be malformed in any way, and
-check_source must still return a report rather than raise.
+dropped, swapped or duplicated, or with any character inserted, may be
+malformed in any way, and check_source must still return a report rather
+than raise.
 """
 
 from hypothesis import given, settings
@@ -122,12 +123,14 @@ def mutated_units(draw):
     tokens = draw(units())
     for _ in range(draw(st.integers(1, 4))):
         i = draw(st.integers(0, len(tokens) - 1))
-        how = draw(st.sampled_from(["drop", "swap", "duplicate"]))
+        how = draw(st.sampled_from(["drop", "swap", "duplicate", "insert"]))
         if how == "drop" and len(tokens) > 1:
             del tokens[i]
         elif how == "swap":
             j = draw(st.integers(0, len(tokens) - 1))
             tokens[i], tokens[j] = tokens[j], tokens[i]
+        elif how == "insert":   # any character, non-ASCII digits and letters among them
+            tokens.insert(i, draw(st.sampled_from("\u00b2\u0663\u00e9") | st.characters()))
         else:
             tokens.insert(i, tokens[i])
     return tokens

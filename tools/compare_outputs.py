@@ -12,7 +12,9 @@ read the same in both.  The commands are
   * witness for every target and family at each --grid-n, and
   * circle-check at each --grid-n,
 
-each at seeds 0 and 42, two commands at a time.  A command whose exit
+each at seeds 0 and 42, and dsl-check on each of a fixed list of small
+malformed units, written once to a temporary directory that both trees
+read; two commands run at a time.  A command whose exit
 code, stdout or stderr differs between the trees is printed with the
 first line that differs, and the script exits 1 if there is one, 0 if
 all agree.
@@ -25,6 +27,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -37,10 +40,41 @@ TARGETS = (("hadamard9",), ("hadamard10",), ("unequal", "--a", "0.6", "--b", "0.
            ("cnot23",))
 FAMILIES = ("bloch", "polar", "equatorial")
 SEEDS = (0, 42)
+# One unit per lexer diagnostic and per parser recovery path, each reported on stderr
+UNITS = {
+    "unknown-ket": "on |2> -> |0>|0>;\n",
+    "bad-ket-bar-only": "on |0> -> |22222222|0>;\nrequire basis;\n",   # no '>' close by
+    "bar-at-end": "candidate H;\nrequire universal on polar target hadamard9; |",
+    "unexpected-character": "machine m; @\nrequire basis;\n",
+    "overflow": "on |0> -> 1e999|00>;\non |1> -> |1>|1>;\nextend linear;\nrequire basis;\n",
+    "overflow-complex": "candidate UG(a=1e999i, b=0.5);\nrequire basis;\n",
+    "comment-at-end": "machine m;\nrequire # and no newline",
+    "no-statement": "machine m;\nfoo bar;\nrequire basis;\n",
+    "no-machine-name": "machine ;\ncandidate H;\nrequire basis;\n",
+    "rule-not-on-basis": "on |+> -> |0>|0>;\n",
+    "no-arrow": "on |0> |0>|0>;\n",
+    "term-without-ket": "on |0> -> 0.5 + ;\n",
+    "no-number": "candidate UG(a=(), b=1);\n",
+    "unknown-extension": "extend quadratic;\n",
+    "complex-lambda": "extend hybrid(lambda=0.5i);\n",
+    "unknown-requirement": "require always;\n",
+    "unknown-family": "require universal on torus target clone;\n",
+    "unknown-target": "require universal on bloch target teleport;\n",
+    "unknown-gate": "candidate T;\n",
+    "duplicate-clause": "candidate H;\ncandidate HP;\nrequire basis;\nrequire basis;\n",
+    "duplicate-rule": "on |0> -> |0>|0>;\non |0> -> |1>|1>;\nextend linear;\nrequire basis;\n",
+    "missing-extension": "on |0> -> |0>|0>;\non |1> -> |1>|1>;\nrequire basis;\n",
+    "rules-and-candidate": ("on |0> -> |0>|0>;\non |1> -> |1>|1>;\nextend linear;\n"
+                            "candidate H;\nrequire universal on bloch target clone;\n"),
+    "targets-without-clauses": ("machine a;\nrequire universal on bloch target clone;\n"
+                                "machine b;\nextend linear;\nrequire basis;\n"
+                                "machine c;\nrequire universal on polar target cnot;\n"),
+}
 
 
-def commands(grid_sizes) -> list[tuple[str, ...]]:
-    """The argv of every command to compare, in a fixed order and without repeats."""
+def commands(grid_sizes, unit_dir: Path) -> list[tuple[str, ...]]:
+    """The argv of every command to compare, in a fixed order and without repeats;
+    unit_dir holds UNITS, each in a file named after its key."""
     argvs = []
     for seed in SEEDS:
         for name in workloads.NAMES:
@@ -51,6 +85,7 @@ def commands(grid_sizes) -> list[tuple[str, ...]]:
                           "--grid-n", str(n), "--format", "json", "--seed", str(seed)))
         argvs += [("circle-check", "--grid-n", str(n), "--format", "json", "--seed", str(seed))
                   for n in grid_sizes]
+    argvs += [("dsl-check", str(unit_dir / f"{name}.qmachine")) for name in UNITS]
     return list(dict.fromkeys(argvs))
 
 
@@ -92,8 +127,11 @@ def main(argv=None) -> int:
     for tree in trees:
         if not (tree / "src" / "qnogo").is_dir():
             parser.error(f"{tree} has no src/qnogo")
-    argvs = commands(args.grid_n)
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    with tempfile.TemporaryDirectory(prefix="qnogo-units-") as unit_dir, \
+            ThreadPoolExecutor(max_workers=2) as pool:
+        for name, text in UNITS.items():
+            (Path(unit_dir) / f"{name}.qmachine").write_text(text, encoding="utf-8")
+        argvs = commands(args.grid_n, Path(unit_dir))
         results = [pool.map(lambda a, tree=tree: run(tree, a), argvs) for tree in trees]
         differences = [(a, difference(b, c)) for a, b, c in zip(argvs, *results)]
     differing = [(a, d) for a, d in differences if d is not None]
