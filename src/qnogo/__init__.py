@@ -24,26 +24,23 @@ _EXPORTS = {
     ),
     "fidelity": (
         "FidelitySweepRecord", "IsometryParam", "OptimizerConfig", "QuadratureGrid",
-        "average_fidelity", "optimize_fidelity", "records_to_csv", "sweep_lambda",
-        "uniform_grid",
+        "optimize_fidelity", "records_to_csv", "sweep_lambda", "uniform_grid",
     ),
     "gates": (
         "UnequalAmplitudes", "cnot_computational", "cnot_in_basis", "hadamard",
-        "hadamard_equatorial", "hadamard_polar", "pauli_in_basis", "unequal_gate",
+        "hadamard_equatorial", "hadamard_polar", "unequal_gate",
     ),
     "states": (
-        "Qubit", "StateSet", "bloch_set", "complement", "equatorial_gram", "equatorial_pair",
-        "equatorial_set", "gram_pattern_residual", "ket_notation", "listed_set", "polar_gram",
-        "polar_pair", "polar_set", "sample_bloch", "state_family",
+        "Qubit", "StateSet", "bloch_set", "complement", "equatorial_pair", "equatorial_set",
+        "ket_notation", "listed_set", "polar_pair", "polar_set", "state_family",
     ),
     "verifier": (
         "MachineSpec", "SurveyResult", "TargetTransform", "Verdict", "WitnessResult",
-        "audit_unequal", "check_cnot_universal", "check_universal_gate", "cloning_machine",
-        "complementing_machine", "conjugating_machine", "hybrid_machine", "machine_deviation",
-        "machine_deviations", "machine_output", "survey_random_unitaries", "target_clone",
-        "target_cnot", "target_complement", "target_conjugate", "target_hadamard9",
-        "target_hadamard10", "target_hybrid", "target_unequal", "target_rules",
-        "witness_search",
+        "check_cnot_universal", "check_universal_gate", "cloning_machine",
+        "complementing_machine", "conjugating_machine", "hybrid_machine", "machine_deviations",
+        "machine_output", "survey_random_unitaries", "target_clone", "target_cnot",
+        "target_complement", "target_conjugate", "target_hadamard9", "target_hadamard10",
+        "target_hybrid", "target_unequal", "witness_search",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

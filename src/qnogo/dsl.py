@@ -278,6 +278,7 @@ class _Parser:
                 if tok.kind == "MACHINE":
                     if current is not None:
                         machines.append(MachineNode(**current))
+                        current = None   # a bad header below leaves no machine current
                     self.advance()
                     name = self.expect("IDENT", "a machine name")
                     self.expect("SEMI", "';'")
@@ -307,9 +308,10 @@ class _Parser:
     def set_clause(self, m: dict, clause: str, value, kw: Token):
         """End the statement that kw opened, and set its clause once."""
         self.expect("SEMI", "';'")
-        if m[clause] is not None:
-            raise _ParseError(kw, f"duplicate {clause} clause")
-        m[clause] = value
+        if m[clause] is not None:   # reported, not raised: a raise would skip the next statement
+            self.report(kw, f"duplicate {clause} clause")
+        else:
+            m[clause] = value
 
     def parse_rule(self, m: dict):
         on = self.advance()

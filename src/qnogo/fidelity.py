@@ -138,21 +138,6 @@ def _omega(grid: QuadratureGrid, lam: float, mode: str) -> np.ndarray:
             + np.einsum("ajbl,ik->aijbkl", g2.reshape(2, 2, 2, 2), e)).reshape(8, 8)
 
 
-def average_fidelity(v: IsometryParam, lam: float, grid: QuadratureGrid,
-                     mode: str = "second-register") -> float:
-    """Grid-weighted fidelity of the isometry against the lam-weighted target."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
-    # Kraus vectors W[(m, i, j), k] = V[(i, j, k), m], so that J = W W^dagger
-    w = v.matrix.reshape(2, 2, v.ancilla_dim, 2).transpose(3, 0, 1, 2).reshape(8, -1)
-    val = float(np.vdot(w, _omega(grid, lam, mode) @ w).real)
-    if val > 1.0 + 1e-9:
-        raise ValueError(f"fidelity {val!r} exceeds 1: corrupted isometry or grid")
-    return min(val, 1.0)
-
-
 @record
 class OptimizerConfig:
     """Settings for the fidelity search; the CLI's defaults are these.

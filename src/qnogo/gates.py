@@ -76,28 +76,15 @@ def unequal_gate(weights) -> np.ndarray:
     return np.array([[w.a, -w.b], [w.b, w.a]], dtype=complex)
 
 
-def pauli_in_basis(q: Qubit, axis: str = "x") -> np.ndarray:
-    """Pauli operator in the orthonormal basis {q, complement(q)}."""
-    p = complement(q)
-    u, v = q.vector, p.vector
-    if axis == "x":
-        return np.outer(u, v.conj()) + np.outer(v, u.conj())
-    if axis == "y":
-        return -1j * np.outer(u, v.conj()) + 1j * np.outer(v, u.conj())
-    if axis == "z":
-        return np.outer(u, u.conj()) - np.outer(v, v.conj())
-    raise ValueError(f"unknown axis {axis!r}; expected 'x', 'y', or 'z'")
-
-
 def cnot_in_basis(q: Qubit) -> np.ndarray:
     """Controlled flip in the basis of q: |q><q| (x) I + |qbar><qbar| (x) X_q.
 
     The control and the flipped target share the same basis, so on the
     computational basis state this reduces to the familiar CNOT matrix.
     """
-    p = complement(q)
-    ctrl0 = np.outer(q.vector, q.vector.conj())
-    ctrl1 = np.outer(p.vector, p.vector.conj())
-    flip = pauli_in_basis(q, "x")
+    u, v = q.vector, complement(q).vector
+    ctrl0 = np.outer(u, u.conj())
+    ctrl1 = np.outer(v, v.conj())
+    flip = np.outer(u, v.conj()) + np.outer(v, u.conj())   # X_q = |q><qbar| + |qbar><q|
     gate = np.kron(ctrl0, np.eye(2, dtype=complex)) + np.kron(ctrl1, flip)
     return operator(gate)

@@ -75,7 +75,7 @@ def equatorial_pair(phi: float) -> tuple[Qubit, Qubit]:
 
     The partner is the state at phi + pi, (|0> - e^{i phi}|1>)/sqrt(2).
     It shares a ray with the canonical complement but carries the extra
-    phase -e^{-i phi}; the overlap identities checked by equatorial_gram
+    phase -e^{-i phi}; the overlap identities that circle-check verifies
     hold for this partner and fail for the literal complement.
     """
     if not 0.0 <= phi < _TWO_PI:   # also refuses nan
@@ -83,50 +83,6 @@ def equatorial_pair(phi: float) -> tuple[Qubit, Qubit]:
     r = 1.0 / np.sqrt(2.0)
     return (Qubit(r, r * np.exp(1j * phi)),
             Qubit(r, r * np.exp(1j * ((phi + np.pi) % _TWO_PI))))
-
-
-def polar_gram(theta1: float, theta2: float) -> np.ndarray:
-    """Overlap matrix of two polar pairs, computed from the vectors.
-
-    Entry [0,0] is <s1|s2>, [0,1] is <s1|p2>, [1,0] is <p1|s2>, and
-    [1,1] is <p1|p2>, where p denotes the partner state.  The expected
-    pattern has equal diagonal entries and antisymmetric off-diagonal
-    entries, all real.
-    """
-    return _pair_gram(polar_pair(theta1), polar_pair(theta2))
-
-
-def equatorial_gram(phi1: float, phi2: float) -> np.ndarray:
-    """Overlap matrix of two equatorial pairs, same layout as polar_gram.
-
-    The expected pattern has equal diagonal entries and equal (not
-    antisymmetric) off-diagonal entries.
-    """
-    return _pair_gram(equatorial_pair(phi1), equatorial_pair(phi2))
-
-
-def _pair_gram(first: tuple[Qubit, Qubit], second: tuple[Qubit, Qubit]) -> np.ndarray:
-    return np.array([[a.overlap(b) for b in second] for a in first], dtype=complex)
-
-
-def gram_pattern_residual(gram: np.ndarray, pattern: str) -> float:
-    """How far a 2x2 overlap matrix is from a family's sign pattern.
-
-    pattern "polar" demands g00 = g11 and g01 = -g10; "equatorial"
-    demands g00 = g11 and g01 = g10.  Returns the larger of the two
-    absolute mismatches.  Applying one family's pattern to the other
-    family's gram matrix yields O(1) residuals, which is the numerical
-    content of the restricted-gate consistency argument.
-    """
-    g = np.asarray(gram, dtype=complex)
-    if g.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 overlap matrix, got shape {g.shape}")
-    diag = abs(g[0, 0] - g[1, 1])
-    if pattern == "polar":
-        return float(max(diag, abs(g[0, 1] + g[1, 0])))
-    if pattern == "equatorial":
-        return float(max(diag, abs(g[0, 1] - g[1, 0])))
-    raise ValueError(f"unknown pattern {pattern!r}; expected 'polar' or 'equatorial'")
 
 
 def _checked(vectors) -> np.ndarray:
@@ -162,16 +118,6 @@ def _sphere_draw(n: int, rng: np.random.Generator) -> np.ndarray:
     cos_theta = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, _TWO_PI, size=n) % _TWO_PI
     return _bloch_rows(np.arccos(np.clip(cos_theta, -1.0, 1.0)), phi)
-
-
-def sample_bloch(n: int, seed: int | None = None,
-                 rng: np.random.Generator | None = None) -> list[Qubit]:
-    """n states drawn uniformly from the sphere (cos(theta) and phi uniform)."""
-    if n <= 0:
-        raise ValueError("sample size must be positive")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return [Qubit(*row) for row in _sphere_draw(n, rng)]
 
 
 @record(eq=False)

@@ -39,7 +39,7 @@ from .algebra import (
     state_vector,
     tensor,
 )
-from .states import Qubit, StateSet, complement, listed_set, polar_pair, state_family
+from .states import Qubit, StateSet, complement, listed_set, state_family
 
 _EXTENSIONS = ("linear", "antilinear", "hybrid")
 
@@ -56,6 +56,7 @@ _SCREEN_MARGIN = 1e-12   # over twice the screen's error: 1e-14 rounding, 5e-14 
 # column groups, so every entry keeps its bits.
 _SCREEN_TILE = 256
 _EXACT_TILE = 1024
+# the basis-flip rules (control, target) -> (control, new target); s a state, p its partner
 _CNOT_RULES = [("s", "s", "s", "s"), ("s", "p", "s", "p"), ("p", "s", "p", "p"), ("p", "p", "p", "s")]
 
 
@@ -268,8 +269,9 @@ def _rule_table(t: TargetTransform, s: np.ndarray, p: np.ndarray) -> tuple[np.nd
     elif t.kind == "unequal":
         ins, outs = (s, p), (t.a * s + t.b * p, t.b * s - t.a * p)
     elif t.kind == "cnot":
-        ss, sp, ps, pp = (kron_rows(a, b) for a, b in ((s, s), (s, p), (p, s), (p, p)))
-        ins, outs = (ss, sp, ps, pp), (ss, sp, pp, ps)
+        v = {"s": s, "p": p}
+        k = {c + x: kron_rows(v[c], v[x]) for c in "sp" for x in "sp"}   # ss, sp, ps, pp
+        ins, outs = zip(*((k[c + x], k[co + xo]) for c, x, co, xo in _CNOT_RULES))
     else:
         raise ValueError(f"target kind {t.kind!r} has no per-state rules")
     return np.stack(ins), np.stack(outs)
@@ -284,12 +286,6 @@ def named_target(name: str, a=None, b=None, lam=None) -> TargetTransform:
     return {"clone": target_clone, "complement": target_complement,
             "conjugate": target_conjugate, "hadamard9": target_hadamard9,
             "hadamard10": target_hadamard10, "cnot": target_cnot}[name]()
-
-
-def target_rules(t: TargetTransform, pair: tuple[Qubit, Qubit]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(input, required output) rule list for a gate target on one pair."""
-    ins, outs = _rule_table(t, pair[0].vector[np.newaxis], pair[1].vector[np.newaxis])
-    return list(zip(ins[:, 0], outs[:, 0]))
 
 
 def _system_ideals(t: TargetTransform, s: np.ndarray) -> np.ndarray:
@@ -314,7 +310,7 @@ def machine_deviations(m: MachineSpec, t: TargetTransform, states,
     if mode not in ("fixed", "best"):
         raise ValueError(f"unknown mode {mode!r}; expected 'fixed' or 'best'")
     if t.kind != _MACHINE_KIND:
-        raise ValueError(f"target kind {t.kind!r} is a gate target; use target_rules")
+        raise ValueError(f"target kind {t.kind!r} is a gate target; use check_universal_gate")
     s = _as_set(states).state_vectors
     actual = _outputs(m, s)
     norm = row_norms(actual)
@@ -334,24 +330,6 @@ def machine_deviations(m: MachineSpec, t: TargetTransform, states,
         ideal = kron_rows(sys_ideal, np.broadcast_to(anc, (len(s), d)))
         overlap_sq = abs_squared(row_dots(ideal.conj(), actual))
     return np.clip(1.0 - overlap_sq, 0.0, 1.0)
-
-
-def machine_deviation(m: MachineSpec, t: TargetTransform, q: Qubit, mode: str = "fixed") -> float:
-    """machine_deviations for the single state q."""
-    return float(machine_deviations(m, t, [q], mode)[0])
-
-
-def audit_unequal(a, b, theta_pair: tuple[float, float]) -> float:
-    """|(conj(a) b - a conj(b)) <psi(theta1)|partner(theta2)>| on the polar circle.
-
-    This is the residual by which the unequal-weight rules fail to
-    preserve overlaps; it vanishes exactly when a and b are real.
-    """
-    a, b = _unit_weights(a, b)
-    s1, _ = polar_pair(theta_pair[0])
-    _, p2 = polar_pair(theta_pair[1])
-    term = (np.conj(a) * b - a * np.conj(b)) * s1.overlap(p2)
-    return float(abs(term))
 
 
 @record(eq=False)
@@ -530,7 +508,7 @@ def _witness_tile(s, p, o1, terms, buf, floor: float, lo: int, hi: int, c0: int,
         g = {k: np.matmul(vecs[k[0]][lo:hi].conj(), vecs[k[1]][c0:c1].T, out=tile)[rows, cols]
              for k in ("ss", "sp", "ps", "pp")}   # one Gram tile at a time, kept cells only
         cells = np.zeros(rows.size)
-        for a1, b1, a1o, b1o in _CNOT_RULES:   # (control, target) -> (control, new target)
+        for a1, b1, a1o, b1o in _CNOT_RULES:
             for a2, b2, a2o, b2o in _CNOT_RULES:
                 gap = g[a1 + a2] * g[b1 + b2]
                 gap -= g[a1o + a2o] * g[b1o + b2o]

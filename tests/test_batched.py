@@ -43,7 +43,6 @@ from qnogo.verifier import (
     complementing_machine,
     conjugating_machine,
     hybrid_machine,
-    machine_deviation,
     machine_deviations,
     target_clone,
     target_cnot,
@@ -404,7 +403,7 @@ def test_machine_deviations_match_the_scalar_reference(case, name, n, seed, mode
     assert batched.tolist() == expected
     assert int(np.argmax(batched)) == ref_worst(expected)[1]
     q = pairs[-1][0]
-    assert machine_deviation(m, t, q, mode) == expected[-1]
+    assert machine_deviations(m, t, [q], mode).tolist() == expected[-1:]
 
 
 # --- witness scan ----------------------------------------------------------------

@@ -34,7 +34,6 @@ from qnogo.dsl import MAX_SAMPLES, CheckOptions
 from qnogo.gates import UnequalAmplitudes
 from qnogo.states import polar_set
 from qnogo.verifier import (
-    audit_unequal,
     survey_random_unitaries,
     target_hadamard9,
     target_unequal,
@@ -137,8 +136,6 @@ def test_library_entry_points_refuse_non_finite_numbers():
     for a, b in ((math.nan, 1.0), (1.0, math.inf), (complex(math.nan, 1.0), 0.0)):
         with pytest.raises(ValueError):
             target_unequal(a, b)
-        with pytest.raises(ValueError):
-            audit_unequal(a, b, (0.1, 0.2))
     with pytest.raises(ValueError):
         UnequalAmplitudes(math.nan, 1.0)
     for tol in (math.nan, math.inf, 0.0, -1.0):
@@ -353,7 +350,7 @@ def test_every_public_name_resolves_to_its_submodule_object():
                   "print([n for n in qnogo.__all__\n"
                   "       if not any(vars(m).get(n, qnogo) is getattr(qnogo, n) for m in mods)])")
     assert run.stdout.splitlines() == ["['qnogo']", "[]"]
-    assert len(qnogo.__all__) == len(set(qnogo.__all__)) == 82
+    assert len(qnogo.__all__) == len(set(qnogo.__all__)) == 73
     star = {}
     exec("from qnogo import *", star)
     assert set(star) - {"__builtins__"} == set(qnogo.__all__)

@@ -208,6 +208,25 @@ def test_parser_recovers_at_semicolons():
     assert len(m.rules) == 1 and m.extension is not None
 
 
+def test_a_duplicate_clause_keeps_the_next_statement():
+    # the duplicate's ';' is already read, so recovery must not skip the next statement
+    ast, diags = parse_text("candidate H;\ncandidate HP;\n"
+                            "require universal on polar target hadamard9;\n")
+    assert [(d.line, d.column, d.message) for d in diags] == [
+        (2, 1, "duplicate candidate clause")]
+    m = ast.machines[0]
+    assert m.candidate.name == "H" and m.requirement.target.kind == "hadamard9"
+
+
+def test_a_bad_machine_header_does_not_repeat_the_machine_before_it():
+    ast, diags = parse_text("machine a;\nmachine ;\ncandidate H;\n"
+                            "require universal on polar target hadamard9;\n")
+    # the statements after the bad header open the implicit machine, as on a first line
+    assert [m.name for m in ast.machines] == ["a", "main"]
+    assert [(d.line, d.column, d.message) for d in diags] == [
+        (2, 9, "expected a machine name, found ';'"), (1, 1, "machine must declare a requirement")]
+
+
 def test_diagnostic_rendering_includes_position():
     _, diags = parse_text("machine ;\n", origin="unit.qmachine")
     text = diags[0].render()

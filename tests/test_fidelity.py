@@ -9,8 +9,9 @@ from qnogo.fidelity import (
     IsometryParam,
     OptimizerConfig,
     QuadratureGrid,
+    _bounds,
+    _omega,
     _targets,
-    average_fidelity,
     optimize_fidelity,
     records_to_csv,
     sweep_lambda,
@@ -47,6 +48,13 @@ def per_state_fidelity(iso: IsometryParam, lam: float, grid: QuadratureGrid, mod
                        + np.linalg.norm(np.einsum("j,ijk->ik", t.conj(), out)) ** 2)
         total += w * f
     return total
+
+
+def choi_fidelity(iso: IsometryParam, lam: float, grid: QuadratureGrid, mode: str) -> float:
+    """tr(J Omega), the objective optimize_fidelity maximizes, for the isometry's J."""
+    # Kraus vectors W[(m, i, j), k] = V[(i, j, k), m], so that J = W W^dagger
+    w = iso.matrix.reshape(2, 2, iso.ancilla_dim, 2).transpose(3, 0, 1, 2).reshape(8, -1)
+    return _bounds(_omega(grid, lam, mode), w)[0]
 
 
 def random_isometry(rng, ancilla_dim: int) -> IsometryParam:
@@ -117,23 +125,16 @@ def test_isometry_param_validation():
         IsometryParam(matrix=np.eye(4, 2, dtype=complex), ancilla_dim=0)
 
 
-def test_average_fidelity_of_basis_cloner_is_two_thirds():
+def test_the_basis_cloner_scores_two_thirds():
     # per-state score |alpha|^4 + |beta|^4 averages to 2/3 over the sphere,
     # and the grid integrates that degree-2 expression exactly
     g = uniform_grid(200)
-    f = average_fidelity(basis_cloner(), 1.0, g, mode="second-register")
-    assert abs(f - 2.0 / 3.0) < 1e-12
+    for f in (choi_fidelity(basis_cloner(), 1.0, g, "second-register"),
+              per_state_fidelity(basis_cloner(), 1.0, g, "second-register")):
+        assert abs(f - 2.0 / 3.0) < 1e-12
 
 
-def test_average_fidelity_validation():
-    g = uniform_grid(24)
-    with pytest.raises(ValueError):
-        average_fidelity(basis_cloner(), 1.5, g)
-    with pytest.raises(ValueError):
-        average_fidelity(basis_cloner(), 0.5, g, mode="sideways")
-
-
-def test_average_fidelity_equals_the_per_state_reference():
+def test_the_choi_objective_equals_the_per_state_reference():
     rng = np.random.default_rng(5)
     for nodes in (12, 50, 200):
         g = uniform_grid(nodes)
@@ -142,16 +143,16 @@ def test_average_fidelity_equals_the_per_state_reference():
                 for dim in (1, 2, 3, 4):
                     iso = random_isometry(rng, dim)
                     ref = per_state_fidelity(iso, lam, g, mode)
-                    assert abs(average_fidelity(iso, lam, g, mode) - ref) <= 1e-12
+                    assert abs(choi_fidelity(iso, lam, g, mode) - ref) <= 1e-12
 
 
-def test_average_fidelity_bounds_hold_everywhere():
+def test_the_choi_objective_stays_in_the_unit_interval():
     g = QuadratureGrid(state_family("bloch", 50, seed=23).state_vectors, np.full(50, 1.0 / 50))
     rng = np.random.default_rng(2)
     for lam in (0.0, 0.3, 1.0):
         for mode in ("second-register", "joint"):
             iso = random_isometry(rng, 2)
-            f = average_fidelity(iso, lam, g, mode=mode)
+            f = choi_fidelity(iso, lam, g, mode)
             assert 0.0 <= f <= 1.0
 
 
@@ -174,7 +175,7 @@ def test_optimize_reaches_the_symmetric_cloning_score():
     assert res.record.lam == 1.0
     assert res.record.mode == "second-register"
     # the returned isometry reproduces the reported value on the same grid
-    check = average_fidelity(res.isometry, 1.0, g)
+    check = per_state_fidelity(res.isometry, 1.0, g, "second-register")
     assert check == pytest.approx(res.record.f_opt, abs=1e-9)
 
 
@@ -204,8 +205,9 @@ def test_both_method_names_run_the_one_solver():
 
 
 def test_optimize_validates_lambda():
-    with pytest.raises(ValueError):
-        optimize_fidelity(-0.2, uniform_grid(24))
+    for lam in (-0.2, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            optimize_fidelity(lam, uniform_grid(24))
 
 
 def test_sweep_lambda_and_csv():
@@ -295,5 +297,5 @@ def test_the_certificate_brackets_the_optimum(lam, mode, nodes, ancilla_dim, see
     assert rec.gap <= 1e-9 and rec.converged
     assert 1 <= rec.kraus_rank <= ancilla_dim
     assert 1 <= rec.iterations <= cfg.restarts * cfg.max_evals
-    assert abs(average_fidelity(res.isometry, lam, grid, mode) - rec.f_opt) <= 1e-12
+    assert abs(choi_fidelity(res.isometry, lam, grid, mode) - rec.f_opt) <= 1e-12
     assert abs(per_state_fidelity(res.isometry, lam, grid, mode) - rec.f_opt) <= 1e-12

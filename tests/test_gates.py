@@ -9,10 +9,9 @@ from qnogo.gates import (
     hadamard,
     hadamard_equatorial,
     hadamard_polar,
-    pauli_in_basis,
     unequal_gate,
 )
-from qnogo.states import Qubit, complement, equatorial_pair, polar_pair, sample_bloch
+from qnogo.states import Qubit, bloch_set, complement, equatorial_pair, polar_pair
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -87,29 +86,12 @@ def test_unequal_gate_realizes_rules_on_polar_circle():
         assert np.allclose(g @ p.vector, a * p.vector - b * s.vector, atol=1e-12)
 
 
-def test_pauli_in_basis_properties():
-    q = sample_bloch(1, seed=8)[0]
-    p = complement(q)
-    x = pauli_in_basis(q, "x")
-    assert is_unitary(x)
-    assert np.allclose(x @ q.vector, p.vector)
-    assert np.allclose(x @ p.vector, q.vector)
-    z = pauli_in_basis(q, "z")
-    assert np.allclose(z @ q.vector, q.vector)
-    assert np.allclose(z @ p.vector, -p.vector)
-    y = pauli_in_basis(q, "y")
-    # xyz obey the cyclic product rule in any basis
-    assert np.allclose(x @ y, 1j * z)
-    with pytest.raises(ValueError):
-        pauli_in_basis(q, "w")
-
-
 def test_cnot_in_basis_reduces_to_computational():
     assert np.allclose(cnot_in_basis(Qubit(1.0, 0.0)), cnot_computational)
 
 
 def test_cnot_in_basis_satisfies_all_four_rules():
-    for q in sample_bloch(25, seed=9):
+    for q in bloch_set(25, seed=9, anchors=False).states():
         g = cnot_in_basis(q)
         assert is_unitary(g)
         p = complement(q)

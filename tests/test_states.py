@@ -7,16 +7,13 @@ from qnogo.states import (
     _bloch_rows,
     bloch_set,
     complement,
-    equatorial_gram,
     equatorial_pair,
     equatorial_set,
-    gram_pattern_residual,
     ket_notation,
     listed_set,
-    polar_gram,
     polar_pair,
     polar_set,
-    sample_bloch,
+    state_family,
 )
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -34,6 +31,11 @@ def equatorial_gram_closed(p1, p2):
     z = np.exp(1j * (p2 - p1))
     return np.array([[(1 + z) / 2, (1 - z) / 2],
                      [(1 - z) / 2, (1 + z) / 2]], dtype=complex)
+
+
+def pair_gram(first, second):
+    """[[<s1|s2>, <s1|p2>], [<p1|s2>, <p1|p2>]] for two (state, partner) pairs."""
+    return np.array([[a.overlap(b) for b in second] for a in first], dtype=complex)
 
 
 def test_qubit_validates_normalization():
@@ -95,34 +97,37 @@ def test_equatorial_pair_partner_is_antipodal_not_complement():
 
 @pytest.mark.parametrize("t1,t2", [(0.0, 0.0), (0.3, 1.9), (2.8, 0.1)])
 def test_polar_gram_matches_closed_form(t1, t2):
-    assert np.max(np.abs(polar_gram(t1, t2) - polar_gram_closed(t1, t2))) < 1e-12
+    gram = pair_gram(polar_pair(t1), polar_pair(t2))
+    assert np.max(np.abs(gram - polar_gram_closed(t1, t2))) < 1e-12
 
 
 @pytest.mark.parametrize("p1,p2", [(0.0, 0.0), (0.4, 3.3), (5.9, 1.2)])
 def test_equatorial_gram_matches_closed_form(p1, p2):
-    assert np.max(np.abs(equatorial_gram(p1, p2) - equatorial_gram_closed(p1, p2))) < 1e-12
+    gram = pair_gram(equatorial_pair(p1), equatorial_pair(p2))
+    assert np.max(np.abs(gram - equatorial_gram_closed(p1, p2))) < 1e-12
 
 
-def test_gram_pattern_residual_own_vs_swapped():
-    g_pol = polar_gram(0.7, 2.2)
-    g_eq = equatorial_gram(0.5, 4.0)
-    assert gram_pattern_residual(g_pol, "polar") < 1e-12
-    assert gram_pattern_residual(g_eq, "equatorial") < 1e-12
+def test_pair_gram_sign_patterns_own_vs_swapped():
+    g_pol = pair_gram(polar_pair(0.7), polar_pair(2.2))
+    g_eq = pair_gram(equatorial_pair(0.5), equatorial_pair(4.0))
+    for g in (g_pol, g_eq):
+        assert abs(g[0, 0] - g[1, 1]) < 1e-12
+    # polar off-diagonals are antisymmetric, equatorial ones equal
+    assert abs(g_pol[0, 1] + g_pol[1, 0]) < 1e-12
+    assert abs(g_eq[0, 1] - g_eq[1, 0]) < 1e-12
     # each family breaks the other family's sign pattern
-    assert gram_pattern_residual(g_pol, "equatorial") > 0.1
-    assert gram_pattern_residual(g_eq, "polar") > 0.1
-    with pytest.raises(ValueError):
-        gram_pattern_residual(g_pol, "spiral")
+    assert abs(g_pol[0, 1] - g_pol[1, 0]) > 0.1
+    assert abs(g_eq[0, 1] + g_eq[1, 0]) > 0.1
 
 
-def test_sample_bloch_is_seeded_and_roughly_uniform():
-    qs = sample_bloch(4000, seed=3)
-    assert qs == sample_bloch(4000, seed=3)
+def test_bloch_draws_are_seeded_and_roughly_uniform():
+    s = bloch_set(4000, seed=3, anchors=False)
+    assert s == bloch_set(4000, seed=3, anchors=False)
     # <z> ~ 0 for a uniform sample
-    z = np.mean([abs(q.alpha) ** 2 - abs(q.beta) ** 2 for q in qs])
+    z = np.mean(np.abs(s.state_vectors[:, 0]) ** 2 - np.abs(s.state_vectors[:, 1]) ** 2)
     assert abs(z) < 0.05
     with pytest.raises(ValueError):
-        sample_bloch(0)
+        state_family("bloch", 0)
 
 
 def test_polar_set_covers_the_circle():

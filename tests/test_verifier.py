@@ -19,19 +19,18 @@ from qnogo.states import (
     listed_set,
     polar_pair,
     polar_set,
-    sample_bloch,
 )
 from qnogo.verifier import (
     MachineSpec,
     Verdict,
-    audit_unequal,
+    _rule_table,
     check_cnot_universal,
     check_universal_gate,
     cloning_machine,
     complementing_machine,
     conjugating_machine,
     hybrid_machine,
-    machine_deviation,
+    machine_deviations,
     machine_output,
     survey_random_unitaries,
     target_clone,
@@ -41,7 +40,6 @@ from qnogo.verifier import (
     target_hadamard9,
     target_hadamard10,
     target_hybrid,
-    target_rules,
     target_unequal,
     witness_search,
 )
@@ -54,8 +52,14 @@ PLUS = Qubit(RT2, RT2)
 
 def first_rule_gap(t, pair1, pair2):
     """|<s1|s2> - <o1|o2>|, where o is each state's required first-rule image."""
-    (s1, o1), (s2, o2) = target_rules(t, pair1)[0], target_rules(t, pair2)[0]
-    return abs(np.vdot(s1, s2) - np.vdot(o1, o2))
+    s, p = (np.array([pair1[k].vector, pair2[k].vector]) for k in (0, 1))
+    o1, o2 = _rule_table(t, s, p)[1][0]
+    return abs(np.vdot(s[0], s[1]) - np.vdot(o1, o2))
+
+
+def deviation(m, t, q, mode="fixed"):
+    """The batched deviation of the one state q."""
+    return float(machine_deviations(m, t, listed_set([q]), mode)[0])
 
 
 # --- machine construction and extensions ---------------------------------
@@ -134,10 +138,10 @@ def test_machine_output_respects_declared_extension():
 def test_target_validation():
     with pytest.raises(ValueError):
         target_unequal(0.6, 0.9)
-    with pytest.raises(ValueError):
-        machine_deviation(cloning_machine(), target_hadamard9(), PLUS)
-    with pytest.raises(ValueError):
-        target_rules(target_clone(), (KET0, KET1))
+    with pytest.raises(ValueError, match="check_universal_gate"):
+        deviation(cloning_machine(), target_hadamard9(), PLUS)
+    with pytest.raises(ValueError, match="no per-state rules"):
+        _rule_table(target_clone(), KET0.vector[np.newaxis], KET1.vector[np.newaxis])
 
 
 def test_ideal_output_of_clone_target():
@@ -149,28 +153,28 @@ def test_ideal_output_of_clone_target():
                       (target_conjugate(), q.vector.conj())):
         ideal = np.kron(q.vector, second)
         want = 1.0 - abs(np.vdot(ideal, actual)) ** 2
-        assert machine_deviation(m, t, q) == pytest.approx(want, abs=1e-12)
+        assert deviation(m, t, q) == pytest.approx(want, abs=1e-12)
 
 
 def test_machine_deviation_vanishes_on_basis_states():
     m = cloning_machine()
     t = target_clone()
-    assert machine_deviation(m, t, KET0) == pytest.approx(0.0, abs=1e-12)
-    assert machine_deviation(m, t, KET1) == pytest.approx(0.0, abs=1e-12)
+    assert deviation(m, t, KET0) == pytest.approx(0.0, abs=1e-12)
+    assert deviation(m, t, KET1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_machine_deviation_at_plus_is_half():
     # overlap <++|phi+> = (1+1)/ (2 sqrt2) -> fidelity 1/2
-    dev = machine_deviation(cloning_machine(), target_clone(), PLUS)
+    dev = deviation(cloning_machine(), target_clone(), PLUS)
     assert abs(dev - 0.5) < 1e-12
 
 
 def test_machine_deviation_best_mode_never_worse():
     m = cloning_machine(ancilla0=[1, 0], ancilla1=[0, 1])
     t = target_clone()
-    for q in sample_bloch(20, seed=13):
-        fixed = machine_deviation(m, t, q, mode="fixed")
-        best = machine_deviation(m, t, q, mode="best")
+    for q in bloch_set(20, seed=13, anchors=False).states():
+        fixed = deviation(m, t, q, mode="fixed")
+        best = deviation(m, t, q, mode="best")
         assert best <= fixed + 1e-12
 
 
@@ -178,16 +182,16 @@ def test_machine_deviation_checks_ancilla_dims():
     m = cloning_machine(ancilla0=[1, 0], ancilla1=[0, 1])
     t = target_clone(ancilla_final=None)
     # fixed mode borrows the machine's ancilla0, so this works
-    machine_deviation(m, t, PLUS)
+    deviation(m, t, PLUS)
     with pytest.raises(ValueError, match="dimension"):
-        machine_deviation(cloning_machine(), target_clone(ancilla_final=[1, 0]), PLUS)
+        deviation(cloning_machine(), target_clone(ancilla_final=[1, 0]), PLUS)
     with pytest.raises(ValueError):
-        machine_deviation(m, t, PLUS, mode="optimal")
+        deviation(m, t, PLUS, mode="optimal")
 
 
 def test_hybrid_target_deviation_is_continuous_in_lambda():
     q = Qubit(0.6, 0.8)
-    devs = [machine_deviation(hybrid_machine(l), target_hybrid(l), q)
+    devs = [deviation(hybrid_machine(l), target_hybrid(l), q)
             for l in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(0.0 <= d <= 1.0 for d in devs)
     # real-amplitude states on the polar circle keep the deviation moderate
@@ -226,26 +230,26 @@ def test_audit_equatorial_pair_passes_phase_variant():
 def test_audit_rejects_machine_targets():
     for t in (target_clone(), target_complement(), target_conjugate(), target_hybrid(0.5)):
         with pytest.raises(ValueError):
-            target_rules(t, (KET0, KET1))
+            check_universal_gate(hadamard, t, polar_set(4))
         with pytest.raises(ValueError):
             witness_search(t, n_samples=16)
 
 
-def test_audit_unequal_real_weights_vanish():
-    assert audit_unequal(3 / 5, 4 / 5, (0.3, 1.9)) == 0.0
+def test_unequal_real_weights_keep_polar_overlaps():
     t = target_unequal(3 / 5, 4 / 5)
     assert first_rule_gap(t, polar_pair(0.3), polar_pair(1.9)) < 1e-12
 
 
-def test_audit_unequal_complex_weights_match_generic_audit():
+def test_unequal_complex_weights_match_the_closed_form():
     a, b = RT2, RT2 * 1j
-    closed = audit_unequal(a, b, (0.0, np.pi / 2))
+    # |(conj(a) b - a conj(b)) <psi(0)|partner(pi/2)>| = |i| sin(pi/4)
+    closed = abs(np.conj(a) * b - a * np.conj(b)) * np.sin(np.pi / 4)
     assert closed == pytest.approx(RT2, abs=1e-10)
     t = target_unequal(a, b)
     generic = first_rule_gap(t, polar_pair(0.0), polar_pair(np.pi / 2))
     assert abs(generic - closed) < 1e-12
     with pytest.raises(ValueError):
-        audit_unequal(0.5, 0.5, (0.0, 1.0))
+        target_unequal(0.5, 0.5)
 
 
 # --- verdicts and checks ---------------------------------------------------
@@ -308,7 +312,7 @@ def test_check_universal_gate_validates_input():
 def test_cnot_check_passes_its_own_basis():
     v = check_cnot_universal(cnot_computational, listed_set([KET0]))
     assert v.realizable and v.condition == "cnot-rules"
-    for q in sample_bloch(10, seed=21):
+    for q in bloch_set(10, seed=21, anchors=False).states():
         assert check_cnot_universal(cnot_in_basis(q), listed_set([q])).realizable
 
 
