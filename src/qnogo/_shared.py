@@ -13,4 +13,4 @@ MACHINE_TARGETS = ("clone", "complement", "conjugate", "hybrid")   # psi -> psi 
 
 # fidelity.OptimizerConfig's defaults, and so fidelity-sweep's
 OPTIMIZER_DEFAULTS = {"ancilla_dim": 2, "restarts": 8, "max_evals": 4000,
-                      "method": "lbfgs", "mode": "second-register"}
+                      "mode": "second-register"}

@@ -401,8 +401,7 @@ def cmd_fidelity_sweep(args, cfg: RunConfig) -> int:
     from .fidelity import OptimizerConfig, records_to_csv, sweep_lambda, uniform_grid
     grid = uniform_grid(args.nodes)
     ocfg = OptimizerConfig(ancilla_dim=args.ancilla_dim, restarts=args.restarts,
-                           max_evals=args.max_evals, seed=cfg.seed, method=args.method,
-                           mode=args.mode)
+                           max_evals=args.max_evals, seed=cfg.seed, mode=args.mode)
     records = sweep_lambda(lams, grid, ocfg)
     if cfg.fmt == "csv" or (cfg.fmt == "human" and args.output_csv):
         _write_out(cfg.output, records_to_csv(records))
@@ -503,9 +502,10 @@ def build_parser() -> _Parser:
     fs.add_argument("--restarts", type=int, help="most starts tried")
     fs.add_argument("--max-evals", type=int, help="most steps per start")
     fs.add_argument("--method", choices=("nelder-mead", "lbfgs"),
-                    help="legacy name; both run the one fixed-point solver")
+                    help="ignored: both legacy names run the one fixed-point solver")
     fs.add_argument("--nodes", type=int, default=200,
-                    help=f"minimum quadrature nodes, at most {MAX_NODES} (default 200)")
+                    help=f"least quadrature nodes, at most {MAX_NODES} (default 200); "
+                         "every value gives the exact average")
     fs.add_argument("--output-csv", action="store_true",
                     help="force CSV rows even in human mode")
     _add_common(fs, "unused for this subcommand")

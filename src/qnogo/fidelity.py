@@ -11,11 +11,22 @@ average over the sphere.  Two gradings are provided:
   joint: fidelity of the two principal registers against the full
       product target, tracing out only the ancilla.
 
-Averages use a deterministic quadrature: unions of rotated icosahedra,
-whose vertices integrate degree-2 polynomials of the Bloch vector
-exactly, so the endpoint objectives are averaged without grid error.
-Both gradings are linear in the 8x8 Choi matrix of the machine, so the
-optimum is a small SDP, solved with numpy alone and certified by its dual.
+psi-bar is antilinear, so the target is not a function of the ray and the
+average depends on the phase convention: psi = (cos theta/2, e^{i phi} sin theta/2)
+and psi-bar = (-e^{-i phi} sin theta/2, cos theta/2).  Both gradings are linear
+in the 8x8 Choi matrix of the machine, F = tr(J Omega), so the optimum is a small
+SDP, solved with numpy alone and certified by its dual.
+
+Omega is averaged exactly by a product rule: Gauss-Legendre nodes in cos theta
+times equispaced azimuths.  Expanded, each entry of Omega (an average of
+amplitudes of psi, psi-bar and t) is a sum of products of at most six factors,
+each cos(theta/2), or sin(theta/2) times e^{i phi} or e^{-i phi}.  So a term
+e^{i k phi} has |k| <= 3 (second-register) or |k| <= 4 (joint), and 5 azimuths
+sum every k != 0 term to zero.  The number of sin(theta/2) factors has the
+parity of k, so a k = 0 term has an even number of each factor: it is a
+polynomial of degree at most 3 in cos theta, which 2 Gauss-Legendre nodes
+integrate exactly.  The 2 x 5 rule is the smallest exact one (1 x 5 and 2 x 4
+are not); larger rules change only rounding.
 """
 
 from __future__ import annotations
@@ -61,40 +72,23 @@ class QuadratureGrid:
         return len(self.states)
 
 
-def _icosahedron() -> np.ndarray:
-    g = (1.0 + np.sqrt(5.0)) / 2.0
-    raw = []
-    for a in (-1.0, 1.0):
-        for b in (-g, g):
-            raw.extend([(0.0, a, b), (a, b, 0.0), (b, 0.0, a)])
-    pts = np.array(raw)
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
 @lru_cache(maxsize=8)   # calls with one n_min share a grid: its arrays are read-only
 def uniform_grid(n_min: int = 200) -> QuadratureGrid:
-    """Deterministic sphere quadrature with at least n_min nodes.
-
-    Built as a union of rotated icosahedra (the first copy unrotated);
-    every copy keeps the degree-2 exactness of the icosahedron, so the
-    union does too.  All nodes carry equal weight.
-    """
+    """Deterministic sphere quadrature with at least n_min nodes: m Gauss-Legendre
+    nodes in cos theta, m = max(2, ceil(sqrt(n_min / 2))), times max(5, 2m) azimuths.
+    Every n_min gives the exact average of Omega (module docstring)."""
     if n_min < 1:
         raise ValueError("need at least one node")
-    base = _icosahedron()
-    copies = math.ceil(n_min / len(base))
-    rng = np.random.default_rng(1069406)
-    blocks = [base]
-    for _ in range(copies - 1):
-        q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-        q = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-        if np.linalg.det(q) < 0.0:
-            q[:, 0] = -q[:, 0]
-        blocks.append(base @ q.T)
-    pts = np.concatenate(blocks, axis=0)
-    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-    phi = np.arctan2(pts[:, 1], pts[:, 0]) % (2.0 * np.pi)
-    return QuadratureGrid(_bloch_rows(theta, phi), np.full(len(pts), 1.0 / len(pts)))
+    m = max(2, math.ceil(math.sqrt(n_min / 2.0)))
+    k = max(5, 2 * m)
+    # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix, and the
+    # weights (summing to 1) the squares of the first row of its eigenvectors
+    j = np.arange(1.0, m)
+    off = j / np.sqrt(4.0 * j * j - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    theta = np.repeat(np.arccos(x), k)
+    phi = np.tile(np.arange(k) * (2.0 * np.pi / k), m)
+    return QuadratureGrid(_bloch_rows(theta, phi), np.repeat(v[0] ** 2 / k, k))
 
 
 @record(eq=False)
@@ -117,8 +111,8 @@ class IsometryParam:
 
 
 def _targets(states: np.ndarray, lam: float) -> np.ndarray:
-    t = np.sqrt(lam) * states + np.sqrt(1.0 - lam) * _complements(states)
-    return t / np.linalg.norm(t, axis=1, keepdims=True)
+    """sqrt(lam) psi + sqrt(1-lam) psi-bar per row: unit, since <psi|psi-bar> is exactly 0."""
+    return np.sqrt(lam) * states + np.sqrt(1.0 - lam) * _complements(states)
 
 
 def _omega(grid: QuadratureGrid, lam: float, mode: str) -> np.ndarray:
@@ -143,15 +137,13 @@ class OptimizerConfig:
     """Settings for the fidelity search; the CLI's defaults are these.
 
     restarts is the most random starts tried and max_evals the most
-    fixed-point steps per start.  method is a legacy name: "lbfgs" and
-    "nelder-mead" both run the one fixed-point solver.
+    fixed-point steps per start.
     """
 
     ancilla_dim: int = OPTIMIZER_DEFAULTS["ancilla_dim"]
     restarts: int = OPTIMIZER_DEFAULTS["restarts"]
     max_evals: int = OPTIMIZER_DEFAULTS["max_evals"]
     seed: int = 42
-    method: str = OPTIMIZER_DEFAULTS["method"]
     mode: str = OPTIMIZER_DEFAULTS["mode"]
 
     def __post_init__(self):
@@ -159,8 +151,6 @@ class OptimizerConfig:
             raise ValueError("ancilla dimension must lie in [1, 4]")
         if self.restarts < 1 or self.max_evals < 1:
             raise ValueError("restarts and max_evals must be positive")
-        if self.method not in ("nelder-mead", "lbfgs"):
-            raise ValueError(f"unknown method {self.method!r}")
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -205,6 +195,11 @@ _STOP_GAP = 1e-10        # a start stops once its certificate closes this far
 _CONVERGED_GAP = 1e-9    # a record is converged when its gap is at most this
 _CHECK_EVERY = 10        # fixed-point steps between certificate checks
 _SHIFT = 1e-3            # Omega + _SHIFT I has the same maximizer, since tr J = 2
+# Kraus weights (eigenvalues of W^dagger W, summing to tr J = 2) above this count
+# towards kraus_rank.  A start that stops at _STOP_GAP on a rank-1 optimum keeps a
+# second weight of up to about 6e-8 that carries no fidelity; the rank-2 optima of
+# both modes have a second weight of at least 0.03.
+_RANK_FLOOR = 1e-5
 
 
 def _normalized(x: np.ndarray) -> np.ndarray:
@@ -276,7 +271,7 @@ def optimize_fidelity(lam: float, grid: QuadratureGrid,
             break
     f_opt = min(best_f, 1.0)
     f_upper = max(f_upper, f_opt)   # rounding may put the bound 1 ulp below
-    rank = int(np.sum(np.linalg.eigvalsh(best_w.conj().T @ best_w) > 1e-9))
+    rank = int(np.sum(np.linalg.eigvalsh(best_w.conj().T @ best_w) > _RANK_FLOOR))
     iso = IsometryParam(best_w.reshape(2, 2, 2, a).transpose(1, 2, 3, 0).reshape(4 * a, 2), a)
     record = FidelitySweepRecord(lam=float(lam), f_opt=f_opt, mode=cfg.mode, ancilla_dim=a,
                                  converged=f_upper - f_opt <= _CONVERGED_GAP, iterations=steps,

@@ -251,8 +251,7 @@ def test_07_fidelity_curve_endpoints_and_ceiling():
                for m in np.linspace(0.0, np.pi / 2.0, 2001))
     assert 5.0 / 6.0 - 1e-6 < scan <= 5.0 / 6.0 + 1e-9
 
-    cfg = OptimizerConfig(ancilla_dim=2, restarts=8, max_evals=4000,
-                          seed=42, method="lbfgs")
+    cfg = OptimizerConfig(ancilla_dim=2, restarts=8, max_evals=4000, seed=42)
     lams = [round(0.1 * k, 1) for k in range(11)]
     records = sweep_lambda(lams, grid, cfg)
     by_lam = {r.lam: r.f_opt for r in records}

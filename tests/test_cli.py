@@ -96,9 +96,9 @@ def test_parse_lambda_range_size_is_bounded():
 def test_fidelity_sweep_defaults_are_the_optimizer_config():
     args = build_parser().parse_args(["fidelity-sweep", "--lambda", "1"])
     cfg = OptimizerConfig()
-    cli = (args.ancilla_dim, args.restarts, args.max_evals, args.method, args.mode)
-    assert cli == (cfg.ancilla_dim, cfg.restarts, cfg.max_evals, cfg.method, cfg.mode)
-    assert cli == (2, 8, 4000, "lbfgs", "second-register")
+    cli = (args.ancilla_dim, args.restarts, args.max_evals, args.mode)
+    assert cli == (cfg.ancilla_dim, cfg.restarts, cfg.max_evals, cfg.mode)
+    assert cli == (2, 8, 4000, "second-register")
 
 
 def test_load_matrix_file_roundtrip(tmp_path):
@@ -307,6 +307,14 @@ def test_fidelity_sweep_json_records(capsys):
     assert rec["lambda"] == 1.0
     assert rec["converged"] in (True, False)
     assert doc["nodes"] >= 200
+
+
+def test_both_method_names_are_accepted_and_ignored(capsys):
+    # --method is a legacy option: both of its names run the one fixed-point solver
+    outs = [run(FS_FAST + ["--format", "csv"] + extra, capsys)
+            for extra in ([], ["--method", "lbfgs"], ["--method", "nelder-mead"])]
+    assert outs[0][0] == 0 and outs[0][2] == ""
+    assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 def test_fidelity_sweep_bad_range_is_usage_error(capsys):

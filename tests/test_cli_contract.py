@@ -192,7 +192,7 @@ def test_sample_counts_above_the_cap_exit_1_before_any_family(value, monkeypatch
 
 @pytest.mark.parametrize("value", [MAX_NODES + 1, 10**8])
 def test_node_counts_above_the_cap_exit_1_before_any_grid(value, monkeypatch, capsys):
-    # 10^6 nodes took 5.5 s and 433 MB; 65 536 take about 0.5 s and 63 MB (whole process)
+    # 10^6 nodes took 5.5 s and 433 MB; 65 536 take about 0.4 s and 56 MB (whole process)
     monkeypatch.setattr(qnogo.fidelity, "uniform_grid", _forbidden)
     code, out, err = exit_code(["fidelity-sweep", "--lambda", "0.5", "--nodes", str(value)],
                                capsys)

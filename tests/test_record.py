@@ -92,7 +92,7 @@ def test_records_without_equality_compare_and_hash_by_identity():
      "Term(coefficient=1j, kets=('0', '1'), line=3, column=4)"),
     (Candidate("UG", a=0.6, b=0.8j), "Candidate(name='UG', a=0.6, b=0.8j, line=0, column=0)"),
     (OptimizerConfig(), "OptimizerConfig(ancilla_dim=2, restarts=8, max_evals=4000, seed=42, "
-                        "method='lbfgs', mode='second-register')"),
+                        "mode='second-register')"),
     (Qubit(1, 0), "Qubit(alpha=(1+0j), beta=0j)"),
     (RunConfig("witness"), "RunConfig(subcommand='witness', tolerance=1e-09, grid_n=256, "
                            "seed=42, fmt='human', output=None)"),
