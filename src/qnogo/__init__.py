@@ -19,8 +19,8 @@ _EXPORTS = {
         "is_unitary", "operator", "state_vector", "tensor",
     ),
     "dsl": (
-        "CheckOptions", "CompiledMachine", "Diagnostic", "SourceUnit", "UnitReport",
-        "check_source", "compile_unit", "parse", "pretty_print", "tokenize",
+        "CheckOptions", "CompiledMachine", "Diagnostic", "UnitReport", "check_source",
+        "compile_unit", "parse", "pretty_print", "tokenize",
     ),
     "fidelity": (
         "FidelitySweepRecord", "IsometryParam", "OptimizerConfig", "QuadratureGrid",
@@ -36,11 +36,11 @@ _EXPORTS = {
     ),
     "verifier": (
         "MachineSpec", "SurveyResult", "TargetTransform", "Verdict", "WitnessResult",
-        "check_cnot_universal", "check_universal_gate", "cloning_machine",
-        "complementing_machine", "conjugating_machine", "hybrid_machine", "machine_deviations",
-        "machine_output", "survey_random_unitaries", "target_clone", "target_cnot",
-        "target_complement", "target_conjugate", "target_hadamard9", "target_hadamard10",
-        "target_hybrid", "target_unequal", "witness_search",
+        "check_universal_gate", "cloning_machine", "complementing_machine",
+        "conjugating_machine", "hybrid_machine", "machine_deviations", "machine_output",
+        "survey_random_unitaries", "target_clone", "target_cnot", "target_complement",
+        "target_conjugate", "target_hadamard9", "target_hadamard10", "target_hybrid",
+        "target_unequal", "witness_search",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

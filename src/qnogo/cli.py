@@ -270,20 +270,15 @@ def _write_out(path: str | None, text: str) -> None:
 
 def cmd_gate_verify(args, cfg: RunConfig) -> int:
     from .states import ket_notation, named_set
-    from .verifier import check_cnot_universal, check_universal_gate
+    from .verifier import check_universal_gate
     gate = resolve_gate(args.gate)
     target = _resolve_target(args.target, args.a, args.b)
     states = named_set(args.set, cfg.grid_n, cfg.seed)
-    if args.target == "cnot23":
-        if gate.shape != (4, 4):
-            raise _CliError(EXIT_CONTENT,
-                            "target 'cnot23' needs a 4x4 candidate gate")
-        verdict = check_cnot_universal(gate, states, tol=cfg.tolerance)
-    else:
-        if gate.shape != (2, 2):
-            raise _CliError(EXIT_CONTENT,
-                            f"target {args.target!r} needs a 2x2 candidate gate")
-        verdict = check_universal_gate(gate, target, states, tol=cfg.tolerance)
+    size = 4 if args.target == "cnot23" else 2
+    if gate.shape != (size, size):
+        raise _CliError(EXIT_CONTENT,
+                        f"target {args.target!r} needs a {size}x{size} candidate gate")
+    verdict = check_universal_gate(gate, target, states, tol=cfg.tolerance)
     payload = {
         "gate": args.gate,
         "target": args.target,
@@ -403,9 +398,6 @@ def cmd_fidelity_sweep(args, cfg: RunConfig) -> int:
     ocfg = OptimizerConfig(ancilla_dim=args.ancilla_dim, restarts=args.restarts,
                            max_evals=args.max_evals, seed=cfg.seed, mode=args.mode)
     records = sweep_lambda(lams, grid, ocfg)
-    if cfg.fmt == "csv" or (cfg.fmt == "human" and args.output_csv):
-        _write_out(cfg.output, records_to_csv(records))
-        return EXIT_OK
     payload = {"mode": args.mode, "nodes": len(grid),
                "records": [r.to_dict() for r in records]}
     emit(cfg, payload, records_to_csv(records).splitlines())
@@ -507,7 +499,7 @@ def build_parser() -> _Parser:
                     help=f"least quadrature nodes, at most {MAX_NODES} (default 200); "
                          "every value gives the exact average")
     fs.add_argument("--output-csv", action="store_true",
-                    help="force CSV rows even in human mode")
+                    help="ignored: human output is already CSV rows")
     _add_common(fs, "unused for this subcommand")
 
     dc = subs.add_parser("dsl-check", help="check a .qmachine file")

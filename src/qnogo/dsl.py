@@ -55,17 +55,20 @@ _R = 1.0 / math.sqrt(2.0)   # the bits of numpy's 1 / np.sqrt(2.0)
 _KET_AMPLITUDES = {"0": (1 + 0j, 0j), "1": (0j, 1 + 0j), "+": (_R + 0j, _R + 0j),
                    "-": (_R + 0j, -_R + 0j)}
 
+# What each call clause expects, the names it takes, and its message for any other name
+_CALL_CLAUSES = {
+    "extend": ("an extension kind (linear, antilinear, hybrid)", ("linear", "antilinear", "hybrid"),
+               "unknown extension {!r}; expected linear, antilinear, or hybrid(lambda=...)"),
+    "candidate": ("a gate name (H, HP, HE, CNOT, UG)", GATE_NAMES + ("UG",),
+                  "unknown gate {!r}; expected H, HP, HE, CNOT, or UG"),
+    "target": ("a target name", MACHINE_TARGETS + GATE_TARGETS, "unknown target {!r}"),
+}
+# The argument keys of each name that takes arguments, in the order they are written
+_CALL_KEYS = {"hybrid": ("lambda",), "unequal": ("a", "b"), "UG": ("a", "b")}
+
 # compile-time grace for hand-written amplitudes; exact values are
 # restored by renormalization before the strict model types see them
 _LITERAL_ATOL = 1e-6
-
-
-@record
-class SourceUnit:
-    """Raw text plus where it came from (file path or '<stdin>')."""
-
-    text: str
-    origin: str = "<stdin>"
 
 
 @record
@@ -90,8 +93,8 @@ class Token:
     column: int
 
 
-def tokenize(src: SourceUnit) -> tuple[list[Token], list[Diagnostic]]:
-    """Lex a unit into tokens; problems become diagnostics, never raises.
+def tokenize(text: str, origin: str = "<stdin>") -> tuple[list[Token], list[Diagnostic]]:
+    """Lex a unit's text into tokens; problems become diagnostics, never raises.
 
     Ket tokens carry their label ('0', '+', '01', ...).  A complex
     literal like 0.6+0.8i or 2i is one contiguous token; a plain number
@@ -102,26 +105,24 @@ def tokenize(src: SourceUnit) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
     line, line_start, end = 1, 0, 0
-    for m in _TOKEN_RE.finditer(src.text):
-        kind, text, col = m.lastgroup, m.group(), m.start() - line_start + 1
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, col = m.lastgroup, m.group(), m.start() - line_start + 1
         # a comment that ends the input puts the end of input at its '#'
         end = m.start() if kind == "COMMENT" else m.end()
         if kind == "NEWLINE":
             line, line_start = line + 1, end
         elif kind == "BADKET":
-            diags.append(Diagnostic(ERROR, line, col, "unknown ket label", src.origin))
+            diags.append(Diagnostic(ERROR, line, col, "unknown ket label", origin))
         elif kind == "OTHER":
-            diags.append(Diagnostic(ERROR, line, col, f"unexpected character {text!r}",
-                                    src.origin))
+            diags.append(Diagnostic(ERROR, line, col, f"unexpected character {value!r}", origin))
         elif kind not in ("SPACE", "COMMENT"):
             if kind == "KET":
-                text = text[1:-1]
+                value = value[1:-1]
             elif kind == "WORD":
-                kind = _KEYWORDS.get(text, "IDENT")
-            elif kind in ("NUM", "CPLX") and not cmath.isfinite(_number(text)):
-                diags.append(Diagnostic(ERROR, line, col, f"number {text!r} overflows",
-                                        src.origin))
-            tokens.append(Token(kind, text, line, col))
+                kind = _KEYWORDS.get(value, "IDENT")
+            elif kind in ("NUM", "CPLX") and not cmath.isfinite(_number(value)):
+                diags.append(Diagnostic(ERROR, line, col, f"number {value!r} overflows", origin))
+            tokens.append(Token(kind, value, line, col))
     tokens.append(Token("EOF", "", line, end - line_start + 1))
     return tokens, diags
 
@@ -146,32 +147,23 @@ class Term:
 
 
 @record
-class KetExpr:
-    terms: tuple[Term, ...]
-
-
-@record
 class Rule:
     basis: str  # '0' or '1'
-    expr: KetExpr
+    terms: tuple[Term, ...]
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
 
 
 @record
-class Extension:
-    kind: str  # linear | antilinear | hybrid
-    lam: float | None = None
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class Call:
+    """An extension, a target or a gate candidate: a name and the arguments it takes."""
 
-
-@record
-class Target:
-    kind: str
+    name: str
     a: complex | None = None
     b: complex | None = None
     lam: float | None = None
+    line: int = field(default=0, compare=False)
+    column: int = field(default=0, compare=False)
 
 
 @record
@@ -179,16 +171,7 @@ class Requirement:
     kind: str  # basis | universal
     family: str | None = None
     listed: tuple[str, ...] | None = None  # ket labels for list(...)
-    target: Target | None = None
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
-
-
-@record
-class Candidate:
-    name: str  # H | HP | HE | CNOT | UG
-    a: complex | None = None
-    b: complex | None = None
+    target: Call | None = None
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
 
@@ -197,9 +180,9 @@ class Candidate:
 class MachineNode:
     name: str
     rules: tuple[Rule, ...]
-    extension: Extension | None
+    extension: Call | None
     requirement: Requirement | None
-    candidate: Candidate | None
+    candidate: Call | None
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
 
@@ -288,12 +271,12 @@ class _Parser:
                     current = _machine("main", tok)
                 if tok.kind == "ON":
                     self.parse_rule(current)
-                elif tok.kind == "EXTEND":
-                    self.parse_extend(current)
+                elif tok.kind in ("EXTEND", "CANDIDATE"):
+                    self.advance()
+                    clause = "extension" if tok.kind == "EXTEND" else "candidate"
+                    self.set_clause(current, clause, self.parse_call(tok.value, tok), tok)
                 elif tok.kind == "REQUIRE":
                     self.parse_require(current)
-                elif tok.kind == "CANDIDATE":
-                    self.parse_candidate(current)
                 else:
                     raise _ParseError(tok, f"expected a statement, found {tok.value!r}")
             except _ParseError as exc:
@@ -319,11 +302,11 @@ class _Parser:
         if ket.value not in ("0", "1"):
             raise _ParseError(ket, "basis rules must be on |0> or |1>")
         self.expect("ARROW", "'->'")
-        expr = self.parse_ketexpr()
+        terms = self.parse_terms()
         self.expect("SEMI", "';'")
-        m["rules"] += (Rule(ket.value, expr, line=on.line, column=on.column),)
+        m["rules"] += (Rule(ket.value, terms, line=on.line, column=on.column),)
 
-    def parse_ketexpr(self) -> KetExpr:
+    def parse_terms(self) -> tuple[Term, ...]:
         terms = [self.parse_term(leading=True)]
         while self.peek().kind in ("PLUS", "MINUS"):
             sign = self.advance()
@@ -332,7 +315,7 @@ class _Parser:
                 term = Term(-term.coefficient, term.kets,
                             line=term.line, column=term.column)
             terms.append(term)
-        return KetExpr(tuple(terms))
+        return tuple(terms)
 
     def parse_sign(self) -> float:
         if self.peek().kind in ("PLUS", "MINUS"):
@@ -367,41 +350,27 @@ class _Parser:
             return value
         raise _ParseError(tok, f"expected a number, found {tok.value!r}")
 
-    def parse_extend(self, m: dict):
-        kw = self.advance()
-        tok = self.expect("IDENT", "an extension kind (linear, antilinear, hybrid)")
-        if tok.value in ("linear", "antilinear"):
-            ext = Extension(tok.value, line=kw.line, column=kw.column)
-        elif tok.value == "hybrid":
-            ext = Extension("hybrid", lam=self.parse_lambda_args(), line=kw.line, column=kw.column)
-        else:
-            raise _ParseError(tok, f"unknown extension {tok.value!r}; "
-                                   "expected linear, antilinear, or hybrid(lambda=...)")
-        self.set_clause(m, "extension", ext, kw)
-
-    def parse_lambda_args(self) -> float:
-        self.expect("LPAREN", "'('")
-        self.expect_word("lambda")
-        self.expect("EQ", "'='")
-        tok = self.peek()
-        value = self.parse_scalar()
-        # a non-finite value comes from a literal the lexer already refused
-        if cmath.isfinite(value) and value.imag != 0.0:
-            raise _ParseError(tok, "lambda must be a real number")
-        self.expect("RPAREN", "')'")
-        return value.real
-
-    def parse_weight_args(self) -> tuple[complex, complex]:
-        self.expect("LPAREN", "'('")
-        self.expect_word("a")
-        self.expect("EQ", "'='")
-        a = self.parse_scalar()
-        self.expect("COMMA", "','")
-        self.expect_word("b")
-        self.expect("EQ", "'='")
-        b = self.parse_scalar()
-        self.expect("RPAREN", "')'")
-        return a, b
+    def parse_call(self, clause: str, at) -> Call:
+        """A name that clause takes and its arguments, as a Call at the position of at."""
+        what, names, unknown = _CALL_CLAUSES[clause]
+        tok = self.expect("IDENT", what)
+        if tok.value not in names:
+            raise _ParseError(tok, unknown.format(tok.value))
+        args = {}
+        keys = _CALL_KEYS.get(tok.value, ())
+        for i, key in enumerate(keys):
+            self.expect(*(("COMMA", "','") if i else ("LPAREN", "'('")))
+            self.expect_word(key)
+            self.expect("EQ", "'='")
+            start = self.peek()
+            args[key] = self.parse_scalar()
+            # a non-finite value comes from a literal the lexer already refused
+            if key == "lambda" and cmath.isfinite(args[key]) and args[key].imag != 0.0:
+                raise _ParseError(start, "lambda must be a real number")
+        if keys:
+            self.expect("RPAREN", "')'")
+        lam = args["lambda"].real if "lambda" in args else None
+        return Call(tok.value, args.get("a"), args.get("b"), lam, line=at.line, column=at.column)
 
     def parse_require(self, m: dict):
         kw = self.advance()
@@ -422,36 +391,13 @@ class _Parser:
                     labels.append(self.expect("KET", "a ket").value)
                 self.expect("RPAREN", "')'")
                 listed = tuple(labels)
-            self.expect_word("target")
-            target = self.parse_target()
+            target = self.parse_call("target", self.expect_word("target"))
             req = Requirement("universal", family=fam.value, listed=listed,
                               target=target, line=kw.line, column=kw.column)
         else:
             raise _ParseError(tok, f"unknown requirement {tok.value!r}; "
                                    "expected basis or universal")
         self.set_clause(m, "requirement", req, kw)
-
-    def parse_target(self) -> Target:
-        tok = self.expect("IDENT", "a target name")
-        if tok.value not in MACHINE_TARGETS + GATE_TARGETS:
-            raise _ParseError(tok, f"unknown target {tok.value!r}")
-        if tok.value == "unequal":
-            return Target("unequal", *self.parse_weight_args())
-        if tok.value == "hybrid":
-            return Target("hybrid", lam=self.parse_lambda_args())
-        return Target(tok.value)
-
-    def parse_candidate(self, m: dict):
-        kw = self.advance()
-        tok = self.expect("IDENT", "a gate name (H, HP, HE, CNOT, UG)")
-        if tok.value in GATE_NAMES:
-            cand = Candidate(tok.value, line=kw.line, column=kw.column)
-        elif tok.value == "UG":
-            cand = Candidate("UG", *self.parse_weight_args(), line=kw.line, column=kw.column)
-        else:
-            raise _ParseError(tok, f"unknown gate {tok.value!r}; "
-                                   "expected H, HP, HE, CNOT, or UG")
-        self.set_clause(m, "candidate", cand, kw)
 
     # --- structural validation
 
@@ -478,11 +424,11 @@ class _Parser:
             elif req.kind == "basis" and not m.rules:
                 self.report(req, "basis requirement needs basis rules")
             elif req.kind == "universal":
-                kind = req.target.kind
-                if kind in MACHINE_TARGETS and not m.rules:
-                    self.report(req, f"target {kind!r} needs basis rules and an extension")
-                if kind in GATE_TARGETS and m.candidate is None:
-                    self.report(req, f"target {kind!r} needs a candidate clause")
+                name = req.target.name
+                if name in MACHINE_TARGETS and not m.rules:
+                    self.report(req, f"target {name!r} needs basis rules and an extension")
+                if name in GATE_TARGETS and m.candidate is None:
+                    self.report(req, f"target {name!r} needs a candidate clause")
 
 
 def parse(tokens: list[Token], origin: str = "<stdin>") -> tuple[Ast, list[Diagnostic]]:
@@ -518,15 +464,11 @@ class CompiledMachine:
     listed: tuple[Qubit, ...] | None = None
     candidate: np.ndarray | None = None
 
-    @property
-    def is_gate_check(self) -> bool:
-        return self.candidate is not None
 
-
-def _eval_ketexpr(expr: KetExpr) -> np.ndarray:
+def _eval_terms(terms: tuple[Term, ...]) -> np.ndarray:
     import numpy as np
     total = None
-    for term in expr.terms:
+    for term in terms:
         vec = np.ones(1, dtype=complex) * term.coefficient
         for label in term.kets:
             for ch in label:
@@ -561,12 +503,12 @@ def _normalized(vec: np.ndarray, where: tuple[int, int],
     return vec / norm
 
 
-def _compile_target(tgt: Target, where: tuple[int, int]) -> TargetTransform:
+def _compile_target(tgt: Call, where: tuple[int, int]) -> TargetTransform:
     from .verifier import named_target
     try:
-        if tgt.kind == "hybrid" and not 0.0 <= tgt.lam <= 1.0:
+        if tgt.name == "hybrid" and not 0.0 <= tgt.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-        return named_target(tgt.kind, tgt.a, tgt.b, tgt.lam)
+        return named_target(tgt.name, tgt.a, tgt.b, tgt.lam)
     except ValueError as exc:
         raise _CompileError(str(exc), *where) from exc
 
@@ -581,7 +523,7 @@ def _compile_machine_spec(m: MachineNode, diags: list[Diagnostic],
         rule = by_basis[basis]
         where = (rule.line, rule.column)
         try:
-            vec = _eval_ketexpr(rule.expr)
+            vec = _eval_terms(rule.terms)
         except KeyError as exc:
             raise _CompileError(f"unknown ket label {exc.args[0]!r}", *where)
         if vec.size not in (4, 8):
@@ -595,7 +537,7 @@ def _compile_machine_spec(m: MachineNode, diags: list[Diagnostic],
     ext = m.extension
     where = (ext.line, ext.column)
     try:
-        if ext.kind == "hybrid":
+        if ext.name == "hybrid":
             if not 0.0 <= ext.lam <= 1.0:
                 raise _CompileError("lambda must lie in [0, 1]", *where)
             anc_dim = outs["0"].size // 4
@@ -610,12 +552,12 @@ def _compile_machine_spec(m: MachineNode, diags: list[Diagnostic],
                         "basis rule does not match the declared hybrid weights",
                         rule.line, rule.column)
             return spec
-        return MachineSpec(out0=outs["0"], out1=outs["1"], extension=ext.kind)
+        return MachineSpec(out0=outs["0"], out1=outs["1"], extension=ext.name)
     except ValueError as exc:
         raise _CompileError(str(exc), *where) from exc
 
 
-def _compile_candidate(c: Candidate) -> np.ndarray:
+def _compile_candidate(c: Call) -> np.ndarray:
     from .gates import NAMED_GATES, unequal_gate
     if c.name == "UG":
         try:
@@ -652,6 +594,10 @@ def _compile_one(m: MachineNode, diags: list[Diagnostic],
     if req.kind == "basis":
         return CompiledMachine(m.name, "basis", machine=spec)
     target = _compile_target(req.target, (req.line, req.column))
+    # a linear or antilinear machine declares no ancilla state for the ideal output to carry
+    if spec is not None and spec.ancilla0.size != spec.ancilla_dim:
+        raise _CompileError(f"target {req.target.name!r} needs two-register outputs, "
+                            "or three with extend hybrid(...)", req.line, req.column)
     listed = None
     if req.listed is not None:
         bad = [label for label in req.listed if len(label) != 1]
@@ -665,7 +611,7 @@ def _compile_one(m: MachineNode, diags: list[Diagnostic],
             raise _CompileError("candidate dimension does not match the target",
                                 req.line, req.column)
     return CompiledMachine(m.name, "universal", machine=spec, target=target,
-                           target_name=_fmt_target(req.target.kind, req.target),
+                           target_name=_fmt_call(req.target),
                            family=req.family,
                            listed=listed, candidate=candidate)
 
@@ -706,16 +652,12 @@ def check(c: CompiledMachine, opts: CheckOptions = CheckOptions()
     and gate targets check the candidate against the per-state rules.
     Returns the verdict and a deterministic multi-line report.
     """
-    from .verifier import check_cnot_universal, check_universal_gate
+    from .verifier import check_universal_gate
     if c.requirement == "basis":
         verdict = _check_basis(c, opts)
-    elif c.is_gate_check:
-        states = _family_states(c, opts)
-        if c.target.kind == "cnot":
-            verdict = check_cnot_universal(c.candidate, states, tol=opts.tolerance)
-        else:
-            verdict = check_universal_gate(c.candidate, c.target, states,
-                                           tol=opts.tolerance)
+    elif c.candidate is not None:
+        verdict = check_universal_gate(c.candidate, c.target, _family_states(c, opts),
+                                       tol=opts.tolerance)
     else:
         verdict = _check_machine_target(c, opts)
     return verdict, _report(c, verdict)
@@ -805,7 +747,7 @@ class UnitReport:
 def check_source(text: str, origin: str = "<stdin>",
                  opts: CheckOptions = CheckOptions()) -> UnitReport:
     """Lex, parse, compile, and check a whole unit in one call."""
-    tokens, diags = tokenize(SourceUnit(text, origin))
+    tokens, diags = tokenize(text, origin)
     ast, parse_diags = parse(tokens, origin)
     diags = list(diags) + list(parse_diags)
     if any(d.severity == ERROR for d in diags):
@@ -836,13 +778,13 @@ def _fmt_scalar(value: complex) -> str:
     return f"{re_part}{im_part}i"
 
 
-def _fmt_target(name: str, node) -> str:
-    """A target, an extension or a gate candidate called name as the DSL writes it."""
-    if name in ("unequal", "UG"):
-        return f"{name}(a={_fmt_scalar(node.a)}, b={_fmt_scalar(node.b)})"
-    if name == "hybrid":
-        return f"hybrid(lambda={node.lam!r})"
-    return name
+def _fmt_call(call: Call) -> str:
+    """A target, an extension or a gate candidate as the DSL writes it."""
+    if call.name == "hybrid":
+        return f"hybrid(lambda={call.lam!r})"
+    if call.name in ("unequal", "UG"):
+        return f"{call.name}(a={_fmt_scalar(call.a)}, b={_fmt_scalar(call.b)})"
+    return call.name
 
 
 def _fmt_term(term: Term, first: bool) -> str:
@@ -869,12 +811,12 @@ def pretty_print(ast: Ast) -> str:
         out.append(f"machine {m.name};")
         for rule in m.rules:
             expr = " ".join(_fmt_term(t, i == 0)
-                            for i, t in enumerate(rule.expr.terms))
+                            for i, t in enumerate(rule.terms))
             out.append(f"on |{rule.basis}> -> {expr};")
         if m.extension is not None:
-            out.append(f"extend {_fmt_target(m.extension.kind, m.extension)};")
+            out.append(f"extend {_fmt_call(m.extension)};")
         if m.candidate is not None:
-            out.append(f"candidate {_fmt_target(m.candidate.name, m.candidate)};")
+            out.append(f"candidate {_fmt_call(m.candidate)};")
         if m.requirement is not None:
             req = m.requirement
             if req.kind == "basis":
@@ -885,5 +827,5 @@ def pretty_print(ast: Ast) -> str:
                 else:
                     fam = req.family
                 out.append(f"require universal on {fam} target "
-                           f"{_fmt_target(req.target.kind, req.target)};")
+                           f"{_fmt_call(req.target)};")
     return "\n".join(out) + "\n"

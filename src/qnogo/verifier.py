@@ -377,7 +377,21 @@ def _rule_violation(candidate: np.ndarray, ins: np.ndarray, outs: np.ndarray) ->
     return v.max(axis=0)
 
 
-def _check_rules(candidate, t: TargetTransform, states, tol: float) -> Verdict:
+def check_universal_gate(candidate, t: TargetTransform, states,
+                         tol: float = ATOL_VERDICT) -> Verdict:
+    """Does one fixed operator satisfy the target's rules on every state?
+
+    The candidate is 2x2 for a single-qubit target and 4x4 for cnot, whose
+    four basis-flip rules it must meet for each state.  states may be a
+    StateSet (whose own pairing convention is used) or a plain list of
+    Qubits (canonical complements).  The verdict's witness is the
+    worst-violating (state, partner) pair, the first one on ties.
+    """
+    if t.kind not in GATE_TARGETS:
+        raise ValueError(f"target kind {t.kind!r} is not a gate target")
+    size = 4 if t.kind == "cnot" else 2
+    if np.shape(candidate) != (size, size):
+        raise ValueError(f"{t.kind} candidates are {size}x{size}, got {np.shape(candidate)}")
     candidate = np.asarray(candidate, dtype=complex)
     family = _as_set(states)
     v = _rule_violation(candidate, *_rule_table(t, family.state_vectors, family.partner_vectors))
@@ -389,28 +403,6 @@ def _check_rules(candidate, t: TargetTransform, states, tol: float) -> Verdict:
                    witness=None if ok else family.pair(i),
                    realizing_operator=candidate if ok else None,
                    detail=f"checked {len(family)} state pairs")
-
-
-def check_universal_gate(candidate, t: TargetTransform, states,
-                         tol: float = ATOL_VERDICT) -> Verdict:
-    """Does one fixed 2x2 operator satisfy the target's rules on every state?
-
-    states may be a StateSet (whose own pairing convention is used) or a
-    plain list of Qubits (canonical complements).  The verdict's witness
-    is the worst-violating (state, partner) pair, the first one on ties.
-    """
-    if np.shape(candidate) != (2, 2):
-        raise ValueError(f"gate candidates are 2x2, got {np.shape(candidate)}")
-    if t.kind not in QUBIT_GATE_TARGETS:
-        raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
-    return _check_rules(candidate, t, states, tol)
-
-
-def check_cnot_universal(candidate, states, tol: float = ATOL_VERDICT) -> Verdict:
-    """Does one fixed 4x4 operator satisfy all four basis-flip rules per state?"""
-    if np.shape(candidate) != (4, 4):
-        raise ValueError(f"two-qubit candidates are 4x4, got {np.shape(candidate)}")
-    return _check_rules(candidate, target_cnot(), states, tol)
 
 
 @record(eq=False)

@@ -37,12 +37,12 @@ from qnogo.states import (
     polar_set,
 )
 from qnogo.verifier import (
-    check_cnot_universal,
     check_universal_gate,
     cloning_machine,
     machine_deviations,
     survey_random_unitaries,
     target_clone,
+    target_cnot,
     target_hadamard9,
     target_hadamard10,
     target_unequal,
@@ -167,7 +167,7 @@ def test_05_computational_cnot_scope_and_basis_rebuilds():
 
     for q in bloch_set(50, seed=11, anchors=False).states():
         gate = cnot_in_basis(q)
-        verdict = check_cnot_universal(gate, listed_set([q]), tol=1e-9)
+        verdict = check_universal_gate(gate, target_cnot(), listed_set([q]), tol=1e-9)
         assert verdict.realizable
         # the four rules in q's basis: flip the target exactly when the control is qbar
         u, v = q.vector, complement(q).vector

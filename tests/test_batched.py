@@ -37,7 +37,6 @@ from qnogo.states import (
     state_family,
 )
 from qnogo.verifier import (
-    check_cnot_universal,
     check_universal_gate,
     cloning_machine,
     complementing_machine,
@@ -326,7 +325,7 @@ def test_cnot_check_matches_the_scalar_reference(name, n, seed, gate):
     worst, index = ref_worst(values)
     family = {"bloch": lambda: bloch_set(n, seed=seed), "polar": lambda: polar_set(n),
               "equatorial": lambda: equatorial_set(n)}[name]()
-    verdict = check_cnot_universal(candidate, family)
+    verdict = check_universal_gate(candidate, target_cnot(), family)
     assert verdict.violation == worst
     if not verdict.realizable:
         assert verdict.witness == pairs[index]

@@ -317,6 +317,17 @@ def test_both_method_names_are_accepted_and_ignored(capsys):
     assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
+def test_human_output_is_the_csv_output(capsys):
+    # human output is already CSV rows: --format csv and --output-csv write the same bytes
+    human = run(FS_FAST, capsys)
+    assert human[0] == 0 and human[1].splitlines()[0] == CSV_HEADER
+    for extra in (["--format", "csv"], ["--output-csv"], ["--output-csv", "--format", "csv"]):
+        assert run(FS_FAST + extra, capsys) == human
+    json_out = run(FS_FAST + ["--format", "json"], capsys)
+    assert json_out[1].startswith("{")
+    assert run(FS_FAST + ["--output-csv", "--format", "json"], capsys) == json_out
+
+
 def test_fidelity_sweep_bad_range_is_usage_error(capsys):
     code, _, err = run(["fidelity-sweep", "--lambda", "0:1"], capsys)
     assert code == 1

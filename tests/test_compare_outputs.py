@@ -10,22 +10,29 @@ compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
 
-def test_every_workload_command_and_the_witness_matrix_run_at_both_seeds():
+def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_seeds():
     argvs = compare_outputs.commands([2, 257], Path("units"))
     assert len(argvs) == len(set(argvs))
-    # 69 commands at each seed, then dsl-check once on each of the 24 malformed units
-    assert len(compare_outputs.UNITS) == 24
-    assert len(argvs) == 2 * 69 + 24
-    assert argvs[-24:] == [("dsl-check", str(Path("units") / f"{name}.qmachine"))
+    # 142 commands at each seed, then dsl-check once on each of the 43 units
+    assert len(compare_outputs.UNITS) == 43
+    assert len(argvs) == 2 * 142 + 43
+    assert argvs[-43:] == [("dsl-check", str(Path("units") / f"{name}.qmachine"))
                            for name in compare_outputs.UNITS]
     for seed in ("0", "42"):
         mine = [a for a in argvs if a[-2:] == ("--seed", seed)]
         witness = [a for a in mine if a[0] == "witness" and "--set" in a and "--grid-n" in a
                    and a[a.index("--grid-n") + 1] in ("2", "257")]
         assert len(witness) == 4 * 3 * 2
-        # the 43 command lines of the three workloads (the survey is a library call) and
-        # circle-check at 2 and 257; the workloads run it at the default 256 and at 2000
-        assert len(mine) - len(witness) == 43 + 2
+        # 5 gates x 5 targets x 3 families at the default size, mismatched sizes included
+        gates = [a for a in mine if a[0] == "gate-verify" and "--grid-n" not in a]
+        assert len(gates) == 5 * 5 * 3
+        for gate, target in (("CNOT", "hadamard9"), ("H", "cnot23")):
+            assert ("gate-verify", "--gate", gate, "--target", target, "--set", "polar",
+                    "--format", "json", "--seed", seed) in gates
+        # the 43 command lines of the three workloads (the survey is a library call), two of
+        # them in the gate matrix, and circle-check at 2 and 257; the workloads run it at the
+        # default 256 and at 2000
+        assert len(mine) - len(witness) - len(gates) == 43 - 2 + 2
         circles = [a[a.index("--grid-n") + 1] for a in mine
                    if a[0] == "circle-check" and "--grid-n" in a]
         assert sorted(circles) == ["2", "2000", "257"]

@@ -5,7 +5,6 @@ from qnogo.cli import main
 from qnogo.dsl import (
     Ast,
     CheckOptions,
-    SourceUnit,
     check,
     check_source,
     compile_unit,
@@ -33,7 +32,7 @@ require universal on polar target hadamard9;
 
 
 def lex(text):
-    return tokenize(SourceUnit(text))
+    return tokenize(text)
 
 
 def parse_text(text, origin="<stdin>"):
@@ -126,10 +125,10 @@ def test_parse_complete_unit():
     m = ast.machines[0]
     assert m.name == "main"
     assert [r.basis for r in m.rules] == ["0", "1"]
-    assert m.extension.kind == "linear"
+    assert m.extension.name == "linear"
     assert m.requirement.kind == "universal"
     assert m.requirement.family == "bloch"
-    assert m.requirement.target.kind == "clone"
+    assert m.requirement.target.name == "clone"
 
 
 def test_parse_implicit_main_machine():
@@ -154,7 +153,7 @@ def test_parse_hybrid_extension_and_target():
     ast, diags = parse_text(src)
     assert not errors(diags)
     m = ast.machines[0]
-    assert m.extension.kind == "hybrid" and m.extension.lam == 0.5
+    assert m.extension.name == "hybrid" and m.extension.lam == 0.5
     assert m.requirement.target.lam == 0.5
 
 
@@ -195,6 +194,53 @@ def test_validation_messages(src, message):
         f"wanted {message!r} in {[d.message for d in diags]}"
 
 
+# Every path of the one parser of extend, candidate and target clauses, on line 2 after two
+# spaces: (clause, line, column, message) of the first diagnostic
+CALL_DIAGNOSTICS = [
+    ("extend;", 2, 9, "expected an extension kind (linear, antilinear, hybrid), found ';'"),
+    ("extend quadratic;", 2, 10,
+     "unknown extension 'quadratic'; expected linear, antilinear, or hybrid(lambda=...)"),
+    ("extend hybrid;", 2, 16, "expected '(', found ';'"),
+    ("extend hybrid lambda=0.5);", 2, 17, "expected '(', found 'lambda'"),
+    ("extend hybrid(lam=0.5);", 2, 17, "expected 'lambda', found 'lam'"),
+    ("extend hybrid(lambda 0.5);", 2, 24, "expected '=', found '0.5'"),
+    ("extend hybrid(lambda=);", 2, 24, "expected a number, found ')'"),
+    ("extend hybrid(lambda=0.5i);", 2, 24, "lambda must be a real number"),
+    ("extend hybrid(lambda=0.5;", 2, 27, "expected ')', found ';'"),
+    ("extend hybrid(lambda=0.5, a=1);", 2, 27, "expected ')', found ','"),
+    ("extend linear(lambda=0.5);", 2, 16, "expected ';', found '('"),
+    ("extend hybrid(lambda=0.5", 3, 1, "expected ')', found end of input"),
+    ("candidate;", 2, 12, "expected a gate name (H, HP, HE, CNOT, UG), found ';'"),
+    ("candidate T;", 2, 13, "unknown gate 'T'; expected H, HP, HE, CNOT, or UG"),
+    ("candidate UG;", 2, 15, "expected '(', found ';'"),
+    ("candidate UG(b=0.8, a=0.6);", 2, 16, "expected 'a', found 'b'"),
+    ("candidate UG(a=0.6 b=0.8);", 2, 22, "expected ',', found 'b'"),
+    ("candidate UG(a=0.6, c=0.8);", 2, 23, "expected 'b', found 'c'"),
+    ("candidate UG(a=0.6, b=0.8;", 2, 28, "expected ')', found ';'"),
+    ("candidate H(a=1);", 2, 14, "expected ';', found '('"),
+    ("candidate UG(a=0.6, b=0.8", 3, 1, "expected ')', found end of input"),
+    ("candidate UG(a=0.6, b=-(0.8i);", 2, 32, "expected ')', found ';'"),
+    ("require universal on polar target;", 2, 36, "expected a target name, found ';'"),
+    ("require universal on polar target teleport;", 2, 37, "unknown target 'teleport'"),
+    ("require universal on polar target unequal;", 2, 44, "expected '(', found ';'"),
+    ("require universal on polar target unequal(a=0.6 b=0.8);", 2, 51,
+     "expected ',', found 'b'"),
+    ("require universal on polar target unequal(a=0.6, b=0.8;", 2, 57,
+     "expected ')', found ';'"),
+    ("require universal on polar target hybrid(lambda=0.5i);", 2, 51,
+     "lambda must be a real number"),
+    ("require universal on polar target hybrid(x=1);", 2, 44, "expected 'lambda', found 'x'"),
+    ("require universal on polar target clone(lambda=1);", 2, 42, "expected ';', found '('"),
+    ("require universal on polar target", 3, 1, "expected a target name, found end of input"),
+]
+
+
+@pytest.mark.parametrize("clause,line,column,message", CALL_DIAGNOSTICS)
+def test_call_clause_diagnostics(clause, line, column, message):
+    _, diags = parse_text(f"machine m;\n  {clause}\n")
+    assert (diags[0].line, diags[0].column, diags[0].message) == (line, column, message)
+
+
 def test_parser_recovers_at_semicolons():
     src = ("machine broken;\n"
            "on |0> |0>|0>;\n"          # missing arrow
@@ -215,7 +261,7 @@ def test_a_duplicate_clause_keeps_the_next_statement():
     assert [(d.line, d.column, d.message) for d in diags] == [
         (2, 1, "duplicate candidate clause")]
     m = ast.machines[0]
-    assert m.candidate.name == "H" and m.requirement.target.kind == "hadamard9"
+    assert m.candidate.name == "H" and m.requirement.target.name == "hadamard9"
 
 
 def test_a_bad_machine_header_does_not_repeat_the_machine_before_it():
@@ -250,7 +296,7 @@ def test_compile_clone_unit():
     assert c.name == "main"
     assert c.machine is not None and c.machine.extension == "linear"
     assert c.family == "bloch"
-    assert not c.is_gate_check
+    assert c.candidate is None
     assert c.target_name == "clone"
 
 
@@ -258,7 +304,6 @@ def test_compile_gate_candidate():
     compiled, diags = compile_text(HP_SRC)
     assert not diags
     c = compiled[0]
-    assert c.is_gate_check
     assert np.array_equal(c.candidate, hadamard_polar)
     assert c.machine is None
 
@@ -352,6 +397,29 @@ def test_compile_rejects_multi_qubit_listed_states():
     ast, _ = parse_text(src)
     compiled, cdiags = compile_unit(ast)
     assert any("single qubits" in d.message for d in cdiags)
+
+
+def test_three_register_rules_need_hybrid_against_a_machine_target():
+    # a linear machine declares no ancilla for the ideal output, so it is refused where
+    # the requirement stands rather than when the check runs
+    rules = "on |0> -> |0>|0>|0>;\non |1> -> |1>|1>|0>;\n"
+    report = check_source(rules + "extend linear;\nrequire universal on bloch target clone;\n",
+                          "three.qmachine")
+    assert [d.render() for d in report.diagnostics] == [
+        "three.qmachine:4:1: error: target 'clone' needs two-register outputs, "
+        "or three with extend hybrid(...)"]
+    assert check_source(rules + "extend antilinear;\nrequire basis;\n").ok
+
+
+def test_three_register_machine_against_a_machine_target_exits_3(tmp_path, capsys):
+    path = tmp_path / "three.qmachine"
+    path.write_text("on |0> -> |0>|0>|0>;\non |1> -> |1>|1>|0>;\nextend antilinear;\n"
+                    "require universal on polar target complement;\n")
+    assert main(["dsl-check", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"{path}:4:1: error: target 'complement' needs two-register "
+                            "outputs, or three with extend hybrid(...)\n")
 
 
 # --- checking ----------------------------------------------------------------

@@ -12,7 +12,7 @@ than raise.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnogo.dsl import CheckOptions, SourceUnit, check_source, parse, pretty_print, tokenize
+from qnogo.dsl import CheckOptions, check_source, parse, pretty_print, tokenize
 
 OPTIONS = CheckOptions(samples=8)
 
@@ -103,7 +103,7 @@ def units(draw):
 
 
 def parsed(text):
-    tokens, lex_diags = tokenize(SourceUnit(text))
+    tokens, lex_diags = tokenize(text)
     ast, parse_diags = parse(tokens)
     return ast, list(lex_diags) + list(parse_diags)
 

@@ -14,7 +14,7 @@ import pytest
 from qnogo import cli, dsl, fidelity, gates, states, verifier
 from qnogo._record import _Signature, field, record
 from qnogo.cli import RunConfig
-from qnogo.dsl import Candidate, Diagnostic, SourceUnit, Term, Token, parse, tokenize
+from qnogo.dsl import Call, Diagnostic, Term, Token, parse, tokenize
 from qnogo.fidelity import OptimizerConfig
 from qnogo.states import Qubit
 from qnogo.verifier import SurveyResult, Verdict
@@ -39,7 +39,7 @@ def _records():
 
 
 def test_every_former_dataclass_is_a_record_and_src_never_imports_dataclasses():
-    assert len(_records()) == 29
+    assert len(_records()) == 25
     for path in SRC.glob("*.py"):
         assert not re.search(r"^\s*(from|import) dataclasses\b", path.read_text(), re.M), path
 
@@ -47,10 +47,10 @@ def test_every_former_dataclass_is_a_record_and_src_never_imports_dataclasses():
 def test_ast_nodes_compare_equal_whatever_their_line_and_column():
     assert Term(1j, ("0",), line=1, column=2) == Term(1j, ("0",), line=7, column=9)
     assert Term(1j, ("0",)) != Term(1j, ("1",))
-    assert Candidate("UG", 0.6, 0.8, line=3) == Candidate("UG", 0.6, 0.8, column=5)
+    assert Call("UG", 0.6, 0.8, line=3) == Call("UG", 0.6, 0.8, column=5)
     # the same unit with every token moved: equal trees, though no position agrees
     shifted = "\n\n" + "\n".join("   " + line.replace(" ", "  ") for line in UNIT.splitlines())
-    parsed = [parse(tokenize(SourceUnit(text))[0]) for text in (UNIT, shifted)]
+    parsed = [parse(tokenize(text)[0]) for text in (UNIT, shifted)]
     assert [diags for _, diags in parsed] == [[], []]
     trees = [tree for tree, _ in parsed]
     assert trees[0] == trees[1]
@@ -90,7 +90,7 @@ def test_records_without_equality_compare_and_hash_by_identity():
     (Token("KET", "0", 1, 2), "Token(kind='KET', value='0', line=1, column=2)"),
     (Term(1j, ("0", "1"), line=3, column=4),
      "Term(coefficient=1j, kets=('0', '1'), line=3, column=4)"),
-    (Candidate("UG", a=0.6, b=0.8j), "Candidate(name='UG', a=0.6, b=0.8j, line=0, column=0)"),
+    (Call("UG", a=0.6, b=0.8j), "Call(name='UG', a=0.6, b=0.8j, lam=None, line=0, column=0)"),
     (OptimizerConfig(), "OptimizerConfig(ancilla_dim=2, restarts=8, max_evals=4000, seed=42, "
                         "mode='second-register')"),
     (Qubit(1, 0), "Qubit(alpha=(1+0j), beta=0j)"),

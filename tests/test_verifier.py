@@ -24,7 +24,6 @@ from qnogo.verifier import (
     MachineSpec,
     Verdict,
     _rule_table,
-    check_cnot_universal,
     check_universal_gate,
     cloning_machine,
     complementing_machine,
@@ -310,21 +309,21 @@ def test_check_universal_gate_validates_input():
 
 
 def test_cnot_check_passes_its_own_basis():
-    v = check_cnot_universal(cnot_computational, listed_set([KET0]))
+    v = check_universal_gate(cnot_computational, target_cnot(), listed_set([KET0]))
     assert v.realizable and v.condition == "cnot-rules"
     for q in bloch_set(10, seed=21, anchors=False).states():
-        assert check_cnot_universal(cnot_in_basis(q), listed_set([q])).realizable
+        assert check_universal_gate(cnot_in_basis(q), target_cnot(), listed_set([q])).realizable
 
 
 def test_cnot_check_fails_on_the_sphere_with_plus_witness():
-    v = check_cnot_universal(cnot_computational, bloch_set(64))
+    v = check_universal_gate(cnot_computational, target_cnot(), bloch_set(64))
     assert not v.realizable
     assert v.violation == pytest.approx(1.0, abs=1e-12)
     # the first anchor state |+> already breaks rule 2
     assert v.witness[0].alpha == pytest.approx(RT2)
     assert v.witness[0].beta == pytest.approx(RT2)
     with pytest.raises(ValueError):
-        check_cnot_universal(hadamard, bloch_set(4))
+        check_universal_gate(hadamard, target_cnot(), bloch_set(4))
 
 
 # --- witness search and random surveys ------------------------------------

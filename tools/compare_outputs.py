@@ -9,11 +9,13 @@ read the same in both.  The commands are
 
   * every command-line operation of perfbench/workloads.py (all three
     workloads; none writes a file),
-  * witness for every target and family at each --grid-n, and
-  * circle-check at each --grid-n,
+  * witness for every target and family at each --grid-n,
+  * circle-check at each --grid-n, and
+  * gate-verify for every gate, target and family at the default size,
+    size mismatches included,
 
 each at seeds 0 and 42, and dsl-check on each of a fixed list of small
-malformed units, written once to a temporary directory that both trees
+units, one per diagnostic, written once to a temporary directory that both trees
 read; two commands run at a time.  A command whose exit
 code, stdout or stderr differs between the trees is printed with the
 first line that differs, and the script exits 1 if there is one, 0 if
@@ -40,7 +42,13 @@ TARGETS = (("hadamard9",), ("hadamard10",), ("unequal", "--a", "0.6", "--b", "0.
            ("cnot23",))
 FAMILIES = ("bloch", "polar", "equatorial")
 SEEDS = (0, 42)
-# One unit per lexer diagnostic and per parser recovery path, each reported on stderr
+GATES = ("H", "HP", "HE", "CNOT", "UG(a=0.6,b=0.8)")
+# the witness targets and unequal with real weights; a 2x2 gate on cnot23 or a 4x4 one on the
+# others exits 3
+GATE_TARGETS = TARGETS[:2] + (("unequal", "--a", "0.6", "--b", "0.8"),) + TARGETS[2:]
+_RULES = "on |0> -> |0>|0>;\non |1> -> |1>|1>;\n"
+# One unit per lexer diagnostic, parser recovery path and compile diagnostic, each reported
+# on stderr
 UNITS = {
     "unknown-ket": "on |2> -> |0>|0>;\n",
     "bad-ket-bar-only": "on |0> -> |22222222|0>;\nrequire basis;\n",   # no '>' close by
@@ -69,6 +77,34 @@ UNITS = {
     "targets-without-clauses": ("machine a;\nrequire universal on bloch target clone;\n"
                                 "machine b;\nextend linear;\nrequire basis;\n"
                                 "machine c;\nrequire universal on polar target cnot;\n"),
+    # the call clauses' argument lists
+    "call-no-lparen": "extend hybrid lambda=0.5);\n",
+    "call-wrong-key": "candidate UG(a=0.6, c=0.8);\n",
+    "call-no-comma": "require universal on polar target unequal(a=0.6 b=0.8);\n",
+    "call-no-rparen": "extend hybrid(lambda=0.5;\n",
+    "call-name-only": "candidate UG;\n",
+    # compile diagnostics, and a warning that lets the check run
+    "lambda-range-extend": _RULES + "extend hybrid(lambda=1.5);\nrequire basis;\n",
+    "lambda-range-target": _RULES + "extend linear;\n"
+                                    "require universal on bloch target hybrid(lambda=-0.5);\n",
+    "not-normalized": "on |0> -> 2|0>|0>;\non |1> -> |1>|1>;\nextend linear;\nrequire basis;\n",
+    "renormalized": ("on |0> -> 1.0000001|0>|0>;\non |1> -> |1>|1>;\nextend linear;\n"
+                     "require basis;\n"),
+    "mismatched-terms": ("on |0> -> |00> + |0>;\non |1> -> |1>|1>;\nextend linear;\n"
+                         "require basis;\n"),
+    "one-register": "on |0> -> |0>;\non |1> -> |1>;\nextend linear;\nrequire basis;\n",
+    "rules-differ-in-size": ("on |0> -> |0>|0>|0>;\non |1> -> |1>|1>;\nextend linear;\n"
+                             "require basis;\n"),
+    "not-orthogonal": "on |0> -> |0>|0>;\non |1> -> |0>|0>;\nextend linear;\nrequire basis;\n",
+    "hybrid-rule-mismatch": _RULES + "extend hybrid(lambda=0.5);\nrequire basis;\n",
+    "three-register-linear": ("on |0> -> |0>|0>|0>;\non |1> -> |1>|1>|0>;\nextend linear;\n"
+                              "require universal on bloch target clone;\n"),
+    "multi-qubit-listed": "candidate H;\nrequire universal on list(|0>, |01>) target hadamard9;\n",
+    "candidate-size": "candidate CNOT;\nrequire universal on polar target hadamard9;\n",
+    "complex-UG": ("candidate UG(a=0.6, b=0.8i);\n"
+                   "require universal on polar target unequal(a=0.6, b=0.8i);\n"),
+    "bad-unequal-weights": ("candidate UG(a=0.6, b=0.8);\n"
+                            "require universal on polar target unequal(a=1, b=1);\n"),
 }
 
 
@@ -85,6 +121,9 @@ def commands(grid_sizes, unit_dir: Path) -> list[tuple[str, ...]]:
                           "--grid-n", str(n), "--format", "json", "--seed", str(seed)))
         argvs += [("circle-check", "--grid-n", str(n), "--format", "json", "--seed", str(seed))
                   for n in grid_sizes]
+        for gate, target, family in itertools.product(GATES, GATE_TARGETS, FAMILIES):
+            argvs.append(("gate-verify", "--gate", gate, "--target", *target, "--set", family,
+                          "--format", "json", "--seed", str(seed)))
     argvs += [("dsl-check", str(unit_dir / f"{name}.qmachine")) for name in UNITS]
     return list(dict.fromkeys(argvs))
 
