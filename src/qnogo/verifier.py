@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -52,10 +53,13 @@ _BASIS.setflags(write=False)
 
 _SCREEN_MARGIN = 1e-12   # over twice the screen's error: 1e-14 rounding, 5e-14 from _reduced
 # Columns per tile, one more where row_blocks joins a lone last column.  The estimate's tiles
-# stay in cache; exact tiles that start at the block edge and are this wide keep BLAS's
-# column groups, so every entry keeps its bits.
+# stay in cache; an exact tile is a run of them, at most _EXACT_TILE wide, so it starts a
+# whole number of estimate tiles from the block edge and every entry keeps its bits.
 _SCREEN_TILE = 256
 _EXACT_TILE = 1024
+# States per block of the per-state kernels: memory at n states is the family arrays, the
+# per-state outputs and one block, and every row keeps its bits whatever the block.
+_STATE_BLOCK = 1024
 # the basis-flip rules (control, target) -> (control, new target); s a state, p its partner
 _CNOT_RULES = [("s", "s", "s", "s"), ("s", "p", "s", "p"), ("p", "s", "p", "p"), ("p", "p", "p", "s")]
 
@@ -154,20 +158,28 @@ def hybrid_machine(lam: float, unitary=None, antiunitary=None,
                        extension="hybrid", kmap=kmap, ancilla0=a0, ancilla1=a1)
 
 
-def _outputs(m: MachineSpec, s: np.ndarray) -> np.ndarray:
-    """The machine's action on each row of s under its declared extension."""
+def _output_map(m: MachineSpec):
+    """The machine's action on each row of an (n, 2) array under its declared extension; a
+    hybrid machine's branch vectors are built here, once for every block of rows."""
     if m.extension == "linear":
-        return s[:, :1] * m.out0 + s[:, 1:] * m.out1
+        return lambda s: s[:, :1] * m.out0 + s[:, 1:] * m.out1
     if m.extension == "antilinear":
-        return np.conj(s[:, :1]) * m.out0 + np.conj(s[:, 1:]) * m.out1
+        return lambda s: np.conj(s[:, :1]) * m.out0 + np.conj(s[:, 1:]) * m.out1
     cu, ca = np.sqrt(m.kmap.lam), np.sqrt(1.0 - m.kmap.lam)
-    out = np.zeros((len(s), m.out0.size), dtype=complex)
-    for amp, e, anc in ((s[:, :1], _BASIS[0], m.ancilla0), (s[:, 1:], _BASIS[1], m.ancilla1)):
+    terms = []   # (basis index, weight, conjugated amplitude, branch vector), in summation order
+    for i, e, anc in ((0, _BASIS[0], m.ancilla0), (1, _BASIS[1], m.ancilla1)):
         if cu > 0.0:
-            out = out + cu * amp * tensor(e, m.kmap.unitary @ e, anc)
+            terms.append((i, cu, False, tensor(e, m.kmap.unitary @ e, anc)))
         if ca > 0.0:
-            out = out + ca * np.conj(amp) * tensor(e, m.kmap.antiunitary(e), anc)
-    return out
+            terms.append((i, ca, True, tensor(e, m.kmap.antiunitary(e), anc)))
+
+    def outputs(s: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(s), m.out0.size), dtype=complex)
+        for i, weight, conj, branch in terms:
+            amp = s[:, i:i + 1]
+            out = out + weight * (np.conj(amp) if conj else amp) * branch
+        return out
+    return outputs
 
 
 def machine_output(m: MachineSpec, q: Qubit) -> np.ndarray:
@@ -178,7 +190,7 @@ def machine_output(m: MachineSpec, q: Qubit) -> np.ndarray:
     sqrt(lam)*amp_i |i> (x) U|i> (x) |Q_i> and
     sqrt(1-lam)*conj(amp_i) |i> (x) A|i> (x) |Q_i>.
     """
-    return _outputs(m, q.vector[np.newaxis])[0]
+    return _output_map(m)(q.vector[np.newaxis])[0]
 
 
 def _unit_weights(a, b) -> tuple[complex, complex]:
@@ -312,21 +324,31 @@ def machine_deviations(m: MachineSpec, t: TargetTransform, states,
     if t.kind != _MACHINE_KIND:
         raise ValueError(f"target kind {t.kind!r} is a gate target; use check_universal_gate")
     s = _as_set(states).state_vectors
-    actual = _outputs(m, s)
+    d = m.ancilla_dim
+    anc = t.ancilla_final if t.ancilla_final is not None else m.ancilla0
+    if mode == "fixed" and anc.size != d:
+        raise ValueError(f"final ancilla dimension {anc.size} does not match "
+                         f"the machine's ancilla dimension {d}")
+    outputs, deviations = _output_map(m), np.empty(len(s))
+    for lo, hi in row_blocks(len(s), _STATE_BLOCK):
+        deviations[lo:hi] = _deviations(outputs, t, s[lo:hi], None if mode == "best" else anc)
+    return deviations
+
+
+def _deviations(outputs, t: TargetTransform, s: np.ndarray, anc) -> np.ndarray:
+    """machine_deviations of the rows of s, the machine's outputs on them given by outputs,
+    in "best" mode when anc is None."""
+    actual = outputs(s)
     norm = row_norms(actual)
     if np.any(norm < 1e-12):
         raise ValueError("machine output vanishes for this state")
     actual = actual / norm[:, np.newaxis]
     sys_ideal = _system_ideals(t, s)
-    d = m.ancilla_dim
-    if mode == "best":
+    d = actual.shape[1] // 4
+    if anc is None:
         residue = np.matmul(sys_ideal.conj()[:, np.newaxis, :], actual.reshape(-1, 4, d))
         overlap_sq = abs_squared(row_norms(residue[:, 0]))
     else:
-        anc = t.ancilla_final if t.ancilla_final is not None else m.ancilla0
-        if anc.size != d:
-            raise ValueError(f"final ancilla dimension {anc.size} does not match "
-                             f"the machine's ancilla dimension {d}")
         ideal = kron_rows(sys_ideal, np.broadcast_to(anc, (len(s), d)))
         overlap_sq = abs_squared(row_dots(ideal.conj(), actual))
     return np.clip(1.0 - overlap_sq, 0.0, 1.0)
@@ -394,7 +416,10 @@ def check_universal_gate(candidate, t: TargetTransform, states,
         raise ValueError(f"{t.kind} candidates are {size}x{size}, got {np.shape(candidate)}")
     candidate = np.asarray(candidate, dtype=complex)
     family = _as_set(states)
-    v = _rule_violation(candidate, *_rule_table(t, family.state_vectors, family.partner_vectors))
+    s, p = family.state_vectors, family.partner_vectors
+    v = np.empty(len(family))
+    for lo, hi in row_blocks(len(v), _STATE_BLOCK):
+        v[lo:hi] = _rule_violation(candidate, *_rule_table(t, s[lo:hi], p[lo:hi]))
     i = int(np.argmax(v))
     worst = float(v[i])
     ok = worst <= tol
@@ -414,11 +439,19 @@ class WitnessResult:
     condition: str
 
 
-def _squares(v: np.ndarray) -> np.ndarray:
-    """Real rows whose dot products are the squared moduli |<x|y>|^2 of the rows of v."""
-    a, b = np.triu_indices(v.shape[1], 1)
-    upper = np.sqrt(2.0) * v[:, a] * v[:, b].conj()
-    return np.hstack([v.real * v.real + v.imag * v.imag, upper.real, upper.imag])
+def _squares(*parts: np.ndarray) -> np.ndarray:
+    """Real rows whose dot products are the squared moduli |<x|y>|^2 of the rows x, y of
+    the parts side by side."""
+    d = sum(part.shape[1] for part in parts)
+    a, b = np.triu_indices(d, 1)
+    out = np.empty((len(parts[0]), d * d))
+    for lo, hi in row_blocks(len(out), _STATE_BLOCK):
+        v = np.hstack([part[lo:hi] for part in parts])
+        upper = np.sqrt(2.0) * v[:, a] * v[:, b].conj()
+        out[lo:hi, :d] = v.real * v.real + v.imag * v.imag
+        out[lo:hi, d:d + a.size] = upper.real
+        out[lo:hi, d + a.size:] = upper.imag
+    return out
 
 
 def _reduced(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,8 +459,12 @@ def _reduced(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarra
     fewer dimensions and keeps every product left_i . right_j to 5e-14; else (left, right)."""
     w, v = np.linalg.eigh(left.T @ left)
     q = v[:, w > 1e-12 * w[-1]]
+    if q.shape == v.shape:
+        return left, right
     lq = left @ q
-    if q.shape == v.shape or row_norms(left - lq @ q.T).max() * row_norms(right).max() > 5e-14:
+    blocks = list(row_blocks(len(left), _STATE_BLOCK))
+    misfit = max(row_norms(left[lo:hi] - lq[lo:hi] @ q.T).max() for lo, hi in blocks)
+    if misfit * max(row_norms(right[lo:hi]).max() for lo, hi in blocks) > 5e-14:
         return left, right
     return lq, right @ q
 
@@ -437,10 +474,10 @@ def _screen_terms(s, p, o1, reduce: bool = True) -> list:
     when reduce is set, built once per scan; o1 is None for cnot."""
     fit = _reduced if reduce else lambda left, right: (left, right)
     if o1 is not None:   # <s_i|s_j> - <o_i|o_j> is one product of the rows (s, o1) and (s, -o1)
-        return [(fit(_squares(np.hstack([s, o1])), _squares(np.hstack([s, -o1]))),)]
+        return [(fit(_squares(s, o1), _squares(s, -o1)),)]
     # Every rule keeps its control: a rule pair's gap is |g[c1 c2]| |g[t1 t2] - g[t1' t2']|,
     # 0 for two s controls, else the larger of two differences, each one product.
-    ss, ps, ds, qs, r1, r2 = (_squares(np.hstack(v)) for v in (
+    ss, ps, ds, qs, r1, r2 = (_squares(*v) for v in (
         [s], [p], [s - p], [s, p], [s, -p], [p, -s]))
     return [tuple(fit(*pair) for pair in term) for term in (
         ((ss, ps), (ss, ds), (ps, ds)), ((ps, ss), (ds, ss), (ds, ps)),
@@ -482,6 +519,21 @@ def _witness_screen(terms, blocks) -> list[list[float]]:
     buf = np.empty((1 if len(terms) == 1 else 4, size * min(_SCREEN_TILE + 1, n)))   # all tiles
     return [[float(_tile_estimate(terms, buf, lo, hi, lo + c0, lo + c1).max())
              for c0, c1 in row_blocks(n - lo, _SCREEN_TILE)] for lo, hi in blocks]
+
+
+def _exact_tiles(width: int, tiles: list[float], floor: float) -> list[tuple[int, int]]:
+    """The column tiles of a row block, from its first row, that the exact pass computes:
+    each maximal run of adjacent estimate tiles whose squared gap reaches floor, cut into
+    pieces of at most _EXACT_TILE columns from its start.  Any other column holds neither
+    the maximum nor a tie."""
+    out = []
+    screened = zip(row_blocks(width, _SCREEN_TILE), tiles)
+    for hit, run in groupby(screened, key=lambda tile: tile[1] >= floor):
+        if hit:
+            edges = [edge for edge, _ in run]
+            r0, r1 = edges[0][0], edges[-1][1]
+            out += [(r0 + c0, r0 + c1) for c0, c1 in row_blocks(r1 - r0, _EXACT_TILE)]
+    return out
 
 
 def _witness_tile(s, p, o1, terms, buf, floor: float, lo: int, hi: int, c0: int, c1: int):
@@ -540,19 +592,16 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     terms, blocks = _screen_terms(s, p, o1, n > _SCREEN_TILE + 1), list(row_blocks(n, chunk))
     squares = _witness_screen(terms, blocks)
     floor = max(map(max, squares)) - _SCREEN_MARGIN
-    size = max(hi - lo for lo, hi in blocks)
+    exact = [(lo, hi, lo + c0, lo + c1) for (lo, hi), tiles in zip(blocks, squares)
+             for c0, c1 in _exact_tiles(n - lo, tiles, floor)]
     # every exact tile reuses these: two Gram tiles, or for cnot one and the estimate's four
-    buf = np.empty((2 if o1 is not None else 3, size * min(_EXACT_TILE + 1, n)), complex)
+    size = max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in exact)
+    buf = np.empty((2 if o1 is not None else 3, size), complex)
     best_v, best_i, best_j = -1.0, 0, 1
-    for (lo, hi), tiles in zip(blocks, squares):
-        screened = list(zip(row_blocks(n - lo, _SCREEN_TILE), tiles))
-        for c0, c1 in row_blocks(n - lo, _EXACT_TILE):   # only j >= lo holds j > i
-            # a tile that meets no estimate tile at the floor holds neither the maximum nor a tie
-            if all(e1 <= c0 or c1 <= e0 or square < floor for (e0, e1), square in screened):
-                continue
-            v, i, j = _witness_tile(s, p, o1, terms, buf, floor, lo, hi, lo + c0, lo + c1)
-            if v > best_v or v == best_v and i < best_i:   # the first pair in (i, j) order
-                best_v, best_i, best_j = v, i, j
+    for lo, hi, c0, c1 in exact:
+        v, i, j = _witness_tile(s, p, o1, terms, buf, floor, lo, hi, c0, c1)
+        if v > best_v or v == best_v and i < best_i:   # the first pair in (i, j) order
+            best_v, best_i, best_j = v, i, j
     return WitnessResult(pair=(family_set.pair(best_i)[0], family_set.pair(best_j)[0]),
                          violation=max(best_v, 0.0),
                          condition="pairwise-overlap-consistency")
@@ -598,7 +647,10 @@ def survey_random_unitaries(t: TargetTransform, states, n_candidates: int,
     for done in range(0, n_candidates, chunk):
         b = min(chunk, n_candidates - done)
         np.matmul(haar_unitaries(b, rng=rng).reshape(b, 4), features, out=amp[:b])
-        worst = 1.0 - (np.abs(amp[:b]) ** 2).min(axis=1)
+        # squaring is monotone on x >= 0 under rounding too, so squaring the minimum has the
+        # bits of the minimum of the squares
+        m = np.abs(amp[:b]).min(axis=1)
+        worst = 1.0 - m * m
         n_pass += int(np.count_nonzero(worst <= tol))
         min_worst = min(min_worst, float(worst.min()))
     return SurveyResult(n_candidates=n_candidates, n_pass=n_pass,

@@ -6,6 +6,7 @@ vector, and a strict `v > worst` scan.  The batched kernels must give
 the same numbers bit for bit, and the same witness on ties.
 """
 
+import itertools
 import tracemalloc
 from unittest import mock
 
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qnogo.verifier
-from qnogo.algebra import haar_unitaries, row_blocks
+from qnogo.algebra import haar_unitaries, kron_rows, row_blocks
 from qnogo.cli import _circle_residuals
 from qnogo.gates import (
     cnot_computational,
@@ -57,6 +58,7 @@ from qnogo.verifier import (
 from qnogo.verifier import (
     _EXACT_TILE,
     _SCREEN_MARGIN,
+    _exact_tiles,
     _mask_lower,
     _reduced,
     _screen_terms,
@@ -405,6 +407,82 @@ def test_machine_deviations_match_the_scalar_reference(case, name, n, seed, mode
     assert machine_deviations(m, t, [q], mode).tolist() == expected[-1:]
 
 
+# --- per-state blocks ------------------------------------------------------------------
+
+
+def seam_family(name, n, seed):
+    """A named family of n states, or for "listed" n sphere draws paired with complements."""
+    if name == "listed":
+        return [q for q, _ in ref_pairs("bloch", n, seed)]
+    return state_family(name, n, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.sampled_from([1, 3, 7]), size=st.sampled_from(["1", "B-1", "B", "B+1", "2B+1"]),
+       name=FAMILIES | st.just("listed"), seed=SEEDS, gate=qubit_gate_cases(),
+       machine=machine_cases(), mode=st.sampled_from(["fixed", "best"]))
+def test_per_state_blocks_change_no_bit(block, size, name, seed, gate, machine, mode):
+    n = max(1, {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1,
+                "2B+1": 2 * block + 1}[size])
+    family = seam_family(name, n, seed)
+    candidate, target = gate[:2]
+    checks = [lambda: check_universal_gate(candidate, target, family),
+              lambda: check_universal_gate(haar_unitaries(1, dim=4, seed=seed)[0],
+                                           target_cnot(), family),
+              lambda: machine_deviations(*machine, family, mode)]
+    whole = [check() for check in checks]   # n <= 15 states: one block of 1024
+    with mock.patch("qnogo.verifier._STATE_BLOCK", block):
+        blocked = [check() for check in checks]
+    for one, many in zip(whole[:2], blocked[:2]):
+        assert np.float64(many.violation).tobytes() == np.float64(one.violation).tobytes()
+        assert many.witness == one.witness
+    assert blocked[2].tobytes() == whole[2].tobytes()
+
+
+def block_peak(run, make, n):
+    """The tracemalloc peak of run on make(n), built beforehand, and what run returns."""
+    args = make(n)
+    run(make(4))   # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        out = run(args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check", [
+    *[lambda f, t=target: check_universal_gate(hadamard, t, f)
+      for target in (target_hadamard9(), target_hadamard10(), target_unequal(0.6, 0.8))],
+    lambda f: check_universal_gate(cnot_computational, target_cnot(), f),
+    lambda f: machine_deviations(cloning_machine("linear"), target_clone(), f, "fixed"),
+    lambda f: machine_deviations(hybrid_machine(0.5, ancilla0=[1.0, 0.0], ancilla1=[0.0, 1.0]),
+                                 target_hybrid(0.5), f, "best")],
+    ids=["hadamard9", "hadamard10", "unequal", "cnot", "clone-fixed", "hybrid-best"])
+def test_the_per_state_kernels_hold_one_block_whatever_the_size(check):
+    # one block of temporaries at every size, so only the per-state output grows with n; whole
+    # stacks peaked at 9.4 MB for the cnot rules at 8192 states, against 1.2 MB at 1024
+    block = qnogo.verifier._STATE_BLOCK
+    bloch = lambda n: state_family("bloch", n, 0)   # noqa: E731
+    peak = block_peak(check, bloch, block)[0]
+    assert block_peak(check, bloch, 8 * block)[0] <= 1.1 * peak + 8 * 8 * block
+
+
+def test_the_witness_terms_hold_one_block_whatever_the_size():
+    # _squares writes each block's rows into its output and _reduced fits them a block at a
+    # time, so past one block only the squares of (s, o1) and (s, -o1), 16 reals a row, and
+    # their fits grow with n
+    def rows(n):
+        s, p = ref_sampled("bloch", n, 0)
+        return s, p, ref_rules("hadamard9", s, p)[0][1]
+
+    block = qnogo.verifier._STATE_BLOCK
+    terms = lambda args: _screen_terms(*args)   # noqa: E731
+    peak, n = block_peak(terms, rows, block)[0], 8 * block
+    wide, [(fits,)] = block_peak(terms, rows, n)
+    assert wide <= 1.1 * peak + 2 * 16 * 8 * n + sum(x.nbytes for x in fits)
+
+
 # --- witness scan ----------------------------------------------------------------
 
 
@@ -468,7 +546,27 @@ TILED_SCANS = [
     ("unequal", "polar", 3, 286, 40, 32),
     # six equator points and their antipodes: the six antipodal pairs all have cnot gap 1, so
     # the top squared gaps lie within 1e-14 of each other and only the margin keeps the first
-    ("cnot", "antipodes", 0, 12, 4, 16)]
+    ("cnot", "antipodes", 0, 12, 4, 16),
+    # the rows 0:8 reach the floor in two adjacent tiles, a run longer than an exact tile
+    ("cnot", "antipodes-run", 0, 64, 8, 8),
+    # and in two runs of tiles with two tiles between them
+    ("cnot", "antipodes-gap", 0, 64, 8, 8)]
+
+
+def antipodes(order):
+    """Equator points 0.5 apart, then their antipodes: the k-th is that of point order[k]."""
+    angles = np.arange(len(order)) * 0.5
+    return ref_equator(np.concatenate([angles, angles[order] + np.pi]))
+
+
+HAND_BUILT = {
+    "antipodes": lambda n: antipodes(np.arange(n // 2)),
+    # the antipodes of points 0-7 and 8-15 alternate over columns 32:48
+    "antipodes-run": lambda n: antipodes(np.r_[np.arange(16).reshape(2, 8).T.ravel(),
+                                               16:n // 2]),
+    # those of points 0-3 open the second half and those of points 4-7 close it
+    "antipodes-gap": lambda n: antipodes(np.r_[0:4, 8:n // 2, 4:8]),
+}
 
 
 def check_tiled_scan(monkeypatch, kind, name, seed, n, chunk, screen_tile, exact_tile):
@@ -476,9 +574,8 @@ def check_tiled_scan(monkeypatch, kind, name, seed, n, chunk, screen_tile, exact
     monkeypatch.setattr("qnogo.verifier._SCREEN_TILE", screen_tile)
     monkeypatch.setattr("qnogo.verifier._EXACT_TILE", exact_tile)
     a, b = 0.6, 0.8
-    if name == "antipodes":   # hand-built, so witness_search is handed it in place of a draw
-        s, p = ref_equator(np.concatenate([np.arange(n // 2) * 0.5,
-                                           np.arange(n // 2) * 0.5 + np.pi]))
+    if name in HAND_BUILT:   # witness_search is handed it in place of a draw
+        s, p = HAND_BUILT[name](n)
         monkeypatch.setattr("qnogo.verifier.state_family",
                             lambda *args, **kwargs: StateSet("equatorial", s, p))
     else:
@@ -503,6 +600,49 @@ def test_exact_tiles_wider_or_narrower_than_the_estimate_tiles_change_no_bit(
     # exact tile must be matched to every estimate tile it overlaps, not only to aligned ones
     check_tiled_scan(monkeypatch, kind, name, seed, n, chunk, tile,
                      {"twice": 2 * tile, "half": tile // 2}[exact])
+
+
+def screened_runs(kind, s, p, chunk, tile):
+    """Per row block of a scan with tile-column estimate tiles: the lengths, in tiles, of its
+    runs of adjacent tiles at the floor, and whether every tile is at the floor."""
+    o1 = None if kind == "cnot" else ref_rules(kind, s, p, 0.6, 0.8)[0][1]
+    with mock.patch("qnogo.verifier._SCREEN_TILE", tile):
+        blocks = list(row_blocks(len(s), chunk))
+        squares = _witness_screen(_screen_terms(s, p, o1), blocks)
+    floor = max(map(max, squares)) - _SCREEN_MARGIN
+    return [([len(list(run)) for hit, run in itertools.groupby(t >= floor for t in tiles) if hit],
+             min(tiles) >= floor) for tiles in squares]
+
+
+def test_the_hand_built_scans_hold_a_long_run_and_a_gap():
+    # the two cases are there for these shapes; a scan whose every tile ties shows neither
+    for name, shape in (("antipodes-run", lambda runs, every: max(runs, default=0) >= 2
+                         and not every), ("antipodes-gap", lambda runs, every: len(runs) >= 2)):
+        (kind, _, _, n, chunk, tile), = [c for c in TILED_SCANS if c[1] == name]
+        assert any(shape(*block) for block in screened_runs(kind, *HAND_BUILT[name](n),
+                                                            chunk, tile))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hits=st.lists(st.booleans(), min_size=1, max_size=40), tile=st.sampled_from([4, 8]),
+       exact=st.sampled_from([2, 4, 8, 12, 32]), lone=st.booleans())
+def test_exact_tiles_cut_each_run_of_screened_tiles_from_its_start(hits, tile, exact, lone):
+    width = tile * len(hits) + lone   # row_blocks joins a lone last column to the last tile
+    with mock.patch("qnogo.verifier._SCREEN_TILE", tile), \
+            mock.patch("qnogo.verifier._EXACT_TILE", exact):
+        pieces = _exact_tiles(width, [1.0 if hit else 0.0 for hit in hits], 0.5)
+        estimate = list(row_blocks(width, tile))
+    kept = [col for (e0, e1), hit in zip(estimate, hits) if hit for col in range(e0, e1)]
+    assert [col for c0, c1 in pieces for col in range(c0, c1)] == kept
+    edges, starts = {e0 for e0, _ in estimate}, []
+    for k, (c0, c1) in enumerate(pieces):
+        if k == 0 or pieces[k - 1][1] != c0:   # a run starts on an estimate tile's edge
+            assert c0 in edges
+            starts.append(c0)
+        else:   # and goes on in pieces exactly as wide as the cap, but for its last one
+            assert pieces[k - 1][1] - pieces[k - 1][0] == exact
+        assert c1 - c0 <= exact + 1 and (c0 - starts[-1]) % exact == 0
+    assert len(starts) == sum(1 for hit, _ in itertools.groupby(hits) if hit)
 
 
 @settings(max_examples=30, deadline=None)
@@ -568,7 +708,8 @@ def test_a_scan_of_one_estimate_tile_of_rows_is_not_reduced(monkeypatch, kind):
 @pytest.mark.parametrize("name,fewer", [("bloch", True), ("polar", False)])
 def test_the_exact_pass_skips_the_tiles_no_estimate_tile_reaches(monkeypatch, name, fewer):
     # bloch has one block whose estimate reaches the floor in only a few of its columns;
-    # polar hadamard9 ties near 0 everywhere, so every tile of every block is computed
+    # polar hadamard9 ties near 0 everywhere, so every tile of every block is computed, in
+    # one run per block cut into exact tiles as wide as they may be
     n, target = 4096, target_hadamard9()
     s, p = ref_sampled(name, n, 0)
     blocks = list(row_blocks(n, 256))
@@ -576,20 +717,24 @@ def test_the_exact_pass_skips_the_tiles_no_estimate_tile_reaches(monkeypatch, na
     floor = max(map(max, squares)) - _SCREEN_MARGIN
     held = sum(len(list(row_blocks(n - lo, _EXACT_TILE)))
                for (lo, _), tiles in zip(blocks, squares) if max(tiles) >= floor)
+    runs = [tile for (lo, _), tiles in zip(blocks, squares)
+            for tile in _exact_tiles(n - lo, tiles, floor)]
     calls = []
     tile = qnogo.verifier._witness_tile
     monkeypatch.setattr("qnogo.verifier._witness_tile", lambda *a: calls.append(a) or tile(*a))
     witness_search(target, n, seed=0, family=name)
+    assert len(calls) == len(runs)
     assert 0 < len(calls) < held if fewer else len(calls) == held
 
 
-@pytest.mark.parametrize("kind,n,bound", [("hadamard9", 4096, 11_600_000),
-                                           ("cnot", 2048, 15_750_000)])
+@pytest.mark.parametrize("kind,n,bound", [("hadamard9", 4096, 3_410_000),
+                                           ("cnot", 2048, 4_340_000)])
 def test_the_witness_scan_holds_few_gram_blocks_at_once(kind, n, bound):
-    # 1.1 x the measured peaks of 10.6 MB and 14.3 MB, one column tile at a time and
-    # for cnot one Gram tile and the kept cells; whole-width blocks peaked at 27.8 MB
-    # and 47.8 MB, and computing both Gram blocks and their difference beside them at
-    # 64.0 MB and 84.0 MB
+    # 1.1 x the measured peaks of 3.10 MB and 3.94 MB: the terms built a block of rows at a
+    # time, and exact tiles no wider than the screened runs they cover.  Whole-stack terms
+    # and 1024-column exact tiles peaked at 9.7 MB and 13.6 MB (numpy 2.4), whole-width
+    # blocks at 27.8 MB and 47.8 MB, and both Gram blocks and their difference at 64.0 MB
+    # and 84.0 MB
     target = witness_target(kind, None, None)
     witness_search(target, 64, seed=0)   # first-call allocations stay out of the count
     tracemalloc.start()
@@ -636,6 +781,32 @@ def ref_survey(kind, s, p, a, b, n_candidates, tol, seed, chunk):
         n_pass += int(np.count_nonzero(worst <= tol))
         min_worst = min(min_worst, float(worst.min()))
     return n_pass, min_worst
+
+
+def ref_survey_squares(t, family, n_candidates, tol, seed, chunk):
+    """The survey's loop taking the minimum of the squared moduli: (n_pass, min worst)."""
+    s, p = family.state_vectors, family.partner_vectors
+    (_, o1), (_, o2) = ref_rules(t.kind, s, p, t.a, t.b)
+    features = np.vstack([kron_rows(o1.conj(), s), kron_rows(o2.conj(), p)]).T
+    rng = np.random.default_rng(seed)
+    n_pass, min_worst = 0, np.inf
+    for done in range(0, n_candidates, chunk):
+        b = min(chunk, n_candidates - done)
+        amp = haar_unitaries(b, rng=rng).reshape(b, 4) @ features
+        worst = 1.0 - (np.abs(amp) ** 2).min(axis=1)
+        n_pass += int(np.count_nonzero(worst <= tol))
+        min_worst = min(min_worst, float(worst.min()))
+    return n_pass, min_worst
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1])
+@pytest.mark.parametrize("kind", ["hadamard9", "hadamard10", "unequal"])
+def test_squaring_the_smallest_modulus_keeps_the_bits_of_the_smallest_square(kind, seed):
+    target, family = witness_target(kind, 0.6, 0.8j), state_family("bloch", 300, seed)
+    result = survey_random_unitaries(target, family, 2500, tol=0.3, seed=seed, chunk=1024)
+    n_pass, min_worst = ref_survey_squares(target, family, 2500, 0.3, seed, 1024)
+    assert result.n_pass == n_pass
+    assert np.float64(result.min_worst_violation).tobytes() == np.float64(min_worst).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import qnogo.verifier
+
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("compare_outputs",
                                                ROOT / "tools" / "compare_outputs.py")
@@ -13,9 +15,9 @@ _spec.loader.exec_module(compare_outputs)
 def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_seeds():
     argvs = compare_outputs.commands([2, 257], Path("units"))
     assert len(argvs) == len(set(argvs))
-    # 142 commands at each seed, then dsl-check once on each of the 43 units
+    # 274 commands at each seed, then dsl-check once on each of the 43 units
     assert len(compare_outputs.UNITS) == 43
-    assert len(argvs) == 2 * 142 + 43
+    assert len(argvs) == 2 * 274 + 43
     assert argvs[-43:] == [("dsl-check", str(Path("units") / f"{name}.qmachine"))
                            for name in compare_outputs.UNITS]
     for seed in ("0", "42"):
@@ -29,14 +31,29 @@ def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_se
         for gate, target in (("CNOT", "hadamard9"), ("H", "cnot23")):
             assert ("gate-verify", "--gate", gate, "--target", target, "--set", "polar",
                     "--format", "json", "--seed", seed) in gates
+        # each matched gate and target on each family, and each corpus file, at one row past
+        # one block of the per-state kernels and one past two
+        block = compare_outputs.STATE_BLOCK
+        sizes = {str(block + 1), str(2 * block + 1)}
+        seams = [a for a in mine if a[0] == "gate-verify" and "--grid-n" in a
+                 and a[a.index("--grid-n") + 1] in sizes]
+        assert len(seams) == (4 * 4 + 1) * 3 * 2
+        corpus = [a for a in mine if a[0] == "dsl-check" and "--samples" in a
+                  and a[a.index("--samples") + 1] != "10000"]
+        assert len(corpus) == 15 * 2
+        assert {a[a.index("--samples") + 1] for a in corpus} == sizes
         # the 43 command lines of the three workloads (the survey is a library call), two of
         # them in the gate matrix, and circle-check at 2 and 257; the workloads run it at the
         # default 256 and at 2000
-        assert len(mine) - len(witness) - len(gates) == 43 - 2 + 2
+        assert len(mine) - len(witness) - len(gates) - len(seams) - len(corpus) == 43 - 2 + 2
         circles = [a[a.index("--grid-n") + 1] for a in mine
                    if a[0] == "circle-check" and "--grid-n" in a]
         assert sorted(circles) == ["2", "2000", "257"]
     assert all("--output" not in a for a in argvs)
+
+
+def test_the_block_seam_commands_follow_the_kernels_block():
+    assert compare_outputs.STATE_BLOCK == qnogo.verifier._STATE_BLOCK
 
 
 def test_a_difference_names_the_exit_code_or_the_first_line_that_differs():

@@ -10,9 +10,13 @@ read the same in both.  The commands are
   * every command-line operation of perfbench/workloads.py (all three
     workloads; none writes a file),
   * witness for every target and family at each --grid-n,
-  * circle-check at each --grid-n, and
+  * circle-check at each --grid-n,
   * gate-verify for every gate, target and family at the default size,
-    size mismatches included,
+    size mismatches included, and
+  * gate-verify for every matched gate and target on every family, and
+    dsl-check on every file of machines/, at STATE_BLOCK + 1 and
+    2 STATE_BLOCK + 1 states: the per-state kernels' one block with a
+    lone last row joined to it, and two blocks with a seam between them,
 
 each at seeds 0 and 42, and dsl-check on each of a fixed list of small
 units, one per diagnostic, written once to a temporary directory that both trees
@@ -43,6 +47,7 @@ TARGETS = (("hadamard9",), ("hadamard10",), ("unequal", "--a", "0.6", "--b", "0.
 FAMILIES = ("bloch", "polar", "equatorial")
 SEEDS = (0, 42)
 GATES = ("H", "HP", "HE", "CNOT", "UG(a=0.6,b=0.8)")
+STATE_BLOCK = 1024   # qnogo.verifier._STATE_BLOCK, the rows per block of the per-state kernels
 # the witness targets and unequal with real weights; a 2x2 gate on cnot23 or a 4x4 one on the
 # others exits 3
 GATE_TARGETS = TARGETS[:2] + (("unequal", "--a", "0.6", "--b", "0.8"),) + TARGETS[2:]
@@ -124,6 +129,15 @@ def commands(grid_sizes, unit_dir: Path) -> list[tuple[str, ...]]:
         for gate, target, family in itertools.product(GATES, GATE_TARGETS, FAMILIES):
             argvs.append(("gate-verify", "--gate", gate, "--target", *target, "--set", family,
                           "--format", "json", "--seed", str(seed)))
+        seams = (STATE_BLOCK + 1, 2 * STATE_BLOCK + 1)
+        for gate, target, family, n in itertools.product(GATES, GATE_TARGETS, FAMILIES, seams):
+            if (gate == "CNOT") == (target[0] == "cnot23"):   # a mismatch builds no family
+                argvs.append(("gate-verify", "--gate", gate, "--target", *target,
+                              "--set", family, "--grid-n", str(n),
+                              "--format", "json", "--seed", str(seed)))
+        for stem, samples in itertools.product(sorted(workloads.CORPUS_EXIT), seams):
+            argvs.append(("dsl-check", str(Path("machines") / f"{stem}.qmachine"),
+                          "--samples", str(samples), "--format", "json", "--seed", str(seed)))
     argvs += [("dsl-check", str(unit_dir / f"{name}.qmachine")) for name in UNITS]
     return list(dict.fromkeys(argvs))
 
