@@ -52,6 +52,9 @@ _BASIS = np.eye(2, dtype=complex)
 _BASIS.setflags(write=False)
 
 _SCREEN_MARGIN = 1e-12   # over twice the screen's error: 1e-14 rounding, 5e-14 from _reduced
+# The witness screen's states per cell, and the rounding slack of a cell's bound over its
+# estimates.
+_CELL, _BOUND_SLACK = 32, 1e-13
 # Columns per tile, one more where row_blocks joins a lone last column.  The estimate's tiles
 # stay in cache; an exact tile is a run of them, at most _EXACT_TILE wide, so it starts a
 # whole number of estimate tiles from the block edge and every entry keeps its bits.
@@ -271,15 +274,19 @@ def target_cnot() -> TargetTransform:
     return TargetTransform("cnot")
 
 
+def _qubit_outputs(t: TargetTransform, s: np.ndarray, p: np.ndarray):
+    """The required outputs of a single-qubit target's two rules, each built when asked for."""
+    r, kind = 1.0 / np.sqrt(2.0), t.kind
+    yield r * (s + p) if kind == "hadamard9" else (
+        r * (s + 1j * p) if kind == "hadamard10" else t.a * s + t.b * p)
+    yield r * (s - p) if kind == "hadamard9" else (
+        r * (1j * s + p) if kind == "hadamard10" else t.b * s - t.a * p)
+
+
 def _rule_table(t: TargetTransform, s: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (inputs, required outputs) of a gate target, each (rules, n, dim)."""
-    r = 1.0 / np.sqrt(2.0)
-    if t.kind == "hadamard9":
-        ins, outs = (s, p), (r * (s + p), r * (s - p))
-    elif t.kind == "hadamard10":
-        ins, outs = (s, p), (r * (s + 1j * p), r * (1j * s + p))
-    elif t.kind == "unequal":
-        ins, outs = (s, p), (t.a * s + t.b * p, t.b * s - t.a * p)
+    if t.kind in QUBIT_GATE_TARGETS:
+        ins, outs = (s, p), tuple(_qubit_outputs(t, s, p))
     elif t.kind == "cnot":
         v = {"s": s, "p": p}
         k = {c + x: kron_rows(v[c], v[x]) for c in "sp" for x in "sp"}   # ss, sp, ps, pp
@@ -484,17 +491,19 @@ def _screen_terms(s, p, o1, reduce: bool = True) -> list:
         ((ps, ps), (qs, r1), (qs, r2)))]
 
 
-def _tile_estimate(terms, buf, lo: int, hi: int, c0: int, c1: int) -> np.ndarray:
-    """The squared gaps of rows lo:hi x columns c0:c1 to 6e-14, -1 where j <= i, in buf."""
+def _tile_estimate(terms, buf, lo: int, hi: int, c0: int, c1: int, pos=None) -> np.ndarray:
+    """The squared gaps of rows lo:hi x columns c0:c1 to 6e-14, -1 where j <= i, in buf; the
+    terms' row of state i is pos[i] if pos is given."""
     m, w = hi - lo, c1 - c0
+    rows, cols = (slice(lo, hi), slice(c0, c1)) if pos is None else (pos[lo:hi], pos[c0:c1])
     est, *out = (b[:m * w].reshape(m, w) for b in buf)
     if not out:   # a single-qubit target: one product, straight into the estimate
         left, right = terms[0][0]
-        np.matmul(left[lo:hi], right[c0:c1].T, out=est)
+        np.matmul(left[rows], right[cols].T, out=est)
     else:
         est[:] = 0.0
         for term in terms:
-            sq, *diffs = [np.matmul(x[lo:hi], y[c0:c1].T, out=o)
+            sq, *diffs = [np.matmul(x[rows], y[cols].T, out=o)
                           for (x, y), o in zip(term, out)]
             sq *= np.maximum(*diffs, out=diffs[0])
             np.maximum(est, sq, out=est)
@@ -512,13 +521,82 @@ def _mask_lower(tile: np.ndarray, lo: int, c0: int) -> np.ndarray:   # rows lo:,
     return tile
 
 
-def _witness_screen(terms, blocks) -> list[list[float]]:
-    """The largest squared gap over pairs j > i of each row block, per column tile of
-    row_blocks(n - lo, _SCREEN_TILE) from the block's first row, to 6e-14."""
-    n, size = len(terms[0][0][0]), max(hi - lo for lo, hi in blocks)
-    buf = np.empty((1 if len(terms) == 1 else 4, size * min(_SCREEN_TILE + 1, n)))   # all tiles
-    return [[float(_tile_estimate(terms, buf, lo, hi, lo + c0, lo + c1).max())
-             for c0, c1 in row_blocks(n - lo, _SCREEN_TILE)] for lo, hi in blocks]
+def _cell_order(x: np.ndarray) -> np.ndarray:
+    """A permutation of the rows of x, entries in [-1, 1], whose runs of _CELL are compact: each
+    pass cuts every longer run at the cell edge nearest its median along its widest coordinate."""
+    n, order, cut = len(x), np.arange(len(x)), np.arange(-(-len(x) // _CELL)) == 0
+    while (sizes := np.diff(starts := np.flatnonzero(cut) * _CELL, append=n)).max() > _CELL:
+        run, pts = np.repeat(np.arange(len(starts)), sizes), x.take(order, axis=0)
+        axis = (np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)).argmax(axis=1)
+        key = pts.take(np.arange(0, pts.size, pts.shape[1]) + axis[run])
+        order = order[np.argsort(key + 4.0 * run)]   # runs stay apart
+        cut[(starts // _CELL + -(-sizes // (2 * _CELL)))[sizes > _CELL]] = True
+    return order
+
+
+def _cell_forms(terms, n: int) -> np.ndarray:
+    """Per pair (x, y) of screen rows, stacked and zero-padded, the rows whose products bound
+    x_i . y_j over each pair of cells: over boxes of centres c, c' and half-widths r, r',
+    x . y <= c.c' + |c|.r' + r.|c'| + r.r'."""
+    def box(v):
+        lo, hi = np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts)
+        return (hi + lo) / 2.0, (hi - lo) / 2.0
+
+    starts, pairs = np.arange(0, n, _CELL), [pair for term in terms for pair in term]
+    forms = np.zeros((2, len(pairs), len(starts), 4 * max(x.shape[1] for x, _ in pairs)))
+    for k, ((c, r), (c2, r2)) in enumerate(map(box, pair) for pair in pairs):
+        forms[0, k, :, :4 * c.shape[1]] = np.hstack([c, abs(c), r, r])
+        forms[1, k, :, :4 * c.shape[1]] = np.hstack([c2, r2, abs(c2), r2])
+    return forms
+
+
+def _cell_bound(forms, rows) -> np.ndarray:
+    """Bounds, with a rounding slack, of the estimates over the cells rows x every cell; for cnot
+    the largest over the terms of max(ub_sq, 0) max(ub_d1, ub_d2, 0)."""
+    ub = np.maximum(np.matmul(forms[0][:, rows], forms[1].transpose(0, 2, 1)), 0.0)
+    ub = (ub[0::3] * np.maximum(ub[1::3], ub[2::3])).max(axis=0) if len(ub) > 1 else ub[0]
+    return ub + _BOUND_SLACK
+
+
+def _witness_screen(terms, order, blocks) -> np.ndarray:
+    """Per row block, per column tile of row_blocks(n - lo, _SCREEN_TILE) from its first row (the
+    entries past a block's last tile are padding): the largest estimate of the tile's pairs within
+    _SCREEN_MARGIN of the top, else -inf.  The terms' rows are those of the states order, in cells
+    of _CELL.  Each _SCREEN_TILE rows, in whole cells, are computed against their cell of the
+    largest bound, then against every run of cells whose bound reaches the top so far less the
+    margin."""
+    def pieces():   # (first row, first column, estimates): per row tile, its cell of the largest
+        for g in range(0, cells, group):   # bound, then each run of cells whose bound reaches
+            bound = _cell_bound(forms, slice(g, g + group))
+            bound[np.arange(cells) < np.arange(g, g + len(bound))[:, None]] = -np.inf   # b < a
+            r0, r1, c = g * _CELL, min(n, (g + group) * _CELL), bound.max(axis=0).argmax() * _CELL
+            yield r0, c, _tile_estimate(terms, buf, r0, r1, c, min(n, c + _CELL))
+            at[1:-1] = (bound >= top - _SCREEN_MARGIN).any(axis=0)
+            edges = np.flatnonzero(at[1:] != at[:-1])   # the runs' first cells and ends
+            for c0, c1 in zip(edges[0::2] * _CELL, np.minimum(edges[1::2] * _CELL, n)):
+                for c in range(c0, c1, step):
+                    yield r0, c, _tile_estimate(terms, buf, r0, r1, c, min(c1, c + step))
+
+    n, forms, group = len(order), _cell_forms(terms, len(order)), max(1, _SCREEN_TILE // _CELL)
+    cells, step, top = forms.shape[2], group * _CELL, -1.0
+    at = np.zeros(cells + 2, bool)   # per cell, whether a row tile meets it; an off cell each end
+    buf = np.empty((1 if len(terms) == 1 else 4, min(n, step) ** 2))
+    first = np.array([lo for lo, _ in blocks])
+    last = np.maximum((n - first - 2) // _SCREEN_TILE, 0)
+    tiles = np.full((len(blocks), last[0] + 1), -np.inf)
+    for r0, c0, est in pieces():
+        top = max(top, high := est.max())
+        # while the top is below the margin, so is every pair so far: below the final floor, or
+        # every pair may tie
+        if top < _SCREEN_MARGIN or high < top - _SCREEN_MARGIN:
+            continue
+        rows, cols = np.divmod(np.flatnonzero(est >= top - _SCREEN_MARGIN), est.shape[1])
+        i, j = order[r0 + rows], order[c0 + cols]   # the pair, (i, j) or (j, i)
+        k = np.minimum(np.minimum(i, j) // blocks[0][1], len(blocks) - 1)   # row_blocks'
+        t = np.minimum((np.maximum(i, j) - first[k]) // _SCREEN_TILE, last[k])
+        np.maximum.at(tiles, (k, t), est[rows, cols])
+    # below twice the margin every pair may tie with the top: every tile is computed exactly
+    return np.full(tiles.shape, top) if top < 2 * _SCREEN_MARGIN else tiles
 
 
 def _exact_tiles(width: int, tiles: list[float], floor: float) -> list[tuple[int, int]]:
@@ -536,17 +614,17 @@ def _exact_tiles(width: int, tiles: list[float], floor: float) -> list[tuple[int
     return out
 
 
-def _witness_tile(s, p, o1, terms, buf, floor: float, lo: int, hi: int, c0: int, c1: int):
+def _witness_tile(s, p, o1, terms, pos, buf, floor: float, lo: int, hi: int, c0: int, c1: int):
     """The first largest exact gap over j > i of rows lo:hi x columns c0:c1, as (gap, i, j).
-    cnot computes only the cells whose estimate reaches floor; a single-qubit target computes
-    the whole tile, as its estimate would cost as much."""
+    cnot computes only the cells whose estimate, from the terms' rows pos, reaches floor; a
+    single-qubit target computes the whole tile, as its estimate would cost as much."""
     m, w = hi - lo, c1 - c0
     if o1 is not None:
         gap = np.matmul(s[lo:hi].conj(), s[c0:c1].T, out=buf[0, :m * w].reshape(m, w))
         gap -= np.matmul(o1[lo:hi].conj(), o1[c0:c1].T, out=buf[1, :m * w].reshape(m, w))
         block = _mask_lower(np.abs(gap, out=buf[1].view(float)[:m * w].reshape(m, w)), lo, c0)
     else:
-        block = _tile_estimate(terms, buf[1:].view(float).reshape(4, -1), lo, hi, c0, c1)
+        block = _tile_estimate(terms, buf[1:].view(float).reshape(4, -1), lo, hi, c0, c1, pos)
         rows, cols = np.nonzero(block >= floor)   # in (i, j) order; j <= i reads -1
         vecs, tile = {"s": s, "p": p}, buf[0, :m * w].reshape(m, w)
         g = {k: np.matmul(vecs[k[0]][lo:hi].conj(), vecs[k[1]][c0:c1].T, out=tile)[rows, cols]
@@ -575,8 +653,11 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     pairs of two-qubit rules is taken.
 
     Deterministic for a fixed seed; ties break to the first pair found in
-    (i, j) order.  The scan is exhaustive, in row blocks to bound memory;
-    column tiles and cnot cells that a cheap screen rules out are skipped, which changes no bit.
+    (i, j) order.  The scan is exhaustive, in row blocks to bound memory, but
+    skips every column tile and cnot cell that a screen rules out: it orders
+    the states into compact cells and computes the estimates of a pair of
+    cells only where a bound from the cells' coordinate boxes reaches the top
+    estimate.  No bit changes.
     """
     if n_samples < 2:
         raise ValueError("need at least two samples to form a pair")
@@ -585,24 +666,35 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     if t.kind not in GATE_TARGETS:
         raise ValueError(f"target kind {t.kind!r} has no overlap audit")
     family_set = state_family(family, n_samples, seed, sampled=True)
-    s, p, n = family_set.state_vectors, family_set.partner_vectors, n_samples
-    o1 = None if t.kind == "cnot" else _rule_table(t, s, p)[1][0]
-    # One estimate tile of rows gains nothing from the reduction, and its eigh, a process's
-    # first LAPACK call, would add about 1 MB to the peak RSS of a witness run.
-    terms, blocks = _screen_terms(s, p, o1, n > _SCREEN_TILE + 1), list(row_blocks(n, chunk))
-    squares = _witness_screen(terms, blocks)
-    floor = max(map(max, squares)) - _SCREEN_MARGIN
+    s, n = family_set.state_vectors, n_samples
+    # One estimate tile of rows meets every column in any order, and gains nothing from the
+    # reduction either: its eigh, a process's first LAPACK call, would add about 1 MB to the
+    # peak RSS of a witness run, and the order's sorts about 0.4 MB.
+    wide = n > _SCREEN_TILE + 1
+    order = _cell_order(np.hstack([s.real, s.imag])) if wide else np.arange(n)
+    # The screen terms are built once, in the cell order, with no copy of the family beside
+    # them; the exact pass takes the states back in the family's order, state i from row pos[i].
+    s, p = s[order], family_set.partner_vectors[order]
+    del family_set
+    o1 = None if t.kind == "cnot" else next(_qubit_outputs(t, s, p))
+    terms, blocks = _screen_terms(s, p, o1, wide), list(row_blocks(n, chunk))
+    squares = _witness_screen(terms, order, blocks)
+    floor = squares.max() - _SCREEN_MARGIN
     exact = [(lo, hi, lo + c0, lo + c1) for (lo, hi), tiles in zip(blocks, squares)
              for c0, c1 in _exact_tiles(n - lo, tiles, floor)]
     # every exact tile reuses these: two Gram tiles, or for cnot one and the estimate's four
     size = max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in exact)
-    buf = np.empty((2 if o1 is not None else 3, size), complex)
+    buf, pos = np.empty((2 if o1 is not None else 3, size), complex), np.empty_like(order)
+    pos[order] = np.arange(n)
+    s = s[pos]   # one array at a time, so each ordered copy is freed as its successor is built
+    p = p[pos]
+    o1 = None if o1 is None else o1[pos]
     best_v, best_i, best_j = -1.0, 0, 1
     for lo, hi, c0, c1 in exact:
-        v, i, j = _witness_tile(s, p, o1, terms, buf, floor, lo, hi, c0, c1)
+        v, i, j = _witness_tile(s, p, o1, terms, pos, buf, floor, lo, hi, c0, c1)
         if v > best_v or v == best_v and i < best_i:   # the first pair in (i, j) order
             best_v, best_i, best_j = v, i, j
-    return WitnessResult(pair=(family_set.pair(best_i)[0], family_set.pair(best_j)[0]),
+    return WitnessResult(pair=(Qubit(*s[best_i]), Qubit(*s[best_j])),
                          violation=max(best_v, 0.0),
                          condition="pairwise-overlap-consistency")
 
@@ -638,7 +730,7 @@ def survey_random_unitaries(t: TargetTransform, states, n_candidates: int,
         raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
     family = _as_set(states)
     s, p = family.state_vectors, family.partner_vectors
-    o1, o2 = _rule_table(t, s, p)[1]
+    o1, o2 = _qubit_outputs(t, s, p)
     # <o|U|x> = sum_ij conj(o_i) U_ij x_j, so a chunk's amplitudes are one (b, 4) x (4, 2n) product
     features = np.vstack([kron_rows(o1.conj(), s), kron_rows(o2.conj(), p)]).T
     amp = np.empty((min(chunk, n_candidates), features.shape[1]), dtype=complex)

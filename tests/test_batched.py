@@ -58,10 +58,14 @@ from qnogo.verifier import (
 from qnogo.verifier import (
     _EXACT_TILE,
     _SCREEN_MARGIN,
+    _cell_bound,
+    _cell_forms,
+    _cell_order,
     _exact_tiles,
     _mask_lower,
     _reduced,
     _screen_terms,
+    _tile_estimate,
     _tri_mask,
     _witness_screen,
 )
@@ -602,13 +606,22 @@ def test_exact_tiles_wider_or_narrower_than_the_estimate_tiles_change_no_bit(
                      {"twice": 2 * tile, "half": tile // 2}[exact])
 
 
+def screen_tiles(kind, s, p, blocks, a=0.6, b=0.8):
+    """The screen's tiles as witness_search computes them, one list per row block, without the
+    padding past the block's last tile."""
+    o1 = None if kind == "cnot" else ref_rules(kind, s, p, a, b)[0][1]
+    order = _cell_order(np.hstack([s.real, s.imag]))
+    terms = _screen_terms(s[order], p[order], None if o1 is None else o1[order])
+    n, tile = len(s), qnogo.verifier._SCREEN_TILE
+    return [list(tiles[:len(list(row_blocks(n - lo, tile)))])
+            for (lo, _), tiles in zip(blocks, _witness_screen(terms, order, blocks))]
+
+
 def screened_runs(kind, s, p, chunk, tile):
     """Per row block of a scan with tile-column estimate tiles: the lengths, in tiles, of its
     runs of adjacent tiles at the floor, and whether every tile is at the floor."""
-    o1 = None if kind == "cnot" else ref_rules(kind, s, p, 0.6, 0.8)[0][1]
     with mock.patch("qnogo.verifier._SCREEN_TILE", tile):
-        blocks = list(row_blocks(len(s), chunk))
-        squares = _witness_screen(_screen_terms(s, p, o1), blocks)
+        squares = screen_tiles(kind, s, p, list(row_blocks(len(s), chunk)))
     floor = max(map(max, squares)) - _SCREEN_MARGIN
     return [([len(list(run)) for hit, run in itertools.groupby(t >= floor for t in tiles) if hit],
              min(tiles) >= floor) for tiles in squares]
@@ -645,20 +658,100 @@ def test_exact_tiles_cut_each_run_of_screened_tiles_from_its_start(hits, tile, e
     assert len(starts) == sum(1 for hit, _ in itertools.groupby(hits) if hit)
 
 
+def ref_gaps(kind, s, p, a=None, b=None):
+    """Every pair's exact gap, as ref_witness computes it, -1 where j <= i."""
+    if kind == "cnot":
+        vecs = {"s": s, "p": p}
+        g = {k: vecs[k[0]].conj() @ vecs[k[1]].T for k in ("ss", "sp", "ps", "pp")}
+        rules = [("s", "s", "s", "s"), ("s", "p", "s", "p"),
+                 ("p", "s", "p", "p"), ("p", "p", "p", "s")]
+        gaps = np.max([np.abs(g[c1 + c2] * g[t1 + t2] - g[c1o + c2o] * g[t1o + t2o])
+                       for c1, t1, c1o, t1o in rules for c2, t2, c2o, t2o in rules], axis=0)
+    else:
+        o1 = ref_rules(kind, s, p, a, b)[0][1]
+        gaps = np.abs(s.conj() @ s.T - o1.conj() @ o1.T)
+    return np.where(np.tri(len(s), dtype=bool), -1.0, gaps)
+
+
+def tile_maxima(gaps, blocks, tile):
+    """The largest squared exact gap of each block's column tiles, from its first row."""
+    n, squares = len(gaps), np.where(gaps < 0.0, -1.0, gaps * gaps)
+    return [[float(np.max(squares[lo:hi, lo + c0:lo + c1], initial=-1.0))
+             for c0, c1 in row_blocks(n - lo, tile)] for lo, hi in blocks]
+
+
 @settings(max_examples=30, deadline=None)
 @given(kind=st.sampled_from(["hadamard9", "hadamard10", "unequal", "cnot"]),
        weights=unit_weights(), name=FAMILIES, seed=SEEDS,
        n=st.integers(2, 300), chunk=st.sampled_from([1, 2, 3, 5, 8, 64]))
-def test_the_screen_estimates_each_block_maximum_well_inside_the_margin(kind, weights, name,
-                                                                       seed, n, chunk):
-    # the certify pass is exact only if no estimate strays by half the margin
+def test_the_screen_finds_the_top_estimate_and_the_tiles_at_the_floor(kind, weights, name,
+                                                                      seed, n, chunk):
+    # the exact pass is exact only if the top strays by less than half the margin, and it
+    # computes a tile, from a block's first row, only if an estimate in it reaches the floor
     a, b = weights
     s, p = ref_sampled(name, n, seed)
-    o1 = None if kind == "cnot" else ref_rules(kind, s, p, a, b)[0][1]
     blocks = list(row_blocks(n, chunk))
-    for (lo, hi), tiles in zip(blocks, _witness_screen(_screen_terms(s, p, o1), blocks)):
-        exact = ref_witness(kind, s, p, chunk, a, b, [(lo, hi)])[0]
-        assert abs(max(tiles) - exact * exact) <= _SCREEN_MARGIN / 10
+    squares = screen_tiles(kind, s, p, blocks, a, b)
+    top = max(map(max, squares))
+    exact = tile_maxima(ref_gaps(kind, s, p, a, b), blocks, qnogo.verifier._SCREEN_TILE)
+    exact_top = max(map(max, exact))
+    assert abs(top - exact_top) <= _SCREEN_MARGIN / 10
+    floor = top - _SCREEN_MARGIN
+    for tiles, maxima in zip(squares, exact, strict=True):
+        for hit, reach in zip(tiles, maxima, strict=True):
+            if reach >= floor + _SCREEN_MARGIN / 10:
+                assert hit >= floor
+            elif reach < floor - _SCREEN_MARGIN / 10 and top >= 2 * _SCREEN_MARGIN:
+                assert hit < floor   # a tie near 0 computes every tile
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["hadamard9", "hadamard10", "unequal", "cnot"]),
+       weights=unit_weights(), name=FAMILIES, seed=SEEDS, n=st.integers(2, 600),
+       cell=st.sampled_from([2, 3, 8]), chunk=st.sampled_from([1, 7, 64, 256]))
+def test_each_cell_bound_holds_its_estimates_and_the_hits_hold_the_top(kind, weights, name,
+                                                                       seed, n, cell, chunk):
+    a, b = weights
+    s, p = ref_sampled(name, n, seed)
+    blocks = list(row_blocks(n, chunk))
+    with mock.patch("qnogo.verifier._CELL", cell):
+        o1 = None if kind == "cnot" else ref_rules(kind, s, p, a, b)[0][1]
+        order = _cell_order(np.hstack([s.real, s.imag]))
+        terms = _screen_terms(s[order], p[order], None if o1 is None else o1[order])
+        bound = _cell_bound(_cell_forms(terms, n), slice(None))
+        squares = screen_tiles(kind, s, p, blocks, a, b)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    # every estimate, j > i in the cell order, against the bound of its pair of cells
+    est = _tile_estimate(terms, np.empty((1 if o1 is not None else 4, n * n)), 0, n, 0, n)
+    starts = np.arange(0, n, cell)
+    cell_max = np.maximum.reduceat(np.maximum.reduceat(est, starts, axis=0), starts, axis=1)
+    assert np.all(np.triu(bound) >= np.triu(cell_max))
+    exact = tile_maxima(ref_gaps(kind, s, p, a, b), blocks, qnogo.verifier._SCREEN_TILE)
+    exact_top, floor = max(map(max, exact)), max(map(max, squares)) - _SCREEN_MARGIN
+    for tiles, maxima in zip(squares, exact, strict=True):
+        for hit, reach in zip(tiles, maxima, strict=True):
+            if reach >= exact_top - _SCREEN_MARGIN / 2:
+                assert hit >= floor
+
+
+@pytest.mark.parametrize("name,every", [("bloch", False), ("polar", True)])
+def test_the_screen_computes_few_cell_pairs_unless_all_tie(monkeypatch, name, every):
+    # bloch hadamard9 has few pairs near its top, so the bounds rule out most pairs of cells;
+    # polar hadamard9 ties near 0 everywhere, and no bound can rule any out
+    n, cell, pairs = 4096, qnogo.verifier._CELL, set()
+    estimate = qnogo.verifier._tile_estimate
+
+    def count(terms, buf, lo, hi, c0, c1, pos=None):
+        if pos is None:   # the screen's, in cells; the cnot exact pass passes pos
+            pairs.update((a, b) for a in range(lo // cell, -(-hi // cell))
+                         for b in range(max(a, c0 // cell), -(-c1 // cell)))
+        return estimate(terms, buf, lo, hi, c0, c1, pos)
+
+    monkeypatch.setattr("qnogo.verifier._tile_estimate", count)
+    witness_search(target_hadamard9(), n, seed=0, family=name)
+    cells = n // cell
+    total = cells * (cells + 1) // 2   # pairs of cells b >= a
+    assert len(pairs) == total if every else len(pairs) < 0.15 * total
 
 
 @settings(max_examples=60, deadline=None)
@@ -713,7 +806,7 @@ def test_the_exact_pass_skips_the_tiles_no_estimate_tile_reaches(monkeypatch, na
     n, target = 4096, target_hadamard9()
     s, p = ref_sampled(name, n, 0)
     blocks = list(row_blocks(n, 256))
-    squares = _witness_screen(_screen_terms(s, p, ref_rules("hadamard9", s, p)[0][1]), blocks)
+    squares = screen_tiles("hadamard9", s, p, blocks)
     floor = max(map(max, squares)) - _SCREEN_MARGIN
     held = sum(len(list(row_blocks(n - lo, _EXACT_TILE)))
                for (lo, _), tiles in zip(blocks, squares) if max(tiles) >= floor)
