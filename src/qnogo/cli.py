@@ -45,7 +45,7 @@ EXIT_IO = 4
 SCHEMA_VERSION = "1"
 
 MAX_LAMBDAS = 10_001
-MAX_GRID_N = 65_536   # circle-check memory is fixed, but its time grows as n^2: 99 s on 2 cores
+MAX_GRID_N = 65_536   # circle-check memory is fixed, but its time grows as n^2: 55 s on 2 cores
 MAX_NODES = 65_536    # fidelity-sweep quadrature nodes; the grid's arrays grow linearly
 _CIRCLE_TILE = 64     # columns: four 256 x 64 complex Gram tiles are 1 MiB, in a 2 MiB L2
 
@@ -330,33 +330,56 @@ def cmd_witness(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _swap_bounds(kind: str, n: int):
+    """A bound on each computed swapped-pattern residual by d = j - i, at d + n - 1, and a floor
+    under their computed maximum.  The pattern is exactly 2|sin(pi d / 2n)| (polar)
+    or 2|sin(pi d / n)| (equatorial); the slack, 1e-13, is ten times its worst error: with grid
+    angles within 1.4e-15 and partners' (t + pi) % 2 pi within 2.7e-15, a component (modulus
+    <= 1) is within 3e-15, a Gram entry (two products) 4e-15 and the pattern (two) 1e-14."""
+    import numpy as np
+    exact = 2.0 * np.abs(np.sin(np.pi / (2 * n if kind == "polar" else n) * np.arange(1 - n, n)))
+    return exact + 1e-13, exact.max() - 1e-13
+
+
 def _circle_residuals(kind: str, n: int) -> tuple[float, float, float]:
     """Max overlap-pattern residuals over the n x n parameter grid.
 
     Returns (diagonal residual, own-pattern off-diagonal residual,
     swapped-pattern off-diagonal residual).  The diagonal identity is
     shared; the off-diagonal sign is what distinguishes the circles.
+    On the polar grid each Gram entry's imaginary part is exactly +-0, and
+    hypot(x, +-0) = |x|: the moduli are taken on the real parts.  The swapped
+    pattern is skipped on tiles whose bounds lie below the floor under its maximum.
     """
     import numpy as np
     from .algebra import row_blocks
     from .states import state_family
     family = state_family(kind, n)
     s, p = family.state_vectors, family.partner_vectors
+    real = not (s.imag.any() or p.imag.any())
+
+    def peak(op, a, b, spent, out) -> float:   # largest |op(a, b)|; out is real and apart from a, b
+        if real:
+            a, b, spent = a.real, b.real, out
+        return float(np.abs(op(a, b, out=spent), out=out).max())
+
+    bound, floor = _swap_bounds(kind, n)
+    own_op, swap_op = (np.add, np.subtract) if kind == "polar" else (np.subtract, np.add)
     grams = np.empty((4, 257 * min(_CIRCLE_TILE + 1, n)), complex)   # lone rows, columns join
-    diag = anti = sym = 0.0
+    diag = own = swap = 0.0
     for lo, hi in row_blocks(n, 256):   # columns lo: hold every pair, as |R_ij| = |R_ji|
         sc, pc = s[lo:hi].conj(), p[lo:hi].conj()
         for c0, c1 in row_blocks(n - lo, _CIRCLE_TILE):   # from the block edge: BLAS's bits
             st, pt = s[lo + c0:lo + c1].T, p[lo + c0:lo + c1].T
-            g00, g11, g01, g10, r = (x[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
-                                     for x in (*grams, grams[1].view(float)))   # r: spent g11
-            np.subtract(np.matmul(sc, st, out=g00), np.matmul(pc, pt, out=g11), out=g00)
-            diag = max(diag, float(np.abs(g00, out=r).max()))
-            np.matmul(sc, pt, out=g01)
-            np.matmul(pc, st, out=g10)
-            anti = max(anti, float(np.abs(np.add(g01, g10, out=g00), out=r).max()))
-            sym = max(sym, float(np.abs(np.subtract(g01, g10, out=g00), out=r).max()))
-    return (diag, anti, sym) if kind == "polar" else (diag, sym, anti)
+            g00, g11, g01, g10, r, q = (x[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
+                                        for x in (*grams, *grams[1:3].view(float)))   # r, q: g11, g01
+            diag = max(diag, peak(np.subtract, np.matmul(sc, st, out=g00),
+                                  np.matmul(pc, pt, out=g11), g00, q))
+            own = max(own, peak(own_op, np.matmul(sc, pt, out=g01),
+                                np.matmul(pc, st, out=g10), g00, r))
+            if bound[n + c0 - (hi - lo):n + c1 - 1].max() >= floor:   # d from c0 - (hi - lo) + 1
+                swap = max(swap, peak(swap_op, g01, g10, g00, r))
+    return diag, own, swap
 
 
 def cmd_circle_check(args, cfg: RunConfig) -> int:

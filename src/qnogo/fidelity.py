@@ -215,7 +215,9 @@ def _bounds(omega: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     x = omega @ w
     y = x.reshape(2, -1) @ w.reshape(2, -1).conj().T
     y = 0.5 * (y + y.conj().T)
-    shift = np.linalg.eigvalsh(omega - np.kron(y, np.eye(4)))[-1]
+    d = omega.copy()
+    d.reshape(2, 4, 2, 4)[:, range(4), :, range(4)] -= y   # Omega - Y (x) I
+    shift = np.linalg.eigvalsh(d)[-1]
     return float(np.vdot(w, x).real), float(np.trace(y).real + 2.0 * shift)
 
 

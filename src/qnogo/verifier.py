@@ -625,7 +625,7 @@ def _witness_tile(s, p, o1, terms, pos, buf, floor: float, lo: int, hi: int, c0:
         block = _mask_lower(np.abs(gap, out=buf[1].view(float)[:m * w].reshape(m, w)), lo, c0)
     else:
         block = _tile_estimate(terms, buf[1:].view(float).reshape(4, -1), lo, hi, c0, c1, pos)
-        rows, cols = np.nonzero(block >= floor)   # in (i, j) order; j <= i reads -1
+        rows, cols = np.divmod(np.flatnonzero(block >= floor), w)   # (i, j) order; j <= i reads -1
         vecs, tile = {"s": s, "p": p}, buf[0, :m * w].reshape(m, w)
         g = {k: np.matmul(vecs[k[0]][lo:hi].conj(), vecs[k[1]][c0:c1].T, out=tile)[rows, cols]
              for k in ("ss", "sp", "ps", "pp")}   # one Gram tile at a time, kept cells only

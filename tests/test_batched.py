@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import qnogo.verifier
 from qnogo.algebra import haar_unitaries, kron_rows, row_blocks
-from qnogo.cli import _circle_residuals
+from qnogo.cli import _CIRCLE_TILE, _circle_residuals, _swap_bounds
 from qnogo.gates import (
     cnot_computational,
     cnot_in_basis,
@@ -940,6 +940,7 @@ def ref_circle_residuals(kind, n):
 
 @settings(max_examples=6, deadline=None)
 @given(n=st.integers(2, 1500))
+@example(n=13)   # a polar path on real products changed a last bit here
 @example(n=63)   # the sizes at which a block's columns end on, next to or past a tile edge
 @example(n=64)
 @example(n=65)
@@ -958,6 +959,36 @@ def test_circle_residuals_over_the_upper_triangle_equal_the_whole_square(n):
     # maxima must still come out the same
     for kind in ("polar", "equatorial"):
         assert _circle_residuals(kind, n) == ref_circle_residuals(kind, n)
+
+
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(2, 1500))
+@example(n=2)
+@example(n=3)
+@example(n=63)
+@example(n=64)
+@example(n=65)
+@example(n=255)
+@example(n=256)
+@example(n=257)
+@example(n=2000)
+def test_the_swapped_pattern_keeps_within_its_bound_and_its_maximum_tile(n):
+    # every pair of the square lies at or below its bound, and a tile of the scan whose bounds
+    # all lie below the floor does not hold the maximum
+    for kind in ("polar", "equatorial"):
+        family = state_family(kind, n)
+        s, p = family.state_vectors, family.partner_vectors
+        bound, floor = _swap_bounds(kind, n)
+        swap = np.add if kind == "equatorial" else np.subtract
+        tiles = []   # (largest bound, largest residual) of each tile the scan walks
+        for lo, hi in row_blocks(n, 256):
+            swapped = np.abs(swap(s[lo:hi].conj() @ p.T, p[lo:hi].conj() @ s.T))
+            at = np.arange(n) - np.arange(lo, hi)[:, None] + n - 1   # d + n - 1 of each pair
+            assert (swapped <= bound[at]).all()
+            tiles += [(bound[at[:, lo + c0:lo + c1]].max(), swapped[:, lo + c0:lo + c1].max())
+                      for c0, c1 in row_blocks(n - lo, _CIRCLE_TILE)]
+        top_residual = max(residual for _, residual in tiles)
+        assert all(residual < top_residual for reach, residual in tiles if reach < floor)
 
 
 def test_circle_residuals_hold_fixed_tiles_whatever_the_size():
