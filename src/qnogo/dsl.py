@@ -684,13 +684,11 @@ def _check_basis(c: CompiledMachine, opts: CheckOptions) -> Verdict:
 
 
 def _check_machine_target(c: CompiledMachine, opts: CheckOptions) -> Verdict:
-    import numpy as np
     from .states import complement
-    from .verifier import Verdict, machine_deviations
+    from .verifier import Verdict, _worst_deviation
     states = _family_states(c, opts)
-    deviations = machine_deviations(c.machine, c.target, states)
-    i = int(np.argmax(deviations))
-    worst, worst_q = float(deviations[i]), states.pair(i)[0]
+    worst, i = _worst_deviation(c.machine, c.target, states)
+    worst_q = states.pair(i)[0]
     ok = worst <= opts.tolerance
     return Verdict(realizable=ok, violation=worst, tolerance=opts.tolerance,
                    condition="ideal-vs-extended-output",

@@ -86,13 +86,18 @@ def equatorial_pair(phi: float) -> tuple[Qubit, Qubit]:
 
 
 def _checked(vectors) -> np.ndarray:
-    """Qubit's checks on each row of an (n, 2) array: finite, |norm - 1| <= 1e-12."""
+    """Qubit's checks on each row of an (n, 2) array: finite, |norm - 1| <= 1e-12.
+
+    Plain squared norms, within 1e-15 of Qubit's near 1, decide the rows more than 1e-14
+    inside the bound; Qubit's own norm, whose bits the refusal shows, decides the others."""
     v = np.array(vectors, dtype=complex)
     if v.ndim != 2 or v.shape[1] != 2 or not len(v):
         raise ValueError(f"expected a non-empty (n, 2) array, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("qubit amplitudes must be finite")
-    norm = abs_squared(v[:, 0]) + abs_squared(v[:, 1])
+    f = v.view(float)
+    near = np.flatnonzero(np.abs(np.einsum("ij,ij->i", f, f) - 1.0) > 1e-12 - 1e-14)
+    norm = abs_squared(v[near, 0]) + abs_squared(v[near, 1])
     bad = np.flatnonzero(np.abs(norm - 1.0) > 1e-12)
     if bad.size:
         raise ValueError(f"qubit amplitudes are not normalized (|.|^2 = {float(norm[bad[0]])!r})")

@@ -63,6 +63,10 @@ _EXACT_TILE = 1024
 # States per block of the per-state kernels: memory at n states is the family arrays, the
 # per-state outputs and one block, and every row keeps its bits whatever the block.
 _STATE_BLOCK = 1024
+# Over twice the largest gap, 4e-14, between a state's screen estimate and its exact value
+# (_rule_estimate, _deviation_estimate): a state that holds the maximum estimates within it
+# of the top estimate.
+_STATE_SLACK = 1e-13
 # the basis-flip rules (control, target) -> (control, new target); s a state, p its partner
 _CNOT_RULES = [("s", "s", "s", "s"), ("s", "p", "s", "p"), ("p", "s", "p", "p"), ("p", "p", "p", "s")]
 
@@ -324,8 +328,21 @@ def machine_deviations(m: MachineSpec, t: TargetTransform, states,
     "fixed" mode the ideal's final ancilla is the target's (or the
     machine's |Q_0> when the target leaves it free).  In "best" mode the
     overlap is maximized over all final ancilla states, which isolates
-    the principal-system mismatch.
+    the principal-system mismatch.  Every state runs the exact kernel, in
+    blocks of _STATE_BLOCK; the DSL's worst-state check takes the same
+    values from _worst_deviation, which runs that kernel only on the
+    states that can hold the maximum.
     """
+    s, outputs, anc = _deviation_inputs(m, t, states, mode)
+    deviations = np.empty(len(s))
+    for lo, hi in row_blocks(len(s), _STATE_BLOCK):
+        deviations[lo:hi] = _deviations(outputs, t, s[lo:hi], anc)
+    return deviations
+
+
+def _deviation_inputs(m: MachineSpec, t: TargetTransform, states, mode: str):
+    """machine_deviations' arguments checked, as the state rows, the machine's output map and
+    the ideal's final ancilla, None in "best" mode."""
     if mode not in ("fixed", "best"):
         raise ValueError(f"unknown mode {mode!r}; expected 'fixed' or 'best'")
     if t.kind != _MACHINE_KIND:
@@ -336,10 +353,23 @@ def machine_deviations(m: MachineSpec, t: TargetTransform, states,
     if mode == "fixed" and anc.size != d:
         raise ValueError(f"final ancilla dimension {anc.size} does not match "
                          f"the machine's ancilla dimension {d}")
-    outputs, deviations = _output_map(m), np.empty(len(s))
-    for lo, hi in row_blocks(len(s), _STATE_BLOCK):
-        deviations[lo:hi] = _deviations(outputs, t, s[lo:hi], None if mode == "best" else anc)
-    return deviations
+    return s, _output_map(m), None if mode == "best" else anc
+
+
+def _worst_deviation(m: MachineSpec, t: TargetTransform, states) -> tuple[float, int]:
+    """The largest "fixed" machine_deviations value, with its bits, and its first index; the
+    exact kernel runs only on the states _screened_max keeps."""
+    s, outputs, anc = _deviation_inputs(m, t, states, "fixed")
+    maps = _semilinear(outputs), _semilinear(t.kmap)
+    return _screened_max(len(s), lambda lo, hi: _deviation_estimate(maps, s[lo:hi], anc),
+                         lambda rows: _deviations(outputs, t, s[rows], anc))
+
+
+def _semilinear(f) -> tuple[np.ndarray, np.ndarray]:
+    """(L, A) with f(v) = v @ L + conj(v) @ A for every stack of rows v, f a sum of a linear
+    and an antilinear map, read off f's images of the basis and of i times it."""
+    images = f(np.array([[1, 0], [0, 1], [1j, 0], [0, 1j]]))
+    return (images[:2] - 1j * images[2:]) / 2.0, (images[:2] + 1j * images[2:]) / 2.0
 
 
 def _deviations(outputs, t: TargetTransform, s: np.ndarray, anc) -> np.ndarray:
@@ -359,6 +389,28 @@ def _deviations(outputs, t: TargetTransform, s: np.ndarray, anc) -> np.ndarray:
         ideal = kron_rows(sys_ideal, np.broadcast_to(anc, (len(s), d)))
         overlap_sq = abs_squared(row_dots(ideal.conj(), actual))
     return np.clip(1.0 - overlap_sq, 0.0, 1.0)
+
+
+def _deviation_estimate(maps, s: np.ndarray, anc) -> np.ndarray:
+    """_deviations of the rows of s in "fixed" mode to 4e-14, in plain arithmetic; NaN where
+    that is not proven, which includes every row whose output or ideal vanishes.  maps holds
+    _semilinear of the machine's outputs and of the target's K.
+
+    Both compute 1 - |<s (x) K s (x) anc|a>|^2 / |K s|^2 |a|^2, but each path forms the
+    outputs a and K s its own way.  Each is within 1.1e-15 of the true one (|s| <= 1 + 1e-12,
+    unit branch vectors, weights whose squares sum to 1), so where |a| and |K s| are at
+    least 0.9 the two directions of each lie within 5e-15 and the squared overlaps within
+    2e-14.  The dots, norms and quotient of each path round to 8.5e-15 (16 terms at most),
+    and clipping to [0, 1] moves two values no further apart: 3.7e-14 in all."""
+    sc = s.conj()
+    actual, k = (s @ lin + sc @ anti for lin, anti in maps)
+    a2, k2 = (np.einsum("ij,ij->i", x, x) for x in (actual.view(float), k.view(float)))
+    ideal = sc[:, [0, 0, 1, 1]] * k.conj()[:, [0, 1, 0, 1]]   # conj(s (x) K s)
+    dot = np.einsum("ij,ij->i", ideal, actual.reshape(len(s), 4, -1) @ anc.conj())
+    with np.errstate(all="ignore"):   # a vanished output reads NaN, as unproven
+        est = np.clip(1.0 - (dot.real * dot.real + dot.imag * dot.imag) / (a2 * k2), 0.0, 1.0)
+    est[~((a2 >= 0.81) & (k2 >= 0.81))] = np.nan
+    return est
 
 
 @record(eq=False)
@@ -406,6 +458,86 @@ def _rule_violation(candidate: np.ndarray, ins: np.ndarray, outs: np.ndarray) ->
     return v.max(axis=0)
 
 
+def _rule_estimate(candidate: np.ndarray, t: TargetTransform, s: np.ndarray, p: np.ndarray,
+                   floor: float) -> np.ndarray:
+    """_rule_violation of each state to 4e-14, in plain arithmetic; NaN where that is not
+    proven, which includes every state with a vanished vector.  floor is the larger of 4e-24
+    and |C|_F^2 / 16, C the candidate, or inf where the squared norms may overflow.
+
+    Per rule both compute the squared cosine between the required output o and a = C x, for
+    the same o and x.  Each a is within 7e-16 |C|_F of the true product (|x| <= 1 + 1e-12, at
+    most four complex terms a component), so where |a| >= |C|_F / 4 the two directions lie
+    within 1.2e-14 and the squared cosines within 2.3e-14.  The dots, norms and quotient of
+    each path round to 5e-15; clipping and taking the worst rule move two values no further
+    apart: 3.3e-14 in all."""
+    if t.kind == "cnot":   # kron(control, target) for s and p, each built once
+        rep = {"s": s.repeat(2, axis=1), "p": p.repeat(2, axis=1)}   # c0 c0 c1 c1
+        tile = {"s": np.hstack([s, s]), "p": np.hstack([p, p])}      # x0 x1 x0 x1
+        k = {c + x: rep[c] * tile[x] for c in "sp" for x in "sp"}
+        rules = [(k[c + x], k[co + xo]) for c, x, co, xo in _CNOT_RULES]
+    else:
+        rules = zip((s, p), _qubit_outputs(t, s, p))
+    ratio, a_min, o_min = (np.full(len(s), np.inf) for _ in range(3))
+    with np.errstate(all="ignore"):   # a vanished or overflowed vector reads NaN, as unproven
+        for x, o in rules:   # a rule at a time: the arrays stay below the mmap threshold
+            a = x @ candidate.T
+            a2, o2 = (np.einsum("ij,ij->i", y, y) for y in (a.view(float), o.view(float)))
+            dot = np.einsum("ij,ij->i", o.conj(), a)
+            np.minimum(ratio, (dot.real * dot.real + dot.imag * dot.imag) / (a2 * o2), out=ratio)
+            np.minimum(a_min, a2, out=a_min)
+            np.minimum(o_min, o2, out=o_min)
+    est = np.clip(1.0 - ratio, 0.0, 1.0)
+    est[~((a_min >= floor) & (o_min >= 4e-24))] = np.nan
+    return est
+
+
+def _screened_max(n: int, estimate, exact) -> tuple[float, int]:
+    """What np.argmax over the exact values of n states picks (the first NaN, else the first
+    largest value) as (value, index), computing the exact values of few states.
+
+    estimate(lo, hi) gives estimates of states lo:hi within _STATE_SLACK / 2 of their exact
+    values, NaN where unproven; exact(rows) gives the exact values of the states rows, a slice
+    or index array, with the bits each has in any block.  Per block of _STATE_BLOCK it keeps
+    the top estimate so far, which is at most the maximum plus half the slack, and computes
+    exactly the states that estimate within the slack of that top or read NaN: every state
+    that holds the maximum, or a NaN, is among them.  When over a quarter of a block is, the
+    whole block is computed in place, and its exact values, estimates with no error, raise the
+    top; while over a quarter of them lie within the slack of it, as on a family where every
+    state ties, the next block is computed whole without an estimate.  A lone state is
+    computed twice over, as row_blocks joins one, for the bits of a BLAS call on several rows."""
+    top, best, at, screen = -np.inf, -np.inf, 0, True
+    for lo, hi in row_blocks(n, _STATE_BLOCK):
+        if screen:
+            est = estimate(lo, hi)   # its temporaries are freed before the exact pass
+            top = np.fmax.reduce(est, initial=top)
+            rows = lo + np.flatnonzero(~(est < top - _STATE_SLACK))
+        if not screen or 4 * rows.size > hi - lo:
+            rows, v = np.arange(lo, hi), exact(slice(lo, hi))
+            top = np.fmax.reduce(v, initial=top)
+            screen = 4 * np.count_nonzero(~(v < top - _STATE_SLACK)) <= hi - lo
+        elif rows.size:
+            v = exact(np.repeat(rows, 2) if rows.size == 1 else rows)
+        else:
+            continue
+        k = int(np.argmax(v))
+        if best == best and not v[k] <= best:   # a NaN stays; a later value must be larger
+            best, at = float(v[k]), int(rows[k])
+    return best, at
+
+
+def _worst_rule(candidate: np.ndarray, t: TargetTransform, s: np.ndarray,
+                p: np.ndarray) -> tuple[float, int]:
+    """The largest _rule_violation over the states s, partners p, with its bits, and its first
+    index; the exact kernel runs only on the states _screened_max keeps."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = np.vdot(candidate, candidate).real
+    # past 1e300 the squared norms of its images may overflow: no state is proven
+    floor = max(4e-24, norm2 / 16.0) if norm2 <= 1e300 else np.inf
+    return _screened_max(
+        len(s), lambda lo, hi: _rule_estimate(candidate, t, s[lo:hi], p[lo:hi], floor),
+        lambda rows: _rule_violation(candidate, *_rule_table(t, s[rows], p[rows])))
+
+
 def check_universal_gate(candidate, t: TargetTransform, states,
                          tol: float = ATOL_VERDICT) -> Verdict:
     """Does one fixed operator satisfy the target's rules on every state?
@@ -414,7 +546,10 @@ def check_universal_gate(candidate, t: TargetTransform, states,
     four basis-flip rules it must meet for each state.  states may be a
     StateSet (whose own pairing convention is used) or a plain list of
     Qubits (canonical complements).  The verdict's witness is the
-    worst-violating (state, partner) pair, the first one on ties.
+    worst-violating (state, partner) pair, the first one on ties.  The
+    exact rule kernel runs only on the states whose screen estimate can
+    reach the maximum (_worst_rule); violation and witness keep the bits
+    of a scan over every state.
     """
     if t.kind not in GATE_TARGETS:
         raise ValueError(f"target kind {t.kind!r} is not a gate target")
@@ -423,12 +558,7 @@ def check_universal_gate(candidate, t: TargetTransform, states,
         raise ValueError(f"{t.kind} candidates are {size}x{size}, got {np.shape(candidate)}")
     candidate = np.asarray(candidate, dtype=complex)
     family = _as_set(states)
-    s, p = family.state_vectors, family.partner_vectors
-    v = np.empty(len(family))
-    for lo, hi in row_blocks(len(v), _STATE_BLOCK):
-        v[lo:hi] = _rule_violation(candidate, *_rule_table(t, s[lo:hi], p[lo:hi]))
-    i = int(np.argmax(v))
-    worst = float(v[i])
+    worst, i = _worst_rule(candidate, t, family.state_vectors, family.partner_vectors)
     ok = worst <= tol
     return Verdict(realizable=ok, violation=worst, tolerance=tol,
                    condition=f"{t.kind}-rules",
@@ -525,10 +655,12 @@ def _cell_order(x: np.ndarray) -> np.ndarray:
     """A permutation of the rows of x, entries in [-1, 1], whose runs of _CELL are compact: each
     pass cuts every longer run at the cell edge nearest its median along its widest coordinate."""
     n, order, cut = len(x), np.arange(len(x)), np.arange(-(-len(x) // _CELL)) == 0
+    coords = np.ascontiguousarray(x.T)   # one row per coordinate: the runs' reductions stream
     while (sizes := np.diff(starts := np.flatnonzero(cut) * _CELL, append=n)).max() > _CELL:
-        run, pts = np.repeat(np.arange(len(starts)), sizes), x.take(order, axis=0)
-        axis = (np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)).argmax(axis=1)
-        key = pts.take(np.arange(0, pts.size, pts.shape[1]) + axis[run])
+        run, pts = np.repeat(np.arange(len(starts)), sizes), coords.take(order, axis=1)
+        axis = (np.maximum.reduceat(pts, starts, axis=1)
+                - np.minimum.reduceat(pts, starts, axis=1)).argmax(axis=0)
+        key = pts.take(axis[run] * n + np.arange(n))
         order = order[np.argsort(key + 4.0 * run)]   # runs stay apart
         cut[(starts // _CELL + -(-sizes // (2 * _CELL)))[sizes > _CELL]] = True
     return order

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qnogo.verifier
-from qnogo.algebra import haar_unitaries, kron_rows, row_blocks
+from qnogo.algebra import AntiUnitaryMap, GeneralKMap, abs_squared, haar_unitaries, kron_rows, row_blocks
 from qnogo.cli import _CIRCLE_TILE, _circle_residuals, _swap_bounds
 from qnogo.gates import (
     cnot_computational,
@@ -37,6 +37,7 @@ from qnogo.states import (
     polar_set,
     state_family,
 )
+from qnogo.states import _checked
 from qnogo.verifier import (
     check_universal_gate,
     cloning_machine,
@@ -58,6 +59,13 @@ from qnogo.verifier import (
 from qnogo.verifier import (
     _EXACT_TILE,
     _SCREEN_MARGIN,
+    _STATE_BLOCK,
+    MachineSpec,
+    TargetTransform,
+    _rule_table,
+    _rule_violation,
+    _worst_deviation,
+    _worst_rule,
     _cell_bound,
     _cell_forms,
     _cell_order,
@@ -485,6 +493,199 @@ def test_the_witness_terms_hold_one_block_whatever_the_size():
     peak, n = block_peak(terms, rows, block)[0], 8 * block
     wide, [(fits,)] = block_peak(terms, rows, n)
     assert wide <= 1.1 * peak + 2 * 16 * 8 * n + sum(x.nbytes for x in fits)
+
+
+# --- screened worst-state reductions -------------------------------------------------
+
+
+def exhaustive_rule(candidate, target, s, p):
+    """(violation, index) of the unscreened scan: every state's exact violation, np.argmax."""
+    candidate = np.asarray(candidate, dtype=complex)
+    v = np.concatenate([_rule_violation(candidate, *_rule_table(target, s[lo:hi], p[lo:hi]))
+                        for lo, hi in row_blocks(len(s), _STATE_BLOCK)])
+    i = int(np.argmax(v))
+    return v[i], i
+
+
+def exhaustive_deviation(m, t, family):
+    deviations = machine_deviations(m, t, family)
+    i = int(np.argmax(deviations))
+    return deviations[i], i
+
+
+def same_bits(got, expected):
+    assert np.float64(got[0]).tobytes() == np.float64(expected[0]).tobytes()
+    assert got[1] == expected[1]
+
+
+def spy_rows(monkeypatch, name):
+    """The number of states each call of the named verifier kernel gets, as a list."""
+    kernel, sizes = getattr(qnogo.verifier, name), []
+
+    def spy(*args):
+        out = kernel(*args)
+        sizes.append(len(out) if name != "_deviations" else len(args[2]))
+        return out
+    monkeypatch.setattr(qnogo.verifier, name, spy)
+    return sizes
+
+
+SEAMS = st.sampled_from([1, 2, 1023, 1024, 1025, 2048, 2049, 3 * 1024 + 7])
+
+
+@settings(max_examples=40, deadline=None)
+@given(gate=qubit_gate_cases(), name=FAMILIES, n=SEAMS, seed=SEEDS)
+def test_the_screened_gate_reduction_equals_the_exhaustive_scan(gate, name, n, seed):
+    candidate, target = gate[:2]
+    family = state_family(name, n, seed, sampled=name == "bloch" or seed % 2 == 1)
+    s, p = family.state_vectors, family.partner_vectors
+    same_bits(_worst_rule(np.asarray(candidate, complex), target, s, p),
+              exhaustive_rule(candidate, target, s, p))
+    cnot = haar_unitaries(1, dim=4, seed=seed)[0]
+    same_bits(_worst_rule(cnot, target_cnot(), s, p), exhaustive_rule(cnot, target_cnot(), s, p))
+
+
+@pytest.mark.parametrize("n", [1024, 1025, 2049, 4096])
+@pytest.mark.parametrize("gate,kind,name", [
+    (hadamard_polar, "hadamard9", "polar"), (hadamard_equatorial, "hadamard10", "equatorial"),
+    (hadamard_polar, "hadamard9", "equatorial"), (unequal_gate((0.6, 0.8)), "hadamard10", "polar")])
+def test_tie_heavy_circles_keep_the_first_worst_state(gate, kind, name, n):
+    # REALIZABLE circles: every violation is rounding, most states tie within the slack and
+    # whole blocks run exactly; on the other circle one state reaches 1.0 and many come close
+    target = target_hadamard9() if kind == "hadamard9" else target_hadamard10()
+    family = state_family(name, n)
+    s, p = family.state_vectors, family.partner_vectors
+    expected = exhaustive_rule(gate, target, s, p)
+    same_bits(_worst_rule(np.asarray(gate, complex), target, s, p), expected)
+    verdict = check_universal_gate(gate, target, family)
+    assert np.float64(verdict.violation).tobytes() == np.float64(expected[0]).tobytes()
+    assert verdict.witness in (None, family.pair(expected[1]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(ties=st.integers(1, 3000), n=st.integers(1, 3000), seed=SEEDS)
+def test_a_run_of_ties_then_random_states_equals_the_exhaustive_scan(ties, n, seed):
+    # HP meets the polar rules to rounding: a tie-heavy run turns the estimates off, and the
+    # random states after it turn them on again
+    polar = state_family("polar", ties)
+    s2, p2 = ref_sampled("bloch", n, seed)
+    s, p = np.vstack([polar.state_vectors, s2]), np.vstack([polar.partner_vectors, p2])
+    candidate = np.asarray(hadamard_polar, complex)
+    same_bits(_worst_rule(candidate, target_hadamard9(), s, p),
+              exhaustive_rule(candidate, target_hadamard9(), s, p))
+
+
+def test_whole_blocks_of_ties_skip_the_estimate_until_the_ties_end(monkeypatch):
+    polar = state_family("polar", 2048)
+    s2, p2 = ref_sampled("bloch", 4096, 0)
+    s, p = np.vstack([polar.state_vectors, s2]), np.vstack([polar.partner_vectors, p2])
+    estimated = spy_rows(monkeypatch, "_rule_estimate")
+    exact = spy_rows(monkeypatch, "_rule_violation")
+    _worst_rule(np.asarray(hadamard_polar, complex), target_hadamard9(), s, p)
+    # the first polar block is estimated, the second and the first random one are not; the
+    # three random blocks after them are, and few of their states run exactly
+    assert estimated == [1024] * 4
+    assert exact[:3] == [1024] * 3 and sum(exact[3:]) < 100
+
+
+def test_a_lone_screened_state_is_computed_twice_over(monkeypatch):
+    # a random gate on random states: one state per block reaches the top, and its doubled
+    # row keeps the bits it has in the whole block
+    family = bloch_set(5000, seed=3)
+    s, p = family.state_vectors, family.partner_vectors
+    expected = exhaustive_rule(hadamard, target_hadamard9(), s, p)
+    sizes = spy_rows(monkeypatch, "_rule_violation")
+    same_bits(_worst_rule(np.asarray(hadamard, complex), target_hadamard9(), s, p), expected)
+    assert 2 in sizes and sum(sizes) < len(s) // 10
+
+
+@settings(max_examples=40, deadline=None)
+@given(at=st.integers(0, 2100), n=SEAMS, seed=SEEDS, small=st.sampled_from([0.0, 1e-13, 5e-13]),
+       candidate=st.sampled_from(["projector", "zero", "tiny", "huge", "singular"]))
+def test_a_vanished_vector_reads_one_as_in_the_exhaustive_scan(at, n, seed, small, candidate):
+    # the screen cannot bound a state whose image vanishes, or nearly, or whose candidate is
+    # out of scale; such states run exactly, where they read 1.0 (or NaN past overflow)
+    C = {"projector": [[1.0, 0.0], [0.0, 0.0]], "zero": np.zeros((2, 2)),
+         "tiny": 1e-13 * np.eye(2), "huge": 1e160 * hadamard,
+         "singular": [[1.0, 1.0], [1.0, 1.0 + 1e-13]]}[candidate]
+    s, p = ref_sampled("bloch", n, seed)
+    big = np.sqrt(1.0 - small * small)
+    s[min(at, n - 1)] = [small, big]   # the projector's image of it has norm small < 1e-12
+    p[min(at, n - 1)] = [-big, small]
+    with np.errstate(over="ignore" if candidate == "huge" else "raise"):   # as exhaustively
+        expected = exhaustive_rule(C, target_hadamard9(), s, p)
+        got = _worst_rule(np.asarray(C, complex), target_hadamard9(), s, p)
+    same_bits(got, expected)
+    if candidate != "huge":
+        assert got[0] == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=machine_cases(), name=FAMILIES | st.just("listed"), n=SEAMS, seed=SEEDS)
+def test_the_screened_machine_reduction_equals_the_exhaustive_scan(case, name, n, seed):
+    m, t = case
+    family = seam_family(name, n, seed)
+    same_bits(_worst_deviation(m, t, family), exhaustive_deviation(m, t, family))
+
+
+def test_the_machine_reduction_computes_few_states(monkeypatch):
+    family = bloch_set(10_000, seed=0)
+    expected = exhaustive_deviation(cloning_machine("linear"), target_clone(), family)
+    sizes = spy_rows(monkeypatch, "_deviations")
+    same_bits(_worst_deviation(cloning_machine("linear"), target_clone(), family), expected)
+    assert sum(sizes) < len(family) // 10
+
+
+def cancelling_kmap():
+    """K v = (v - conj v) / sqrt 2: it vanishes on states with real amplitudes."""
+    return GeneralKMap(0.5, np.eye(2), AntiUnitaryMap(-np.eye(2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(at=st.integers(0, 2100), n=SEAMS, seed=SEEDS, which=st.sampled_from(["output", "ideal"]),
+       phase=st.sampled_from([0.0, 1e-13, 5e-13]))
+def test_a_vanishing_machine_output_raises_as_in_the_exhaustive_scan(at, n, seed, which, phase):
+    qs = [q for q, _ in ref_pairs("bloch", n + 2, seed)][2:]   # no real anchor state
+    qs[min(at, n - 1)] = Qubit(0.6, 0.8 * np.exp(1j * phase))   # (nearly) real amplitudes
+    e0, e1 = np.eye(2, dtype=complex)
+    if which == "output":
+        m = MachineSpec(np.kron(e0, e0), np.kron(e1, e1), "hybrid", kmap=cancelling_kmap())
+        t = target_clone()
+    else:
+        m, t = cloning_machine("linear"), TargetTransform("clone-like", kmap=cancelling_kmap())
+    with pytest.raises(ValueError) as exhaustive:
+        machine_deviations(m, t, qs)
+    with pytest.raises(ValueError) as screened:
+        _worst_deviation(m, t, qs)
+    assert str(screened.value) == str(exhaustive.value)
+
+
+def ref_checked(v):
+    """The message _checked gives for the rows of v, or None: Qubit's norm on every row."""
+    v = np.asarray(v, dtype=complex)
+    norm = abs_squared(v[:, 0]) + abs_squared(v[:, 1])
+    bad = np.flatnonzero(np.abs(norm - 1.0) > 1e-12)
+    return f"qubit amplitudes are not normalized (|.|^2 = {float(norm[bad[0]])!r})" \
+        if bad.size else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), seed=SEEDS, ulps=st.lists(st.integers(-40, 40), min_size=1),
+       side=st.sampled_from([-1.0, 1.0]))
+def test_norm_checks_at_the_bound_refuse_as_qubit_does(n, seed, ulps, side):
+    # norms a few ulps either side of 1 +- 1e-12, where plain squares and Qubit's norm may
+    # round apart: the rows near the bound take Qubit's norm, and the message its bits
+    s, _ = ref_sampled("bloch", n, seed)
+    for k, ulp in enumerate(ulps):
+        scale = np.sqrt(1.0 + side * 1e-12 + ulp * 2.0 ** -52)
+        s[k % n] *= scale
+    expected = ref_checked(s)
+    if expected is None:
+        assert np.array_equal(_checked(s), s)
+    else:
+        with pytest.raises(ValueError) as refused:
+            _checked(s)
+        assert str(refused.value) == expected
 
 
 # --- witness scan ----------------------------------------------------------------

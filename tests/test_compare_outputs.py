@@ -15,9 +15,9 @@ _spec.loader.exec_module(compare_outputs)
 def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_seeds():
     argvs = compare_outputs.commands([2, 257], Path("units"))
     assert len(argvs) == len(set(argvs))
-    # 274 commands at each seed, then dsl-check once on each of the 43 units
+    # 406 commands at each seed, then dsl-check once on each of the 43 units
     assert len(compare_outputs.UNITS) == 43
-    assert len(argvs) == 2 * 274 + 43
+    assert len(argvs) == 2 * 406 + 43
     assert argvs[-43:] == [("dsl-check", str(Path("units") / f"{name}.qmachine"))
                            for name in compare_outputs.UNITS]
     for seed in ("0", "42"):
@@ -32,15 +32,15 @@ def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_se
             assert ("gate-verify", "--gate", gate, "--target", target, "--set", "polar",
                     "--format", "json", "--seed", seed) in gates
         # each matched gate and target on each family, and each corpus file, at one row past
-        # one block of the per-state kernels and one past two
+        # one block of the per-state kernels, one past two, and each grid size
         block = compare_outputs.STATE_BLOCK
-        sizes = {str(block + 1), str(2 * block + 1)}
+        sizes = {str(block + 1), str(2 * block + 1), "2", "257"}
         seams = [a for a in mine if a[0] == "gate-verify" and "--grid-n" in a
                  and a[a.index("--grid-n") + 1] in sizes]
-        assert len(seams) == (4 * 4 + 1) * 3 * 2
+        assert len(seams) == (4 * 4 + 1) * 3 * 4
         corpus = [a for a in mine if a[0] == "dsl-check" and "--samples" in a
                   and a[a.index("--samples") + 1] != "10000"]
-        assert len(corpus) == 15 * 2
+        assert len(corpus) == 15 * 4
         assert {a[a.index("--samples") + 1] for a in corpus} == sizes
         # the 43 command lines of the three workloads (the survey is a library call), two of
         # them in the gate matrix, and circle-check at 2 and 257; the workloads run it at the

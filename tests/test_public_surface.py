@@ -21,6 +21,8 @@ ALLOWED = {
     "cnot_in_basis": "the CNOT of one basis, the realizer that each listed-state check passes",
     "polar_pair": "one polar pair by its angle; state_family builds the same pairs in bulk",
     "equatorial_pair": "one equatorial pair by its angle; state_family builds them in bulk",
+    "machine_deviations": "per-state deviations for library users; tests pin each against the "
+                          "scalar reference",
 }
 
 

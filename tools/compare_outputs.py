@@ -15,8 +15,10 @@ read the same in both.  The commands are
     size mismatches included, and
   * gate-verify for every matched gate and target on every family, and
     dsl-check on every file of machines/, at STATE_BLOCK + 1 and
-    2 STATE_BLOCK + 1 states: the per-state kernels' one block with a
-    lone last row joined to it, and two blocks with a seam between them,
+    2 STATE_BLOCK + 1 states (the per-state kernels' one block with a
+    lone last row joined to it, and two blocks with a seam between them)
+    and at each --grid-n, so that the screened worst-state reductions
+    also meet families of 10^4 or 65 536 states,
 
 each at seeds 0 and 42, and dsl-check on each of a fixed list of small
 units, one per diagnostic, written once to a temporary directory that both trees
@@ -129,13 +131,13 @@ def commands(grid_sizes, unit_dir: Path) -> list[tuple[str, ...]]:
         for gate, target, family in itertools.product(GATES, GATE_TARGETS, FAMILIES):
             argvs.append(("gate-verify", "--gate", gate, "--target", *target, "--set", family,
                           "--format", "json", "--seed", str(seed)))
-        seams = (STATE_BLOCK + 1, 2 * STATE_BLOCK + 1)
-        for gate, target, family, n in itertools.product(GATES, GATE_TARGETS, FAMILIES, seams):
+        sizes = dict.fromkeys((STATE_BLOCK + 1, 2 * STATE_BLOCK + 1, *grid_sizes))
+        for gate, target, family, n in itertools.product(GATES, GATE_TARGETS, FAMILIES, sizes):
             if (gate == "CNOT") == (target[0] == "cnot23"):   # a mismatch builds no family
                 argvs.append(("gate-verify", "--gate", gate, "--target", *target,
                               "--set", family, "--grid-n", str(n),
                               "--format", "json", "--seed", str(seed)))
-        for stem, samples in itertools.product(sorted(workloads.CORPUS_EXIT), seams):
+        for stem, samples in itertools.product(sorted(workloads.CORPUS_EXIT), sizes):
             argvs.append(("dsl-check", str(Path("machines") / f"{stem}.qmachine"),
                           "--samples", str(samples), "--format", "json", "--seed", str(seed)))
     argvs += [("dsl-check", str(unit_dir / f"{name}.qmachine")) for name in UNITS]
@@ -174,7 +176,8 @@ def main(argv=None) -> int:
     # 1281 = 5 x 256 + 1 = 1024 + 257: the first row block's last column tile is 257 wide at
     # both the estimate's and the exact pass's tile width, a lone column joined to each
     parser.add_argument("--grid-n", type=int, nargs="+", default=[2, 257, 321, 1281, 2000],
-                        help="witness and circle-check sizes (default 2 257 321 1281 2000)")
+                        help="witness, circle-check, gate-verify and dsl-check sizes "
+                             "(default 2 257 321 1281 2000)")
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in (args.parent, args.change)]
     for tree in trees:
