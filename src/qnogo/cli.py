@@ -529,13 +529,9 @@ def build_parser() -> _Parser:
     fs.add_argument("--ancilla-dim", type=int)
     fs.add_argument("--restarts", type=int, help="most starts tried")
     fs.add_argument("--max-evals", type=int, help="most steps per start")
-    fs.add_argument("--method", choices=("nelder-mead", "lbfgs"),
-                    help="ignored: both legacy names run the one fixed-point solver")
     fs.add_argument("--nodes", type=int, default=200,
                     help=f"least quadrature nodes, at most {MAX_NODES} (default 200); "
                          "every value gives the exact average")
-    fs.add_argument("--output-csv", action="store_true",
-                    help="ignored: human output is already CSV rows")
     _add_common(fs, "unused for this subcommand")
 
     dc = subs.add_parser("dsl-check", help="check a .qmachine file")

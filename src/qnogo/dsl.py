@@ -36,7 +36,7 @@ from ._shared import FAMILIES, GATE_NAMES, GATE_TARGETS, MACHINE_TARGETS
 
 ERROR = "error"
 WARNING = "warning"
-MAX_SAMPLES = 800_000   # a cnot check holds about 1.2 KB per sample: at most about 1 GB
+MAX_SAMPLES = 800_000   # a cnot check at this many peaks at 147 MB RSS, 31 MB before it starts
 
 _NUM = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"   # ASCII digits: float() would read any script's
 # Each character starts the first of these that matches there; the last matches any one.

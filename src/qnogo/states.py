@@ -39,7 +39,10 @@ class Qubit:
         object.__setattr__(self, "beta", b)
         if not (np.isfinite(a) and np.isfinite(b)):
             raise ValueError("qubit amplitudes must be finite")
-        norm = abs(a) ** 2 + abs(b) ** 2
+        try:
+            norm = abs(a) ** 2 + abs(b) ** 2
+        except OverflowError:   # a modulus or its square past the largest float
+            norm = np.inf
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"qubit amplitudes are not normalized (|.|^2 = {norm!r})")
 

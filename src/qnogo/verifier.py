@@ -278,26 +278,23 @@ def target_cnot() -> TargetTransform:
     return TargetTransform("cnot")
 
 
-def _qubit_outputs(t: TargetTransform, s: np.ndarray, p: np.ndarray):
-    """The required outputs of a single-qubit target's two rules, each built when asked for."""
+def _rules(t: TargetTransform, s: np.ndarray, p: np.ndarray):
+    """(inputs, required outputs) of each per-state rule of a gate target, as rows for the
+    states s and partners p; a single-qubit rule is built when asked for."""
     r, kind = 1.0 / np.sqrt(2.0), t.kind
-    yield r * (s + p) if kind == "hadamard9" else (
-        r * (s + 1j * p) if kind == "hadamard10" else t.a * s + t.b * p)
-    yield r * (s - p) if kind == "hadamard9" else (
-        r * (1j * s + p) if kind == "hadamard10" else t.b * s - t.a * p)
-
-
-def _rule_table(t: TargetTransform, s: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (inputs, required outputs) of a gate target, each (rules, n, dim)."""
-    if t.kind in QUBIT_GATE_TARGETS:
-        ins, outs = (s, p), tuple(_qubit_outputs(t, s, p))
-    elif t.kind == "cnot":
-        v = {"s": s, "p": p}
-        k = {c + x: kron_rows(v[c], v[x]) for c in "sp" for x in "sp"}   # ss, sp, ps, pp
-        ins, outs = zip(*((k[c + x], k[co + xo]) for c, x, co, xo in _CNOT_RULES))
+    if kind in QUBIT_GATE_TARGETS:
+        yield s, r * (s + p) if kind == "hadamard9" else (
+            r * (s + 1j * p) if kind == "hadamard10" else t.a * s + t.b * p)
+        yield p, r * (s - p) if kind == "hadamard9" else (
+            r * (1j * s + p) if kind == "hadamard10" else t.b * s - t.a * p)
+    elif kind == "cnot":   # kron(control, target) for s and p, with the bits of kron_rows
+        rep = {"s": s.repeat(2, axis=1), "p": p.repeat(2, axis=1)}   # c0 c0 c1 c1
+        tile = {"s": np.hstack([s, s]), "p": np.hstack([p, p])}      # x0 x1 x0 x1
+        k = {c + x: rep[c] * tile[x] for c in "sp" for x in "sp"}
+        for c, x, co, xo in _CNOT_RULES:
+            yield k[c + x], k[co + xo]
     else:
-        raise ValueError(f"target kind {t.kind!r} has no per-state rules")
-    return np.stack(ins), np.stack(outs)
+        raise ValueError(f"target kind {kind!r} has no per-state rules")
 
 
 def named_target(name: str, a=None, b=None, lam=None) -> TargetTransform:
@@ -447,8 +444,10 @@ def _as_set(states) -> StateSet:
     return states if isinstance(states, StateSet) else listed_set(states)
 
 
-def _rule_violation(candidate: np.ndarray, ins: np.ndarray, outs: np.ndarray) -> np.ndarray:
-    """Worst phase-invariant rule mismatch of each state; 1 where a vector vanishes."""
+def _rule_violation(candidate: np.ndarray, rules) -> np.ndarray:
+    """Worst phase-invariant mismatch of each state over the rules, (inputs, required
+    outputs) pairs; 1 where a vector vanishes."""
+    ins, outs = (np.stack(v) for v in zip(*rules))
     actual = apply(candidate, ins)
     na, no = row_norms(actual), row_norms(outs)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -458,8 +457,7 @@ def _rule_violation(candidate: np.ndarray, ins: np.ndarray, outs: np.ndarray) ->
     return v.max(axis=0)
 
 
-def _rule_estimate(candidate: np.ndarray, t: TargetTransform, s: np.ndarray, p: np.ndarray,
-                   floor: float) -> np.ndarray:
+def _rule_estimate(candidate: np.ndarray, rules, floor: float) -> np.ndarray:
     """_rule_violation of each state to 4e-14, in plain arithmetic; NaN where that is not
     proven, which includes every state with a vanished vector.  floor is the larger of 4e-24
     and |C|_F^2 / 16, C the candidate, or inf where the squared norms may overflow.
@@ -470,22 +468,14 @@ def _rule_estimate(candidate: np.ndarray, t: TargetTransform, s: np.ndarray, p: 
     within 1.2e-14 and the squared cosines within 2.3e-14.  The dots, norms and quotient of
     each path round to 5e-15; clipping and taking the worst rule move two values no further
     apart: 3.3e-14 in all."""
-    if t.kind == "cnot":   # kron(control, target) for s and p, each built once
-        rep = {"s": s.repeat(2, axis=1), "p": p.repeat(2, axis=1)}   # c0 c0 c1 c1
-        tile = {"s": np.hstack([s, s]), "p": np.hstack([p, p])}      # x0 x1 x0 x1
-        k = {c + x: rep[c] * tile[x] for c in "sp" for x in "sp"}
-        rules = [(k[c + x], k[co + xo]) for c, x, co, xo in _CNOT_RULES]
-    else:
-        rules = zip((s, p), _qubit_outputs(t, s, p))
-    ratio, a_min, o_min = (np.full(len(s), np.inf) for _ in range(3))
+    ratio = a_min = o_min = np.inf
     with np.errstate(all="ignore"):   # a vanished or overflowed vector reads NaN, as unproven
         for x, o in rules:   # a rule at a time: the arrays stay below the mmap threshold
             a = x @ candidate.T
             a2, o2 = (np.einsum("ij,ij->i", y, y) for y in (a.view(float), o.view(float)))
             dot = np.einsum("ij,ij->i", o.conj(), a)
-            np.minimum(ratio, (dot.real * dot.real + dot.imag * dot.imag) / (a2 * o2), out=ratio)
-            np.minimum(a_min, a2, out=a_min)
-            np.minimum(o_min, o2, out=o_min)
+            ratio = np.minimum(ratio, (dot.real * dot.real + dot.imag * dot.imag) / (a2 * o2))
+            a_min, o_min = np.minimum(a_min, a2), np.minimum(o_min, o2)
     est = np.clip(1.0 - ratio, 0.0, 1.0)
     est[~((a_min >= floor) & (o_min >= 4e-24))] = np.nan
     return est
@@ -534,8 +524,8 @@ def _worst_rule(candidate: np.ndarray, t: TargetTransform, s: np.ndarray,
     # past 1e300 the squared norms of its images may overflow: no state is proven
     floor = max(4e-24, norm2 / 16.0) if norm2 <= 1e300 else np.inf
     return _screened_max(
-        len(s), lambda lo, hi: _rule_estimate(candidate, t, s[lo:hi], p[lo:hi], floor),
-        lambda rows: _rule_violation(candidate, *_rule_table(t, s[rows], p[rows])))
+        len(s), lambda lo, hi: _rule_estimate(candidate, _rules(t, s[lo:hi], p[lo:hi]), floor),
+        lambda rows: _rule_violation(candidate, _rules(t, s[rows], p[rows])))
 
 
 def check_universal_gate(candidate, t: TargetTransform, states,
@@ -808,7 +798,7 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     # them; the exact pass takes the states back in the family's order, state i from row pos[i].
     s, p = s[order], family_set.partner_vectors[order]
     del family_set
-    o1 = None if t.kind == "cnot" else next(_qubit_outputs(t, s, p))
+    o1 = None if t.kind == "cnot" else next(_rules(t, s, p))[1]
     terms, blocks = _screen_terms(s, p, o1, wide), list(row_blocks(n, chunk))
     squares = _witness_screen(terms, order, blocks)
     floor = squares.max() - _SCREEN_MARGIN
@@ -862,9 +852,8 @@ def survey_random_unitaries(t: TargetTransform, states, n_candidates: int,
         raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
     family = _as_set(states)
     s, p = family.state_vectors, family.partner_vectors
-    o1, o2 = _qubit_outputs(t, s, p)
     # <o|U|x> = sum_ij conj(o_i) U_ij x_j, so a chunk's amplitudes are one (b, 4) x (4, 2n) product
-    features = np.vstack([kron_rows(o1.conj(), s), kron_rows(o2.conj(), p)]).T
+    features = np.vstack([kron_rows(o.conj(), x) for x, o in _rules(t, s, p)]).T
     amp = np.empty((min(chunk, n_candidates), features.shape[1]), dtype=complex)
     rng = np.random.default_rng(seed)
     n_pass, min_worst = 0, np.inf

@@ -62,8 +62,8 @@ from qnogo.verifier import (
     _STATE_BLOCK,
     MachineSpec,
     TargetTransform,
-    _rule_table,
     _rule_violation,
+    _rules,
     _worst_deviation,
     _worst_rule,
     _cell_bound,
@@ -268,6 +268,10 @@ def qubit_gate_cases(draw):
     return candidate, target, kind, (a, b)
 
 
+# states per family across the 1024-state block seams
+SEAMS = st.sampled_from([1, 2, 1023, 1024, 1025, 2048, 2049, 3 * 1024 + 7])
+
+
 # --- families ----------------------------------------------------------------
 
 
@@ -305,6 +309,45 @@ def test_family_arrays_are_validated_and_read_only():
 
 
 # --- rule checks ---------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["hadamard9", "hadamard10", "unequal", "cnot"]),
+       weights=unit_weights(), name=FAMILIES, n=SEAMS, seed=SEEDS)
+def test_the_rule_table_equals_the_per_state_reference(kind, weights, name, n, seed):
+    a, b = weights if kind == "unequal" else (None, None)
+    target = {"hadamard9": target_hadamard9, "hadamard10": target_hadamard10,
+              "unequal": lambda: target_unequal(a, b), "cnot": target_cnot}[kind]()
+    family = state_family(name, n, seed, sampled=name == "bloch" or seed % 2 == 1)
+    s, p = family.state_vectors, family.partner_vectors
+    expected = [ref_rules(kind, s[i], p[i], target.a, target.b) for i in range(n)]
+    rules = list(_rules(target, s, p))
+    assert len(rules) == len(expected[0])
+    for r, pair in enumerate(rules):
+        for k, got in enumerate(pair):
+            assert got.tobytes() == np.array([e[r][k] for e in expected]).tobytes()
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(ANY_FLOAT, min_size=8, max_size=8), min_size=1, max_size=40))
+def test_the_cnot_krons_keep_the_bits_of_np_kron_on_any_floats(rows):
+    # signed zeros, infinities, NaNs and subnormals included: a product of repeated and tiled
+    # factor rows rounds as np.kron does, and is NaN where it is; which NaN is not pinned, as a
+    # family's rows are finite
+    v = np.array(rows).view(complex)
+    s, p = v[:, :2], v[:, 2:]
+    with np.errstate(all="ignore"):
+        expected = [ref_rules("cnot", s[i], p[i]) for i in range(len(v))]
+        rules = list(_rules(target_cnot(), s, p))
+    for r, pair in enumerate(rules):
+        for k, got in enumerate(pair):
+            got, ref = got.view(float), np.array([e[r][k] for e in expected]).view(float)
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == ref[~nan].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -501,7 +544,7 @@ def test_the_witness_terms_hold_one_block_whatever_the_size():
 def exhaustive_rule(candidate, target, s, p):
     """(violation, index) of the unscreened scan: every state's exact violation, np.argmax."""
     candidate = np.asarray(candidate, dtype=complex)
-    v = np.concatenate([_rule_violation(candidate, *_rule_table(target, s[lo:hi], p[lo:hi]))
+    v = np.concatenate([_rule_violation(candidate, _rules(target, s[lo:hi], p[lo:hi]))
                         for lo, hi in row_blocks(len(s), _STATE_BLOCK)])
     i = int(np.argmax(v))
     return v[i], i
@@ -528,9 +571,6 @@ def spy_rows(monkeypatch, name):
         return out
     monkeypatch.setattr(qnogo.verifier, name, spy)
     return sizes
-
-
-SEAMS = st.sampled_from([1, 2, 1023, 1024, 1025, 2048, 2049, 3 * 1024 + 7])
 
 
 @settings(max_examples=40, deadline=None)

@@ -309,23 +309,23 @@ def test_fidelity_sweep_json_records(capsys):
     assert doc["nodes"] >= 200
 
 
-def test_both_method_names_are_accepted_and_ignored(capsys):
-    # --method is a legacy option: both of its names run the one fixed-point solver
-    outs = [run(FS_FAST + ["--format", "csv"] + extra, capsys)
-            for extra in ([], ["--method", "lbfgs"], ["--method", "nelder-mead"])]
-    assert outs[0][0] == 0 and outs[0][2] == ""
-    assert outs[1] == outs[0] and outs[2] == outs[0]
+@pytest.mark.parametrize("extra", [["--method", "lbfgs"], ["--method", "nelder-mead"],
+                                   ["--output-csv"]])
+def test_the_removed_legacy_options_are_usage_errors(extra, capsys):
+    # --method and --output-csv were accepted and ignored; both are gone
+    with pytest.raises(SystemExit) as ei:
+        main(FS_FAST + extra)
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"unrecognized arguments: {' '.join(extra)}" in err
 
 
 def test_human_output_is_the_csv_output(capsys):
-    # human output is already CSV rows: --format csv and --output-csv write the same bytes
+    # human output is already CSV rows: --format csv writes the same bytes
     human = run(FS_FAST, capsys)
     assert human[0] == 0 and human[1].splitlines()[0] == CSV_HEADER
-    for extra in (["--format", "csv"], ["--output-csv"], ["--output-csv", "--format", "csv"]):
-        assert run(FS_FAST + extra, capsys) == human
-    json_out = run(FS_FAST + ["--format", "json"], capsys)
-    assert json_out[1].startswith("{")
-    assert run(FS_FAST + ["--output-csv", "--format", "json"], capsys) == json_out
+    assert run(FS_FAST + ["--format", "csv"], capsys) == human
+    assert run(FS_FAST + ["--format", "json"], capsys)[1].startswith("{")
 
 
 def test_fidelity_sweep_bad_range_is_usage_error(capsys):

@@ -69,9 +69,7 @@ COMMANDS = st.one_of(
     st.tuples(st.just(["fidelity-sweep"]), required("--lambda", LAMBDAS),
               option("--mode", one_of("second-register", "both", "joint")),
               option("--ancilla-dim", sizes(4)), option("--restarts", sizes(2)),
-              option("--max-evals", sizes(200)), option("--nodes", sizes(100)),
-              option("--method", one_of("lbfgs", "newton", "nelder-mead")),
-              one_of([], ["--output-csv"])),
+              option("--max-evals", sizes(200)), option("--nodes", sizes(100))),
     st.tuples(st.just(["dsl-check"]), one_of(*CORPUS, "missing.qmachine").map(lambda f: [f]),
               option("--samples", sizes(100))),
 )

@@ -44,6 +44,10 @@ def test_qubit_validates_normalization():
         Qubit(1.0, 1.0)
     with pytest.raises(ValueError):
         Qubit(np.inf, 0.0)
+    # a modulus or its square past the largest float is refused, not an OverflowError
+    for a, b in ((1e200, 0.0), (0.0, 1e155 + 1e155j), (1e308 + 1e308j, 0.0)):
+        with pytest.raises(ValueError, match=r"normalized \(\|\.\|\^2 = inf\)"):
+            Qubit(a, b)
 
 
 def test_bloch_rows_round_trip():

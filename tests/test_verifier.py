@@ -23,7 +23,7 @@ from qnogo.states import (
 from qnogo.verifier import (
     MachineSpec,
     Verdict,
-    _rule_table,
+    _rules,
     check_universal_gate,
     cloning_machine,
     complementing_machine,
@@ -52,7 +52,7 @@ PLUS = Qubit(RT2, RT2)
 def first_rule_gap(t, pair1, pair2):
     """|<s1|s2> - <o1|o2>|, where o is each state's required first-rule image."""
     s, p = (np.array([pair1[k].vector, pair2[k].vector]) for k in (0, 1))
-    o1, o2 = _rule_table(t, s, p)[1][0]
+    o1, o2 = next(_rules(t, s, p))[1]
     return abs(np.vdot(s[0], s[1]) - np.vdot(o1, o2))
 
 
@@ -140,7 +140,7 @@ def test_target_validation():
     with pytest.raises(ValueError, match="check_universal_gate"):
         deviation(cloning_machine(), target_hadamard9(), PLUS)
     with pytest.raises(ValueError, match="no per-state rules"):
-        _rule_table(target_clone(), KET0.vector[np.newaxis], KET1.vector[np.newaxis])
+        next(_rules(target_clone(), KET0.vector[np.newaxis], KET1.vector[np.newaxis]))
 
 
 def test_ideal_output_of_clone_target():
