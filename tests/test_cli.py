@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 from pathlib import Path
@@ -372,6 +373,16 @@ def test_dsl_check_missing_file(capsys):
     code, _, err = run(["dsl-check", "/tmp/no-such-file.qmachine"], capsys)
     assert code == 4
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv,what", [(["dsl-check"], ""),
+                                       (["gate-verify", "--target", "hadamard9", "--gate"],
+                                        "matrix file ")])
+def test_read_errors_name_the_file_once(tmp_path, capsys, argv, what):
+    # as write errors do: the path, then the reason, without the errno and the path again
+    code, out, err = run(argv + [str(tmp_path)], capsys)
+    assert (code, out) == (4, "")
+    assert err == f"qnogo: cannot read {what}{str(tmp_path)!r}: {os.strerror(errno.EISDIR)}\n"
 
 
 def test_dsl_check_byte_identical(capsys):
