@@ -20,14 +20,14 @@ _EXPORTS = {
     ),
     "dsl": (
         "CheckOptions", "CompiledMachine", "Diagnostic", "UnitReport", "check_source",
-        "compile_unit", "parse", "pretty_print", "tokenize",
+        "compile_unit", "parse", "tokenize",
     ),
     "fidelity": (
         "FidelitySweepRecord", "IsometryParam", "OptimizerConfig", "QuadratureGrid",
         "optimize_fidelity", "records_to_csv", "sweep_lambda", "uniform_grid",
     ),
     "gates": (
-        "UnequalAmplitudes", "cnot_computational", "cnot_in_basis", "hadamard",
+        "cnot_computational", "cnot_in_basis", "hadamard",
         "hadamard_equatorial", "hadamard_polar", "unequal_gate",
     ),
     "states": (

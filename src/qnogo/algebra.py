@@ -8,7 +8,7 @@ factor is the most significant index, matching numpy.kron.
 Two tolerance regimes are used throughout the package: ATOL_STATE for
 algebraic self-checks (normalization, hermiticity, orthogonality of
 constructed data) and the looser ATOL_VERDICT for yes/no decisions about
-measured quantities.  Both can be overridden per call.
+measured quantities.  is_unitary takes either per call.
 """
 
 from __future__ import annotations
@@ -28,17 +28,17 @@ def _as_complex(values, what: str) -> np.ndarray:
     return arr
 
 
-def state_vector(amplitudes, normalized: bool = True, atol: float = ATOL_STATE) -> np.ndarray:
+def state_vector(amplitudes, normalized: bool = True) -> np.ndarray:
     """Validated copy of a state vector.
 
     Rejects non-finite amplitudes and unsupported dimensions.  With
     normalized=True (the default) the norm must already be 1 within
-    atol; nothing is rescaled here.
+    ATOL_STATE; nothing is rescaled here.
     """
     v = _as_complex(amplitudes, "state vector")
     if v.ndim != 1 or v.size not in SUPPORTED_DIMS:
         raise ValueError(f"unsupported state dimension {v.shape}")
-    if normalized and abs(np.linalg.norm(v) - 1.0) > atol:
+    if normalized and abs(np.linalg.norm(v) - 1.0) > ATOL_STATE:
         raise ValueError(f"state vector is not normalized (norm {np.linalg.norm(v)!r})")
     return v
 
@@ -158,19 +158,18 @@ def complement_map() -> AntiUnitaryMap:
 class GeneralKMap:
     """Weighted mix of a unitary and an antiunitary action on one qubit.
 
-    K v = sqrt(lam) U v + sqrt(1-lam) A v with lam in [0, 1].  The
-    endpoints collapse exactly to the pure unitary (lam=1) or pure
-    antiunitary (lam=0) action.
+    K v = sqrt(lam) U v + sqrt(1-lam) A v with lam in [0, 1]: U is the
+    identity, applied as a matrix so that U v keeps a product's bits, and
+    A the complement flip unless given.  The endpoints collapse exactly
+    to the pure unitary (lam=1) or pure antiunitary (lam=0) action.
     """
 
-    def __init__(self, lam: float, unitary=None, antiunitary: AntiUnitaryMap | None = None) -> None:
+    def __init__(self, lam: float, antiunitary: AntiUnitaryMap | None = None) -> None:
         lam = float(lam)
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
         self.lam = lam
-        self.unitary = operator(unitary) if unitary is not None else np.eye(2, dtype=complex)
-        if not is_unitary(self.unitary, ATOL_STATE):
-            raise ValueError("the unitary part must be unitary")
+        self.unitary = np.eye(2, dtype=complex)
         self.antiunitary = antiunitary if antiunitary is not None else complement_map()
         if self.antiunitary.dim != self.unitary.shape[0]:
             raise ValueError("unitary and antiunitary parts act on different dimensions")

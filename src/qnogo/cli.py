@@ -61,8 +61,15 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     # usage problems must exit 1, not argparse's default 2
     def error(self, message):
-        self.print_usage(sys.stderr)
+        self._print_message(self.format_usage(), sys.stderr)   # print_usage reads None as stdout
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    # help and usage text that cannot be written exit 4, as a report does; argparse drops the error
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            _write_out(None, message)
+        elif not _to_stderr(message):
+            raise _CliError(EXIT_IO, "cannot write to stderr")
 
 
 @record
@@ -487,14 +494,15 @@ def _resolve_seed(value: int | None) -> int:
     return seed
 
 
-def _add_common(sub, grid_help: str):
-    sub.add_argument("--tolerance", type=float, default=1e-9,
-                     help="verdict tolerance (default 1e-9)")
-    sub.add_argument("--grid-n", type=int, default=256, help=grid_help)
+def _add_common(sub, tolerance: bool, grid_help: str | None, formats=("human", "json")):
+    if tolerance:
+        sub.add_argument("--tolerance", type=float, default=1e-9,
+                         help="verdict tolerance (default 1e-9)")
+    if grid_help is not None:
+        sub.add_argument("--grid-n", type=int, default=256, help=grid_help)
     sub.add_argument("--seed", type=int, default=None,
                      help="RNG seed (default: QNOGO_SEED or 42)")
-    sub.add_argument("--format", choices=("human", "json", "csv"),
-                     default="human", dest="fmt")
+    sub.add_argument("--format", choices=formats, default="human", dest="fmt")
     sub.add_argument("--output", default=None,
                      help="write the report to this file atomically")
 
@@ -517,14 +525,14 @@ def build_parser() -> _Parser:
     gv.add_argument("--gate", required=True,
                     help=" | ".join(GATE_NAMES + ("UG(a=..,b=..)", "matrix file")))
     _add_target(gv)
-    _add_common(gv, "number of states in the family (default 256)")
+    _add_common(gv, tolerance=True, grid_help="number of states in the family (default 256)")
 
     wt = subs.add_parser("witness", help="search for the worst overlap witness")
     _add_target(wt)
-    _add_common(wt, "number of sampled states (default 256)")
+    _add_common(wt, tolerance=False, grid_help="number of sampled states (default 256)")
 
     cc = subs.add_parser("circle-check", help="great-circle overlap identities")
-    _add_common(cc, "grid points per circle (default 256)")
+    _add_common(cc, tolerance=True, grid_help="grid points per circle (default 256)")
 
     fs = subs.add_parser("fidelity-sweep", help="optimal fidelity vs lambda")
     fs.add_argument("--lambda", dest="lam", required=True,
@@ -537,13 +545,13 @@ def build_parser() -> _Parser:
     fs.add_argument("--nodes", type=int, default=200,
                     help=f"least quadrature nodes, at most {MAX_NODES} (default 200); "
                          "every value gives the exact average")
-    _add_common(fs, "unused for this subcommand")
+    _add_common(fs, tolerance=False, grid_help=None, formats=("human", "json", "csv"))
 
     dc = subs.add_parser("dsl-check", help="check a .qmachine file")
     dc.add_argument("file")
     dc.add_argument("--samples", type=int, default=500,
                     help="states sampled for universal requirements (default 500)")
-    _add_common(dc, "unused for this subcommand")
+    _add_common(dc, tolerance=True, grid_help=None)
     return parser
 
 
@@ -557,19 +565,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        seed = _resolve_seed(args.seed)
-        cfg = RunConfig(subcommand=args.subcommand,
-                        tolerance=args.tolerance,
-                        grid_n=args.grid_n,
-                        seed=seed,
-                        fmt=args.fmt,
-                        output=args.output)
-        if cfg.fmt == "csv" and cfg.subcommand != "fidelity-sweep":
-            raise _CliError(EXIT_USAGE,
-                            "csv output is only available for fidelity-sweep")
+        args = build_parser().parse_args(argv)
+        # --tolerance and --grid-n where the subcommand has them; RunConfig's defaults go unread
+        shared = {k: v for k, v in vars(args).items() if k in ("tolerance", "grid_n")}
+        cfg = RunConfig(subcommand=args.subcommand, seed=_resolve_seed(args.seed),
+                        fmt=args.fmt, output=args.output, **shared)
         return _COMMANDS[cfg.subcommand](args, cfg)
     except _CliError as exc:
         return exc.code if _to_stderr(f"qnogo: {exc}\n") else EXIT_IO
@@ -600,13 +601,15 @@ def run() -> None:
 
     Runs main(), flushes stdout and stderr and ends the process with os._exit, skipping
     the interpreter's teardown of numpy and the other loaded modules, which nothing here
-    needs: about 35 ms of a 0.23 s command on a 2-core VM.  A stream that cannot be
-    flushed makes the exit code 4.  Under a tracer, profiler or debugger the process
-    ends through sys.exit instead, so that they still run their own exit work;
-    argparse's exits (--help, usage errors) raise SystemExit before this and take the
-    normal path too.
+    needs: about 35 ms of a 0.23 s command on a 2-core VM.  argparse's exits (--help,
+    usage errors) end main() with SystemExit, whose code is taken the same way.  A stream
+    that cannot be flushed makes the exit code 4.  Under a tracer, profiler or debugger
+    the process ends through sys.exit instead, so that they still run their own exit work.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     for name in ("stdout", "stderr"):
         stream = getattr(sys, name)
         try:

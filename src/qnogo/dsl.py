@@ -402,6 +402,8 @@ class _Parser:
     # --- structural validation
 
     def validate(self, ast: Ast):
+        if not ast.machines:   # an empty or comment-only unit
+            self.diags.append(Diagnostic(ERROR, 1, 1, "unit declares no machine", self.origin))
         for m in ast.machines:
             seen = set()
             for rule in m.rules:
@@ -721,7 +723,7 @@ def _report(c: CompiledMachine, verdict: Verdict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# whole-unit convenience and pretty-printing
+# whole-unit convenience and target names
 
 
 @record
@@ -777,53 +779,9 @@ def _fmt_scalar(value: complex) -> str:
 
 
 def _fmt_call(call: Call) -> str:
-    """A target, an extension or a gate candidate as the DSL writes it."""
+    """A target as the DSL writes it."""
     if call.name == "hybrid":
         return f"hybrid(lambda={call.lam!r})"
-    if call.name in ("unequal", "UG"):
+    if call.name == "unequal":
         return f"{call.name}(a={_fmt_scalar(call.a)}, b={_fmt_scalar(call.b)})"
     return call.name
-
-
-def _fmt_term(term: Term, first: bool) -> str:
-    c = term.coefficient
-    negative = c.real < 0.0 or (c.real == 0.0 and c.imag < 0.0)
-    if negative:
-        c = -c
-    body = "" if c == 1.0 else _fmt_scalar(c)
-    kets = "".join(f"|{label}>" for label in term.kets)
-    if first:
-        return ("-" if negative else "") + body + kets
-    return ("- " if negative else "+ ") + body + kets
-
-
-def pretty_print(ast: Ast) -> str:
-    """Render a tree back to canonical source text.
-
-    The output reparses to a tree equal to the input (positions are
-    ignored in comparisons), which is the round-trip property the
-    corpus tests rely on.
-    """
-    out: list[str] = []
-    for m in ast.machines:
-        out.append(f"machine {m.name};")
-        for rule in m.rules:
-            expr = " ".join(_fmt_term(t, i == 0)
-                            for i, t in enumerate(rule.terms))
-            out.append(f"on |{rule.basis}> -> {expr};")
-        if m.extension is not None:
-            out.append(f"extend {_fmt_call(m.extension)};")
-        if m.candidate is not None:
-            out.append(f"candidate {_fmt_call(m.candidate)};")
-        if m.requirement is not None:
-            req = m.requirement
-            if req.kind == "basis":
-                out.append("require basis;")
-            else:
-                if req.listed is not None:
-                    fam = "list(" + ", ".join(f"|{x}>" for x in req.listed) + ")"
-                else:
-                    fam = req.family
-                out.append(f"require universal on {fam} target "
-                           f"{_fmt_call(req.target)};")
-    return "\n".join(out) + "\n"

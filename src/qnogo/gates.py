@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._record import record
 from ._shared import GATE_NAMES
 from .algebra import operator
 from .states import Qubit, complement
@@ -42,18 +41,6 @@ NAMED_GATES = dict(zip(GATE_NAMES, (hadamard, hadamard_polar, hadamard_equatoria
                                     cnot_computational), strict=True))
 
 
-@record
-class UnequalAmplitudes:
-    """Real mixing weights (a, b) with a^2 + b^2 = 1 for the rotation gate."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not abs(self.a * self.a + self.b * self.b - 1.0) <= 1e-12:   # NaN and inf fail too
-            raise ValueError(f"weights ({self.a!r}, {self.b!r}) do not satisfy a^2 + b^2 = 1")
-
-
 def unequal_gate(weights) -> np.ndarray:
     """Rotation [[a, -b], [b, a]] sending psi to a psi + b partner.
 
@@ -62,18 +49,17 @@ def unequal_gate(weights) -> np.ndarray:
     defining rules, so the construction is refused rather than silently
     projected.
     """
-    if isinstance(weights, UnequalAmplitudes):
-        a, b = weights.a, weights.b
-    else:
-        a, b = weights
+    a, b = weights
     if isinstance(a, complex) or isinstance(b, complex):
         if abs(complex(a).imag) > 0.0 or abs(complex(b).imag) > 0.0:
             raise ValueError(
                 "unequal_gate needs real weights; complex weights make the two "
                 "defining rules inconsistent with any one unitary")
         a, b = complex(a).real, complex(b).real
-    w = UnequalAmplitudes(float(a), float(b))
-    return np.array([[w.a, -w.b], [w.b, w.a]], dtype=complex)
+    a, b = float(a), float(b)
+    if not abs(a * a + b * b - 1.0) <= 1e-12:   # NaN and inf fail too
+        raise ValueError(f"weights ({a!r}, {b!r}) do not satisfy a^2 + b^2 = 1")
+    return np.array([[a, -b], [b, a]], dtype=complex)
 
 
 def cnot_in_basis(q: Qubit) -> np.ndarray:

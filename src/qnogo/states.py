@@ -21,7 +21,7 @@ import numpy as np
 
 from ._record import record
 from ._shared import FAMILIES
-from .algebra import abs_squared, inner_product, state_vector
+from .algebra import abs_squared, state_vector
 
 _TWO_PI = 2.0 * np.pi
 
@@ -49,9 +49,6 @@ class Qubit:
     @property
     def vector(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)
-
-    def overlap(self, other: "Qubit") -> complex:
-        return inner_product(self.vector, other.vector)
 
 
 def complement(q: Qubit) -> Qubit:
@@ -132,8 +129,8 @@ def _sphere_draw(n: int, rng: np.random.Generator) -> np.ndarray:
 class StateSet:
     """A named family of (state, partner) pairs used as rule inputs.
 
-    The pairs are two validated, read-only (n, 2) complex arrays; pair(i),
-    pairs and states() build Qubits from them on demand.
+    The pairs are two validated, read-only (n, 2) complex arrays; pair(i)
+    builds the Qubits of one pair from them on demand.
     The pairing convention travels with the set: circle sets carry their
     family partners, whole-sphere sets carry canonical complements.
     """
@@ -150,13 +147,6 @@ class StateSet:
 
     def pair(self, i: int) -> tuple[Qubit, Qubit]:
         return Qubit(*self.state_vectors[i]), Qubit(*self.partner_vectors[i])
-
-    @property
-    def pairs(self) -> tuple:
-        return tuple(self.pair(i) for i in range(len(self)))
-
-    def states(self) -> list[Qubit]:
-        return [Qubit(*row) for row in self.state_vectors]
 
     def __len__(self) -> int:
         return len(self.state_vectors)
@@ -218,14 +208,14 @@ def equatorial_set(n: int = 64) -> StateSet:
     return state_family("equatorial", n)
 
 
-def bloch_set(n: int = 256, seed: int | None = 42, anchors: bool = True) -> StateSet:
+def bloch_set(n: int = 256, seed: int | None = 42) -> StateSet:
     """Random whole-sphere pairs, partnered by the canonical complement.
 
-    With anchors=True two fixed probe states, |+> and the +y eigenstate,
-    are prepended (within the requested n) so sphere-wide audits always
-    include equator points with real and with imaginary amplitudes.
+    Two fixed probe states, |+> and the +y eigenstate, are prepended
+    (within the requested n) so sphere-wide audits always include
+    equator points with real and with imaginary amplitudes.
     """
-    return state_family("bloch", n, seed, anchors=anchors)
+    return state_family("bloch", n, seed, anchors=True)
 
 
 def listed_set(qubits, name: str = "listed") -> StateSet:

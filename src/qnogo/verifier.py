@@ -60,6 +60,7 @@ _CELL, _BOUND_SLACK = 32, 1e-13
 # whole number of estimate tiles from the block edge and every entry keeps its bits.
 _SCREEN_TILE = 256
 _EXACT_TILE = 1024
+_WITNESS_BLOCK = 256   # rows per block of the witness scan
 # States per block of the per-state kernels: memory at n states is the family arrays, the
 # per-state outputs and one block, and every row keeps its bits whatever the block.
 _STATE_BLOCK = 1024
@@ -67,6 +68,7 @@ _STATE_BLOCK = 1024
 # (_rule_estimate, _deviation_estimate): a state that holds the maximum estimates within it
 # of the top estimate.
 _STATE_SLACK = 1e-13
+_SURVEY_TOLERANCE, _SURVEY_BLOCK = 1e-3, 1024   # the Haar survey's pass bound, candidates a block
 # the basis-flip rules (control, target) -> (control, new target); s a state, p its partner
 _CNOT_RULES = [("s", "s", "s", "s"), ("s", "p", "s", "p"), ("p", "s", "p", "p"), ("p", "p", "p", "s")]
 
@@ -145,23 +147,17 @@ def conjugating_machine(extension: str = "antilinear", ancilla0=None, ancilla1=N
                        extension=extension, ancilla0=a0, ancilla1=a1)
 
 
-def hybrid_machine(lam: float, unitary=None, antiunitary=None,
-                   ancilla0=None, ancilla1=None) -> MachineSpec:
+def hybrid_machine(lam: float, ancilla0=None, ancilla1=None) -> MachineSpec:
     """Machine whose basis action is |i> -> |i> (x) K|i> (x) |Q_i|.
 
-    K mixes the unitary and antiunitary parts with weight lam.  The
-    parts must act orthogonally on each basis state (the defaults,
-    identity and the complement flip, do) so the basis outputs stay
+    K mixes the identity and the complement flip with weight lam; the two
+    act orthogonally on each basis state, so the basis outputs stay
     normalized.
     """
-    kmap = GeneralKMap(lam, unitary, antiunitary)
+    kmap = GeneralKMap(lam)
     a0, a1 = _ancilla(ancilla0), _ancilla(ancilla1)
     e0, e1 = _BASIS
-    k0, k1 = kmap(e0), kmap(e1)
-    if abs(np.linalg.norm(k0) - 1.0) > ATOL_VERDICT or abs(np.linalg.norm(k1) - 1.0) > ATOL_VERDICT:
-        raise ValueError("the chosen unitary/antiunitary parts do not act orthogonally "
-                         "on basis states, so the hybrid basis outputs are not normalized")
-    return MachineSpec(out0=tensor(e0, k0, a0), out1=tensor(e1, k1, a1),
+    return MachineSpec(out0=tensor(e0, kmap(e0), a0), out1=tensor(e1, kmap(e1), a1),
                        extension="hybrid", kmap=kmap, ancilla0=a0, ancilla1=a1)
 
 
@@ -213,7 +209,7 @@ class TargetTransform:
     """What the machine or gate is demanded to do for every input state.
 
     clone-like targets carry a K map and describe the two-register
-    output |psi> (x) K|psi| (with an optional fixed final ancilla);
+    output |psi> (x) K|psi|;
     gate targets (hadamard9, hadamard10, unequal, cnot) are defined by
     per-state rules over (state, partner) pairs.
     """
@@ -222,7 +218,6 @@ class TargetTransform:
     kmap: GeneralKMap | None = None
     a: complex | None = None
     b: complex | None = None
-    ancilla_final: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind != _MACHINE_KIND and self.kind not in GATE_TARGETS:
@@ -235,27 +230,23 @@ class TargetTransform:
             a, b = _unit_weights(self.a, self.b)
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
-        if self.ancilla_final is not None:
-            object.__setattr__(self, "ancilla_final", state_vector(self.ancilla_final))
 
 
-def target_clone(ancilla_final=None) -> TargetTransform:
-    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(1.0), ancilla_final=ancilla_final)
+def target_clone() -> TargetTransform:
+    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(1.0))
 
 
-def target_complement(ancilla_final=None) -> TargetTransform:
-    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(0.0, antiunitary=complement_map()),
-                           ancilla_final=ancilla_final)
+def target_complement() -> TargetTransform:
+    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(0.0, antiunitary=complement_map()))
 
 
-def target_conjugate(ancilla_final=None) -> TargetTransform:
-    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(0.0, antiunitary=conjugation(2)),
-                           ancilla_final=ancilla_final)
+def target_conjugate() -> TargetTransform:
+    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(0.0, antiunitary=conjugation(2)))
 
 
-def target_hybrid(lam: float, ancilla_final=None) -> TargetTransform:
+def target_hybrid(lam: float) -> TargetTransform:
     """Weighted copy-and-complement target: psi -> psi (x) K psi."""
-    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(lam), ancilla_final=ancilla_final)
+    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(lam))
 
 
 def target_hadamard9() -> TargetTransform:
@@ -322,8 +313,7 @@ def machine_deviations(m: MachineSpec, t: TargetTransform, states,
     """1 - |<ideal|actual>|^2 between the target and the extended machine.
 
     One value per state; states is a StateSet or a list of Qubits.  In
-    "fixed" mode the ideal's final ancilla is the target's (or the
-    machine's |Q_0> when the target leaves it free).  In "best" mode the
+    "fixed" mode the ideal's final ancilla is the machine's |Q_0>.  In "best" mode the
     overlap is maximized over all final ancilla states, which isolates
     the principal-system mismatch.  Every state runs the exact kernel, in
     blocks of _STATE_BLOCK; the DSL's worst-state check takes the same
@@ -345,12 +335,10 @@ def _deviation_inputs(m: MachineSpec, t: TargetTransform, states, mode: str):
     if t.kind != _MACHINE_KIND:
         raise ValueError(f"target kind {t.kind!r} is a gate target; use check_universal_gate")
     s = _as_set(states).state_vectors
-    d = m.ancilla_dim
-    anc = t.ancilla_final if t.ancilla_final is not None else m.ancilla0
-    if mode == "fixed" and anc.size != d:
-        raise ValueError(f"final ancilla dimension {anc.size} does not match "
-                         f"the machine's ancilla dimension {d}")
-    return s, _output_map(m), None if mode == "best" else anc
+    if mode == "fixed" and m.ancilla0.size != m.ancilla_dim:
+        raise ValueError(f"final ancilla dimension {m.ancilla0.size} does not match "
+                         f"the machine's ancilla dimension {m.ancilla_dim}")
+    return s, _output_map(m), None if mode == "best" else m.ancilla0
 
 
 def _worst_deviation(m: MachineSpec, t: TargetTransform, states) -> tuple[float, int]:
@@ -415,9 +403,8 @@ class Verdict:
     """Outcome of a realizability check.
 
     realizable means every demanded behaviour was matched within
-    tolerance (and realizing_operator, when not None, does the job);
-    otherwise witness holds the offending state and its partner, and
-    violation the worst phase-invariant mismatch.
+    tolerance; otherwise witness holds the offending state and its
+    partner, and violation the worst phase-invariant mismatch.
     """
 
     realizable: bool
@@ -425,7 +412,6 @@ class Verdict:
     tolerance: float
     condition: str
     witness: tuple[Qubit, Qubit] | None = None
-    realizing_operator: np.ndarray | None = None
     detail: str = ""
 
     def __post_init__(self):
@@ -553,7 +539,6 @@ def check_universal_gate(candidate, t: TargetTransform, states,
     return Verdict(realizable=ok, violation=worst, tolerance=tol,
                    condition=f"{t.kind}-rules",
                    witness=None if ok else family.pair(i),
-                   realizing_operator=candidate if ok else None,
                    detail=f"checked {len(family)} state pairs")
 
 
@@ -764,7 +749,7 @@ def _witness_tile(s, p, o1, terms, pos, buf, floor: float, lo: int, hi: int, c0:
 
 
 def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
-                   family: str = "bloch", chunk: int = 256) -> WitnessResult:
+                   family: str = "bloch") -> WitnessResult:
     """Scan all sampled pairs for the largest overlap discrepancy.
 
     For single-qubit targets the discrepancy of states s1, s2 is
@@ -783,8 +768,6 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     """
     if n_samples < 2:
         raise ValueError("need at least two samples to form a pair")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
     if t.kind not in GATE_TARGETS:
         raise ValueError(f"target kind {t.kind!r} has no overlap audit")
     family_set = state_family(family, n_samples, seed, sampled=True)
@@ -799,7 +782,7 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     s, p = s[order], family_set.partner_vectors[order]
     del family_set
     o1 = None if t.kind == "cnot" else next(_rules(t, s, p))[1]
-    terms, blocks = _screen_terms(s, p, o1, wide), list(row_blocks(n, chunk))
+    terms, blocks = _screen_terms(s, p, o1, wide), list(row_blocks(n, _WITNESS_BLOCK))
     squares = _witness_screen(terms, order, blocks)
     floor = squares.max() - _SCREEN_MARGIN
     exact = [(lo, hi, lo + c0, lo + c1) for (lo, hi), tiles in zip(blocks, squares)
@@ -833,38 +816,34 @@ class SurveyResult:
 
 
 def survey_random_unitaries(t: TargetTransform, states, n_candidates: int,
-                            tol: float = 1e-3, seed: int | None = 42,
-                            chunk: int = 1024) -> SurveyResult:
+                            seed: int | None = 42) -> SurveyResult:
     """Try many Haar-distributed 2x2 unitaries against a two-rule target.
 
     Each candidate's worst violation over all states and both rules is
     computed; a candidate passes if that worst violation stays within
-    tol.  The minimum worst-violation over all candidates quantifies how
-    far even the best random gate remains from universality.
+    _SURVEY_TOLERANCE.  The minimum worst-violation over all candidates
+    quantifies how far even the best random gate remains from universality.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
-    if chunk < 1:
-        raise ValueError(f"chunk must be at least 1, got {chunk}")
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     if t.kind not in QUBIT_GATE_TARGETS:
         raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
     family = _as_set(states)
     s, p = family.state_vectors, family.partner_vectors
-    # <o|U|x> = sum_ij conj(o_i) U_ij x_j, so a chunk's amplitudes are one (b, 4) x (4, 2n) product
+    # <o|U|x> = sum_ij conj(o_i) U_ij x_j, so a block's amplitudes are one (b, 4) x (4, 2n) product
     features = np.vstack([kron_rows(o.conj(), x) for x, o in _rules(t, s, p)]).T
-    amp = np.empty((min(chunk, n_candidates), features.shape[1]), dtype=complex)
+    amp = np.empty((min(_SURVEY_BLOCK, n_candidates), features.shape[1]), dtype=complex)
     rng = np.random.default_rng(seed)
     n_pass, min_worst = 0, np.inf
-    for done in range(0, n_candidates, chunk):
-        b = min(chunk, n_candidates - done)
+    for done in range(0, n_candidates, _SURVEY_BLOCK):
+        b = min(_SURVEY_BLOCK, n_candidates - done)
         np.matmul(haar_unitaries(b, rng=rng).reshape(b, 4), features, out=amp[:b])
         # squaring is monotone on x >= 0 under rounding too, so squaring the minimum has the
         # bits of the minimum of the squares
         m = np.abs(amp[:b]).min(axis=1)
         worst = 1.0 - m * m
-        n_pass += int(np.count_nonzero(worst <= tol))
+        n_pass += int(np.count_nonzero(worst <= _SURVEY_TOLERANCE))
         min_worst = min(min_worst, float(worst.min()))
     return SurveyResult(n_candidates=n_candidates, n_pass=n_pass,
-                        min_worst_violation=min_worst, tolerance=tol, seed=seed)
+                        min_worst_violation=min_worst, tolerance=_SURVEY_TOLERANCE,
+                        seed=seed)

@@ -117,6 +117,7 @@ def test_haar_unitaries_are_unitary_and_seeded():
 
 
 def test_atol_state_is_strict():
-    # barely-off normalization inside tolerance passes
-    v = np.array([1.0 + 5e-13, 0.0])
-    state_vector(v, atol=ATOL_STATE * 10)
+    # barely-off normalization inside ATOL_STATE passes; twice the tolerance off is refused
+    state_vector(np.array([1.0 + ATOL_STATE / 2, 0.0]))
+    with pytest.raises(ValueError, match="not normalized"):
+        state_vector(np.array([1.0 + 2 * ATOL_STATE, 0.0]))

@@ -198,8 +198,7 @@ def ref_deviation(m, t, q, mode):
     if mode == "best":
         overlap_sq = float(np.linalg.norm(sys_ideal.conj() @ actual.reshape(4, d)) ** 2)
     else:
-        anc = t.ancilla_final if t.ancilla_final is not None else m.ancilla0
-        overlap_sq = abs(np.vdot(np.kron(sys_ideal, anc), actual)) ** 2
+        overlap_sq = abs(np.vdot(np.kron(sys_ideal, m.ancilla0), actual)) ** 2
     return float(min(max(1.0 - overlap_sq, 0.0), 1.0))
 
 
@@ -283,7 +282,7 @@ def test_grid_sets_equal_their_per_state_pairs(name, n, seed):
     pairs = ref_pairs(name, n, seed)
     assert np.array_equal(family.state_vectors, np.array([q.vector for q, _ in pairs]))
     assert np.array_equal(family.partner_vectors, np.array([r.vector for _, r in pairs]))
-    assert family.pairs == tuple(pairs)
+    assert [family.pair(i) for i in range(len(family))] == pairs
     assert len(family) == n
 
 
@@ -678,7 +677,7 @@ def test_the_machine_reduction_computes_few_states(monkeypatch):
 
 def cancelling_kmap():
     """K v = (v - conj v) / sqrt 2: it vanishes on states with real amplitudes."""
-    return GeneralKMap(0.5, np.eye(2), AntiUnitaryMap(-np.eye(2)))
+    return GeneralKMap(0.5, AntiUnitaryMap(-np.eye(2)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -743,7 +742,8 @@ def test_witness_search_matches_the_full_width_scan(kind, weights, name, seed, n
               "unequal": lambda: target_unequal(a, b), "cnot": target_cnot}[kind]()
     s, p = ref_sampled(name, n, seed)
     violation, i, j = ref_witness(kind, s, p, chunk, a, b)
-    result = witness_search(target, n, seed=seed, family=name, chunk=chunk)
+    with mock.patch("qnogo.verifier._WITNESS_BLOCK", chunk):
+        result = witness_search(target, n, seed=seed, family=name)
     assert result.violation == violation
     assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
 
@@ -774,7 +774,8 @@ def test_screened_witness_search_equals_the_exhaustive_scan(kind, weights, name,
     s, p = ref_sampled(name, n, seed)
     # the exhaustive scan of the same blocks, cut at the same columns
     violation, i, j = ref_witness(kind, s, p, chunk, a, b, list(row_blocks(n, chunk)))
-    result = witness_search(witness_target(kind, a, b), n, seed=seed, family=name, chunk=chunk)
+    with mock.patch("qnogo.verifier._WITNESS_BLOCK", chunk):
+        result = witness_search(witness_target(kind, a, b), n, seed=seed, family=name)
     assert result.violation == violation
     assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
 
@@ -818,6 +819,7 @@ def check_tiled_scan(monkeypatch, kind, name, seed, n, chunk, screen_tile, exact
     # tiles far narrower than the family, so each certified block spans several of them
     monkeypatch.setattr("qnogo.verifier._SCREEN_TILE", screen_tile)
     monkeypatch.setattr("qnogo.verifier._EXACT_TILE", exact_tile)
+    monkeypatch.setattr("qnogo.verifier._WITNESS_BLOCK", chunk)
     a, b = 0.6, 0.8
     if name in HAND_BUILT:   # witness_search is handed it in place of a draw
         s, p = HAND_BUILT[name](n)
@@ -826,7 +828,7 @@ def check_tiled_scan(monkeypatch, kind, name, seed, n, chunk, screen_tile, exact
     else:
         s, p = ref_sampled(name, n, seed)
     violation, i, j = ref_witness(kind, s, p, chunk, a, b, list(row_blocks(n, chunk)))
-    result = witness_search(witness_target(kind, a, b), n, seed=seed, family=name, chunk=chunk)
+    result = witness_search(witness_target(kind, a, b), n, seed=seed, family=name)
     assert result.violation == violation
     assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
 
@@ -1137,7 +1139,8 @@ def ref_survey_squares(t, family, n_candidates, tol, seed, chunk):
 @pytest.mark.parametrize("kind", ["hadamard9", "hadamard10", "unequal"])
 def test_squaring_the_smallest_modulus_keeps_the_bits_of_the_smallest_square(kind, seed):
     target, family = witness_target(kind, 0.6, 0.8j), state_family("bloch", 300, seed)
-    result = survey_random_unitaries(target, family, 2500, tol=0.3, seed=seed, chunk=1024)
+    with mock.patch("qnogo.verifier._SURVEY_TOLERANCE", 0.3):
+        result = survey_random_unitaries(target, family, 2500, seed=seed)
     n_pass, min_worst = ref_survey_squares(target, family, 2500, 0.3, seed, 1024)
     assert result.n_pass == n_pass
     assert np.float64(result.min_worst_violation).tobytes() == np.float64(min_worst).tobytes()
@@ -1154,8 +1157,10 @@ def test_the_survey_product_equals_the_per_state_einsums(kind, weights, name, n,
     family = state_family(name, n, seed)
     s, p = family.state_vectors, family.partner_vectors
     n_pass, min_worst = ref_survey(kind, s, p, a, b, n_candidates, tol, seed, chunk)
-    result = survey_random_unitaries(witness_target(kind, a, b), family, n_candidates,
-                                     tol=tol, seed=seed, chunk=chunk)
+    with mock.patch("qnogo.verifier._SURVEY_TOLERANCE", tol), \
+            mock.patch("qnogo.verifier._SURVEY_BLOCK", chunk):
+        result = survey_random_unitaries(witness_target(kind, a, b), family, n_candidates,
+                                         seed=seed)
     assert result.n_pass == n_pass
     assert abs(result.min_worst_violation - min_worst) <= 1e-12
 

@@ -335,10 +335,22 @@ def test_fidelity_sweep_bad_range_is_usage_error(capsys):
     assert "start:stop:step" in err
 
 
-def test_csv_format_rejected_elsewhere(capsys):
-    code, _, err = run(["circle-check", "--format", "csv"], capsys)
-    assert code == 1
-    assert "only available for fidelity-sweep" in err
+@pytest.mark.parametrize("argv", [
+    ["gate-verify", "--gate", "HP", "--target", "hadamard9"],
+    ["witness", "--target", "hadamard9"],
+    ["circle-check"],
+    ["dsl-check", str(MACHINES / "clone.qmachine")],
+])
+def test_csv_format_rejected_elsewhere(argv, capsys):
+    # csv is a --format choice of fidelity-sweep alone, so argparse refuses it
+    with pytest.raises(SystemExit) as ei:
+        main(argv + ["--format", "csv"])
+    assert ei.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: qnogo {argv[0]} ")
+    assert captured.err.splitlines()[-1].endswith(
+        "argument --format: invalid choice: 'csv' (choose from 'human', 'json')")
 
 
 # --- dsl-check ---------------------------------------------------------------

@@ -9,7 +9,6 @@ from qnogo.dsl import (
     check_source,
     compile_unit,
     parse,
-    pretty_print,
     tokenize,
 )
 from qnogo.gates import hadamard_polar
@@ -273,6 +272,20 @@ def test_a_bad_machine_header_does_not_repeat_the_machine_before_it():
         (2, 9, "expected a machine name, found ';'"), (1, 1, "machine must declare a requirement")]
 
 
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n", "  # two\n# comments"])
+def test_a_unit_that_declares_no_machine_is_an_error(text, tmp_path, capsys):
+    # an empty or comment-only unit used to pass with no verdict at all: exit 0
+    ast, diags = parse_text(text)
+    assert ast.machines == ()
+    assert [(d.line, d.column, d.message) for d in diags] == [(1, 1, "unit declares no machine")]
+    path = tmp_path / "empty.qmachine"
+    path.write_text(text)
+    assert main(["dsl-check", str(path), "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}:1:1: error: unit declares no machine\n"
+
+
 def test_diagnostic_rendering_includes_position():
     _, diags = parse_text("machine ;\n", origin="unit.qmachine")
     text = diags[0].render()
@@ -489,43 +502,3 @@ def test_check_source_stops_on_compile_errors():
         assert report.has_errors
         assert report.verdicts == ()
         assert [d.message for d in report.diagnostics] == ["output not normalized"]
-
-
-# --- pretty printing ---------------------------------------------------------
-
-
-def roundtrip(src):
-    ast, diags = parse_text(src)
-    assert not errors(diags)
-    text = pretty_print(ast)
-    again, diags2 = parse_text(text)
-    assert not errors(diags2)
-    return ast, again, text
-
-
-def test_pretty_print_round_trips_the_corpus_shapes():
-    for src in (CLONE_SRC, HP_SRC,
-                "candidate UG(a=0.6, b=0.8);\n"
-                "require universal on polar target unequal(a=0.6, b=0.8);\n",
-                "machine h;\ncandidate H;\n"
-                "require universal on list(|0>, |1>) target hadamard9;\n"):
-        ast, again, _ = roundtrip(src)
-        assert again == ast
-
-
-def test_pretty_print_folds_signs():
-    src = "on |0> -> -1|01> + 0.6|00> - 0.8i|11>;\non |1> -> |1>|1>;\nextend linear;\nrequire basis;\n"
-    ast, again, text = roundtrip(src)
-    assert again == ast
-    assert "-|01>" in text
-    assert "- 0.0+0.8i|11>" in text
-
-
-def test_pretty_print_hybrid_lambda():
-    src = ("on |0> -> 0.707107|00> + 0.707107|01>;\n"
-           "on |1> -> 0.707107|11> - 0.707107|10>;\n"
-           "extend hybrid(lambda=0.5);\n"
-           "require universal on bloch target hybrid(lambda=0.5);\n")
-    ast, again, text = roundtrip(src)
-    assert again == ast
-    assert "extend hybrid(lambda=0.5);" in text

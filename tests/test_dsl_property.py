@@ -1,9 +1,9 @@
-"""check_source and pretty_print over generated .qmachine units.
+"""check_source over generated .qmachine units.
 
 Units are drawn from the README grammar as token lists: rule machines
 (both basis rules, an extension and a requirement) and candidate
 machines (a gate and a gate target).  Every generated unit parses without
-error and pretty_print round-trips it.  Mutated units, with tokens
+error.  Mutated units, with tokens
 dropped, swapped or duplicated, or with any character inserted, may be
 malformed in any way, and check_source must still return a report rather
 than raise.
@@ -12,7 +12,7 @@ than raise.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnogo.dsl import CheckOptions, check_source, parse, pretty_print, tokenize
+from qnogo.dsl import CheckOptions, check_source, parse, tokenize
 
 OPTIONS = CheckOptions(samples=8)
 
@@ -110,12 +110,10 @@ def parsed(text):
 
 @settings(max_examples=150, deadline=None)
 @given(tokens=units())
-def test_pretty_print_round_trips_every_generated_unit(tokens):
+def test_every_generated_unit_parses_without_error(tokens):
     ast, diags = parsed(" ".join(tokens))
     assert [d.render() for d in diags if d.severity == "error"] == []
-    again, diags = parsed(pretty_print(ast))
-    assert [d.render() for d in diags if d.severity == "error"] == []
-    assert again == ast
+    assert len(ast.machines) == tokens.count("machine") + (tokens[0] != "machine")
 
 
 @st.composite

@@ -3,7 +3,6 @@ import pytest
 
 from qnogo.algebra import is_unitary, tensor
 from qnogo.gates import (
-    UnequalAmplitudes,
     cnot_computational,
     cnot_in_basis,
     hadamard,
@@ -11,7 +10,7 @@ from qnogo.gates import (
     hadamard_polar,
     unequal_gate,
 )
-from qnogo.states import Qubit, bloch_set, complement, equatorial_pair, polar_pair
+from qnogo.states import Qubit, complement, equatorial_pair, polar_pair, state_family
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -55,18 +54,16 @@ def test_equatorial_gate_realizes_both_rules_on_its_circle():
         assert np.allclose(hadamard_equatorial @ p.vector, want_p, atol=1e-12)
 
 
-def test_unequal_amplitudes_validation():
-    UnequalAmplitudes(0.6, 0.8)
-    with pytest.raises(ValueError):
-        UnequalAmplitudes(0.6, 0.9)
+def test_unequal_gate_checks_its_weights():
+    for weights in ((0.6, 0.9), (np.nan, 1.0), (np.inf, 0.0)):
+        with pytest.raises(ValueError, match=r"do not satisfy a\^2 \+ b\^2 = 1"):
+            unequal_gate(weights)
 
 
-def test_unequal_gate_accepts_pairs_and_dataclass():
-    g1 = unequal_gate((0.6, 0.8))
-    g2 = unequal_gate(UnequalAmplitudes(0.6, 0.8))
-    assert np.array_equal(g1, g2)
-    assert np.array_equal(g1, [[0.6, -0.8], [0.8, 0.6]])
-    assert is_unitary(g1)
+def test_unequal_gate_accepts_pairs():
+    g = unequal_gate((0.6, 0.8))
+    assert np.array_equal(g, [[0.6, -0.8], [0.8, 0.6]])
+    assert is_unitary(g)
 
 
 def test_unequal_gate_rejects_complex_weights():
@@ -91,7 +88,7 @@ def test_cnot_in_basis_reduces_to_computational():
 
 
 def test_cnot_in_basis_satisfies_all_four_rules():
-    for q in bloch_set(25, seed=9, anchors=False).states():
+    for q in (Qubit(*v) for v in state_family("bloch", 25, 9).state_vectors):
         g = cnot_in_basis(q)
         assert is_unitary(g)
         p = complement(q)

@@ -1,5 +1,7 @@
 """Every public name is used by the package itself, or is listed here with its reason,
-and every private module-level name is read somewhere in the package.
+every private module-level name is read somewhere in the package, and every parameter
+with a default of a public callable that the package or perfbench reads is passed by
+some direct call there, or is listed here with its reason.
 
 A helper that only tests call duplicates a path the command line runs, and
 its copy can drift from it; checks belong on the path that stays.
@@ -11,10 +13,10 @@ from pathlib import Path
 import qnogo
 
 SRC = Path(qnogo.__file__).parent
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 # public names that nothing in src/qnogo calls, each with why it stays
 ALLOWED = {
-    "pretty_print": "formats a parsed unit back to source; the DSL's round-trip API",
     "cloning_machine": "the paper's copying machine, built from Python rather than a unit",
     "complementing_machine": "the paper's complementing machine, built from Python",
     "conjugating_machine": "the paper's conjugating machine, built from Python",
@@ -27,7 +29,16 @@ ALLOWED = {
 }
 
 
+# parameters with a default that no direct call in src/qnogo or perfbench passes, each with
+# why it stays
+PARAMETERS = {
+    "haar_unitaries.dim": "the tests draw seeded 4x4 candidates with it; the survey draws 2x2",
+    "haar_unitaries.seed": "the tests draw seeded candidates; the survey passes its generator",
+}
+
+
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+BENCH = [ast.parse(path.read_text(encoding="utf-8")) for path in PERFBENCH.glob("*.py")]
 
 
 def read_names(skip: str = "") -> set[str]:
@@ -83,3 +94,81 @@ def test_every_private_module_level_name_is_read_in_the_package():
     assert len(private) > 50   # the walk found the modules' definitions
     unread = sorted(f"{module}:{name}" for name, module in private.items() if name not in read)
     assert unread == [], f"private names that nothing in src/qnogo reads: {unread}"
+
+
+def defaults(node) -> list[tuple[int | None, str]]:
+    """(position, or None if keyword-only, and name) of each parameter with a default: of a
+    function, of a class's __init__ after self, or else of a record class's fields."""
+    if isinstance(node, ast.FunctionDef):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        return ([(i, a.arg) for i, a in enumerate(positional) if i >= first]
+                + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d])
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+            return [(None if i is None else i - 1, name) for i, name in defaults(item)]
+    fields = [item for item in node.body
+              if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    return [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+
+
+def direct_calls(trees) -> dict[str, list[ast.Call]]:
+    """The calls of each name, as f(...) or x.f(...); a call through a table, t[k](...), is
+    no call of the callables in t."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether call passes the parameter name, at position; *args and **kwargs pass any."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def unset_parameters() -> list[str]:
+    """callable.parameter for each parameter with a default of a public module-level function
+    or class that src/qnogo or perfbench reads, and that no direct call there passes."""
+    read = referenced_names()
+    for tree in BENCH:
+        read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    calls = direct_calls([tree for module, tree in MODULES.items() if module != "__init__.py"]
+                         + BENCH)
+    unset = []
+    for tree in MODULES.values():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in read
+                    and not node.name.startswith("_")):
+                unset += [f"{node.name}.{param}" for position, param in defaults(node)
+                          if not any(passes(c, position, param) for c in calls.get(node.name, []))]
+    return sorted(unset)
+
+
+def test_every_parameter_with_a_default_is_passed_by_a_caller_or_has_a_reason():
+    # a value that no caller sets is a constant; a table's entries are called with none
+    assert unset_parameters() == sorted(PARAMETERS)
+
+
+def test_the_parameter_walk_sees_defaults_fields_and_calls():
+    tree = ast.parse("def f(a, b=1, *, c=2): pass\n"
+                     "class R:\n    x: int\n    y: int = 0\n"
+                     "class K:\n    def __init__(self, u, v=None): pass\n"
+                     "f(0, 1)\nm.f(0, c=3)\n{'k': f}['k']()\nR(**kw)\n")
+    f, r, k = tree.body[:3]
+    assert defaults(f) == [(1, "b"), (None, "c")]
+    assert defaults(r) == [(1, "y")]
+    assert defaults(k) == [(1, "v")]
+    calls = direct_calls([tree])
+    assert len(calls["f"]) == 2 and "k" not in calls
+    assert [passes(c, 1, "b") for c in calls["f"]] == [True, False]
+    assert [passes(c, None, "c") for c in calls["f"]] == [False, True]
+    assert passes(calls["R"][0], 1, "y")

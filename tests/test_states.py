@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qnogo.algebra import inner_product
 from qnogo.states import (
     Qubit,
     StateSet,
@@ -33,9 +34,13 @@ def equatorial_gram_closed(p1, p2):
                      [(1 - z) / 2, (1 + z) / 2]], dtype=complex)
 
 
+def overlap(a, b):
+    return inner_product(a.vector, b.vector)
+
+
 def pair_gram(first, second):
     """[[<s1|s2>, <s1|p2>], [<p1|s2>, <p1|p2>]] for two (state, partner) pairs."""
-    return np.array([[a.overlap(b) for b in second] for a in first], dtype=complex)
+    return np.array([[overlap(a, b) for b in second] for a in first], dtype=complex)
 
 
 def test_qubit_validates_normalization():
@@ -61,7 +66,7 @@ def test_bloch_rows_round_trip():
 def test_complement_is_orthogonal():
     q = Qubit(0.6, 0.8j)
     c = complement(q)
-    assert q.overlap(c) == pytest.approx(0.0, abs=1e-12)
+    assert overlap(q, c) == pytest.approx(0.0, abs=1e-12)
     # twice around returns the input with a global minus sign
     cc = complement(c)
     assert cc.alpha == pytest.approx(-q.alpha)
@@ -80,7 +85,7 @@ def test_circle_family_rejects_bad_input():
 
 def test_polar_pair_partner_is_complement():
     s, p = polar_pair(1.1)
-    assert s.overlap(p) == pytest.approx(0.0, abs=1e-12)
+    assert overlap(s, p) == pytest.approx(0.0, abs=1e-12)
     c = complement(s)
     assert p.alpha == pytest.approx(c.alpha)
     assert p.beta == pytest.approx(c.beta)
@@ -89,10 +94,10 @@ def test_polar_pair_partner_is_complement():
 def test_equatorial_pair_partner_is_antipodal_not_complement():
     phi = 0.9
     s, p = equatorial_pair(phi)
-    assert s.overlap(p) == pytest.approx(0.0, abs=1e-12)
+    assert overlap(s, p) == pytest.approx(0.0, abs=1e-12)
     # same ray as the complement but a different vector
     c = complement(s)
-    assert abs(abs(s.overlap(p))) < 1e-12
+    assert abs(abs(overlap(s, p))) < 1e-12
     assert abs(p.alpha - c.alpha) > 0.1 or abs(p.beta - c.beta) > 0.1
     # expected literal form (|0> - e^{i phi}|1>)/sqrt(2)
     assert p.alpha == pytest.approx(RT2)
@@ -125,8 +130,8 @@ def test_pair_gram_sign_patterns_own_vs_swapped():
 
 
 def test_bloch_draws_are_seeded_and_roughly_uniform():
-    s = bloch_set(4000, seed=3, anchors=False)
-    assert s == bloch_set(4000, seed=3, anchors=False)
+    s = state_family("bloch", 4000, 3)
+    assert s == state_family("bloch", 4000, 3)
     # <z> ~ 0 for a uniform sample
     z = np.mean(np.abs(s.state_vectors[:, 0]) ** 2 - np.abs(s.state_vectors[:, 1]) ** 2)
     assert abs(z) < 0.05
@@ -139,26 +144,26 @@ def test_polar_set_covers_the_circle():
     assert isinstance(ss, StateSet)
     assert len(ss) == 8
     assert ss.name == "polar"
-    thetas = [2 * np.arctan2(p[0].beta.real, p[0].alpha.real) for p in ss.pairs]
+    thetas = [2 * np.arctan2(q.beta.real, q.alpha.real) for q, _ in map(ss.pair, range(8))]
     assert thetas[0] == pytest.approx(0.0)
 
 
 def test_equatorial_set_size_and_name():
     ss = equatorial_set(12)
     assert len(ss) == 12 and ss.name == "equatorial"
-    for s, p in ss.pairs:
-        assert s.overlap(p) == pytest.approx(0.0, abs=1e-12)
+    for s, p in map(ss.pair, range(12)):
+        assert overlap(s, p) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bloch_set_anchors_and_determinism():
     ss = bloch_set(10, seed=4)
     assert len(ss) == 10
-    first, second = ss.states()[0], ss.states()[1]
+    (first, _), (second, _) = ss.pair(0), ss.pair(1)
     assert first.alpha == pytest.approx(RT2) and first.beta == pytest.approx(RT2)
     assert second.beta == pytest.approx(RT2 * 1j)
     assert bloch_set(10, seed=4) == ss
-    no_anchor = bloch_set(10, seed=4, anchors=False)
-    assert no_anchor.states()[0] != first
+    no_anchor = state_family("bloch", 10, 4)
+    assert no_anchor.pair(0)[0] != first
 
 
 def test_listed_set_requires_qubits():
