@@ -31,8 +31,8 @@ _EXPORTS = {
         "hadamard_equatorial", "hadamard_polar", "unequal_gate",
     ),
     "states": (
-        "Qubit", "StateSet", "bloch_set", "complement", "equatorial_pair", "equatorial_set",
-        "ket_notation", "listed_set", "polar_pair", "polar_set", "state_family",
+        "Qubit", "StateSet", "complement", "equatorial_pair", "ket_notation", "listed_set",
+        "polar_pair", "polar_set", "state_family",
     ),
     "verifier": (
         "MachineSpec", "SurveyResult", "TargetTransform", "Verdict", "WitnessResult",

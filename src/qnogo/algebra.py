@@ -145,9 +145,9 @@ class AntiUnitaryMap:
         return f"AntiUnitaryMap(dim={self.dim})"
 
 
-def conjugation(dim: int = 2) -> AntiUnitaryMap:
-    """Plain componentwise conjugation in the computational basis."""
-    return AntiUnitaryMap(np.eye(dim))
+def conjugation() -> AntiUnitaryMap:
+    """Plain componentwise conjugation of a qubit in the computational basis."""
+    return AntiUnitaryMap(np.eye(2))
 
 
 def complement_map() -> AntiUnitaryMap:

@@ -281,11 +281,11 @@ def _write_out(path: str | None, text: str) -> None:
 
 
 def cmd_gate_verify(args, cfg: RunConfig) -> int:
-    from .states import ket_notation, named_set
+    from .states import ket_notation, state_family
     from .verifier import check_universal_gate
     gate = resolve_gate(args.gate)
     target = _resolve_target(args.target, args.a, args.b)
-    states = named_set(args.set, cfg.grid_n, cfg.seed)
+    states = state_family(args.set, cfg.grid_n, cfg.seed)
     size = 4 if args.target == "cnot23" else 2
     if gate.shape != (size, size):
         raise _CliError(EXIT_CONTENT,
@@ -520,6 +520,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="qnogo",
                      description="Numerical audits of impossible qubit operations")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = subs.choices
 
     gv = subs.add_parser("gate-verify", parents=[], help="check one gate on a family")
     gv.add_argument("--gate", required=True,
@@ -566,7 +567,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args, extra = parser.parse_known_args(argv)
+        if extra:   # reported with the usage of the subcommand that was given them
+            parser.subcommands[args.subcommand].error(
+                f"unrecognized arguments: {' '.join(extra)}")
         # --tolerance and --grid-n where the subcommand has them; RunConfig's defaults go unread
         shared = {k: v for k, v in vars(args).items() if k in ("tolerance", "grid_n")}
         cfg = RunConfig(subcommand=args.subcommand, seed=_resolve_seed(args.seed),

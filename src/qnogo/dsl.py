@@ -453,8 +453,8 @@ class CompiledMachine:
     """A checked unit member: model objects ready for the verifier.
 
     machine is None for pure gate-candidate declarations; target is
-    None for basis-only requirements.  family/listed describe where a
-    universal requirement must hold.
+    None for basis-only requirements.  family, or the states of a list(...)
+    requirement in listed, says where a universal requirement must hold.
     """
 
     name: str
@@ -463,7 +463,7 @@ class CompiledMachine:
     target: TargetTransform | None = None
     target_name: str | None = None
     family: str | None = None
-    listed: tuple[Qubit, ...] | None = None
+    listed: StateSet | None = None
     candidate: np.ndarray | None = None
 
 
@@ -589,7 +589,7 @@ def compile_unit(ast: Ast, origin: str = "<stdin>"
 
 def _compile_one(m: MachineNode, diags: list[Diagnostic],
                  origin: str) -> CompiledMachine:
-    from .states import Qubit
+    from .states import Qubit, listed_set
     spec = _compile_machine_spec(m, diags, origin) if m.rules else None
     candidate = _compile_candidate(m.candidate) if m.candidate else None
     req = m.requirement
@@ -606,7 +606,7 @@ def _compile_one(m: MachineNode, diags: list[Diagnostic],
         if bad:
             raise _CompileError("listed states must be single qubits",
                                 req.line, req.column)
-        listed = tuple(Qubit(*_KET_AMPLITUDES[label]) for label in req.listed)
+        listed = listed_set(Qubit(*_KET_AMPLITUDES[label]) for label in req.listed)
     if candidate is not None:
         need = 4 if target.kind == "cnot" else 2
         if candidate.shape[0] != need:
@@ -638,10 +638,10 @@ class CheckOptions:
 
 
 def _family_states(c: CompiledMachine, opts: CheckOptions) -> StateSet:
-    from .states import listed_set, named_set
+    from .states import state_family
     if c.listed is not None:
-        return listed_set(list(c.listed), name="list")
-    return named_set(c.family, opts.samples, opts.seed)
+        return c.listed
+    return state_family(c.family, opts.samples, opts.seed)
 
 
 def check(c: CompiledMachine, opts: CheckOptions = CheckOptions()
@@ -704,7 +704,7 @@ def _describe_requirement(c: CompiledMachine) -> str:
         return "basis"
     fam = c.family
     if c.listed is not None:
-        fam = "list(" + ", ".join(ket_notation(q, digits=4) for q in c.listed) + ")"
+        fam = "list(" + ", ".join(map(ket_notation, c.listed.state_vectors)) + ")"
     return f"universal {c.target_name} on {fam}"
 
 

@@ -24,6 +24,7 @@ from ._shared import FAMILIES
 from .algebra import abs_squared, state_vector
 
 _TWO_PI = 2.0 * np.pi
+_DIGITS = 4   # decimals of ket_notation's coefficients
 
 
 @record
@@ -127,7 +128,7 @@ def _sphere_draw(n: int, rng: np.random.Generator) -> np.ndarray:
 
 @record(eq=False)
 class StateSet:
-    """A named family of (state, partner) pairs used as rule inputs.
+    """A family of (state, partner) pairs: the input of every rule kernel.
 
     The pairs are two validated, read-only (n, 2) complex arrays; pair(i)
     builds the Qubits of one pair from them on demand.
@@ -135,7 +136,6 @@ class StateSet:
     family partners, whole-sphere sets carry canonical complements.
     """
 
-    name: str
     state_vectors: np.ndarray
     partner_vectors: np.ndarray
 
@@ -151,20 +151,16 @@ class StateSet:
     def __len__(self) -> int:
         return len(self.state_vectors)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, StateSet) and self.name == other.name
-                and np.array_equal(self.state_vectors, other.state_vectors)
-                and np.array_equal(self.partner_vectors, other.partner_vectors))
-
 
 def state_family(name: str, n: int, seed: int | None = None, *,
-                 sampled: bool = False, anchors: bool = False) -> StateSet:
-    """The one generator of the named families.
+                 sampled: bool = False) -> StateSet:
+    """The one builder of the named families.
 
-    bloch draws n states from seed (n - 2 after the anchors |+> and |+i>)
-    and pairs them with their complements.  polar and equatorial are
-    evenly spaced grids, or uniform draws from seed when sampled is set,
-    paired as by polar_pair and equatorial_pair.
+    bloch draws n states from seed, paired with their complements; unless
+    sampled, the probes |+> and |+i> come first (within n), so that an audit
+    always meets equator points with real and with imaginary amplitudes.
+    polar and equatorial are evenly spaced grids, or uniform draws from seed
+    when sampled, paired as by polar_pair and equatorial_pair.
     """
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; expected bloch, polar, or equatorial")
@@ -172,30 +168,23 @@ def state_family(name: str, n: int, seed: int | None = None, *,
         raise ValueError("need at least one state")
     r = 1.0 / np.sqrt(2.0)
     if name == "bloch":
-        head = np.array([[r, r], [r, 1j * r]])[:n if anchors else 0]
+        head = np.array([[r, r], [r, 1j * r]])[:0 if sampled else n]
         s = np.concatenate([head, _sphere_draw(n - len(head), np.random.default_rng(seed))])
-        return StateSet(name, s, _complements(s))
+        return StateSet(s, _complements(s))
     top = np.pi if name == "polar" else _TWO_PI
     t = (np.random.default_rng(seed).uniform(0.0, top, size=n) if sampled
          else np.linspace(0.0, top, n, endpoint=False))
     if name == "polar":
         c, s = np.cos(t / 2.0), np.sin(t / 2.0)
-        return StateSet(name, _rows(c, s), _rows(-s, c))
+        return StateSet(_rows(c, s), _rows(-s, c))
     h = np.full(n, r)
     if sampled:
         # the sampled equator keeps its own rounding, e^{i phi}/sqrt2 and
         # the negated antipode; they agree with the grid form to an ulp
         e = np.exp(1j * t) / np.sqrt(2.0)
-        return StateSet(name, _rows(h, e), _rows(h, -e))
-    return StateSet(name, _rows(h, r * np.exp(1j * t)),
+        return StateSet(_rows(h, e), _rows(h, -e))
+    return StateSet(_rows(h, r * np.exp(1j * t)),
                     _rows(h, r * np.exp(1j * ((t + np.pi) % _TWO_PI))))
-
-
-def named_set(name: str, n: int, seed: int | None = 42) -> StateSet:
-    """bloch_set, polar_set or equatorial_set, chosen by family name."""
-    if name == "bloch":
-        return bloch_set(n, seed=seed)
-    return polar_set(n) if name == "polar" else equatorial_set(n)
 
 
 def polar_set(n: int = 64) -> StateSet:
@@ -203,22 +192,7 @@ def polar_set(n: int = 64) -> StateSet:
     return state_family("polar", n)
 
 
-def equatorial_set(n: int = 64) -> StateSet:
-    """n evenly spaced equatorial pairs over one period."""
-    return state_family("equatorial", n)
-
-
-def bloch_set(n: int = 256, seed: int | None = 42) -> StateSet:
-    """Random whole-sphere pairs, partnered by the canonical complement.
-
-    Two fixed probe states, |+> and the +y eigenstate, are prepended
-    (within the requested n) so sphere-wide audits always include
-    equator points with real and with imaginary amplitudes.
-    """
-    return state_family("bloch", n, seed, anchors=True)
-
-
-def listed_set(qubits, name: str = "listed") -> StateSet:
+def listed_set(qubits) -> StateSet:
     """Pairs built from explicit states, partnered by the canonical complement."""
     qs = list(qubits)
     if not qs:
@@ -227,24 +201,24 @@ def listed_set(qubits, name: str = "listed") -> StateSet:
         if not isinstance(q, Qubit):
             raise TypeError(f"expected Qubit, got {type(q).__name__}")
     s = np.array([q.vector for q in qs])
-    return StateSet(name, s, _complements(s))
+    return StateSet(s, _complements(s))
 
 
-def ket_notation(v, digits: int = 4) -> str:
-    """Human-readable a|0> + b|1> style rendering of a state vector."""
+def ket_notation(v) -> str:
+    """Human-readable a|0> + b|1> style rendering of a state vector, to _DIGITS decimals."""
     if isinstance(v, Qubit):
         v = v.vector
     v = state_vector(v, normalized=False)
     n = int(np.log2(v.size)) if v.size > 1 else 1
     terms = []
     for idx, amp in enumerate(v):
-        if abs(amp) <= 10.0 ** (-digits - 2):
+        if abs(amp) <= 10.0 ** (-_DIGITS - 2):
             continue
         label = format(idx, f"0{n}b")
-        re, im = round(amp.real, digits), round(amp.imag, digits)
-        if abs(im) <= 10.0 ** (-digits):
+        re, im = round(amp.real, _DIGITS), round(amp.imag, _DIGITS)
+        if abs(im) <= 10.0 ** (-_DIGITS):
             coef = f"{re:+g}"
-        elif abs(re) <= 10.0 ** (-digits):
+        elif abs(re) <= 10.0 ** (-_DIGITS):
             coef = f"{im:+g}i"
         else:
             coef = f"+({re:g}{im:+g}i)"

@@ -40,7 +40,7 @@ from .algebra import (
     state_vector,
     tensor,
 )
-from .states import Qubit, StateSet, complement, listed_set, state_family
+from .states import Qubit, StateSet, complement, state_family
 
 _EXTENSIONS = ("linear", "antilinear", "hybrid")
 
@@ -241,7 +241,7 @@ def target_complement() -> TargetTransform:
 
 
 def target_conjugate() -> TargetTransform:
-    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(0.0, antiunitary=conjugation(2)))
+    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(0.0, antiunitary=conjugation()))
 
 
 def target_hybrid(lam: float) -> TargetTransform:
@@ -308,17 +308,16 @@ def _system_ideals(t: TargetTransform, s: np.ndarray) -> np.ndarray:
     return kron_rows(s, second / norm[:, np.newaxis])
 
 
-def machine_deviations(m: MachineSpec, t: TargetTransform, states,
+def machine_deviations(m: MachineSpec, t: TargetTransform, states: StateSet,
                        mode: str = "fixed") -> np.ndarray:
     """1 - |<ideal|actual>|^2 between the target and the extended machine.
 
-    One value per state; states is a StateSet or a list of Qubits.  In
-    "fixed" mode the ideal's final ancilla is the machine's |Q_0>.  In "best" mode the
-    overlap is maximized over all final ancilla states, which isolates
-    the principal-system mismatch.  Every state runs the exact kernel, in
-    blocks of _STATE_BLOCK; the DSL's worst-state check takes the same
-    values from _worst_deviation, which runs that kernel only on the
-    states that can hold the maximum.
+    One value per state.  In "fixed" mode the ideal's final ancilla is the
+    machine's |Q_0>.  In "best" mode the overlap is maximized over all final
+    ancilla states, which isolates the principal-system mismatch.  Every
+    state runs the exact kernel, in blocks of _STATE_BLOCK; the DSL's
+    worst-state check takes the same values from _worst_deviation, which
+    runs that kernel only on the states that can hold the maximum.
     """
     s, outputs, anc = _deviation_inputs(m, t, states, mode)
     deviations = np.empty(len(s))
@@ -334,7 +333,7 @@ def _deviation_inputs(m: MachineSpec, t: TargetTransform, states, mode: str):
         raise ValueError(f"unknown mode {mode!r}; expected 'fixed' or 'best'")
     if t.kind != _MACHINE_KIND:
         raise ValueError(f"target kind {t.kind!r} is a gate target; use check_universal_gate")
-    s = _as_set(states).state_vectors
+    s = states.state_vectors
     if mode == "fixed" and m.ancilla0.size != m.ancilla_dim:
         raise ValueError(f"final ancilla dimension {m.ancilla0.size} does not match "
                          f"the machine's ancilla dimension {m.ancilla_dim}")
@@ -425,11 +424,6 @@ class Verdict:
         return "REALIZABLE" if self.realizable else "IMPOSSIBLE"
 
 
-def _as_set(states) -> StateSet:
-    """A StateSet as it is, or a list of Qubits paired with their complements."""
-    return states if isinstance(states, StateSet) else listed_set(states)
-
-
 def _rule_violation(candidate: np.ndarray, rules) -> np.ndarray:
     """Worst phase-invariant mismatch of each state over the rules, (inputs, required
     outputs) pairs; 1 where a vector vanishes."""
@@ -514,18 +508,17 @@ def _worst_rule(candidate: np.ndarray, t: TargetTransform, s: np.ndarray,
         lambda rows: _rule_violation(candidate, _rules(t, s[rows], p[rows])))
 
 
-def check_universal_gate(candidate, t: TargetTransform, states,
+def check_universal_gate(candidate, t: TargetTransform, states: StateSet,
                          tol: float = ATOL_VERDICT) -> Verdict:
     """Does one fixed operator satisfy the target's rules on every state?
 
     The candidate is 2x2 for a single-qubit target and 4x4 for cnot, whose
-    four basis-flip rules it must meet for each state.  states may be a
-    StateSet (whose own pairing convention is used) or a plain list of
-    Qubits (canonical complements).  The verdict's witness is the
-    worst-violating (state, partner) pair, the first one on ties.  The
-    exact rule kernel runs only on the states whose screen estimate can
-    reach the maximum (_worst_rule); violation and witness keep the bits
-    of a scan over every state.
+    four basis-flip rules it must meet for each state, under the set's own
+    pairing convention.  The verdict's witness is the worst-violating
+    (state, partner) pair, the first one on ties.  The exact rule kernel
+    runs only on the states whose screen estimate can reach the maximum
+    (_worst_rule); violation and witness keep the bits of a scan over
+    every state.
     """
     if t.kind not in GATE_TARGETS:
         raise ValueError(f"target kind {t.kind!r} is not a gate target")
@@ -533,13 +526,12 @@ def check_universal_gate(candidate, t: TargetTransform, states,
     if np.shape(candidate) != (size, size):
         raise ValueError(f"{t.kind} candidates are {size}x{size}, got {np.shape(candidate)}")
     candidate = np.asarray(candidate, dtype=complex)
-    family = _as_set(states)
-    worst, i = _worst_rule(candidate, t, family.state_vectors, family.partner_vectors)
+    worst, i = _worst_rule(candidate, t, states.state_vectors, states.partner_vectors)
     ok = worst <= tol
     return Verdict(realizable=ok, violation=worst, tolerance=tol,
                    condition=f"{t.kind}-rules",
-                   witness=None if ok else family.pair(i),
-                   detail=f"checked {len(family)} state pairs")
+                   witness=None if ok else states.pair(i),
+                   detail=f"checked {len(states)} state pairs")
 
 
 @record(eq=False)
@@ -815,7 +807,7 @@ class SurveyResult:
     seed: int | None
 
 
-def survey_random_unitaries(t: TargetTransform, states, n_candidates: int,
+def survey_random_unitaries(t: TargetTransform, states: StateSet, n_candidates: int,
                             seed: int | None = 42) -> SurveyResult:
     """Try many Haar-distributed 2x2 unitaries against a two-rule target.
 
@@ -828,8 +820,7 @@ def survey_random_unitaries(t: TargetTransform, states, n_candidates: int,
         raise ValueError("need at least one candidate")
     if t.kind not in QUBIT_GATE_TARGETS:
         raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
-    family = _as_set(states)
-    s, p = family.state_vectors, family.partner_vectors
+    s, p = states.state_vectors, states.partner_vectors
     # <o|U|x> = sum_ij conj(o_i) U_ij x_j, so a block's amplitudes are one (b, 4) x (4, 2n) product
     features = np.vstack([kron_rows(o.conj(), x) for x, o in _rules(t, s, p)]).T
     amp = np.empty((min(_SURVEY_BLOCK, n_candidates), features.shape[1]), dtype=complex)

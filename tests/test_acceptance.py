@@ -30,9 +30,7 @@ from qnogo.gates import (
 )
 from qnogo.states import (
     Qubit,
-    bloch_set,
     complement,
-    equatorial_set,
     listed_set,
     polar_set,
     state_family,
@@ -62,12 +60,12 @@ def test_01_circle_gates_pass_their_own_circle_and_fail_the_other():
     own_p = check_universal_gate(hadamard_polar, target_hadamard9(),
                                  polar_set(256), tol=1e-12)
     own_e = check_universal_gate(hadamard_equatorial, target_hadamard10(),
-                                 equatorial_set(256), tol=1e-12)
+                                 state_family("equatorial", 256), tol=1e-12)
     assert own_p.realizable and own_p.violation < 1e-12
     assert own_e.realizable and own_e.violation < 1e-12
 
     cross_p = check_universal_gate(hadamard_polar, target_hadamard9(),
-                                   equatorial_set(256))
+                                   state_family("equatorial", 256))
     cross_e = check_universal_gate(hadamard_equatorial, target_hadamard10(),
                                    polar_set(256))
     assert not cross_p.realizable and cross_p.violation > 0.05
@@ -83,7 +81,7 @@ def test_02_gram_sign_patterns_on_full_grids():
     results = {}
     for name, states, delta_fn in (
             ("polar", polar_set(100), None),
-            ("equatorial", equatorial_set(100), None)):
+            ("equatorial", state_family("equatorial", 100), None)):
         s, p = states.state_vectors, states.partner_vectors
         g00 = s.conj() @ s.T
         g01 = s.conj() @ p.T
@@ -145,7 +143,7 @@ def test_03_linear_extension_deviation_matches_a_naive_evaluator():
 
 def test_04_no_random_unitary_satisfies_the_first_gate_rules():
     t0 = time.perf_counter()
-    res = survey_random_unitaries(target_hadamard9(), bloch_set(500),
+    res = survey_random_unitaries(target_hadamard9(), state_family("bloch", 500, 42),
                                   n_candidates=10_000, seed=42)
     dt = time.perf_counter() - t0
     assert res.n_candidates == 10_000

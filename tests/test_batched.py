@@ -29,10 +29,9 @@ from qnogo.gates import (
 from qnogo.states import (
     Qubit,
     StateSet,
-    bloch_set,
     complement,
     equatorial_pair,
-    equatorial_set,
+    listed_set,
     polar_pair,
     polar_set,
     state_family,
@@ -276,10 +275,20 @@ SEAMS = st.sampled_from([1, 2, 1023, 1024, 1025, 2048, 2049, 3 * 1024 + 7])
 
 @settings(max_examples=40, deadline=None)
 @given(name=FAMILIES, n=st.integers(1, 300), seed=SEEDS)
+# the bloch anchors cut short (n = 1, 2) and followed by draws (3), and the 1024-state seams
+@example(name="bloch", n=1, seed=42)
+@example(name="bloch", n=2, seed=42)
+@example(name="bloch", n=3, seed=42)
+@example(name="bloch", n=1024, seed=0)
+@example(name="bloch", n=1025, seed=42)
+@example(name="bloch", n=2049, seed=7)
+@example(name="polar", n=1025, seed=0)
+@example(name="equatorial", n=2049, seed=0)
 def test_grid_sets_equal_their_per_state_pairs(name, n, seed):
-    family = {"bloch": lambda: bloch_set(n, seed=seed), "polar": lambda: polar_set(n),
-              "equatorial": lambda: equatorial_set(n)}[name]()
+    family = state_family(name, n, seed)
     pairs = ref_pairs(name, n, seed)
+    if name == "polar":   # the survey's builder
+        assert np.array_equal(polar_set(n).state_vectors, family.state_vectors)
     assert np.array_equal(family.state_vectors, np.array([q.vector for q, _ in pairs]))
     assert np.array_equal(family.partner_vectors, np.array([r.vector for _, r in pairs]))
     assert [family.pair(i) for i in range(len(family))] == pairs
@@ -288,6 +297,12 @@ def test_grid_sets_equal_their_per_state_pairs(name, n, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(name=FAMILIES, n=st.integers(1, 300), seed=SEEDS)
+# sampled bloch draws carry no anchors, at any size
+@example(name="bloch", n=1, seed=42)
+@example(name="bloch", n=2, seed=42)
+@example(name="bloch", n=3, seed=42)
+@example(name="bloch", n=1025, seed=42)
+@example(name="bloch", n=2049, seed=7)
 def test_sampled_families_equal_their_reference_arrays(name, n, seed):
     family = state_family(name, n, seed, sampled=True)
     s, p = ref_sampled(name, n, seed)
@@ -300,9 +315,9 @@ def test_family_arrays_are_validated_and_read_only():
     with pytest.raises(ValueError):
         family.state_vectors[0, 0] = 1.0
     with pytest.raises(ValueError, match="finite"):
-        type(family)("x", [[np.nan, 0.0]], [[0.0, 1.0]])
+        type(family)([[np.nan, 0.0]], [[0.0, 1.0]])
     with pytest.raises(ValueError, match="normalized"):
-        type(family)("x", [[1.0, 1.0]], [[0.0, 1.0]])
+        type(family)([[1.0, 1.0]], [[0.0, 1.0]])
     with pytest.raises(ValueError, match="unknown family"):
         state_family("spiral", 4)
 
@@ -357,8 +372,7 @@ def test_gate_check_matches_the_scalar_reference(case, name, n, seed):
     values = [ref_rule_violation(candidate, ref_rules(kind, q.vector, r.vector, a, b))
               for q, r in pairs]
     worst, index = ref_worst(values)
-    family = {"bloch": lambda: bloch_set(n, seed=seed), "polar": lambda: polar_set(n),
-              "equatorial": lambda: equatorial_set(n)}[name]()
+    family = state_family(name, n, seed)
     verdict = check_universal_gate(candidate, target, family)
     assert verdict.violation == worst
     if not verdict.realizable:
@@ -379,8 +393,7 @@ def test_cnot_check_matches_the_scalar_reference(name, n, seed, gate):
     values = [ref_rule_violation(candidate, ref_rules("cnot", q.vector, r.vector))
               for q, r in pairs]
     worst, index = ref_worst(values)
-    family = {"bloch": lambda: bloch_set(n, seed=seed), "polar": lambda: polar_set(n),
-              "equatorial": lambda: equatorial_set(n)}[name]()
+    family = state_family(name, n, seed)
     verdict = check_universal_gate(candidate, target_cnot(), family)
     assert verdict.violation == worst
     if not verdict.realizable:
@@ -406,7 +419,7 @@ def test_ties_break_to_the_first_worst_state(gate, kind, name, n, ties):
     worst, index = ref_worst(values)
     assert values.count(worst) == ties
     target = target_hadamard9() if kind == "hadamard9" else target_hadamard10()
-    family = polar_set(n) if name == "polar" else equatorial_set(n)
+    family = state_family(name, n)
     verdict = check_universal_gate(gate, target, family)
     assert verdict.violation == worst
     assert verdict.witness in (None, pairs[index])
@@ -415,14 +428,14 @@ def test_ties_break_to_the_first_worst_state(gate, kind, name, n, ties):
 
 def test_qubit_lists_are_paired_with_their_complements():
     qs = [q for q, _ in ref_pairs("bloch", 40, 5)]
-    verdict = check_universal_gate(hadamard, target_hadamard9(), qs)
+    verdict = check_universal_gate(hadamard, target_hadamard9(), listed_set(qs))
     values = [ref_rule_violation(hadamard, ref_rules("hadamard9", q.vector,
                                                      complement(q).vector)) for q in qs]
     worst, index = ref_worst(values)
     assert verdict.violation == worst
     assert verdict.witness == (qs[index], complement(qs[index]))
     with pytest.raises(ValueError):
-        check_universal_gate(hadamard, target_hadamard9(), [])
+        check_universal_gate(hadamard, target_hadamard9(), listed_set([]))
 
 
 # --- machine deviations ------------------------------------------------------------
@@ -451,14 +464,13 @@ def machine_cases(draw):
 def test_machine_deviations_match_the_scalar_reference(case, name, n, seed, mode):
     m, t = case
     pairs = ref_pairs(name, n, seed)
-    family = {"bloch": lambda: bloch_set(n, seed=seed), "polar": lambda: polar_set(n),
-              "equatorial": lambda: equatorial_set(n)}[name]()
+    family = state_family(name, n, seed)
     batched = machine_deviations(m, t, family, mode)
     expected = [ref_deviation(m, t, q, mode) for q, _ in pairs]
     assert batched.tolist() == expected
     assert int(np.argmax(batched)) == ref_worst(expected)[1]
     q = pairs[-1][0]
-    assert machine_deviations(m, t, [q], mode).tolist() == expected[-1:]
+    assert machine_deviations(m, t, listed_set([q]), mode).tolist() == expected[-1:]
 
 
 # --- per-state blocks ------------------------------------------------------------------
@@ -467,7 +479,7 @@ def test_machine_deviations_match_the_scalar_reference(case, name, n, seed, mode
 def seam_family(name, n, seed):
     """A named family of n states, or for "listed" n sphere draws paired with complements."""
     if name == "listed":
-        return [q for q, _ in ref_pairs("bloch", n, seed)]
+        return listed_set(q for q, _ in ref_pairs("bloch", n, seed))
     return state_family(name, n, seed)
 
 
@@ -630,7 +642,7 @@ def test_whole_blocks_of_ties_skip_the_estimate_until_the_ties_end(monkeypatch):
 def test_a_lone_screened_state_is_computed_twice_over(monkeypatch):
     # a random gate on random states: one state per block reaches the top, and its doubled
     # row keeps the bits it has in the whole block
-    family = bloch_set(5000, seed=3)
+    family = state_family("bloch", 5000, 3)
     s, p = family.state_vectors, family.partner_vectors
     expected = exhaustive_rule(hadamard, target_hadamard9(), s, p)
     sizes = spy_rows(monkeypatch, "_rule_violation")
@@ -668,7 +680,7 @@ def test_the_screened_machine_reduction_equals_the_exhaustive_scan(case, name, n
 
 
 def test_the_machine_reduction_computes_few_states(monkeypatch):
-    family = bloch_set(10_000, seed=0)
+    family = state_family("bloch", 10_000, 0)
     expected = exhaustive_deviation(cloning_machine("linear"), target_clone(), family)
     sizes = spy_rows(monkeypatch, "_deviations")
     same_bits(_worst_deviation(cloning_machine("linear"), target_clone(), family), expected)
@@ -686,6 +698,7 @@ def cancelling_kmap():
 def test_a_vanishing_machine_output_raises_as_in_the_exhaustive_scan(at, n, seed, which, phase):
     qs = [q for q, _ in ref_pairs("bloch", n + 2, seed)][2:]   # no real anchor state
     qs[min(at, n - 1)] = Qubit(0.6, 0.8 * np.exp(1j * phase))   # (nearly) real amplitudes
+    qs = listed_set(qs)
     e0, e1 = np.eye(2, dtype=complex)
     if which == "output":
         m = MachineSpec(np.kron(e0, e0), np.kron(e1, e1), "hybrid", kmap=cancelling_kmap())
@@ -824,7 +837,7 @@ def check_tiled_scan(monkeypatch, kind, name, seed, n, chunk, screen_tile, exact
     if name in HAND_BUILT:   # witness_search is handed it in place of a draw
         s, p = HAND_BUILT[name](n)
         monkeypatch.setattr("qnogo.verifier.state_family",
-                            lambda *args, **kwargs: StateSet("equatorial", s, p))
+                            lambda *args, **kwargs: StateSet(s, p))
     else:
         s, p = ref_sampled(name, n, seed)
     violation, i, j = ref_witness(kind, s, p, chunk, a, b, list(row_blocks(n, chunk)))

@@ -321,6 +321,25 @@ def test_the_removed_legacy_options_are_usage_errors(extra, capsys):
     assert err.startswith("usage: ") and f"unrecognized arguments: {' '.join(extra)}" in err
 
 
+@pytest.mark.parametrize("argv,extra", [
+    (["witness", "--target", "hadamard9"], ["--tolerance", "1e-9"]),
+    (["gate-verify", "--gate", "HP", "--target", "hadamard9"], ["--samples", "8"]),
+    (["circle-check"], ["stray"]),
+    (FS_FAST, ["--grid-n", "8"]),
+    (["dsl-check", str(MACHINES / "clone.qmachine")], ["--set", "polar"]),
+])
+def test_unrecognized_arguments_print_the_usage_of_their_subcommand(argv, extra, capsys):
+    # argparse's own check names the top-level usage, which lists no option of a subcommand
+    with pytest.raises(SystemExit) as ei:
+        main(argv + extra)
+    assert ei.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: qnogo {argv[0]} ")
+    assert captured.err.splitlines()[-1] == \
+        f"qnogo {argv[0]}: error: unrecognized arguments: {' '.join(extra)}"
+
+
 def test_human_output_is_the_csv_output(capsys):
     # human output is already CSV rows: --format csv writes the same bytes
     human = run(FS_FAST, capsys)

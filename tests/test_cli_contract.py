@@ -88,9 +88,9 @@ def test_witness_has_no_tolerance_to_refuse(tolerance, capsys):
                                 f"--tolerance={tolerance}"], capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("usage: qnogo ")
+    assert err.startswith("usage: qnogo witness ")   # the usage of the subcommand refusing it
     last = err.splitlines()[-1]
-    assert last == f"qnogo: error: unrecognized arguments: --tolerance={tolerance}"
+    assert last == f"qnogo witness: error: unrecognized arguments: --tolerance={tolerance}"
 
 
 @pytest.mark.parametrize("argv,needle", [
@@ -340,7 +340,7 @@ def test_every_public_name_resolves_to_its_submodule_object():
                   "print([n for n in qnogo.__all__\n"
                   "       if not any(vars(m).get(n, qnogo) is getattr(qnogo, n) for m in mods)])")
     assert run.stdout.splitlines() == ["['qnogo']", "[]"]
-    assert len(qnogo.__all__) == len(set(qnogo.__all__)) == 69
+    assert len(qnogo.__all__) == len(set(qnogo.__all__)) == 67
     star = {}
     exec("from qnogo import *", star)
     assert set(star) - {"__builtins__"} == set(qnogo.__all__)

@@ -131,7 +131,7 @@ def test_help_exits_0_and_a_bad_flag_exits_1():
     assert help_.returncode == 0 and help_.stdout.startswith("usage: qnogo")
     bad = qnogo("circle-check", "--no-such-flag", text=True)
     assert bad.returncode == 1 and bad.stdout == ""
-    assert bad.stderr.splitlines()[-1].startswith("qnogo: error: ")
+    assert bad.stderr.splitlines()[-1].startswith("qnogo circle-check: error: ")
 
 
 def test_a_report_larger_than_a_pipe_buffer_arrives_whole(tmp_path, capsys):

@@ -15,9 +15,10 @@ _spec.loader.exec_module(compare_outputs)
 def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_seeds():
     argvs = compare_outputs.commands([2, 257], Path("units"))
     assert len(argvs) == len(set(argvs))
-    # 406 commands at each seed, then dsl-check once on each of the 43 units
+    # 406 commands at each seed, the 3 usage errors, then dsl-check once on each of the 43 units
     assert len(compare_outputs.UNITS) == 43
-    assert len(argvs) == 2 * 406 + 43
+    assert len(argvs) == 2 * 406 + 3 + 43
+    assert argvs[-46:-43] == list(compare_outputs.USAGE_ERRORS)
     assert argvs[-43:] == [("dsl-check", str(Path("units") / f"{name}.qmachine"))
                            for name in compare_outputs.UNITS]
     for seed in ("0", "42"):

@@ -1,7 +1,8 @@
 """Every public name is used by the package itself, or is listed here with its reason,
 every private module-level name is read somewhere in the package, and every parameter
-with a default of a public callable that the package or perfbench reads is passed by
-some direct call there, or is listed here with its reason.
+with a default of a public callable that the package or perfbench reads is passed, with
+another value than its default's literal, by some direct call there, or is listed here
+with its reason.
 
 A helper that only tests call duplicates a path the command line runs, and
 its copy can drift from it; checks belong on the path that stays.
@@ -21,6 +22,7 @@ ALLOWED = {
     "complementing_machine": "the paper's complementing machine, built from Python",
     "conjugating_machine": "the paper's conjugating machine, built from Python",
     "survey_random_unitaries": "the Haar survey, which perfbench's run_survey calls",
+    "polar_set": "the polar grid that perfbench's run_survey passes to the survey",
     "cnot_in_basis": "the CNOT of one basis, the realizer that each listed-state check passes",
     "polar_pair": "one polar pair by its angle; state_family builds the same pairs in bulk",
     "equatorial_pair": "one equatorial pair by its angle; state_family builds them in bulk",
@@ -96,21 +98,23 @@ def test_every_private_module_level_name_is_read_in_the_package():
     assert unread == [], f"private names that nothing in src/qnogo reads: {unread}"
 
 
-def defaults(node) -> list[tuple[int | None, str]]:
-    """(position, or None if keyword-only, and name) of each parameter with a default: of a
-    function, of a class's __init__ after self, or else of a record class's fields."""
+def defaults(node) -> list[tuple[int | None, str, ast.expr]]:
+    """(position, or None if keyword-only, name and default expression) of each parameter
+    with a default: of a function, of a class's __init__ after self, or else of a record
+    class's fields."""
     if isinstance(node, ast.FunctionDef):
         args = node.args
         positional = args.posonlyargs + args.args
         first = len(positional) - len(args.defaults)
-        return ([(i, a.arg) for i, a in enumerate(positional) if i >= first]
-                + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d])
+        return ([(i, a.arg, args.defaults[i - first]) for i, a in enumerate(positional)
+                 if i >= first]
+                + [(None, a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d])
     for item in node.body:
         if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-            return [(None if i is None else i - 1, name) for i, name in defaults(item)]
+            return [(None if i is None else i - 1, name, d) for i, name, d in defaults(item)]
     fields = [item for item in node.body
               if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
-    return [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+    return [(i, f.target.id, f.value) for i, f in enumerate(fields) if f.value is not None]
 
 
 def direct_calls(trees) -> dict[str, list[ast.Call]]:
@@ -125,13 +129,18 @@ def direct_calls(trees) -> dict[str, list[ast.Call]]:
     return calls
 
 
-def passes(call: ast.Call, position: int | None, name: str) -> bool:
-    """Whether call passes the parameter name, at position; *args and **kwargs pass any."""
-    if any(k.arg in (None, name) for k in call.keywords):
+def passes(call: ast.Call, position: int | None, name: str, default: ast.expr) -> bool:
+    """Whether call passes the parameter name, at position, a value other than the literal
+    of its default; *args and **kwargs pass any."""
+    if any(k.arg is None for k in call.keywords):
         return True
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    return position is not None and len(call.args) > position
+    given = [k.value for k in call.keywords if k.arg == name]
+    if position is not None and len(call.args) > position:
+        given.append(call.args[position])
+    return any(not (isinstance(g, ast.Constant) and ast.dump(g) == ast.dump(default))
+               for g in given)
 
 
 def unset_parameters() -> list[str]:
@@ -148,8 +157,9 @@ def unset_parameters() -> list[str]:
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in read
                     and not node.name.startswith("_")):
-                unset += [f"{node.name}.{param}" for position, param in defaults(node)
-                          if not any(passes(c, position, param) for c in calls.get(node.name, []))]
+                unset += [f"{node.name}.{param}" for position, param, default in defaults(node)
+                          if not any(passes(c, position, param, default)
+                                     for c in calls.get(node.name, []))]
     return sorted(unset)
 
 
@@ -162,13 +172,15 @@ def test_the_parameter_walk_sees_defaults_fields_and_calls():
     tree = ast.parse("def f(a, b=1, *, c=2): pass\n"
                      "class R:\n    x: int\n    y: int = 0\n"
                      "class K:\n    def __init__(self, u, v=None): pass\n"
-                     "f(0, 1)\nm.f(0, c=3)\n{'k': f}['k']()\nR(**kw)\n")
+                     "f(0, 1)\nm.f(0, c=3)\n{'k': f}['k']()\nR(**kw)\nf(2, b=x)\n")
     f, r, k = tree.body[:3]
-    assert defaults(f) == [(1, "b"), (None, "c")]
-    assert defaults(r) == [(1, "y")]
-    assert defaults(k) == [(1, "v")]
+    assert [d[:2] for d in defaults(f)] == [(1, "b"), (None, "c")]
+    assert [d[:2] for d in defaults(r)] == [(1, "y")]
+    assert [d[:2] for d in defaults(k)] == [(1, "v")]
+    (_, _, b), (_, _, c) = defaults(f)
     calls = direct_calls([tree])
-    assert len(calls["f"]) == 2 and "k" not in calls
-    assert [passes(c, 1, "b") for c in calls["f"]] == [True, False]
-    assert [passes(c, None, "c") for c in calls["f"]] == [False, True]
-    assert passes(calls["R"][0], 1, "y")
+    assert len(calls["f"]) == 3 and "k" not in calls
+    # f(0, 1) passes b its default's own literal, which sets nothing; f(2, b=x) passes a name
+    assert [passes(call, 1, "b", b) for call in calls["f"]] == [False, False, True]
+    assert [passes(call, None, "c", c) for call in calls["f"]] == [False, True, False]
+    assert passes(calls["R"][0], 1, "y", defaults(r)[0][2])

@@ -6,10 +6,8 @@ from qnogo.states import (
     Qubit,
     StateSet,
     _bloch_rows,
-    bloch_set,
     complement,
     equatorial_pair,
-    equatorial_set,
     ket_notation,
     listed_set,
     polar_pair,
@@ -131,7 +129,7 @@ def test_pair_gram_sign_patterns_own_vs_swapped():
 
 def test_bloch_draws_are_seeded_and_roughly_uniform():
     s = state_family("bloch", 4000, 3)
-    assert s == state_family("bloch", 4000, 3)
+    assert np.array_equal(s.state_vectors, state_family("bloch", 4000, 3).state_vectors)
     # <z> ~ 0 for a uniform sample
     z = np.mean(np.abs(s.state_vectors[:, 0]) ** 2 - np.abs(s.state_vectors[:, 1]) ** 2)
     assert abs(z) < 0.05
@@ -139,30 +137,31 @@ def test_bloch_draws_are_seeded_and_roughly_uniform():
         state_family("bloch", 0)
 
 
-def test_polar_set_covers_the_circle():
-    ss = polar_set(8)
+@pytest.mark.parametrize("build", [polar_set, lambda n: state_family("polar", n)],
+                         ids=["polar_set", "state_family"])
+def test_polar_set_covers_the_circle(build):
+    ss = build(8)
     assert isinstance(ss, StateSet)
     assert len(ss) == 8
-    assert ss.name == "polar"
     thetas = [2 * np.arctan2(q.beta.real, q.alpha.real) for q, _ in map(ss.pair, range(8))]
     assert thetas[0] == pytest.approx(0.0)
 
 
-def test_equatorial_set_size_and_name():
-    ss = equatorial_set(12)
-    assert len(ss) == 12 and ss.name == "equatorial"
+def test_equatorial_family_size_and_partners():
+    ss = state_family("equatorial", 12)
+    assert len(ss) == 12
     for s, p in map(ss.pair, range(12)):
         assert overlap(s, p) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_bloch_set_anchors_and_determinism():
-    ss = bloch_set(10, seed=4)
+def test_bloch_family_anchors_and_determinism():
+    ss = state_family("bloch", 10, 4)
     assert len(ss) == 10
     (first, _), (second, _) = ss.pair(0), ss.pair(1)
     assert first.alpha == pytest.approx(RT2) and first.beta == pytest.approx(RT2)
     assert second.beta == pytest.approx(RT2 * 1j)
-    assert bloch_set(10, seed=4) == ss
-    no_anchor = state_family("bloch", 10, 4)
+    assert np.array_equal(state_family("bloch", 10, 4).state_vectors, ss.state_vectors)
+    no_anchor = state_family("bloch", 10, 4, sampled=True)
     assert no_anchor.pair(0)[0] != first
 
 

@@ -12,10 +12,8 @@ from qnogo.gates import (
 )
 from qnogo.states import (
     Qubit,
-    bloch_set,
     complement,
     equatorial_pair,
-    equatorial_set,
     listed_set,
     polar_pair,
     polar_set,
@@ -277,12 +275,12 @@ def test_polar_gate_passes_its_own_circle():
 
 def test_equatorial_gate_passes_its_own_circle():
     v = check_universal_gate(hadamard_equatorial, target_hadamard10(),
-                             equatorial_set(64), tol=1e-12)
+                             state_family("equatorial", 64), tol=1e-12)
     assert v.realizable and v.violation < 1e-12
 
 
 def test_cross_application_fails_hard():
-    v1 = check_universal_gate(hadamard_polar, target_hadamard10(), equatorial_set(64))
+    v1 = check_universal_gate(hadamard_polar, target_hadamard10(), state_family("equatorial", 64))
     v2 = check_universal_gate(hadamard_equatorial, target_hadamard9(), polar_set(64))
     assert not v1.realizable and not v2.realizable
     assert v1.violation == pytest.approx(0.75, abs=1e-9)
@@ -294,7 +292,7 @@ def test_plain_hadamard_works_on_the_computational_basis_only():
     basis = listed_set([KET0, KET1])
     v = check_universal_gate(hadamard, target_hadamard9(), basis)
     assert v.realizable
-    w = check_universal_gate(hadamard, target_hadamard9(), bloch_set(64))
+    w = check_universal_gate(hadamard, target_hadamard9(), state_family("bloch", 64, 42))
     assert not w.realizable
 
 
@@ -319,14 +317,14 @@ def test_cnot_check_passes_its_own_basis():
 
 
 def test_cnot_check_fails_on_the_sphere_with_plus_witness():
-    v = check_universal_gate(cnot_computational, target_cnot(), bloch_set(64))
+    v = check_universal_gate(cnot_computational, target_cnot(), state_family("bloch", 64, 42))
     assert not v.realizable
     assert v.violation == pytest.approx(1.0, abs=1e-12)
     # the first anchor state |+> already breaks rule 2
     assert v.witness[0].alpha == pytest.approx(RT2)
     assert v.witness[0].beta == pytest.approx(RT2)
     with pytest.raises(ValueError):
-        check_universal_gate(hadamard, target_cnot(), bloch_set(4))
+        check_universal_gate(hadamard, target_cnot(), state_family("bloch", 4, 42))
 
 
 # --- witness search and random surveys ------------------------------------
@@ -369,13 +367,13 @@ def test_witness_search_unequal_and_cnot():
 
 
 def test_survey_random_unitaries_finds_no_universal_gate():
-    res = survey_random_unitaries(target_hadamard9(), bloch_set(50, seed=7),
+    res = survey_random_unitaries(target_hadamard9(), state_family("bloch", 50, 7),
                                   n_candidates=200, seed=11)
     assert res.n_candidates == 200 and res.tolerance == 1e-3
     assert res.n_pass == 0
     assert res.min_worst_violation > 0.01
-    again = survey_random_unitaries(target_hadamard9(), bloch_set(50, seed=7),
+    again = survey_random_unitaries(target_hadamard9(), state_family("bloch", 50, 7),
                                     n_candidates=200, seed=11)
     assert again.min_worst_violation == res.min_worst_violation
     with pytest.raises(ValueError):
-        survey_random_unitaries(target_hadamard9(), bloch_set(8), n_candidates=0)
+        survey_random_unitaries(target_hadamard9(), state_family("bloch", 8, 42), n_candidates=0)

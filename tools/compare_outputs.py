@@ -20,9 +20,10 @@ read the same in both.  The commands are
     and at each --grid-n, so that the screened worst-state reductions
     also meet families of 10^4 or 65 536 states,
 
-each at seeds 0 and 42, and dsl-check on each of a fixed list of small
-units, one per diagnostic, written once to a temporary directory that both trees
-read; two commands run at a time.  A command whose exit
+each at seeds 0 and 42, then a few usage errors (an unrecognized option, an
+invalid --format choice, a missing --target), and dsl-check on each of a fixed
+list of small units, one per diagnostic, written once to a temporary directory
+that both trees read; two commands run at a time.  A command whose exit
 code, stdout or stderr differs between the trees is printed with the
 first line that differs, and the script exits 1 if there is one, 0 if
 all agree.
@@ -54,6 +55,12 @@ STATE_BLOCK = 1024   # qnogo.verifier._STATE_BLOCK, the rows per block of the pe
 # others exits 3
 GATE_TARGETS = TARGETS[:2] + (("unequal", "--a", "0.6", "--b", "0.8"),) + TARGETS[2:]
 _RULES = "on |0> -> |0>|0>;\non |1> -> |1>|1>;\n"
+# command lines that argparse refuses, each with exit 1, a usage line and one error line
+USAGE_ERRORS = (
+    ("witness", "--target", "hadamard9", "--tolerance", "1e-9"),   # witness decides no verdict
+    ("circle-check", "--format", "csv"),   # a choice of fidelity-sweep alone
+    ("gate-verify", "--gate", "H"),
+)
 # One unit per lexer diagnostic, parser recovery path and compile diagnostic, each reported
 # on stderr
 UNITS = {
@@ -140,6 +147,7 @@ def commands(grid_sizes, unit_dir: Path) -> list[tuple[str, ...]]:
         for stem, samples in itertools.product(sorted(workloads.CORPUS_EXIT), sizes):
             argvs.append(("dsl-check", str(Path("machines") / f"{stem}.qmachine"),
                           "--samples", str(samples), "--format", "json", "--seed", str(seed)))
+    argvs += USAGE_ERRORS
     argvs += [("dsl-check", str(unit_dir / f"{name}.qmachine")) for name in UNITS]
     return list(dict.fromkeys(argvs))
 
