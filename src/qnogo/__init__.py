@@ -38,9 +38,7 @@ _EXPORTS = {
         "MachineSpec", "SurveyResult", "TargetTransform", "Verdict", "WitnessResult",
         "check_universal_gate", "cloning_machine", "complementing_machine",
         "conjugating_machine", "hybrid_machine", "machine_deviations", "machine_output",
-        "survey_random_unitaries", "target_clone", "target_cnot", "target_complement",
-        "target_conjugate", "target_hadamard9", "target_hadamard10", "target_hybrid",
-        "target_unequal", "witness_search",
+        "survey_random_unitaries", "target_hadamard9", "witness_search",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

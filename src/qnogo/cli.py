@@ -31,7 +31,7 @@ import tempfile
 from functools import lru_cache
 
 from ._record import record
-from ._shared import FAMILIES, GATE_NAMES, OPTIMIZER_DEFAULTS, QUBIT_GATE_TARGETS
+from ._shared import FAMILIES, OPTIMIZER_DEFAULTS, REGISTRY
 
 # Each subcommand imports the qnogo modules and numpy it runs, when it runs:
 # a process loads only what its command needs.
@@ -48,6 +48,9 @@ MAX_LAMBDAS = 10_001
 MAX_GRID_N = 65_536   # circle-check memory is fixed, but its time grows as n^2: 55 s on 2 cores
 MAX_NODES = 65_536    # fidelity-sweep quadrature nodes; the grid's arrays grow linearly
 _CIRCLE_TILE = 64     # columns: five 256 x 64 complex tiles are 1.25 MiB, in a 2 MiB L2
+# The gate targets as --target spells them, cnot as cnot23, with their names in REGISTRY
+_TARGET_OPTIONS = {"cnot23" if name == "cnot" else name: name
+                   for name, (_, side) in REGISTRY["target"].items() if side}
 
 
 class _CliError(Exception):
@@ -220,12 +223,14 @@ def resolve_gate(token: str) -> np.ndarray:
     return load_matrix_file(token)
 
 
-def _resolve_target(name: str, a, b):
-    from .verifier import named_target
-    if name == "unequal" and (a is None or b is None):
-        raise _CliError(EXIT_USAGE, "target 'unequal' needs --a and --b weights")
+def _resolve_target(args):
+    """The target --target names; main has refused --a and --b where it takes no weights."""
+    from .verifier import TargetTransform
+    name = _TARGET_OPTIONS[args.target]
+    if REGISTRY["target"][name][0] and (args.a is None or args.b is None):
+        raise _CliError(EXIT_USAGE, f"target {args.target!r} needs --a and --b weights")
     try:
-        return named_target("cnot" if name == "cnot23" else name, a, b)
+        return TargetTransform(name, args.a, args.b)
     except ValueError as exc:
         raise _CliError(EXIT_CONTENT, str(exc))
 
@@ -284,12 +289,11 @@ def cmd_gate_verify(args, cfg: RunConfig) -> int:
     from .states import ket_notation, state_family
     from .verifier import check_universal_gate
     gate = resolve_gate(args.gate)
-    target = _resolve_target(args.target, args.a, args.b)
+    target = _resolve_target(args)
+    if gate.shape != (target.side, target.side):   # refused before the family is built
+        raise _CliError(EXIT_CONTENT, f"target {args.target!r} needs a "
+                                      f"{target.side}x{target.side} candidate gate")
     states = state_family(args.set, cfg.grid_n, cfg.seed)
-    size = 4 if args.target == "cnot23" else 2
-    if gate.shape != (size, size):
-        raise _CliError(EXIT_CONTENT,
-                        f"target {args.target!r} needs a {size}x{size} candidate gate")
     verdict = check_universal_gate(gate, target, states, tol=cfg.tolerance)
     payload = {
         "gate": args.gate,
@@ -321,7 +325,7 @@ def cmd_gate_verify(args, cfg: RunConfig) -> int:
 def cmd_witness(args, cfg: RunConfig) -> int:
     from .states import ket_notation
     from .verifier import witness_search
-    target = _resolve_target(args.target, args.a, args.b)
+    target = _resolve_target(args)
     result = witness_search(target, n_samples=cfg.grid_n, seed=cfg.seed,
                             family=args.set)
     payload = {
@@ -508,7 +512,7 @@ def _add_common(sub, tolerance: bool, grid_help: str | None, formats=("human", "
 
 
 def _add_target(sub):
-    sub.add_argument("--target", required=True, choices=QUBIT_GATE_TARGETS + ("cnot23",))
+    sub.add_argument("--target", required=True, choices=_TARGET_OPTIONS)
     sub.add_argument("--set", default="bloch", choices=FAMILIES)
     for weight in "ab":
         sub.add_argument(f"--{weight}", type=parse_complex, default=None,
@@ -523,8 +527,9 @@ def build_parser() -> _Parser:
     parser.subcommands = subs.choices
 
     gv = subs.add_parser("gate-verify", parents=[], help="check one gate on a family")
-    gv.add_argument("--gate", required=True,
-                    help=" | ".join(GATE_NAMES + ("UG(a=..,b=..)", "matrix file")))
+    gates = [name + (f"({','.join(k + '=..' for k in keys)})" if keys else "")
+             for name, (keys, _) in REGISTRY["candidate"].items()]
+    gv.add_argument("--gate", required=True, help=" | ".join(gates + ["matrix file"]))
     _add_target(gv)
     _add_common(gv, tolerance=True, grid_help="number of states in the family (default 256)")
 
@@ -569,9 +574,14 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args, extra = parser.parse_known_args(argv)
+        sub = parser.subcommands[args.subcommand]
         if extra:   # reported with the usage of the subcommand that was given them
-            parser.subcommands[args.subcommand].error(
-                f"unrecognized arguments: {' '.join(extra)}")
+            sub.error(f"unrecognized arguments: {' '.join(extra)}")
+        if "target" in args:   # and so are weights that the target does not take
+            keys = REGISTRY["target"][_TARGET_OPTIONS[args.target]][0]
+            for key in ("a", "b"):
+                if getattr(args, key) is not None and key not in keys:
+                    sub.error(f"argument --{key}: target {args.target} takes no weight {key}")
         # --tolerance and --grid-n where the subcommand has them; RunConfig's defaults go unread
         shared = {k: v for k, v in vars(args).items() if k in ("tolerance", "grid_n")}
         cfg = RunConfig(subcommand=args.subcommand, seed=_resolve_seed(args.seed),

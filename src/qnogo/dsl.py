@@ -28,7 +28,7 @@ import math
 import re
 
 from ._record import field, record
-from ._shared import FAMILIES, GATE_NAMES, GATE_TARGETS, MACHINE_TARGETS
+from ._shared import FAMILIES, REGISTRY
 
 # Lexing and parsing need nothing but the standard library.  numpy, gates,
 # states and verifier load in compile_unit and check, once a unit has parsed
@@ -55,16 +55,14 @@ _R = 1.0 / math.sqrt(2.0)   # the bits of numpy's 1 / np.sqrt(2.0)
 _KET_AMPLITUDES = {"0": (1 + 0j, 0j), "1": (0j, 1 + 0j), "+": (_R + 0j, _R + 0j),
                    "-": (_R + 0j, -_R + 0j)}
 
-# What each call clause expects, the names it takes, and its message for any other name
+# What each call clause expects, and its message for a name that REGISTRY does not give it
 _CALL_CLAUSES = {
-    "extend": ("an extension kind (linear, antilinear, hybrid)", ("linear", "antilinear", "hybrid"),
+    "extend": ("an extension kind (linear, antilinear, hybrid)",
                "unknown extension {!r}; expected linear, antilinear, or hybrid(lambda=...)"),
-    "candidate": ("a gate name (H, HP, HE, CNOT, UG)", GATE_NAMES + ("UG",),
+    "candidate": ("a gate name (H, HP, HE, CNOT, UG)",
                   "unknown gate {!r}; expected H, HP, HE, CNOT, or UG"),
-    "target": ("a target name", MACHINE_TARGETS + GATE_TARGETS, "unknown target {!r}"),
+    "target": ("a target name", "unknown target {!r}"),
 }
-# The argument keys of each name that takes arguments, in the order they are written
-_CALL_KEYS = {"hybrid": ("lambda",), "unequal": ("a", "b"), "UG": ("a", "b")}
 
 # compile-time grace for hand-written amplitudes; exact values are
 # restored by renormalization before the strict model types see them
@@ -352,12 +350,12 @@ class _Parser:
 
     def parse_call(self, clause: str, at) -> Call:
         """A name that clause takes and its arguments, as a Call at the position of at."""
-        what, names, unknown = _CALL_CLAUSES[clause]
+        what, unknown = _CALL_CLAUSES[clause]
         tok = self.expect("IDENT", what)
-        if tok.value not in names:
+        if tok.value not in REGISTRY[clause]:
             raise _ParseError(tok, unknown.format(tok.value))
         args = {}
-        keys = _CALL_KEYS.get(tok.value, ())
+        keys = REGISTRY[clause][tok.value][0]   # in the order they are written
         for i, key in enumerate(keys):
             self.expect(*(("COMMA", "','") if i else ("LPAREN", "'('")))
             self.expect_word(key)
@@ -427,9 +425,10 @@ class _Parser:
                 self.report(req, "basis requirement needs basis rules")
             elif req.kind == "universal":
                 name = req.target.name
-                if name in MACHINE_TARGETS and not m.rules:
+                side = REGISTRY["target"][name][1]   # 0 for a machine target
+                if not side and not m.rules:
                     self.report(req, f"target {name!r} needs basis rules and an extension")
-                if name in GATE_TARGETS and m.candidate is None:
+                if side and m.candidate is None:
                     self.report(req, f"target {name!r} needs a candidate clause")
 
 
@@ -506,11 +505,11 @@ def _normalized(vec: np.ndarray, where: tuple[int, int],
 
 
 def _compile_target(tgt: Call, where: tuple[int, int]) -> TargetTransform:
-    from .verifier import named_target
+    from .verifier import TargetTransform
     try:
-        if tgt.name == "hybrid" and not 0.0 <= tgt.lam <= 1.0:
+        if tgt.lam is not None and not 0.0 <= tgt.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-        return named_target(tgt.name, tgt.a, tgt.b, tgt.lam)
+        return TargetTransform(tgt.name, tgt.a, tgt.b, tgt.lam)
     except ValueError as exc:
         raise _CompileError(str(exc), *where) from exc
 
@@ -607,11 +606,8 @@ def _compile_one(m: MachineNode, diags: list[Diagnostic],
             raise _CompileError("listed states must be single qubits",
                                 req.line, req.column)
         listed = listed_set(Qubit(*_KET_AMPLITUDES[label]) for label in req.listed)
-    if candidate is not None:
-        need = 4 if target.kind == "cnot" else 2
-        if candidate.shape[0] != need:
-            raise _CompileError("candidate dimension does not match the target",
-                                req.line, req.column)
+    if candidate is not None and REGISTRY["candidate"][m.candidate.name][1] != target.side:
+        raise _CompileError("candidate dimension does not match the target", req.line, req.column)
     return CompiledMachine(m.name, "universal", machine=spec, target=target,
                            target_name=_fmt_call(req.target),
                            family=req.family,

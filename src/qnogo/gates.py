@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._shared import GATE_NAMES
+from ._shared import REGISTRY
 from .algebra import operator
 from .states import Qubit, complement
 
@@ -36,9 +36,10 @@ cnot_computational = np.array([[1, 0, 0, 0],
                                [0, 0, 1, 0]], dtype=complex)
 cnot_computational.setflags(write=False)
 
-# the gates named on the command line and in the DSL
-NAMED_GATES = dict(zip(GATE_NAMES, (hadamard, hadamard_polar, hadamard_equatorial,
-                                    cnot_computational), strict=True))
+# the gates named on the command line and in the DSL, UG(a, b) being unequal_gate
+NAMED_GATES = dict(zip([name for name, (keys, _) in REGISTRY["candidate"].items() if not keys],
+                       (hadamard, hadamard_polar, hadamard_equatorial, cnot_computational),
+                       strict=True))
 
 
 def unequal_gate(weights) -> np.ndarray:

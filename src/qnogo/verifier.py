@@ -23,13 +23,12 @@ from itertools import groupby
 import numpy as np
 
 from ._record import record
-from ._shared import GATE_TARGETS, QUBIT_GATE_TARGETS
+from ._shared import REGISTRY
 from .algebra import (
     ATOL_VERDICT,
     GeneralKMap,
     abs_squared,
     apply,
-    complement_map,
     conjugation,
     haar_unitaries,
     inner_product,
@@ -41,10 +40,6 @@ from .algebra import (
     tensor,
 )
 from .states import Qubit, StateSet, complement, state_family
-
-_EXTENSIONS = ("linear", "antilinear", "hybrid")
-
-_MACHINE_KIND = "clone-like"
 
 # trivial one-dimensional ancilla factor
 _SCALAR = np.ones(1, dtype=complex)
@@ -111,8 +106,9 @@ class MachineSpec:
         object.__setattr__(self, "ancilla1", _ancilla(self.ancilla1))
         if self.ancilla0.size != self.ancilla1.size:
             raise ValueError("branch ancilla states live in different dimensions")
-        if self.extension not in _EXTENSIONS:
-            raise ValueError(f"unknown extension {self.extension!r}; expected one of {_EXTENSIONS}")
+        if self.extension not in REGISTRY["extend"]:
+            raise ValueError(f"unknown extension {self.extension!r}; "
+                             f"expected one of {tuple(REGISTRY['extend'])}")
         if self.extension == "hybrid" and self.kmap is None:
             raise ValueError("hybrid machines need a kmap with the unitary and antiunitary parts")
 
@@ -208,77 +204,65 @@ def _unit_weights(a, b) -> tuple[complex, complex]:
 class TargetTransform:
     """What the machine or gate is demanded to do for every input state.
 
-    clone-like targets carry a K map and describe the two-register
-    output |psi> (x) K|psi|;
-    gate targets (hadamard9, hadamard10, unequal, cnot) are defined by
-    per-state rules over (state, partner) pairs.
+    kind names a target of _shared.REGISTRY, which lists the arguments it
+    takes: unequal the weights a and b, hybrid the weight lam (lambda in
+    the DSL).  A machine target (side 0) demands the two-register output
+    |psi> (x) K|psi>; its K map, built here as kmap, is the identity
+    (clone), the complement flip (complement), complex conjugation
+    (conjugate) or GeneralKMap(lam) (hybrid).  A gate target has kmap None
+    and per-state rules over (state, partner) pairs that a candidate gate
+    of its side must meet:
+
+        hadamard9   psi -> (psi + partner)/sqrt2, partner -> (psi - partner)/sqrt2
+        hadamard10  psi -> (psi + i partner)/sqrt2, partner -> (i psi + partner)/sqrt2
+        unequal     psi -> a psi + b partner, partner -> b psi - a partner
+        cnot        flip the target qubit in the control state's own basis
     """
 
     kind: str
-    kmap: GeneralKMap | None = None
     a: complex | None = None
     b: complex | None = None
+    lam: float | None = None
 
     def __post_init__(self):
-        if self.kind != _MACHINE_KIND and self.kind not in GATE_TARGETS:
+        if self.kind not in REGISTRY["target"]:
             raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.kind == _MACHINE_KIND and self.kmap is None:
-            raise ValueError("clone-like targets need a kmap")
-        if self.kind == "unequal":
-            if self.a is None or self.b is None:
-                raise ValueError("unequal targets need weights a and b")
+        keys = REGISTRY["target"][self.kind][0]
+        for key, value in (("a", self.a), ("b", self.b), ("lambda", self.lam)):
+            if (value is None) == (key in keys):
+                need = "needs" if value is None else "takes no"
+                raise ValueError(f"target {self.kind!r} {need} argument {key}")
+        if self.a is not None:
             a, b = _unit_weights(self.a, self.b)
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
+        kmap = None
+        if not self.side:
+            lam = {"clone": 1.0, "hybrid": self.lam}.get(self.kind, 0.0)
+            kmap = GeneralKMap(lam, conjugation() if self.kind == "conjugate" else None)
+        object.__setattr__(self, "kmap", kmap)
 
-
-def target_clone() -> TargetTransform:
-    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(1.0))
-
-
-def target_complement() -> TargetTransform:
-    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(0.0, antiunitary=complement_map()))
-
-
-def target_conjugate() -> TargetTransform:
-    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(0.0, antiunitary=conjugation()))
-
-
-def target_hybrid(lam: float) -> TargetTransform:
-    """Weighted copy-and-complement target: psi -> psi (x) K psi."""
-    return TargetTransform(_MACHINE_KIND, kmap=GeneralKMap(lam))
+    @property
+    def side(self) -> int:
+        """The side of the candidate gate a gate target demands; 0 for a machine target."""
+        return REGISTRY["target"][self.kind][1]
 
 
 def target_hadamard9() -> TargetTransform:
-    """psi -> (psi + partner)/sqrt2, partner -> (psi - partner)/sqrt2."""
+    """The hadamard9 target, which perfbench's survey workload passes to the survey."""
     return TargetTransform("hadamard9")
-
-
-def target_hadamard10() -> TargetTransform:
-    """psi -> (psi + i partner)/sqrt2, partner -> (i psi + partner)/sqrt2."""
-    return TargetTransform("hadamard10")
-
-
-def target_unequal(a, b) -> TargetTransform:
-    """psi -> a psi + b partner, partner -> b psi - a partner."""
-    return TargetTransform("unequal", a=a, b=b)
-
-
-def target_cnot() -> TargetTransform:
-    """Flip the target qubit in the control state's own basis."""
-    return TargetTransform("cnot")
 
 
 def _rules(t: TargetTransform, s: np.ndarray, p: np.ndarray):
     """(inputs, required outputs) of each per-state rule of a gate target, as rows for the
     states s and partners p; a single-qubit rule is built when asked for."""
     r, kind = 1.0 / np.sqrt(2.0), t.kind
-    if kind in QUBIT_GATE_TARGETS:
+    if t.side == 2:
         yield s, r * (s + p) if kind == "hadamard9" else (
             r * (s + 1j * p) if kind == "hadamard10" else t.a * s + t.b * p)
         yield p, r * (s - p) if kind == "hadamard9" else (
             r * (1j * s + p) if kind == "hadamard10" else t.b * s - t.a * p)
-    elif kind == "cnot":   # kron(control, target) for s and p, with the bits of kron_rows
+    elif t.side == 4:   # cnot: kron(control, target) for s and p, with the bits of kron_rows
         rep = {"s": s.repeat(2, axis=1), "p": p.repeat(2, axis=1)}   # c0 c0 c1 c1
         tile = {"s": np.hstack([s, s]), "p": np.hstack([p, p])}      # x0 x1 x0 x1
         k = {c + x: rep[c] * tile[x] for c in "sp" for x in "sp"}
@@ -286,17 +270,6 @@ def _rules(t: TargetTransform, s: np.ndarray, p: np.ndarray):
             yield k[c + x], k[co + xo]
     else:
         raise ValueError(f"target kind {kind!r} has no per-state rules")
-
-
-def named_target(name: str, a=None, b=None, lam=None) -> TargetTransform:
-    """The target called name in the CLI and the DSL; unequal takes a and b, hybrid lam."""
-    if name == "unequal":
-        return target_unequal(a, b)
-    if name == "hybrid":
-        return target_hybrid(lam)
-    return {"clone": target_clone, "complement": target_complement,
-            "conjugate": target_conjugate, "hadamard9": target_hadamard9,
-            "hadamard10": target_hadamard10, "cnot": target_cnot}[name]()
 
 
 def _system_ideals(t: TargetTransform, s: np.ndarray) -> np.ndarray:
@@ -331,7 +304,7 @@ def _deviation_inputs(m: MachineSpec, t: TargetTransform, states, mode: str):
     the ideal's final ancilla, None in "best" mode."""
     if mode not in ("fixed", "best"):
         raise ValueError(f"unknown mode {mode!r}; expected 'fixed' or 'best'")
-    if t.kind != _MACHINE_KIND:
+    if t.side:
         raise ValueError(f"target kind {t.kind!r} is a gate target; use check_universal_gate")
     s = states.state_vectors
     if mode == "fixed" and m.ancilla0.size != m.ancilla_dim:
@@ -520,9 +493,9 @@ def check_universal_gate(candidate, t: TargetTransform, states: StateSet,
     (_worst_rule); violation and witness keep the bits of a scan over
     every state.
     """
-    if t.kind not in GATE_TARGETS:
+    size = t.side
+    if not size:
         raise ValueError(f"target kind {t.kind!r} is not a gate target")
-    size = 4 if t.kind == "cnot" else 2
     if np.shape(candidate) != (size, size):
         raise ValueError(f"{t.kind} candidates are {size}x{size}, got {np.shape(candidate)}")
     candidate = np.asarray(candidate, dtype=complex)
@@ -760,7 +733,7 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     """
     if n_samples < 2:
         raise ValueError("need at least two samples to form a pair")
-    if t.kind not in GATE_TARGETS:
+    if not t.side:
         raise ValueError(f"target kind {t.kind!r} has no overlap audit")
     family_set = state_family(family, n_samples, seed, sampled=True)
     s, n = family_set.state_vectors, n_samples
@@ -773,7 +746,7 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     # them; the exact pass takes the states back in the family's order, state i from row pos[i].
     s, p = s[order], family_set.partner_vectors[order]
     del family_set
-    o1 = None if t.kind == "cnot" else next(_rules(t, s, p))[1]
+    o1 = None if t.side == 4 else next(_rules(t, s, p))[1]
     terms, blocks = _screen_terms(s, p, o1, wide), list(row_blocks(n, _WITNESS_BLOCK))
     squares = _witness_screen(terms, order, blocks)
     floor = squares.max() - _SCREEN_MARGIN
@@ -818,7 +791,7 @@ def survey_random_unitaries(t: TargetTransform, states: StateSet, n_candidates: 
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
-    if t.kind not in QUBIT_GATE_TARGETS:
+    if t.side != 2:
         raise ValueError(f"target kind {t.kind!r} is not a single-qubit gate target")
     s, p = states.state_vectors, states.partner_vectors
     # <o|U|x> = sum_ij conj(o_i) U_ij x_j, so a block's amplitudes are one (b, 4) x (4, 2n) product

@@ -36,15 +36,11 @@ from qnogo.states import (
     state_family,
 )
 from qnogo.verifier import (
+    TargetTransform,
     check_universal_gate,
     cloning_machine,
     machine_deviations,
     survey_random_unitaries,
-    target_clone,
-    target_cnot,
-    target_hadamard9,
-    target_hadamard10,
-    target_unequal,
     witness_search,
 )
 
@@ -57,16 +53,16 @@ RT2 = 1.0 / np.sqrt(2.0)
 
 def test_01_circle_gates_pass_their_own_circle_and_fail_the_other():
     t0 = time.perf_counter()
-    own_p = check_universal_gate(hadamard_polar, target_hadamard9(),
+    own_p = check_universal_gate(hadamard_polar, TargetTransform("hadamard9"),
                                  polar_set(256), tol=1e-12)
-    own_e = check_universal_gate(hadamard_equatorial, target_hadamard10(),
+    own_e = check_universal_gate(hadamard_equatorial, TargetTransform("hadamard10"),
                                  state_family("equatorial", 256), tol=1e-12)
     assert own_p.realizable and own_p.violation < 1e-12
     assert own_e.realizable and own_e.violation < 1e-12
 
-    cross_p = check_universal_gate(hadamard_polar, target_hadamard9(),
+    cross_p = check_universal_gate(hadamard_polar, TargetTransform("hadamard9"),
                                    state_family("equatorial", 256))
-    cross_e = check_universal_gate(hadamard_equatorial, target_hadamard10(),
+    cross_e = check_universal_gate(hadamard_equatorial, TargetTransform("hadamard10"),
                                    polar_set(256))
     assert not cross_p.realizable and cross_p.violation > 0.05
     assert not cross_e.realizable and cross_e.violation > 0.05
@@ -127,7 +123,7 @@ def naive_clone_deviation(a: complex, b: complex) -> float:
 
 def test_03_linear_extension_deviation_matches_a_naive_evaluator():
     m = cloning_machine()
-    t = target_clone()
+    t = TargetTransform("clone")
     states = state_family("bloch", 1000, 5)
     lib = machine_deviations(m, t, states)
     naive = [naive_clone_deviation(a, b) for a, b in states.state_vectors]
@@ -143,7 +139,7 @@ def test_03_linear_extension_deviation_matches_a_naive_evaluator():
 
 def test_04_no_random_unitary_satisfies_the_first_gate_rules():
     t0 = time.perf_counter()
-    res = survey_random_unitaries(target_hadamard9(), state_family("bloch", 500, 42),
+    res = survey_random_unitaries(TargetTransform("hadamard9"), state_family("bloch", 500, 42),
                                   n_candidates=10_000, seed=42)
     dt = time.perf_counter() - t0
     assert res.n_candidates == 10_000
@@ -165,7 +161,7 @@ def test_05_computational_cnot_scope_and_basis_rebuilds():
 
     for q in (Qubit(*v) for v in state_family("bloch", 50, 11).state_vectors):
         gate = cnot_in_basis(q)
-        verdict = check_universal_gate(gate, target_cnot(), listed_set([q]), tol=1e-9)
+        verdict = check_universal_gate(gate, TargetTransform("cnot"), listed_set([q]), tol=1e-9)
         assert verdict.realizable
         # the four rules in q's basis: flip the target exactly when the control is qbar
         u, v = q.vector, complement(q).vector
@@ -191,7 +187,8 @@ def test_06_unequal_weight_discrepancy_closed_form():
     worst_real = 0.0
     for seed in range(20):
         t = float(rng.uniform(0.0, 2.0 * np.pi))
-        r = witness_search(target_unequal(np.cos(t), np.sin(t)), 40, seed, family="polar")
+        r = witness_search(TargetTransform("unequal", np.cos(t), np.sin(t)), 40, seed,
+                           family="polar")
         worst_real = max(worst_real, r.violation)
     assert worst_real <= 1e-14
 
@@ -201,12 +198,12 @@ def test_06_unequal_weight_discrepancy_closed_form():
         pa, pb = rng.uniform(0.0, 2.0 * np.pi, size=2)
         a = np.cos(t) * np.exp(1j * pa)
         b = np.sin(t) * np.exp(1j * pb)
-        got = witness_search(target_unequal(a, b), 40, seed, family="polar").violation
+        got = witness_search(TargetTransform("unequal", a, b), 40, seed, family="polar").violation
         worst_gap = max(worst_gap, abs(got - unequal_closed_form(a, b, 40, seed)))
     assert worst_gap < 1e-12
 
     a, b = 0.6, 0.8j
-    got = witness_search(target_unequal(a, b), 300, 3, family="polar").violation
+    got = witness_search(TargetTransform("unequal", a, b), 300, 3, family="polar").violation
     assert got == pytest.approx(unequal_closed_form(a, b, 300, 3), abs=1e-12)
     assert got == pytest.approx(0.9599978562492536, abs=1e-12)
     print(f"check 6 PASS: real weights <=1e-14, complex vs closed form "
@@ -306,3 +303,11 @@ def test_08_machine_corpus_exit_codes_and_reproducible_json():
             jsonschema.validate(doc, SCHEMA)
     print(f"check 8 PASS: {len(files)} corpus files, expected exits, "
           f"byte-identical reruns")
+
+
+def test_09_the_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    code = tour.split("```", 1)[0]
+    exec(compile(code, "README.md (library tour)", "exec"), {})   # its asserts are the checks
+    print(f"check 9 PASS: the README's library tour, {code.count(chr(10))} lines, runs")

@@ -44,15 +44,7 @@ from qnogo.verifier import (
     conjugating_machine,
     hybrid_machine,
     machine_deviations,
-    target_clone,
-    target_cnot,
-    target_complement,
-    target_conjugate,
-    target_hadamard9,
-    target_hadamard10,
-    target_hybrid,
     survey_random_unitaries,
-    target_unequal,
     witness_search,
 )
 from qnogo.verifier import (
@@ -254,8 +246,7 @@ def qubit_gate_cases(draw):
     """(candidate, target, target kind, weights) for the single-qubit rules."""
     kind = draw(st.sampled_from(["hadamard9", "hadamard10", "unequal"]))
     a, b = draw(unit_weights()) if kind == "unequal" else (None, None)
-    target = {"hadamard9": target_hadamard9, "hadamard10": target_hadamard10,
-              "unequal": lambda: target_unequal(a, b)}[kind]()
+    target = TargetTransform(kind, a, b)
     choice = draw(st.sampled_from(["H", "HP", "HE", "UG", "haar"]))
     if choice == "haar":
         candidate = haar_unitaries(1, seed=draw(SEEDS))[0]
@@ -330,8 +321,7 @@ def test_family_arrays_are_validated_and_read_only():
        weights=unit_weights(), name=FAMILIES, n=SEAMS, seed=SEEDS)
 def test_the_rule_table_equals_the_per_state_reference(kind, weights, name, n, seed):
     a, b = weights if kind == "unequal" else (None, None)
-    target = {"hadamard9": target_hadamard9, "hadamard10": target_hadamard10,
-              "unequal": lambda: target_unequal(a, b), "cnot": target_cnot}[kind]()
+    target = TargetTransform(kind, a, b)
     family = state_family(name, n, seed, sampled=name == "bloch" or seed % 2 == 1)
     s, p = family.state_vectors, family.partner_vectors
     expected = [ref_rules(kind, s[i], p[i], target.a, target.b) for i in range(n)]
@@ -355,7 +345,7 @@ def test_the_cnot_krons_keep_the_bits_of_np_kron_on_any_floats(rows):
     s, p = v[:, :2], v[:, 2:]
     with np.errstate(all="ignore"):
         expected = [ref_rules("cnot", s[i], p[i]) for i in range(len(v))]
-        rules = list(_rules(target_cnot(), s, p))
+        rules = list(_rules(TargetTransform("cnot"), s, p))
     for r, pair in enumerate(rules):
         for k, got in enumerate(pair):
             got, ref = got.view(float), np.array([e[r][k] for e in expected]).view(float)
@@ -394,7 +384,7 @@ def test_cnot_check_matches_the_scalar_reference(name, n, seed, gate):
               for q, r in pairs]
     worst, index = ref_worst(values)
     family = state_family(name, n, seed)
-    verdict = check_universal_gate(candidate, target_cnot(), family)
+    verdict = check_universal_gate(candidate, TargetTransform("cnot"), family)
     assert verdict.violation == worst
     if not verdict.realizable:
         assert verdict.witness == pairs[index]
@@ -418,7 +408,7 @@ def test_ties_break_to_the_first_worst_state(gate, kind, name, n, ties):
     values = [ref_rule_violation(gate, ref_rules(kind, q.vector, r.vector)) for q, r in pairs]
     worst, index = ref_worst(values)
     assert values.count(worst) == ties
-    target = target_hadamard9() if kind == "hadamard9" else target_hadamard10()
+    target = TargetTransform(kind)
     family = state_family(name, n)
     verdict = check_universal_gate(gate, target, family)
     assert verdict.violation == worst
@@ -428,14 +418,14 @@ def test_ties_break_to_the_first_worst_state(gate, kind, name, n, ties):
 
 def test_qubit_lists_are_paired_with_their_complements():
     qs = [q for q, _ in ref_pairs("bloch", 40, 5)]
-    verdict = check_universal_gate(hadamard, target_hadamard9(), listed_set(qs))
+    verdict = check_universal_gate(hadamard, TargetTransform("hadamard9"), listed_set(qs))
     values = [ref_rule_violation(hadamard, ref_rules("hadamard9", q.vector,
                                                      complement(q).vector)) for q in qs]
     worst, index = ref_worst(values)
     assert verdict.violation == worst
     assert verdict.witness == (qs[index], complement(qs[index]))
     with pytest.raises(ValueError):
-        check_universal_gate(hadamard, target_hadamard9(), listed_set([]))
+        check_universal_gate(hadamard, TargetTransform("hadamard9"), listed_set([]))
 
 
 # --- machine deviations ------------------------------------------------------------
@@ -448,13 +438,11 @@ def machine_cases(draw):
     kind = draw(st.sampled_from(["clone", "complement", "conjugate", "hybrid"]))
     if kind == "hybrid":
         lam = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
-        return hybrid_machine(lam, ancilla0=a0, ancilla1=a1), target_hybrid(lam)
+        return hybrid_machine(lam, ancilla0=a0, ancilla1=a1), TargetTransform("hybrid", lam=lam)
     extension = draw(st.sampled_from(["linear", "antilinear"]))
     maker = {"clone": cloning_machine, "complement": complementing_machine,
              "conjugate": conjugating_machine}[kind]
-    target = {"clone": target_clone, "complement": target_complement,
-              "conjugate": target_conjugate}[draw(st.sampled_from(["clone", "complement",
-                                                                   "conjugate"]))]()
+    target = TargetTransform(draw(st.sampled_from(["clone", "complement", "conjugate"])))
     return maker(extension, ancilla0=a0, ancilla1=a1), target
 
 
@@ -494,7 +482,7 @@ def test_per_state_blocks_change_no_bit(block, size, name, seed, gate, machine, 
     candidate, target = gate[:2]
     checks = [lambda: check_universal_gate(candidate, target, family),
               lambda: check_universal_gate(haar_unitaries(1, dim=4, seed=seed)[0],
-                                           target_cnot(), family),
+                                           TargetTransform("cnot"), family),
               lambda: machine_deviations(*machine, family, mode)]
     whole = [check() for check in checks]   # n <= 15 states: one block of 1024
     with mock.patch("qnogo.verifier._STATE_BLOCK", block):
@@ -519,11 +507,12 @@ def block_peak(run, make, n):
 
 @pytest.mark.parametrize("check", [
     *[lambda f, t=target: check_universal_gate(hadamard, t, f)
-      for target in (target_hadamard9(), target_hadamard10(), target_unequal(0.6, 0.8))],
-    lambda f: check_universal_gate(cnot_computational, target_cnot(), f),
-    lambda f: machine_deviations(cloning_machine("linear"), target_clone(), f, "fixed"),
+      for target in (TargetTransform("hadamard9"), TargetTransform("hadamard10"),
+                     TargetTransform("unequal", 0.6, 0.8))],
+    lambda f: check_universal_gate(cnot_computational, TargetTransform("cnot"), f),
+    lambda f: machine_deviations(cloning_machine("linear"), TargetTransform("clone"), f, "fixed"),
     lambda f: machine_deviations(hybrid_machine(0.5, ancilla0=[1.0, 0.0], ancilla1=[0.0, 1.0]),
-                                 target_hybrid(0.5), f, "best")],
+                                 TargetTransform("hybrid", lam=0.5), f, "best")],
     ids=["hadamard9", "hadamard10", "unequal", "cnot", "clone-fixed", "hybrid-best"])
 def test_the_per_state_kernels_hold_one_block_whatever_the_size(check):
     # one block of temporaries at every size, so only the per-state output grows with n; whole
@@ -593,7 +582,8 @@ def test_the_screened_gate_reduction_equals_the_exhaustive_scan(gate, name, n, s
     same_bits(_worst_rule(np.asarray(candidate, complex), target, s, p),
               exhaustive_rule(candidate, target, s, p))
     cnot = haar_unitaries(1, dim=4, seed=seed)[0]
-    same_bits(_worst_rule(cnot, target_cnot(), s, p), exhaustive_rule(cnot, target_cnot(), s, p))
+    target = TargetTransform("cnot")
+    same_bits(_worst_rule(cnot, target, s, p), exhaustive_rule(cnot, target, s, p))
 
 
 @pytest.mark.parametrize("n", [1024, 1025, 2049, 4096])
@@ -603,7 +593,7 @@ def test_the_screened_gate_reduction_equals_the_exhaustive_scan(gate, name, n, s
 def test_tie_heavy_circles_keep_the_first_worst_state(gate, kind, name, n):
     # REALIZABLE circles: every violation is rounding, most states tie within the slack and
     # whole blocks run exactly; on the other circle one state reaches 1.0 and many come close
-    target = target_hadamard9() if kind == "hadamard9" else target_hadamard10()
+    target = TargetTransform(kind)
     family = state_family(name, n)
     s, p = family.state_vectors, family.partner_vectors
     expected = exhaustive_rule(gate, target, s, p)
@@ -622,8 +612,8 @@ def test_a_run_of_ties_then_random_states_equals_the_exhaustive_scan(ties, n, se
     s2, p2 = ref_sampled("bloch", n, seed)
     s, p = np.vstack([polar.state_vectors, s2]), np.vstack([polar.partner_vectors, p2])
     candidate = np.asarray(hadamard_polar, complex)
-    same_bits(_worst_rule(candidate, target_hadamard9(), s, p),
-              exhaustive_rule(candidate, target_hadamard9(), s, p))
+    same_bits(_worst_rule(candidate, TargetTransform("hadamard9"), s, p),
+              exhaustive_rule(candidate, TargetTransform("hadamard9"), s, p))
 
 
 def test_whole_blocks_of_ties_skip_the_estimate_until_the_ties_end(monkeypatch):
@@ -632,7 +622,7 @@ def test_whole_blocks_of_ties_skip_the_estimate_until_the_ties_end(monkeypatch):
     s, p = np.vstack([polar.state_vectors, s2]), np.vstack([polar.partner_vectors, p2])
     estimated = spy_rows(monkeypatch, "_rule_estimate")
     exact = spy_rows(monkeypatch, "_rule_violation")
-    _worst_rule(np.asarray(hadamard_polar, complex), target_hadamard9(), s, p)
+    _worst_rule(np.asarray(hadamard_polar, complex), TargetTransform("hadamard9"), s, p)
     # the first polar block is estimated, the second and the first random one are not; the
     # three random blocks after them are, and few of their states run exactly
     assert estimated == [1024] * 4
@@ -644,9 +634,10 @@ def test_a_lone_screened_state_is_computed_twice_over(monkeypatch):
     # row keeps the bits it has in the whole block
     family = state_family("bloch", 5000, 3)
     s, p = family.state_vectors, family.partner_vectors
-    expected = exhaustive_rule(hadamard, target_hadamard9(), s, p)
+    expected = exhaustive_rule(hadamard, TargetTransform("hadamard9"), s, p)
     sizes = spy_rows(monkeypatch, "_rule_violation")
-    same_bits(_worst_rule(np.asarray(hadamard, complex), target_hadamard9(), s, p), expected)
+    same_bits(_worst_rule(np.asarray(hadamard, complex), TargetTransform("hadamard9"), s, p),
+              expected)
     assert 2 in sizes and sum(sizes) < len(s) // 10
 
 
@@ -664,8 +655,8 @@ def test_a_vanished_vector_reads_one_as_in_the_exhaustive_scan(at, n, seed, smal
     s[min(at, n - 1)] = [small, big]   # the projector's image of it has norm small < 1e-12
     p[min(at, n - 1)] = [-big, small]
     with np.errstate(over="ignore" if candidate == "huge" else "raise"):   # as exhaustively
-        expected = exhaustive_rule(C, target_hadamard9(), s, p)
-        got = _worst_rule(np.asarray(C, complex), target_hadamard9(), s, p)
+        expected = exhaustive_rule(C, TargetTransform("hadamard9"), s, p)
+        got = _worst_rule(np.asarray(C, complex), TargetTransform("hadamard9"), s, p)
     same_bits(got, expected)
     if candidate != "huge":
         assert got[0] == 1.0
@@ -681,9 +672,10 @@ def test_the_screened_machine_reduction_equals_the_exhaustive_scan(case, name, n
 
 def test_the_machine_reduction_computes_few_states(monkeypatch):
     family = state_family("bloch", 10_000, 0)
-    expected = exhaustive_deviation(cloning_machine("linear"), target_clone(), family)
+    expected = exhaustive_deviation(cloning_machine("linear"), TargetTransform("clone"), family)
     sizes = spy_rows(monkeypatch, "_deviations")
-    same_bits(_worst_deviation(cloning_machine("linear"), target_clone(), family), expected)
+    same_bits(_worst_deviation(cloning_machine("linear"), TargetTransform("clone"), family),
+              expected)
     assert sum(sizes) < len(family) // 10
 
 
@@ -702,9 +694,10 @@ def test_a_vanishing_machine_output_raises_as_in_the_exhaustive_scan(at, n, seed
     e0, e1 = np.eye(2, dtype=complex)
     if which == "output":
         m = MachineSpec(np.kron(e0, e0), np.kron(e1, e1), "hybrid", kmap=cancelling_kmap())
-        t = target_clone()
+        t = TargetTransform("clone")
     else:
-        m, t = cloning_machine("linear"), TargetTransform("clone-like", kmap=cancelling_kmap())
+        m, t = cloning_machine("linear"), TargetTransform("clone")
+        object.__setattr__(t, "kmap", cancelling_kmap())   # no target's own K map cancels
     with pytest.raises(ValueError) as exhaustive:
         machine_deviations(m, t, qs)
     with pytest.raises(ValueError) as screened:
@@ -751,8 +744,7 @@ def test_witness_search_matches_the_full_width_scan(kind, weights, name, seed, n
     if kind == "cnot":
         n = min(n, 150)
     a, b = weights
-    target = {"hadamard9": target_hadamard9, "hadamard10": target_hadamard10,
-              "unequal": lambda: target_unequal(a, b), "cnot": target_cnot}[kind]()
+    target = witness_target(kind, a, b)
     s, p = ref_sampled(name, n, seed)
     violation, i, j = ref_witness(kind, s, p, chunk, a, b)
     with mock.patch("qnogo.verifier._WITNESS_BLOCK", chunk):
@@ -762,8 +754,7 @@ def test_witness_search_matches_the_full_width_scan(kind, weights, name, seed, n
 
 
 def witness_target(kind, a, b):
-    return {"hadamard9": target_hadamard9, "hadamard10": target_hadamard10,
-            "unequal": lambda: target_unequal(a, b), "cnot": target_cnot}[kind]()
+    return TargetTransform(kind, a, b) if kind == "unequal" else TargetTransform(kind)
 
 
 # Families on which every pair ties near 0, so each block is certified and
@@ -1004,7 +995,7 @@ def test_the_screen_computes_few_cell_pairs_unless_all_tie(monkeypatch, name, ev
         return estimate(terms, buf, lo, hi, c0, c1, pos)
 
     monkeypatch.setattr("qnogo.verifier._tile_estimate", count)
-    witness_search(target_hadamard9(), n, seed=0, family=name)
+    witness_search(TargetTransform("hadamard9"), n, seed=0, family=name)
     cells = n // cell
     total = cells * (cells + 1) // 2   # pairs of cells b >= a
     assert len(pairs) == total if every else len(pairs) < 0.15 * total
@@ -1059,7 +1050,7 @@ def test_the_exact_pass_skips_the_tiles_no_estimate_tile_reaches(monkeypatch, na
     # bloch has one block whose estimate reaches the floor in only a few of its columns;
     # polar hadamard9 ties near 0 everywhere, so every tile of every block is computed, in
     # one run per block cut into exact tiles as wide as they may be
-    n, target = 4096, target_hadamard9()
+    n, target = 4096, TargetTransform("hadamard9")
     s, p = ref_sampled(name, n, 0)
     blocks = list(row_blocks(n, 256))
     squares = screen_tiles("hadamard9", s, p, blocks)

@@ -21,6 +21,7 @@ import qnogo
 import qnogo.cli
 import qnogo.dsl
 import qnogo.fidelity
+import qnogo.states
 from qnogo.cli import (
     MAX_GRID_N,
     MAX_LAMBDAS,
@@ -32,7 +33,7 @@ from qnogo.cli import (
 )
 from qnogo.dsl import MAX_SAMPLES, CheckOptions
 from qnogo.gates import unequal_gate
-from qnogo.verifier import target_unequal
+from qnogo.verifier import TargetTransform
 
 ROOT = Path(__file__).resolve().parents[1]
 CLONE = str(ROOT / "machines" / "clone.qmachine")
@@ -140,7 +141,7 @@ def test_library_entry_points_refuse_non_finite_numbers():
             parse_complex(text)
     for a, b in ((math.nan, 1.0), (1.0, math.inf), (complex(math.nan, 1.0), 0.0)):
         with pytest.raises(ValueError):
-            target_unequal(a, b)
+            TargetTransform("unequal", a, b)
     with pytest.raises(ValueError):
         unequal_gate((math.nan, 1.0))
     for tol in (math.nan, math.inf, 0.0, -1.0):
@@ -167,6 +168,19 @@ def test_grid_sizes_above_the_cap_exit_1_before_any_family(argv, value, monkeypa
     assert code == 1
     assert out == ""
     assert err == f"qnogo: grid size must lie in [2, {MAX_GRID_N}], got {value}\n"
+
+
+@pytest.mark.parametrize("gate, target, side", [("CNOT", "hadamard9", 2), ("H", "cnot23", 4)])
+def test_a_wrong_sized_candidate_exits_3_before_any_family(gate, target, side, monkeypatch,
+                                                           capsys):
+    monkeypatch.setattr(qnogo.states, "state_family", _forbidden)
+    argv = ["gate-verify", "--gate", gate, "--target", target, "--grid-n", str(MAX_GRID_N)]
+    code, out, err = exit_code(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err == f"qnogo: target {target!r} needs a {side}x{side} candidate gate\n"
+    with pytest.raises(AssertionError):   # a matched candidate reaches the patched builder
+        main(["gate-verify", "--gate", "H", "--target", "hadamard9"])
 
 
 @pytest.mark.parametrize("value", [MAX_SAMPLES + 1, 10**12])
@@ -340,7 +354,7 @@ def test_every_public_name_resolves_to_its_submodule_object():
                   "print([n for n in qnogo.__all__\n"
                   "       if not any(vars(m).get(n, qnogo) is getattr(qnogo, n) for m in mods)])")
     assert run.stdout.splitlines() == ["['qnogo']", "[]"]
-    assert len(qnogo.__all__) == len(set(qnogo.__all__)) == 67
+    assert len(qnogo.__all__) == len(set(qnogo.__all__)) == 60
     star = {}
     exec("from qnogo import *", star)
     assert set(star) - {"__builtins__"} == set(qnogo.__all__)

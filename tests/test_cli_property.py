@@ -78,7 +78,8 @@ COMMANDS = st.one_of(
 )
 
 # Each subcommand's valid head, and an option it does not have: --tolerance where it decides
-# no verdict, --grid-n where it builds no family of that size, csv on all but fidelity-sweep
+# no verdict, --grid-n where it builds no family of that size, csv on all but fidelity-sweep,
+# and a weight where the target takes none
 HEADS = {"gate-verify": ["gate-verify", "--gate", "H", "--target", "hadamard9"],
          "witness": ["witness", "--target", "hadamard9"],
          "circle-check": ["circle-check"],
@@ -91,6 +92,9 @@ REFUSED = st.one_of(
               required("--grid-n", GRID_SIZES)),
     st.tuples(one_of(*(head for name, head in HEADS.items() if name != "fidelity-sweep")),
               st.just(["--format", "csv"])),
+    st.tuples(one_of(HEADS["gate-verify"], HEADS["witness"], ["witness", "--target", "cnot23"]),
+              st.one_of(required("--a", one_of("0.6", "0.8i")),
+                        required("--b", one_of("0.8", "-i")))),
 )
 
 

@@ -13,7 +13,7 @@ from qnogo.dsl import (
 )
 from qnogo.gates import hadamard_polar
 from qnogo.states import polar_set
-from qnogo.verifier import check_universal_gate, target_hadamard9
+from qnogo.verifier import TargetTransform, check_universal_gate
 
 CLONE_SRC = """\
 machine main;
@@ -454,7 +454,7 @@ def test_check_clone_machine_is_impossible():
 def test_check_gate_candidate_matches_direct_verifier_call():
     compiled, _ = compile_text(HP_SRC)
     verdict, _ = check(compiled[0], OPTS)
-    direct = check_universal_gate(hadamard_polar, target_hadamard9(),
+    direct = check_universal_gate(hadamard_polar, TargetTransform("hadamard9"),
                                   polar_set(OPTS.samples), tol=OPTS.tolerance)
     assert verdict.realizable == direct.realizable
     assert verdict.violation == direct.violation

@@ -21,6 +21,7 @@ from qnogo.states import (
 )
 from qnogo.verifier import (
     MachineSpec,
+    TargetTransform,
     Verdict,
     _rules,
     check_universal_gate,
@@ -31,14 +32,6 @@ from qnogo.verifier import (
     machine_deviations,
     machine_output,
     survey_random_unitaries,
-    target_clone,
-    target_cnot,
-    target_complement,
-    target_conjugate,
-    target_hadamard9,
-    target_hadamard10,
-    target_hybrid,
-    target_unequal,
     witness_search,
 )
 
@@ -135,11 +128,21 @@ def test_machine_output_respects_declared_extension():
 
 def test_target_validation():
     with pytest.raises(ValueError):
-        target_unequal(0.6, 0.9)
+        TargetTransform("unequal", 0.6, 0.9)
+    # an argument the target lacks or does not take is refused by name
+    for name, kwargs, message in (
+            ("hybrid", {}, "target 'hybrid' needs argument lambda"),
+            ("hadamard9", {"a": 0.6}, "target 'hadamard9' takes no argument a"),
+            ("unequal", {"a": 0.6}, "target 'unequal' needs argument b"),
+            ("clone", {"lam": 0.5}, "target 'clone' takes no argument lambda"),
+            ("clone-like", {}, "unknown target kind 'clone-like'")):
+        with pytest.raises(ValueError) as refused:
+            TargetTransform(name, **kwargs)
+        assert str(refused.value) == message
     with pytest.raises(ValueError, match="check_universal_gate"):
-        deviation(cloning_machine(), target_hadamard9(), PLUS)
+        deviation(cloning_machine(), TargetTransform("hadamard9"), PLUS)
     with pytest.raises(ValueError, match="no per-state rules"):
-        next(_rules(target_clone(), KET0.vector[np.newaxis], KET1.vector[np.newaxis]))
+        next(_rules(TargetTransform("clone"), KET0.vector[np.newaxis], KET1.vector[np.newaxis]))
 
 
 def test_ideal_output_of_clone_target():
@@ -147,8 +150,9 @@ def test_ideal_output_of_clone_target():
     q = Qubit(0.6, 0.8j)
     m = cloning_machine()
     actual = machine_output(m, q)
-    for t, second in ((target_clone(), q.vector), (target_complement(), complement(q).vector),
-                      (target_conjugate(), q.vector.conj())):
+    for t, second in ((TargetTransform("clone"), q.vector),
+                      (TargetTransform("complement"), complement(q).vector),
+                      (TargetTransform("conjugate"), q.vector.conj())):
         ideal = np.kron(q.vector, second)
         want = 1.0 - abs(np.vdot(ideal, actual)) ** 2
         assert deviation(m, t, q) == pytest.approx(want, abs=1e-12)
@@ -156,20 +160,20 @@ def test_ideal_output_of_clone_target():
 
 def test_machine_deviation_vanishes_on_basis_states():
     m = cloning_machine()
-    t = target_clone()
+    t = TargetTransform("clone")
     assert deviation(m, t, KET0) == pytest.approx(0.0, abs=1e-12)
     assert deviation(m, t, KET1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_machine_deviation_at_plus_is_half():
     # overlap <++|phi+> = (1+1)/ (2 sqrt2) -> fidelity 1/2
-    dev = deviation(cloning_machine(), target_clone(), PLUS)
+    dev = deviation(cloning_machine(), TargetTransform("clone"), PLUS)
     assert abs(dev - 0.5) < 1e-12
 
 
 def test_machine_deviation_best_mode_never_worse():
     m = cloning_machine(ancilla0=[1, 0], ancilla1=[0, 1])
-    t = target_clone()
+    t = TargetTransform("clone")
     for q in (Qubit(*v) for v in state_family("bloch", 20, 13).state_vectors):
         fixed = deviation(m, t, q, mode="fixed")
         best = deviation(m, t, q, mode="best")
@@ -178,7 +182,7 @@ def test_machine_deviation_best_mode_never_worse():
 
 def test_machine_deviation_checks_ancilla_dims():
     m = cloning_machine(ancilla0=[1, 0], ancilla1=[0, 1])
-    t = target_clone()
+    t = TargetTransform("clone")
     # fixed mode borrows the machine's ancilla0, so this works
     deviation(m, t, PLUS)
     # three-register outputs whose machine declares no ancilla state: |Q_0> is one-dimensional
@@ -192,7 +196,7 @@ def test_machine_deviation_checks_ancilla_dims():
 
 def test_hybrid_target_deviation_is_continuous_in_lambda():
     q = Qubit(0.6, 0.8)
-    devs = [deviation(hybrid_machine(l), target_hybrid(l), q)
+    devs = [deviation(hybrid_machine(l), TargetTransform("hybrid", lam=l), q)
             for l in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(0.0 <= d <= 1.0 for d in devs)
     # real-amplitude states on the polar circle keep the deviation moderate
@@ -203,7 +207,7 @@ def test_hybrid_target_deviation_is_continuous_in_lambda():
 
 
 def test_audit_polar_pairs_are_consistent():
-    t = target_hadamard9()
+    t = TargetTransform("hadamard9")
     s1, p1 = polar_pair(0.4)
     s2, p2 = polar_pair(2.0)
     # polar partners coincide with canonical complements
@@ -212,7 +216,7 @@ def test_audit_polar_pairs_are_consistent():
 
 
 def test_audit_equatorial_pair_breaks_plain_hadamard():
-    t = target_hadamard9()
+    t = TargetTransform("hadamard9")
     s1, p1 = equatorial_pair(0.0)
     s2, p2 = equatorial_pair(np.pi / 2)
     gap = first_rule_gap(t, (s1, p1), (s2, p2))
@@ -221,7 +225,7 @@ def test_audit_equatorial_pair_breaks_plain_hadamard():
 
 
 def test_audit_equatorial_pair_passes_phase_variant():
-    t = target_hadamard10()
+    t = TargetTransform("hadamard10")
     for d in (0.3, 1.1, 2.5, 4.4):
         s1, p1 = equatorial_pair(0.0)
         s2, p2 = equatorial_pair(d)
@@ -229,7 +233,8 @@ def test_audit_equatorial_pair_passes_phase_variant():
 
 
 def test_audit_rejects_machine_targets():
-    for t in (target_clone(), target_complement(), target_conjugate(), target_hybrid(0.5)):
+    for t in (TargetTransform("clone"), TargetTransform("complement"),
+              TargetTransform("conjugate"), TargetTransform("hybrid", lam=0.5)):
         with pytest.raises(ValueError):
             check_universal_gate(hadamard, t, polar_set(4))
         with pytest.raises(ValueError):
@@ -237,7 +242,7 @@ def test_audit_rejects_machine_targets():
 
 
 def test_unequal_real_weights_keep_polar_overlaps():
-    t = target_unequal(3 / 5, 4 / 5)
+    t = TargetTransform("unequal", 3 / 5, 4 / 5)
     assert first_rule_gap(t, polar_pair(0.3), polar_pair(1.9)) < 1e-12
 
 
@@ -246,11 +251,11 @@ def test_unequal_complex_weights_match_the_closed_form():
     # |(conj(a) b - a conj(b)) <psi(0)|partner(pi/2)>| = |i| sin(pi/4)
     closed = abs(np.conj(a) * b - a * np.conj(b)) * np.sin(np.pi / 4)
     assert closed == pytest.approx(RT2, abs=1e-10)
-    t = target_unequal(a, b)
+    t = TargetTransform("unequal", a, b)
     generic = first_rule_gap(t, polar_pair(0.0), polar_pair(np.pi / 2))
     assert abs(generic - closed) < 1e-12
     with pytest.raises(ValueError):
-        target_unequal(0.5, 0.5)
+        TargetTransform("unequal", 0.5, 0.5)
 
 
 # --- verdicts and checks ---------------------------------------------------
@@ -267,21 +272,22 @@ def test_verdict_invariants():
 
 
 def test_polar_gate_passes_its_own_circle():
-    v = check_universal_gate(hadamard_polar, target_hadamard9(), polar_set(64),
+    v = check_universal_gate(hadamard_polar, TargetTransform("hadamard9"), polar_set(64),
                              tol=1e-12)
     assert v.realizable and v.violation < 1e-12
     assert v.condition == "hadamard9-rules"
 
 
 def test_equatorial_gate_passes_its_own_circle():
-    v = check_universal_gate(hadamard_equatorial, target_hadamard10(),
+    v = check_universal_gate(hadamard_equatorial, TargetTransform("hadamard10"),
                              state_family("equatorial", 64), tol=1e-12)
     assert v.realizable and v.violation < 1e-12
 
 
 def test_cross_application_fails_hard():
-    v1 = check_universal_gate(hadamard_polar, target_hadamard10(), state_family("equatorial", 64))
-    v2 = check_universal_gate(hadamard_equatorial, target_hadamard9(), polar_set(64))
+    v1 = check_universal_gate(hadamard_polar, TargetTransform("hadamard10"),
+                              state_family("equatorial", 64))
+    v2 = check_universal_gate(hadamard_equatorial, TargetTransform("hadamard9"), polar_set(64))
     assert not v1.realizable and not v2.realizable
     assert v1.violation == pytest.approx(0.75, abs=1e-9)
     assert v2.violation == pytest.approx(0.75, abs=1e-9)
@@ -290,90 +296,93 @@ def test_cross_application_fails_hard():
 
 def test_plain_hadamard_works_on_the_computational_basis_only():
     basis = listed_set([KET0, KET1])
-    v = check_universal_gate(hadamard, target_hadamard9(), basis)
+    v = check_universal_gate(hadamard, TargetTransform("hadamard9"), basis)
     assert v.realizable
-    w = check_universal_gate(hadamard, target_hadamard9(), state_family("bloch", 64, 42))
+    w = check_universal_gate(hadamard, TargetTransform("hadamard9"), state_family("bloch", 64, 42))
     assert not w.realizable
 
 
 def test_unequal_gate_passes_polar_circle():
-    v = check_universal_gate(unequal_gate((0.6, 0.8)), target_unequal(0.6, 0.8),
+    v = check_universal_gate(unequal_gate((0.6, 0.8)), TargetTransform("unequal", 0.6, 0.8),
                              polar_set(64), tol=1e-12)
     assert v.realizable
 
 
 def test_check_universal_gate_validates_input():
     with pytest.raises(ValueError):
-        check_universal_gate(cnot_computational, target_hadamard9(), polar_set(4))
+        check_universal_gate(cnot_computational, TargetTransform("hadamard9"), polar_set(4))
     with pytest.raises(ValueError):
-        check_universal_gate(hadamard, target_cnot(), polar_set(4))
+        check_universal_gate(hadamard, TargetTransform("cnot"), polar_set(4))
 
 
 def test_cnot_check_passes_its_own_basis():
-    v = check_universal_gate(cnot_computational, target_cnot(), listed_set([KET0]))
+    v = check_universal_gate(cnot_computational, TargetTransform("cnot"), listed_set([KET0]))
     assert v.realizable and v.condition == "cnot-rules"
     for q in (Qubit(*v) for v in state_family("bloch", 10, 21).state_vectors):
-        assert check_universal_gate(cnot_in_basis(q), target_cnot(), listed_set([q])).realizable
+        assert check_universal_gate(cnot_in_basis(q), TargetTransform("cnot"),
+                                    listed_set([q])).realizable
 
 
 def test_cnot_check_fails_on_the_sphere_with_plus_witness():
-    v = check_universal_gate(cnot_computational, target_cnot(), state_family("bloch", 64, 42))
+    v = check_universal_gate(cnot_computational, TargetTransform("cnot"),
+                             state_family("bloch", 64, 42))
     assert not v.realizable
     assert v.violation == pytest.approx(1.0, abs=1e-12)
     # the first anchor state |+> already breaks rule 2
     assert v.witness[0].alpha == pytest.approx(RT2)
     assert v.witness[0].beta == pytest.approx(RT2)
     with pytest.raises(ValueError):
-        check_universal_gate(hadamard, target_cnot(), state_family("bloch", 4, 42))
+        check_universal_gate(hadamard, TargetTransform("cnot"), state_family("bloch", 4, 42))
 
 
 # --- witness search and random surveys ------------------------------------
 
 
 def test_witness_search_polar_family_is_consistent():
-    r = witness_search(target_hadamard9(), n_samples=256, seed=42, family="polar")
+    r = witness_search(TargetTransform("hadamard9"), n_samples=256, seed=42, family="polar")
     assert r.violation < 1e-10
     assert r.condition == "pairwise-overlap-consistency"
 
 
 def test_witness_search_bloch_family_finds_large_violation():
-    r = witness_search(target_hadamard9(), n_samples=256, seed=42, family="bloch")
+    r = witness_search(TargetTransform("hadamard9"), n_samples=256, seed=42, family="bloch")
     assert r.violation > 0.3
     # deterministic for a fixed seed
-    again = witness_search(target_hadamard9(), n_samples=256, seed=42, family="bloch")
+    again = witness_search(TargetTransform("hadamard9"), n_samples=256, seed=42, family="bloch")
     assert again.violation == r.violation
     assert again.pair[0].alpha == r.pair[0].alpha
 
 
 def test_witness_search_equatorial_families():
     # the phase variant is consistent on the equator, the plain one is not
-    ok = witness_search(target_hadamard10(), n_samples=128, seed=42, family="equatorial")
+    ok = witness_search(TargetTransform("hadamard10"), n_samples=128, seed=42, family="equatorial")
     assert ok.violation < 1e-10
-    bad = witness_search(target_hadamard9(), n_samples=128, seed=42, family="equatorial")
+    bad = witness_search(TargetTransform("hadamard9"), n_samples=128, seed=42, family="equatorial")
     assert bad.violation > 0.5
 
 
 def test_witness_search_unequal_and_cnot():
-    r = witness_search(target_unequal(0.6, 0.8), n_samples=128, seed=42, family="polar")
+    r = witness_search(TargetTransform("unequal", 0.6, 0.8), n_samples=128, seed=42, family="polar")
     assert r.violation < 1e-10
-    c = witness_search(target_cnot(), n_samples=128, seed=42, family="bloch")
+    c = witness_search(TargetTransform("cnot"), n_samples=128, seed=42, family="bloch")
     assert c.violation > 0.3
     with pytest.raises(ValueError):
-        witness_search(target_hadamard9(), n_samples=1)
+        witness_search(TargetTransform("hadamard9"), n_samples=1)
     with pytest.raises(ValueError):
-        witness_search(target_clone(), n_samples=16)
+        witness_search(TargetTransform("clone"), n_samples=16)
     with pytest.raises(ValueError):
-        witness_search(target_hadamard9(), n_samples=16, family="spiral")
+        witness_search(TargetTransform("hadamard9"), n_samples=16, family="spiral")
 
 
 def test_survey_random_unitaries_finds_no_universal_gate():
-    res = survey_random_unitaries(target_hadamard9(), state_family("bloch", 50, 7),
+    res = survey_random_unitaries(TargetTransform("hadamard9"), state_family("bloch", 50, 7),
                                   n_candidates=200, seed=11)
     assert res.n_candidates == 200 and res.tolerance == 1e-3
     assert res.n_pass == 0
     assert res.min_worst_violation > 0.01
-    again = survey_random_unitaries(target_hadamard9(), state_family("bloch", 50, 7),
+    again = survey_random_unitaries(TargetTransform("hadamard9"), state_family("bloch", 50, 7),
                                     n_candidates=200, seed=11)
     assert again.min_worst_violation == res.min_worst_violation
     with pytest.raises(ValueError):
-        survey_random_unitaries(target_hadamard9(), state_family("bloch", 8, 42), n_candidates=0)
+        survey_random_unitaries(TargetTransform("hadamard9"), state_family("bloch", 8, 42),
+                                n_candidates=0)

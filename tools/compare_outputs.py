@@ -21,7 +21,8 @@ read the same in both.  The commands are
     also meet families of 10^4 or 65 536 states,
 
 each at seeds 0 and 42, then a few usage errors (an unrecognized option, an
-invalid --format choice, a missing --target), and dsl-check on each of a fixed
+invalid --format choice, a missing --target, weights for a target that takes
+none), and dsl-check on each of a fixed
 list of small units, one per diagnostic, written once to a temporary directory
 that both trees read; two commands run at a time.  A command whose exit
 code, stdout or stderr differs between the trees is printed with the
@@ -55,11 +56,13 @@ STATE_BLOCK = 1024   # qnogo.verifier._STATE_BLOCK, the rows per block of the pe
 # others exits 3
 GATE_TARGETS = TARGETS[:2] + (("unequal", "--a", "0.6", "--b", "0.8"),) + TARGETS[2:]
 _RULES = "on |0> -> |0>|0>;\non |1> -> |1>|1>;\n"
-# command lines that argparse refuses, each with exit 1, a usage line and one error line
+# command lines refused with exit 1, a usage line and one error line: by argparse, and weights
+# for a target that takes none
 USAGE_ERRORS = (
     ("witness", "--target", "hadamard9", "--tolerance", "1e-9"),   # witness decides no verdict
     ("circle-check", "--format", "csv"),   # a choice of fidelity-sweep alone
     ("gate-verify", "--gate", "H"),
+    ("gate-verify", "--gate", "H", "--target", "hadamard9", "--a", "0.6", "--b", "0.8"),
 )
 # One unit per lexer diagnostic, parser recovery path and compile diagnostic, each reported
 # on stderr
