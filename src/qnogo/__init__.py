@@ -14,16 +14,15 @@ import importlib
 
 _EXPORTS = {
     "algebra": (
-        "ATOL_STATE", "ATOL_VERDICT", "SUPPORTED_DIMS", "AntiUnitaryMap", "GeneralKMap",
-        "apply", "complement_map", "conjugation", "haar_unitaries", "inner_product",
-        "is_unitary", "operator", "state_vector", "tensor",
+        "ATOL_STATE", "ATOL_VERDICT", "SUPPORTED_DIMS", "apply", "haar_unitaries",
+        "inner_product", "is_unitary", "operator", "state_vector", "tensor",
     ),
     "dsl": (
         "CheckOptions", "CompiledMachine", "Diagnostic", "UnitReport", "check_source",
         "compile_unit", "parse", "tokenize",
     ),
     "fidelity": (
-        "FidelitySweepRecord", "IsometryParam", "OptimizerConfig", "QuadratureGrid",
+        "FidelitySweepRecord", "OptimizerConfig", "QuadratureGrid",
         "optimize_fidelity", "records_to_csv", "sweep_lambda", "uniform_grid",
     ),
     "gates": (

@@ -8,7 +8,7 @@ factor is the most significant index, matching numpy.kron.
 Two tolerance regimes are used throughout the package: ATOL_STATE for
 algebraic self-checks (normalization, hermiticity, orthogonality of
 constructed data) and the looser ATOL_VERDICT for yes/no decisions about
-measured quantities.  is_unitary takes either per call.
+measured quantities, such as is_unitary.
 """
 
 from __future__ import annotations
@@ -116,75 +116,13 @@ def apply(op, v) -> np.ndarray:
     return np.matmul(op, v[..., np.newaxis])[..., 0]
 
 
-def is_unitary(op, atol: float = ATOL_VERDICT) -> bool:
-    """True when op† op = I within atol (max-entry norm)."""
+def is_unitary(op) -> bool:
+    """True when op† op = I within ATOL_VERDICT (max-entry norm)."""
     op = np.asarray(op, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         return False
     gram = op.conj().T @ op
-    return bool(np.max(np.abs(gram - np.eye(op.shape[0]))) <= atol)
-
-
-class AntiUnitaryMap:
-    """Antiunitary action v -> U conj(v) for a fixed unitary part U."""
-
-    def __init__(self, unitary_part) -> None:
-        u = operator(unitary_part)
-        if not is_unitary(u, ATOL_STATE):
-            raise ValueError("the unitary part of an antiunitary map must be unitary")
-        self.unitary_part = u
-
-    @property
-    def dim(self) -> int:
-        return self.unitary_part.shape[0]
-
-    def __call__(self, v) -> np.ndarray:
-        return apply(self.unitary_part, np.conj(v))
-
-    def __repr__(self) -> str:
-        return f"AntiUnitaryMap(dim={self.dim})"
-
-
-def conjugation() -> AntiUnitaryMap:
-    """Plain componentwise conjugation of a qubit in the computational basis."""
-    return AntiUnitaryMap(np.eye(2))
-
-
-def complement_map() -> AntiUnitaryMap:
-    """The antiunitary sending alpha|0>+beta|1> to conj(alpha)|1>-conj(beta)|0>."""
-    return AntiUnitaryMap(np.array([[0.0, -1.0], [1.0, 0.0]]))
-
-
-class GeneralKMap:
-    """Weighted mix of a unitary and an antiunitary action on one qubit.
-
-    K v = sqrt(lam) U v + sqrt(1-lam) A v with lam in [0, 1]: U is the
-    identity, applied as a matrix so that U v keeps a product's bits, and
-    A the complement flip unless given.  The endpoints collapse exactly
-    to the pure unitary (lam=1) or pure antiunitary (lam=0) action.
-    """
-
-    def __init__(self, lam: float, antiunitary: AntiUnitaryMap | None = None) -> None:
-        lam = float(lam)
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-        self.lam = lam
-        self.unitary = np.eye(2, dtype=complex)
-        self.antiunitary = antiunitary if antiunitary is not None else complement_map()
-        if self.antiunitary.dim != self.unitary.shape[0]:
-            raise ValueError("unitary and antiunitary parts act on different dimensions")
-
-    def __call__(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=complex)
-        out = np.zeros_like(v)
-        if self.lam > 0.0:
-            out = out + np.sqrt(self.lam) * apply(self.unitary, v)
-        if self.lam < 1.0:
-            out = out + np.sqrt(1.0 - self.lam) * self.antiunitary(v)
-        return out
-
-    def __repr__(self) -> str:
-        return f"GeneralKMap(lam={self.lam!r})"
+    return bool(np.max(np.abs(gram - np.eye(op.shape[0]))) <= ATOL_VERDICT)
 
 
 def haar_unitaries(n: int, dim: int = 2, seed: int | None = None,

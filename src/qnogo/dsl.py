@@ -337,16 +337,21 @@ class _Parser:
         return self.parse_sign() * self.parse_scalar_body()
 
     def parse_scalar_body(self) -> complex:
+        """A number, or a signed scalar in parentheses, read in a loop rather than by
+        recursion, so that no depth of parentheses exhausts the stack."""
+        signs = []   # the sign inside each open parenthesis, outermost first
+        while self.peek().kind == "LPAREN":
+            self.advance()
+            signs.append(self.parse_sign())
         tok = self.peek()
-        if tok.kind in ("NUM", "CPLX"):
-            self.advance()
-            return _number(tok.value)
-        if tok.kind == "LPAREN":
-            self.advance()
-            value = self.parse_scalar()
+        if tok.kind not in ("NUM", "CPLX"):
+            raise _ParseError(tok, f"expected a number, found {tok.value!r}")
+        self.advance()
+        value = _number(tok.value)
+        for sign in reversed(signs):
+            value = sign * value
             self.expect("RPAREN", "')'")
-            return value
-        raise _ParseError(tok, f"expected a number, found {tok.value!r}")
+        return value
 
     def parse_call(self, clause: str, at) -> Call:
         """A name that clause takes and its arguments, as a Call at the position of at."""
@@ -466,8 +471,17 @@ class CompiledMachine:
     candidate: np.ndarray | None = None
 
 
-def _eval_terms(terms: tuple[Term, ...]) -> np.ndarray:
+def _eval_terms(terms: tuple[Term, ...], where: tuple[int, int]) -> np.ndarray:
+    """The output vector of a rule's terms, at where; the qubits of each term are counted
+    from its kets before any vector is built, so a wide term costs no memory."""
     import numpy as np
+    qubits = [sum(map(len, term.kets)) for term in terms]
+    for term, count in zip(terms, qubits):
+        if count != qubits[0]:
+            raise _CompileError("terms have mismatched register counts",
+                                term.line, term.column)
+    if qubits[0] not in (2, 3):
+        raise _CompileError("machine outputs need two or three registers", *where)
     total = None
     for term in terms:
         vec = np.ones(1, dtype=complex) * term.coefficient
@@ -476,9 +490,6 @@ def _eval_terms(terms: tuple[Term, ...]) -> np.ndarray:
                 vec = np.kron(vec, _KET_AMPLITUDES[ch])
         if total is None:
             total = vec
-        elif vec.size != total.size:
-            raise _CompileError("terms have mismatched register counts",
-                                term.line, term.column)
         else:
             with np.errstate(over="ignore"):   # an overflowing sum fails _normalized
                 total = total + vec
@@ -524,12 +535,9 @@ def _compile_machine_spec(m: MachineNode, diags: list[Diagnostic],
         rule = by_basis[basis]
         where = (rule.line, rule.column)
         try:
-            vec = _eval_terms(rule.terms)
+            vec = _eval_terms(rule.terms, where)
         except KeyError as exc:
             raise _CompileError(f"unknown ket label {exc.args[0]!r}", *where)
-        if vec.size not in (4, 8):
-            raise _CompileError(
-                "machine outputs need two or three registers", *where)
         outs[basis] = _normalized(vec, where, diags, origin)
     if outs["0"].size != outs["1"].size:
         rule = by_basis["1"]

@@ -91,25 +91,6 @@ def uniform_grid(n_min: int = 200) -> QuadratureGrid:
     return QuadratureGrid(_bloch_rows(theta, phi), np.repeat(v[0] ** 2 / k, k))
 
 
-@record(eq=False)
-class IsometryParam:
-    """A (4*ancilla_dim) x 2 isometry from the input qubit to the output registers."""
-
-    matrix: np.ndarray
-    ancilla_dim: int
-
-    def __post_init__(self):
-        if not 1 <= self.ancilla_dim <= 4:
-            raise ValueError("ancilla dimension must lie in [1, 4]")
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4 * self.ancilla_dim, 2):
-            raise ValueError(f"expected shape {(4 * self.ancilla_dim, 2)}, got {m.shape}")
-        gram = m.conj().T @ m
-        if np.max(np.abs(gram - np.eye(2))) > 1e-9:
-            raise ValueError("columns are not orthonormal: not an isometry")
-        object.__setattr__(self, "matrix", m)
-
-
 def _targets(states: np.ndarray, lam: float) -> np.ndarray:
     """sqrt(lam) psi + sqrt(1-lam) psi-bar per row: unit, since <psi|psi-bar> is exactly 0."""
     return np.sqrt(lam) * states + np.sqrt(1.0 - lam) * _complements(states)
@@ -185,10 +166,11 @@ class FidelitySweepRecord:
 
 @record(eq=False)
 class OptimizationResult:
-    """Best isometry found and its sweep record."""
+    """Best isometry found, a (4 * ancilla_dim, 2) array from the input qubit to the output
+    registers, and its sweep record."""
 
     record: FidelitySweepRecord
-    isometry: IsometryParam
+    isometry: np.ndarray
 
 
 _STOP_GAP = 1e-10        # a start stops once its certificate closes this far
@@ -274,7 +256,7 @@ def optimize_fidelity(lam: float, grid: QuadratureGrid,
     f_opt = min(best_f, 1.0)
     f_upper = max(f_upper, f_opt)   # rounding may put the bound 1 ulp below
     rank = int(np.sum(np.linalg.eigvalsh(best_w.conj().T @ best_w) > _RANK_FLOOR))
-    iso = IsometryParam(best_w.reshape(2, 2, 2, a).transpose(1, 2, 3, 0).reshape(4 * a, 2), a)
+    iso = best_w.reshape(2, 2, 2, a).transpose(1, 2, 3, 0).reshape(4 * a, 2)
     record = FidelitySweepRecord(lam=float(lam), f_opt=f_opt, mode=cfg.mode, ancilla_dim=a,
                                  converged=f_upper - f_opt <= _CONVERGED_GAP, iterations=steps,
                                  seed=cfg.seed, f_upper=f_upper, gap=f_upper - f_opt,

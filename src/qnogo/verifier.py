@@ -26,10 +26,8 @@ from ._record import record
 from ._shared import REGISTRY
 from .algebra import (
     ATOL_VERDICT,
-    GeneralKMap,
     abs_squared,
     apply,
-    conjugation,
     haar_unitaries,
     inner_product,
     kron_rows,
@@ -45,6 +43,10 @@ from .states import Qubit, StateSet, complement, state_family
 _SCALAR = np.ones(1, dtype=complex)
 _BASIS = np.eye(2, dtype=complex)
 _BASIS.setflags(write=False)
+# F of the complement flip v -> F conj(v), which sends alpha|0> + beta|1> to
+# conj(alpha)|1> - conj(beta)|0>
+_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+_FLIP.setflags(write=False)
 
 _SCREEN_MARGIN = 1e-12   # over twice the screen's error: 1e-14 rounding, 5e-14 from _reduced
 # The witness screen's states per cell, and the rounding slack of a cell's bound over its
@@ -74,6 +76,26 @@ def _ancilla(value) -> np.ndarray:
     return state_vector(value)
 
 
+def _checked_lam(lam) -> float:
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
+    return lam
+
+
+def _k(lam: float, flip: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """K v = sqrt(lam) v + sqrt(1 - lam) F conj(v), for a vector or each row of a stack: the
+    identity and the antiunitary v -> F conj(v) mixed with weight lam, a branch of weight 0
+    left out.  F is the complement flip, whose F conj(v) is orthogonal to v, or, at lam 0
+    only, the identity; either way |K v| = |v|."""
+    out = np.zeros_like(v)
+    if lam > 0.0:
+        out = out + np.sqrt(lam) * v
+    if lam < 1.0:
+        out = out + np.sqrt(1.0 - lam) * apply(flip, np.conj(v))
+    return out
+
+
 @record(eq=False)
 class MachineSpec:
     """A candidate machine, defined by its outputs on basis inputs.
@@ -84,14 +106,15 @@ class MachineSpec:
     isometry maps orthogonal inputs to orthogonal outputs.
 
     The hybrid extension needs more than the two outputs: it is built
-    from the unitary and antiunitary parts stored in kmap and from the
-    per-branch ancilla states, so hybrid machines must carry a kmap.
+    from the weight lam of K's identity part, K v = sqrt(lam) v +
+    sqrt(1 - lam) F conj(v) with F the complement flip, and from the
+    per-branch ancilla states, so a hybrid machine, and only it, takes lam.
     """
 
     out0: np.ndarray
     out1: np.ndarray
     extension: str = "linear"
-    kmap: GeneralKMap | None = None
+    lam: float | None = None
     ancilla0: np.ndarray | None = None
     ancilla1: np.ndarray | None = None
 
@@ -109,8 +132,11 @@ class MachineSpec:
         if self.extension not in REGISTRY["extend"]:
             raise ValueError(f"unknown extension {self.extension!r}; "
                              f"expected one of {tuple(REGISTRY['extend'])}")
-        if self.extension == "hybrid" and self.kmap is None:
-            raise ValueError("hybrid machines need a kmap with the unitary and antiunitary parts")
+        if (self.extension == "hybrid") != (self.lam is not None):
+            raise ValueError("a hybrid machine needs lam, the weight of K's identity part, "
+                             "and no other machine takes it")
+        if self.lam is not None:
+            object.__setattr__(self, "lam", _checked_lam(self.lam))
 
     @property
     def ancilla_dim(self) -> int:
@@ -150,11 +176,12 @@ def hybrid_machine(lam: float, ancilla0=None, ancilla1=None) -> MachineSpec:
     act orthogonally on each basis state, so the basis outputs stay
     normalized.
     """
-    kmap = GeneralKMap(lam)
+    lam = _checked_lam(lam)
     a0, a1 = _ancilla(ancilla0), _ancilla(ancilla1)
     e0, e1 = _BASIS
-    return MachineSpec(out0=tensor(e0, kmap(e0), a0), out1=tensor(e1, kmap(e1), a1),
-                       extension="hybrid", kmap=kmap, ancilla0=a0, ancilla1=a1)
+    return MachineSpec(out0=tensor(e0, _k(lam, _FLIP, e0), a0),
+                       out1=tensor(e1, _k(lam, _FLIP, e1), a1),
+                       extension="hybrid", lam=lam, ancilla0=a0, ancilla1=a1)
 
 
 def _output_map(m: MachineSpec):
@@ -164,13 +191,13 @@ def _output_map(m: MachineSpec):
         return lambda s: s[:, :1] * m.out0 + s[:, 1:] * m.out1
     if m.extension == "antilinear":
         return lambda s: np.conj(s[:, :1]) * m.out0 + np.conj(s[:, 1:]) * m.out1
-    cu, ca = np.sqrt(m.kmap.lam), np.sqrt(1.0 - m.kmap.lam)
+    cu, ca = np.sqrt(m.lam), np.sqrt(1.0 - m.lam)
     terms = []   # (basis index, weight, conjugated amplitude, branch vector), in summation order
     for i, e, anc in ((0, _BASIS[0], m.ancilla0), (1, _BASIS[1], m.ancilla1)):
         if cu > 0.0:
-            terms.append((i, cu, False, tensor(e, m.kmap.unitary @ e, anc)))
+            terms.append((i, cu, False, tensor(e, _k(1.0, _FLIP, e), anc)))
         if ca > 0.0:
-            terms.append((i, ca, True, tensor(e, m.kmap.antiunitary(e), anc)))
+            terms.append((i, ca, True, tensor(e, _k(0.0, _FLIP, e), anc)))
 
     def outputs(s: np.ndarray) -> np.ndarray:
         out = np.zeros((len(s), m.out0.size), dtype=complex)
@@ -186,8 +213,8 @@ def machine_output(m: MachineSpec, q: Qubit) -> np.ndarray:
 
     linear gives alpha*out0 + beta*out1, antilinear conj(alpha)*out0 +
     conj(beta)*out1.  hybrid adds, for each basis branch i,
-    sqrt(lam)*amp_i |i> (x) U|i> (x) |Q_i> and
-    sqrt(1-lam)*conj(amp_i) |i> (x) A|i> (x) |Q_i>.
+    sqrt(lam)*amp_i |i> (x) |i> (x) |Q_i> and
+    sqrt(1-lam)*conj(amp_i) |i> (x) F|i> (x) |Q_i>, F the complement flip.
     """
     return _output_map(m)(q.vector[np.newaxis])[0]
 
@@ -207,11 +234,11 @@ class TargetTransform:
     kind names a target of _shared.REGISTRY, which lists the arguments it
     takes: unequal the weights a and b, hybrid the weight lam (lambda in
     the DSL).  A machine target (side 0) demands the two-register output
-    |psi> (x) K|psi>; its K map, built here as kmap, is the identity
-    (clone), the complement flip (complement), complex conjugation
-    (conjugate) or GeneralKMap(lam) (hybrid).  A gate target has kmap None
-    and per-state rules over (state, partner) pairs that a candidate gate
-    of its side must meet:
+    |psi> (x) K|psi>, K v = sqrt(lam) v + sqrt(1 - lam) F conj(v), where
+    the kind fixes (lam, F): clone (1, -), complement (0, the complement
+    flip), conjugate (0, the identity) and hybrid (lam, the flip).  A gate
+    target has per-state rules over (state, partner) pairs that a
+    candidate gate of its side must meet:
 
         hadamard9   psi -> (psi + partner)/sqrt2, partner -> (psi - partner)/sqrt2
         hadamard10  psi -> (psi + i partner)/sqrt2, partner -> (i psi + partner)/sqrt2
@@ -236,11 +263,8 @@ class TargetTransform:
             a, b = _unit_weights(self.a, self.b)
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
-        kmap = None
-        if not self.side:
-            lam = {"clone": 1.0, "hybrid": self.lam}.get(self.kind, 0.0)
-            kmap = GeneralKMap(lam, conjugation() if self.kind == "conjugate" else None)
-        object.__setattr__(self, "kmap", kmap)
+        if self.lam is not None:
+            object.__setattr__(self, "lam", _checked_lam(self.lam))
 
     @property
     def side(self) -> int:
@@ -272,13 +296,17 @@ def _rules(t: TargetTransform, s: np.ndarray, p: np.ndarray):
         raise ValueError(f"target kind {kind!r} has no per-state rules")
 
 
+def _target_k(t: TargetTransform):
+    """The K map of a machine target, as a function of a vector or of each row of a stack."""
+    lam = {"clone": 1.0, "hybrid": t.lam}.get(t.kind, 0.0)
+    flip = _BASIS if t.kind == "conjugate" else _FLIP
+    return lambda v: _k(lam, flip, v)
+
+
 def _system_ideals(t: TargetTransform, s: np.ndarray) -> np.ndarray:
     """|psi> (x) K|psi> normalized, for each row psi of s."""
-    second = t.kmap(s)
-    norm = row_norms(second)
-    if np.any(norm < 1e-12):
-        raise ValueError("ideal output vanishes: the unitary and antiunitary branches cancel")
-    return kron_rows(s, second / norm[:, np.newaxis])
+    second = _target_k(t)(s)
+    return kron_rows(s, second / row_norms(second)[:, np.newaxis])
 
 
 def machine_deviations(m: MachineSpec, t: TargetTransform, states: StateSet,
@@ -317,7 +345,7 @@ def _worst_deviation(m: MachineSpec, t: TargetTransform, states) -> tuple[float,
     """The largest "fixed" machine_deviations value, with its bits, and its first index; the
     exact kernel runs only on the states _screened_max keeps."""
     s, outputs, anc = _deviation_inputs(m, t, states, "fixed")
-    maps = _semilinear(outputs), _semilinear(t.kmap)
+    maps = _semilinear(outputs), _semilinear(_target_k(t))
     return _screened_max(len(s), lambda lo, hi: _deviation_estimate(maps, s[lo:hi], anc),
                          lambda rows: _deviations(outputs, t, s[rows], anc))
 
@@ -333,10 +361,7 @@ def _deviations(outputs, t: TargetTransform, s: np.ndarray, anc) -> np.ndarray:
     """machine_deviations of the rows of s, the machine's outputs on them given by outputs,
     in "best" mode when anc is None."""
     actual = outputs(s)
-    norm = row_norms(actual)
-    if np.any(norm < 1e-12):
-        raise ValueError("machine output vanishes for this state")
-    actual = actual / norm[:, np.newaxis]
+    actual = actual / row_norms(actual)[:, np.newaxis]
     sys_ideal = _system_ideals(t, s)
     d = actual.shape[1] // 4
     if anc is None:

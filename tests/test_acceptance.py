@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from qnogo.fidelity import (
-    IsometryParam,
     OptimizerConfig,
     sweep_lambda,
     uniform_grid,
@@ -210,7 +209,7 @@ def test_06_unequal_weight_discrepancy_closed_form():
           f"gap {worst_gap:.2e} <1e-12, (0.6, 0.8i) on 300 polar draws {got!r}")
 
 
-def symmetric_two_output_isometry(mu: float) -> IsometryParam:
+def symmetric_two_output_isometry(mu: float) -> np.ndarray:
     """One-parameter family: weight mu between exact basis copy and the
     symmetric spill (|01>+|10>)/sqrt(2), with an orthogonal ancilla tag."""
     e = np.eye(4)
@@ -219,13 +218,13 @@ def symmetric_two_output_isometry(mu: float) -> IsometryParam:
     sym = (e[1] + e[2]) / np.sqrt(2.0)
     c0 = np.cos(mu) * np.kron(e[0], a0) + np.sin(mu) * np.kron(sym, a1)
     c1 = np.cos(mu) * np.kron(e[3], a1) + np.sin(mu) * np.kron(sym, a0)
-    return IsometryParam(np.stack([c0, c1], axis=1).astype(complex), 2)
+    return np.stack([c0, c1], axis=1).astype(complex)
 
 
-def clone_fidelity(iso: IsometryParam, states: np.ndarray, weights: np.ndarray) -> float:
+def clone_fidelity(iso: np.ndarray, states: np.ndarray, weights: np.ndarray) -> float:
     # the mean over the two output registers of <psi|rho_k|psi>, rho_k the
     # register's reduced state for input psi, averaged with the grid weights
-    out = (states @ iso.matrix.T).reshape(len(states), 2, 2, iso.ancilla_dim)
+    out = (states @ iso.T).reshape(len(states), 2, 2, -1)
     f1 = np.linalg.norm(np.einsum("ni,nijk->njk", states.conj(), out), axis=(1, 2)) ** 2
     f2 = np.linalg.norm(np.einsum("nj,nijk->nik", states.conj(), out), axis=(1, 2)) ** 2
     return float(weights @ (0.5 * (f1 + f2)))

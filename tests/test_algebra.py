@@ -4,11 +4,7 @@ import pytest
 from qnogo.algebra import (
     ATOL_STATE,
     SUPPORTED_DIMS,
-    AntiUnitaryMap,
-    GeneralKMap,
     apply,
-    complement_map,
-    conjugation,
     haar_unitaries,
     inner_product,
     is_unitary,
@@ -67,43 +63,6 @@ def test_is_unitary():
     h = operator([[RT2, RT2], [RT2, -RT2]])
     assert is_unitary(h)
     assert not is_unitary([[1, 1], [0, 1]])
-
-
-def test_conjugation_is_antilinear():
-    k = conjugation()
-    v = state_vector([RT2, RT2 * 1j])
-    assert np.allclose(k(v), v.conj())
-    # K(c v) = c* K(v)
-    c = 0.3 + 0.4j
-    assert np.allclose(k(c * v), np.conj(c) * k(v))
-
-
-def test_complement_map_orthogonality():
-    cm = complement_map()
-    v = state_vector([0.6, 0.8j])
-    w = cm(v)
-    assert inner_product(v, w) == pytest.approx(0.0, abs=1e-12)
-    assert np.linalg.norm(w) == pytest.approx(1.0)
-
-
-def test_antiunitary_composition_preserves_norm():
-    u = haar_unitaries(1, seed=5)[0]
-    m = AntiUnitaryMap(u)
-    v = state_vector([0.28, np.sqrt(1 - 0.28**2) * np.exp(1.1j)])
-    assert np.linalg.norm(m(v)) == pytest.approx(1.0)
-    # overlaps conjugate under an antiunitary map
-    w = state_vector([RT2, -RT2])
-    assert inner_product(m(v), m(w)) == pytest.approx(np.conj(inner_product(v, w)))
-
-
-def test_general_kmap_mixes_linear_and_antilinear():
-    g = GeneralKMap(lam=1.0)
-    v = state_vector([0.6, 0.8j])
-    assert np.allclose(g(v), v)  # lam=1 is the identity branch by default
-    g0 = GeneralKMap(lam=0.0)
-    assert np.linalg.norm(g0(v)) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        GeneralKMap(lam=1.5)
 
 
 def test_haar_unitaries_are_unitary_and_seeded():

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -433,6 +436,90 @@ def test_three_register_machine_against_a_machine_target_exits_3(tmp_path, capsy
     assert captured.out == ""
     assert captured.err == (f"{path}:4:1: error: target 'complement' needs two-register "
                             "outputs, or three with extend hybrid(...)\n")
+
+
+def nested(depth, closing=None):
+    """A rule unit whose |0> coefficient, 0.6, sits in depth parentheses with a sign inside
+    each (minus, none and plus in turn), closed closing times."""
+    signs = itertools.islice(itertools.cycle(["-", "", "+"]), depth)
+    opened = "".join("(" + sign for sign in signs)
+    shut = ")" * (depth if closing is None else closing)
+    return (f"on |0> -> {opened}0.6{shut}|0>|0> + 0.8|1>|0>;\n"
+            "on |1> -> 0.8|0>|1> - 0.6|1>|1>;\nextend linear;\nrequire basis;\n")
+
+
+def twin(depth):
+    """nested(depth) with the coefficient in one pair of parentheses, its net sign inside."""
+    minus = sum(i % 3 == 0 for i in range(depth)) % 2
+    return nested(0).replace("0.6", "(-0.6)" if minus else "(0.6)", 1)
+
+
+@pytest.mark.parametrize("depth", [5000, 5002])
+def test_deep_parentheses_parse_to_the_value_of_one_pair(depth):
+    # 1667 minus signs at depth 5000, 1668 at 5002
+    deep_ast, deep_diags = parse_text(nested(depth))
+    twin_ast, twin_diags = parse_text(twin(depth))
+    assert twin(depth).startswith("on |0> -> (-0.6)|0>|0>" if depth == 5000
+                                  else "on |0> -> (0.6)|0>|0>")
+    assert deep_diags == twin_diags == []
+    assert deep_ast == twin_ast
+    assert deep_ast.machines[0].rules[0].terms[0].coefficient == (-0.6 if depth == 5000 else 0.6)
+    assert check_source(nested(depth)).reports == check_source(twin(depth)).reports
+
+
+def test_a_missing_parenthesis_at_depth_5000_is_one_diagnostic():
+    text = nested(5000, closing=4999)
+    _, diags = parse_text(text)
+    column = text.index("|0>|0>") + 1
+    assert [(d.line, d.column, d.message) for d in errors(diags)] == [
+        (1, column, "expected ')', found '0'"),
+        (1, 1, "machine must declare rules for both |0> and |1>")]
+    # as in one pair of parentheses
+    _, diags = parse_text("on |0> -> (0.6|0>|0>;\non |1> -> |1>|1>;\nextend linear;\n"
+                          "require basis;\n")
+    assert [d.message for d in errors(diags)] == [
+        "expected ')', found '0'", "machine must declare rules for both |0> and |1>"]
+
+
+def test_deep_parentheses_exit_as_their_twin_does(tmp_path, capsys):
+    outputs = []
+    for text in (nested(5000), twin(5000)):
+        path = tmp_path / "nested.qmachine"
+        path.write_text(text)
+        assert main(["dsl-check", str(path), "--format", "json"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+
+def wide_unit(qubits):
+    return (f"on |0> -> {'|0000>' * (qubits // 4)};\non |1> -> |1>|1>;\nextend linear;\n"
+            "require basis;\n")
+
+
+@pytest.mark.parametrize("qubits", [16, 24, 40])
+def test_a_wide_term_is_refused_before_its_vector_is_built(qubits, tmp_path, capsys):
+    path = tmp_path / "wide.qmachine"
+    path.write_text(wide_unit(qubits))
+    assert main(["dsl-check", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"{path}:1:1: error: machine outputs need two or "
+                                       "three registers\n")
+    check_source(wide_unit(qubits))   # the modules it loads, loaded before the trace
+    tracemalloc.start()
+    try:
+        report = check_source(wide_unit(qubits))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [d.message for d in report.diagnostics] == [
+        "machine outputs need two or three registers"]
+    assert peak < 1 << 20
+
+
+def test_a_wide_term_after_a_narrow_one_is_a_register_mismatch():
+    report = check_source("on |0> -> |00> + " + "|0000>" * 10 + ";\non |1> -> |1>|1>;\n"
+                          "extend linear;\nrequire basis;\n")
+    assert [(d.line, d.column, d.message) for d in report.diagnostics] == [
+        (1, 18, "terms have mismatched register counts")]
 
 
 # --- checking ----------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 Units are drawn from the README grammar as token lists: rule machines
 (both basis rules, an extension and a requirement) and candidate
-machines (a gate and a gate target).  Every generated unit parses without
+machines (a gate and a gate target).  Scalars may sit in up to 2000
+nested parentheses and terms may hold up to 40 kets, far more qubits
+than a machine output takes.  Every generated unit parses without
 error.  Mutated units, with tokens
 dropped, swapped or duplicated, or with any character inserted, may be
 malformed in any way, and check_source must still return a report rather
 than raise.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,10 +28,16 @@ KETS = st.text("01+-", min_size=1, max_size=4).map(lambda label: f"|{label}>")
 
 @st.composite
 def scalars(draw):
-    """A scalar as tokens: NUM, CPLX, or either in parentheses, maybe signed."""
-    kind = draw(st.sampled_from(["num", "cplx", "paren"]))
+    """A scalar as tokens: NUM, CPLX, or either in parentheses, maybe signed, or a number in
+    up to 2000 nested parentheses, signed inside each by a repeated pattern."""
+    kind = draw(st.sampled_from(["num", "cplx", "paren", "deep"]))
     if kind == "num":
         return [draw(NUMBERS)]
+    if kind == "deep":
+        depth = draw(st.integers(1, 2000))
+        pattern = draw(st.lists(st.sampled_from([[], ["-"], ["+"]]), min_size=1, max_size=3))
+        signs = itertools.islice(itertools.cycle(pattern), depth)
+        return [t for sign in signs for t in ["(", *sign]] + [draw(NUMBERS)] + [")"] * depth
     if kind == "cplx":
         im = draw(NUMBERS)
         re_part = draw(st.none() | NUMBERS)
@@ -48,7 +58,8 @@ def expressions(draw):
             tokens.append("-")
         if draw(st.booleans()):
             tokens += draw(scalars())
-        tokens += draw(st.lists(KETS, min_size=1, max_size=3))
+        tokens += draw(st.lists(KETS, min_size=1, max_size=3)
+                       | st.lists(KETS, min_size=1, max_size=40))
     return tokens
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qnogo.fidelity import (
     CSV_HEADER,
     FidelitySweepRecord,
-    IsometryParam,
     OptimizerConfig,
     QuadratureGrid,
     _bounds,
@@ -29,20 +28,20 @@ def bloch_xyz(q: Qubit) -> np.ndarray:
                      abs(a) ** 2 - abs(b) ** 2])
 
 
-def basis_cloner(ancilla_dim: int = 1) -> IsometryParam:
-    """|0> -> |00>, |1> -> |11| as an isometry column matrix."""
-    d = 4 * ancilla_dim
-    m = np.zeros((d, 2), dtype=complex)
+def basis_cloner() -> np.ndarray:
+    """|0> -> |00>, |1> -> |11| as a (4, 2) isometry, with no ancilla."""
+    m = np.zeros((4, 2), dtype=complex)
     m[0, 0] = 1.0
-    m[3 * ancilla_dim, 1] = 1.0
-    return IsometryParam(matrix=m, ancilla_dim=ancilla_dim)
+    m[3, 1] = 1.0
+    return m
 
 
-def per_state_fidelity(iso: IsometryParam, lam: float, grid: QuadratureGrid, mode: str) -> float:
-    """The definition, one node at a time: the reference for the 8x8 tr(J Omega) form."""
+def per_state_fidelity(iso: np.ndarray, lam: float, grid: QuadratureGrid, mode: str) -> float:
+    """The definition, one node at a time, for a (4 * ancilla_dim, 2) isometry: the reference
+    for the 8x8 tr(J Omega) form."""
     total = 0.0
     for psi, t, w in zip(grid.states, _targets(grid.states, lam), grid.weights):
-        out = (iso.matrix @ psi).reshape(2, 2, iso.ancilla_dim)   # registers 1, 2, ancilla
+        out = (iso @ psi).reshape(2, 2, -1)   # registers 1, 2, ancilla
         if mode == "joint":
             f = np.linalg.norm(np.einsum("i,j,ijk->k", psi.conj(), t.conj(), out)) ** 2
         else:
@@ -52,16 +51,16 @@ def per_state_fidelity(iso: IsometryParam, lam: float, grid: QuadratureGrid, mod
     return total
 
 
-def choi_fidelity(iso: IsometryParam, lam: float, grid: QuadratureGrid, mode: str) -> float:
+def choi_fidelity(iso: np.ndarray, lam: float, grid: QuadratureGrid, mode: str) -> float:
     """tr(J Omega), the objective optimize_fidelity maximizes, for the isometry's J."""
     # Kraus vectors W[(m, i, j), k] = V[(i, j, k), m], so that J = W W^dagger
-    w = iso.matrix.reshape(2, 2, iso.ancilla_dim, 2).transpose(3, 0, 1, 2).reshape(8, -1)
+    w = iso.reshape(2, 2, -1, 2).transpose(3, 0, 1, 2).reshape(8, -1)
     return _bounds(_omega(grid, lam, mode), w)[0]
 
 
-def random_isometry(rng, ancilla_dim: int) -> IsometryParam:
+def random_isometry(rng, ancilla_dim: int) -> np.ndarray:
     z = rng.standard_normal((4 * ancilla_dim, 2)) + 1j * rng.standard_normal((4 * ancilla_dim, 2))
-    return IsometryParam(matrix=np.linalg.qr(z)[0], ancilla_dim=ancilla_dim)
+    return np.linalg.qr(z)[0]
 
 
 def test_quadrature_grid_validation():
@@ -150,16 +149,6 @@ def test_uniform_grid_is_built_once_and_shared_read_only():
     assert uniform_grid(250) is g
     assert not g.states.flags.writeable
     assert not g.weights.flags.writeable
-
-
-def test_isometry_param_validation():
-    basis_cloner()  # valid
-    with pytest.raises(ValueError):
-        IsometryParam(matrix=np.ones((4, 2), dtype=complex), ancilla_dim=1)
-    with pytest.raises(ValueError):
-        IsometryParam(matrix=np.eye(4, 2, dtype=complex), ancilla_dim=3)
-    with pytest.raises(ValueError):
-        IsometryParam(matrix=np.eye(4, 2, dtype=complex), ancilla_dim=0)
 
 
 def test_the_basis_cloner_scores_two_thirds():
@@ -362,5 +351,8 @@ def test_the_certificate_brackets_the_optimum(lam, mode, nodes, ancilla_dim, see
     assert rec.gap <= 1e-9 and rec.converged
     assert 1 <= rec.kraus_rank <= ancilla_dim
     assert 1 <= rec.iterations <= cfg.restarts * cfg.max_evals
+    # the isometry is the plain (4 * ancilla_dim, 2) array, its columns orthonormal
+    assert res.isometry.shape == (4 * ancilla_dim, 2)
+    assert np.max(np.abs(res.isometry.conj().T @ res.isometry - np.eye(2))) <= 1e-9
     assert abs(choi_fidelity(res.isometry, lam, grid, mode) - rec.f_opt) <= 1e-12
     assert abs(per_state_fidelity(res.isometry, lam, grid, mode) - rec.f_opt) <= 1e-12

@@ -74,7 +74,6 @@ def test_every_registered_name_parses_in_the_dsl_with_exactly_its_keys(clause, n
 def test_every_target_builds_with_its_side_and_its_rules(name, keys, side):
     t = TargetTransform(name, **{"lam" if k == "lambda" else k: ARGUMENTS[k] for k in keys})
     assert t.kind == name and t.side == side
-    assert (t.kmap is None) == bool(side)
     s = state_family("bloch", 5, 1).state_vectors
     p = state_family("bloch", 5, 2).state_vectors
     if side == 0:

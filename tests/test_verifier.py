@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnogo.algebra import GeneralKMap, tensor
+from qnogo.algebra import tensor
 from qnogo.gates import (
     cnot_computational,
     cnot_in_basis,
@@ -24,6 +24,7 @@ from qnogo.verifier import (
     TargetTransform,
     Verdict,
     _rules,
+    _target_k,
     check_universal_gate,
     cloning_machine,
     complementing_machine,
@@ -67,8 +68,12 @@ def test_machine_spec_rejects_bad_extension():
     m = cloning_machine()
     with pytest.raises(ValueError):
         MachineSpec(out0=m.out0, out1=m.out1, extension="quadratic")
-    with pytest.raises(ValueError, match="kmap"):
+    with pytest.raises(ValueError, match="needs lam"):
         MachineSpec(out0=m.out0, out1=m.out1, extension="hybrid")
+    with pytest.raises(ValueError, match="no other machine takes it"):
+        MachineSpec(out0=m.out0, out1=m.out1, lam=0.5)
+    with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\], got 1.5"):
+        MachineSpec(out0=m.out0, out1=m.out1, extension="hybrid", lam=1.5)
 
 
 def test_cloning_machine_basis_outputs():
@@ -135,14 +140,32 @@ def test_target_validation():
             ("hadamard9", {"a": 0.6}, "target 'hadamard9' takes no argument a"),
             ("unequal", {"a": 0.6}, "target 'unequal' needs argument b"),
             ("clone", {"lam": 0.5}, "target 'clone' takes no argument lambda"),
-            ("clone-like", {}, "unknown target kind 'clone-like'")):
+            ("clone-like", {}, "unknown target kind 'clone-like'"),
+            ("hybrid", {"lam": 1.5}, "lam must lie in [0, 1], got 1.5")):
         with pytest.raises(ValueError) as refused:
             TargetTransform(name, **kwargs)
         assert str(refused.value) == message
+    with pytest.raises(ValueError) as refused:
+        hybrid_machine(-0.5)
+    assert str(refused.value) == "lam must lie in [0, 1], got -0.5"
     with pytest.raises(ValueError, match="check_universal_gate"):
         deviation(cloning_machine(), TargetTransform("hadamard9"), PLUS)
     with pytest.raises(ValueError, match="no per-state rules"):
         next(_rules(TargetTransform("clone"), KET0.vector[np.newaxis], KET1.vector[np.newaxis]))
+
+
+def test_each_target_kind_fixes_its_k_map():
+    # K v = sqrt(lam) v + sqrt(1 - lam) F conj(v); its endpoints are exactly v, the complement
+    # and the conjugate
+    q = Qubit(0.6, 0.8j)
+    for t, want in ((TargetTransform("clone"), q.vector),
+                    (TargetTransform("hybrid", lam=1.0), q.vector),
+                    (TargetTransform("complement"), complement(q).vector),
+                    (TargetTransform("hybrid", lam=0.0), complement(q).vector),
+                    (TargetTransform("conjugate"), q.vector.conj())):
+        assert np.array_equal(_target_k(t)(q.vector), want)
+    half = _target_k(TargetTransform("hybrid", lam=0.5))(q.vector)
+    assert np.allclose(half, RT2 * (q.vector + complement(q).vector))
 
 
 def test_ideal_output_of_clone_target():

@@ -122,6 +122,12 @@ UNITS = {
                    "require universal on polar target unequal(a=0.6, b=0.8i);\n"),
     "bad-unequal-weights": ("candidate UG(a=0.6, b=0.8);\n"
                             "require universal on polar target unequal(a=1, b=1);\n"),
+    # a coefficient in 5000 parentheses, which checks as in one pair, and a 24-qubit term,
+    # refused before its 2^24 amplitudes are built
+    "nested-parentheses": "on |0> -> " + "(-" * 5000 + "1" + ")" * 5000 + "|0>|0>;\n"
+                          "on |1> -> |1>|1>;\nextend linear;\nrequire basis;\n",
+    "wide-term": "on |0> -> " + "|0000>" * 6 + ";\non |1> -> |1>|1>;\nextend linear;\n"
+                 "require basis;\n",
 }
 
 
