@@ -35,8 +35,7 @@ _EXPORTS = {
     ),
     "verifier": (
         "MachineSpec", "SurveyResult", "TargetTransform", "Verdict", "WitnessResult",
-        "check_universal_gate", "cloning_machine", "complementing_machine",
-        "conjugating_machine", "hybrid_machine", "machine_deviations", "machine_output",
+        "check_universal_gate", "hybrid_machine", "machine_deviations",
         "survey_random_unitaries", "target_hadamard9", "witness_search",
     ),
 }

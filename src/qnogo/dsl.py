@@ -210,6 +210,7 @@ class _Parser:
         self.pos = 0
         self.origin = origin
         self.diags: list[Diagnostic] = []
+        self.failed: set[tuple[int, str]] = set()   # (machine index, keyword) of each bad statement
 
     # --- token helpers
 
@@ -280,6 +281,7 @@ class _Parser:
             except _ParseError as exc:
                 self.report(exc.at, str(exc))
                 self.skip_statement()
+                self.failed.add((len(machines), tok.kind))
         if current is not None:
             machines.append(MachineNode(**current))
         ast = Ast(tuple(machines))
@@ -407,7 +409,9 @@ class _Parser:
     def validate(self, ast: Ast):
         if not ast.machines:   # an empty or comment-only unit
             self.diags.append(Diagnostic(ERROR, 1, 1, "unit declares no machine", self.origin))
-        for m in ast.machines:
+        for i, m in enumerate(ast.machines):
+            # a statement that failed to parse is reported; its clause counts as present
+            failed = {kind for at, kind in self.failed if at == i}
             seen = set()
             for rule in m.rules:
                 if rule.basis in seen:
@@ -416,24 +420,26 @@ class _Parser:
             if m.rules and m.candidate is not None:
                 self.report(m.candidate,
                             "machine cannot declare both basis rules and a gate candidate")
+            no_rules = not m.rules and "ON" not in failed
             if m.rules:
-                if len(seen) < 2 and len(m.rules) == len(seen):
+                if len(seen) < 2 and len(m.rules) == len(seen) and "ON" not in failed:
                     self.report(m, "machine must declare rules for both |0> and |1>")
-                if m.extension is None:
+                if m.extension is None and "EXTEND" not in failed:
                     self.report(m, "machine must declare extension")
-            elif m.extension is not None:
+            elif m.extension is not None and no_rules:
                 self.report(m.extension, "extension clause needs basis rules")
             req = m.requirement
             if req is None:
-                self.report(m, "machine must declare a requirement")
-            elif req.kind == "basis" and not m.rules:
+                if "REQUIRE" not in failed:
+                    self.report(m, "machine must declare a requirement")
+            elif req.kind == "basis" and no_rules:
                 self.report(req, "basis requirement needs basis rules")
             elif req.kind == "universal":
                 name = req.target.name
                 side = REGISTRY["target"][name][1]   # 0 for a machine target
-                if not side and not m.rules:
+                if not side and no_rules:
                     self.report(req, f"target {name!r} needs basis rules and an extension")
-                if side and m.candidate is None:
+                if side and m.candidate is None and "CANDIDATE" not in failed:
                     self.report(req, f"target {name!r} needs a candidate clause")
 
 
@@ -549,19 +555,17 @@ def _compile_machine_spec(m: MachineNode, diags: list[Diagnostic],
         if ext.name == "hybrid":
             if not 0.0 <= ext.lam <= 1.0:
                 raise _CompileError("lambda must lie in [0, 1]", *where)
-            anc_dim = outs["0"].size // 4
-            anc = np.zeros(anc_dim, dtype=complex)
-            anc[0] = 1.0
-            spec = hybrid_machine(ext.lam, ancilla0=anc, ancilla1=anc)
-            for basis in ("0", "1"):
-                canonical = spec.out0 if basis == "0" else spec.out1
+            spec = hybrid_machine(ext.lam, outs["0"].size // 4)
+            for basis, canonical in zip("01", spec.linear + spec.antilinear):
                 if np.linalg.norm(outs[basis] - canonical) > _LITERAL_ATOL:
                     rule = by_basis[basis]
                     raise _CompileError(
                         "basis rule does not match the declared hybrid weights",
                         rule.line, rule.column)
             return spec
-        return MachineSpec(out0=outs["0"], out1=outs["1"], extension=ext.name)
+        rows = np.array([outs["0"], outs["1"]])
+        zero = np.zeros_like(rows)
+        return MachineSpec(*((rows, zero) if ext.name == "linear" else (zero, rows)))
     except ValueError as exc:
         raise _CompileError(str(exc), *where) from exc
 
@@ -604,7 +608,7 @@ def _compile_one(m: MachineNode, diags: list[Diagnostic],
         return CompiledMachine(m.name, "basis", machine=spec)
     target = _compile_target(req.target, (req.line, req.column))
     # a linear or antilinear machine declares no ancilla state for the ideal output to carry
-    if spec is not None and spec.ancilla0.size != spec.ancilla_dim:
+    if spec is not None and m.extension.name != "hybrid" and spec.linear.shape[1] != 4:
         raise _CompileError(f"target {req.target.name!r} needs two-register outputs, "
                             "or three with extend hybrid(...)", req.line, req.column)
     listed = None
@@ -672,11 +676,9 @@ def check(c: CompiledMachine, opts: CheckOptions = CheckOptions()
 def _check_basis(c: CompiledMachine, opts: CheckOptions) -> Verdict:
     import numpy as np
     from .states import Qubit, complement
-    from .verifier import Verdict, machine_output
-    worst = 0.0
-    for basis, out in (("0", c.machine.out0), ("1", c.machine.out1)):
-        q = Qubit(*_KET_AMPLITUDES[basis])
-        actual = machine_output(c.machine, q)
+    from .verifier import Verdict, _output_map
+    m, worst = c.machine, 0.0
+    for out, actual in zip(m.linear + m.antilinear, _output_map(m)(np.eye(2, dtype=complex))):
         overlap_sq = abs(np.vdot(out, actual)) ** 2
         worst = max(worst, float(min(max(1.0 - overlap_sq, 0.0), 1.0)))
     ok = worst <= opts.tolerance

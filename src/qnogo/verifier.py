@@ -1,9 +1,10 @@
 """Machine extensions, impossibility audits, and witness search.
 
-A candidate machine is pinned down by what it does to the two basis
-inputs; the extension clause (linear, antilinear, or a weighted hybrid
-of both) then determines its action on every superposition.  Comparing
-that extended action with the ideal target for each input state, or
+A candidate machine is a linear part plus an antilinear part, each
+given by its images of the two basis inputs: extend linear has only the
+first, extend antilinear only the second, and a hybrid weights both.
+Their sum is the machine's action on every superposition.  Comparing
+that action with the ideal target for each input state, or
 comparing required output overlaps with input overlaps, turns the
 impossibility arguments into numbers: a violation of zero means the
 demanded behaviour is consistent, anything above tolerance is a
@@ -37,10 +38,8 @@ from .algebra import (
     state_vector,
     tensor,
 )
-from .states import Qubit, StateSet, complement, state_family
+from .states import Qubit, StateSet, state_family
 
-# trivial one-dimensional ancilla factor
-_SCALAR = np.ones(1, dtype=complex)
 _BASIS = np.eye(2, dtype=complex)
 _BASIS.setflags(write=False)
 # F of the complement flip v -> F conj(v), which sends alpha|0> + beta|1> to
@@ -70,12 +69,6 @@ _SURVEY_TOLERANCE, _SURVEY_BLOCK = 1e-3, 1024   # the Haar survey's pass bound, 
 _CNOT_RULES = [("s", "s", "s", "s"), ("s", "p", "s", "p"), ("p", "s", "p", "p"), ("p", "p", "p", "s")]
 
 
-def _ancilla(value) -> np.ndarray:
-    if value is None:
-        return _SCALAR.copy()
-    return state_vector(value)
-
-
 def _checked_lam(lam) -> float:
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
@@ -98,125 +91,62 @@ def _k(lam: float, flip: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @record(eq=False)
 class MachineSpec:
-    """A candidate machine, defined by its outputs on basis inputs.
+    """A candidate machine: a linear and an antilinear part.
 
-    out0 and out1 are the full register outputs for inputs |0> and |1>
-    (system, transformed copy, ancilla).  They must be normalized and
+    Each part is a read-only (2, 4d) array, d in {1, 2, 4}, whose row i is
+    the part's image of |i> (system, transformed copy, ancilla); the machine
+    sends a|0> + b|1> to a L_0 + b L_1 + conj(a) A_0 + conj(b) A_1.  extend
+    linear is (rows, 0), extend antilinear (0, rows), and hybrid_machine
+    builds the hybrid.  The basis outputs L_i + A_i must be normalized and
     mutually orthogonal: the machine is meant to be isometric, and an
     isometry maps orthogonal inputs to orthogonal outputs.
-
-    The hybrid extension needs more than the two outputs: it is built
-    from the weight lam of K's identity part, K v = sqrt(lam) v +
-    sqrt(1 - lam) F conj(v) with F the complement flip, and from the
-    per-branch ancilla states, so a hybrid machine, and only it, takes lam.
     """
 
-    out0: np.ndarray
-    out1: np.ndarray
-    extension: str = "linear"
-    lam: float | None = None
-    ancilla0: np.ndarray | None = None
-    ancilla1: np.ndarray | None = None
+    linear: np.ndarray
+    antilinear: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "out0", state_vector(self.out0))
-        object.__setattr__(self, "out1", state_vector(self.out1))
-        if self.out0.size != self.out1.size:
-            raise ValueError("basis outputs live in different dimensions")
-        if abs(inner_product(self.out0, self.out1)) > ATOL_VERDICT:
+        parts = [np.array(part, dtype=complex) for part in (self.linear, self.antilinear)]
+        if parts[0].shape != parts[1].shape or parts[0].shape not in ((2, 4), (2, 8), (2, 16)):
+            raise ValueError("machine parts must both have shape (2, 4), (2, 8) or (2, 16), "
+                             f"got {parts[0].shape} and {parts[1].shape}")
+        with np.errstate(all="ignore"):   # a non-finite sum is refused by state_vector
+            out0, out1 = (state_vector(out) for out in parts[0] + parts[1])
+        if abs(inner_product(out0, out1)) > ATOL_VERDICT:
             raise ValueError("basis outputs are not orthogonal; the machine cannot be isometric")
-        object.__setattr__(self, "ancilla0", _ancilla(self.ancilla0))
-        object.__setattr__(self, "ancilla1", _ancilla(self.ancilla1))
-        if self.ancilla0.size != self.ancilla1.size:
-            raise ValueError("branch ancilla states live in different dimensions")
-        if self.extension not in REGISTRY["extend"]:
-            raise ValueError(f"unknown extension {self.extension!r}; "
-                             f"expected one of {tuple(REGISTRY['extend'])}")
-        if (self.extension == "hybrid") != (self.lam is not None):
-            raise ValueError("a hybrid machine needs lam, the weight of K's identity part, "
-                             "and no other machine takes it")
-        if self.lam is not None:
-            object.__setattr__(self, "lam", _checked_lam(self.lam))
-
-    @property
-    def ancilla_dim(self) -> int:
-        return self.out0.size // 4
+        for name, part in zip(("linear", "antilinear"), parts):
+            part.setflags(write=False)
+            object.__setattr__(self, name, part)
 
 
-def cloning_machine(extension: str = "linear", ancilla0=None, ancilla1=None) -> MachineSpec:
-    """Machine copying each basis state: |i> -> |i>|i>, ancilla tags free."""
-    a0, a1 = _ancilla(ancilla0), _ancilla(ancilla1)
-    e0, e1 = _BASIS
-    return MachineSpec(out0=tensor(e0, e0, a0), out1=tensor(e1, e1, a1),
-                       extension=extension, ancilla0=a0, ancilla1=a1)
+def hybrid_machine(lam: float, ancilla_dim: int) -> MachineSpec:
+    """The machine |i> -> |i> (x) K|i> (x) |0...0>, K the hybrid of weight lam.
 
-
-def complementing_machine(extension: str = "antilinear", ancilla0=None, ancilla1=None) -> MachineSpec:
-    """Machine attaching the orthogonal state: |0> -> |0>|1>, |1> -> -|1>|0>."""
-    a0, a1 = _ancilla(ancilla0), _ancilla(ancilla1)
-    e0, e1 = _BASIS
-    f0 = complement(Qubit(1.0, 0.0)).vector
-    f1 = complement(Qubit(0.0, 1.0)).vector
-    return MachineSpec(out0=tensor(e0, f0, a0), out1=tensor(e1, f1, a1),
-                       extension=extension, ancilla0=a0, ancilla1=a1)
-
-
-def conjugating_machine(extension: str = "antilinear", ancilla0=None, ancilla1=None) -> MachineSpec:
-    """Machine attaching the conjugate; on basis states it copies."""
-    a0, a1 = _ancilla(ancilla0), _ancilla(ancilla1)
-    e0, e1 = _BASIS
-    return MachineSpec(out0=tensor(e0, e0.conj(), a0), out1=tensor(e1, e1.conj(), a1),
-                       extension=extension, ancilla0=a0, ancilla1=a1)
-
-
-def hybrid_machine(lam: float, ancilla0=None, ancilla1=None) -> MachineSpec:
-    """Machine whose basis action is |i> -> |i> (x) K|i> (x) |Q_i|.
-
-    K mixes the identity and the complement flip with weight lam; the two
-    act orthogonally on each basis state, so the basis outputs stay
-    normalized.
+    Its linear part is sqrt(lam) times the copy |i> -> |i>|i>, its antilinear
+    part sqrt(1 - lam) times the complement |i> -> |i> F|i>; the two act
+    orthogonally on each basis state, so the basis outputs stay normalized.
     """
     lam = _checked_lam(lam)
-    a0, a1 = _ancilla(ancilla0), _ancilla(ancilla1)
-    e0, e1 = _BASIS
-    return MachineSpec(out0=tensor(e0, _k(lam, _FLIP, e0), a0),
-                       out1=tensor(e1, _k(lam, _FLIP, e1), a1),
-                       extension="hybrid", lam=lam, ancilla0=a0, ancilla1=a1)
+    ket0 = np.eye(1, ancilla_dim, dtype=complex)[0]   # |0...0> of the ancilla
+    copy = np.array([tensor(e, e, ket0) for e in _BASIS])
+    flip = np.array([tensor(e, _k(0.0, _FLIP, e), ket0) for e in _BASIS])
+    return MachineSpec(np.sqrt(lam) * copy, np.sqrt(1.0 - lam) * flip)
 
 
 def _output_map(m: MachineSpec):
-    """The machine's action on each row of an (n, 2) array under its declared extension; a
-    hybrid machine's branch vectors are built here, once for every block of rows."""
-    if m.extension == "linear":
-        return lambda s: s[:, :1] * m.out0 + s[:, 1:] * m.out1
-    if m.extension == "antilinear":
-        return lambda s: np.conj(s[:, :1]) * m.out0 + np.conj(s[:, 1:]) * m.out1
-    cu, ca = np.sqrt(m.lam), np.sqrt(1.0 - m.lam)
-    terms = []   # (basis index, weight, conjugated amplitude, branch vector), in summation order
-    for i, e, anc in ((0, _BASIS[0], m.ancilla0), (1, _BASIS[1], m.ancilla1)):
-        if cu > 0.0:
-            terms.append((i, cu, False, tensor(e, _k(1.0, _FLIP, e), anc)))
-        if ca > 0.0:
-            terms.append((i, ca, True, tensor(e, _k(0.0, _FLIP, e), anc)))
+    """The machine's action on each row s of an (n, 2) array, s_0 L_0 + s_1 L_1 +
+    conj(s_0) A_0 + conj(s_1) A_1, a part that is all zeros left out."""
+    parts = [(part, conj) for part, conj in ((m.linear, False), (m.antilinear, True))
+             if part.any()]
 
     def outputs(s: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(s), m.out0.size), dtype=complex)
-        for i, weight, conj, branch in terms:
-            amp = s[:, i:i + 1]
-            out = out + weight * (np.conj(amp) if conj else amp) * branch
+        out = None
+        for part, conj in parts:
+            x = np.conj(s) if conj else s
+            term = x[:, :1] * part[0] + x[:, 1:] * part[1]
+            out = term if out is None else out + term
         return out
     return outputs
-
-
-def machine_output(m: MachineSpec, q: Qubit) -> np.ndarray:
-    """The machine's action on q under its declared extension.
-
-    linear gives alpha*out0 + beta*out1, antilinear conj(alpha)*out0 +
-    conj(beta)*out1.  hybrid adds, for each basis branch i,
-    sqrt(lam)*amp_i |i> (x) |i> (x) |Q_i> and
-    sqrt(1-lam)*conj(amp_i) |i> (x) F|i> (x) |Q_i>, F the complement flip.
-    """
-    return _output_map(m)(q.vector[np.newaxis])[0]
 
 
 def _unit_weights(a, b) -> tuple[complex, complex]:
@@ -296,99 +226,78 @@ def _rules(t: TargetTransform, s: np.ndarray, p: np.ndarray):
         raise ValueError(f"target kind {kind!r} has no per-state rules")
 
 
-def _target_k(t: TargetTransform):
-    """The K map of a machine target, as a function of a vector or of each row of a stack."""
-    lam = {"clone": 1.0, "hybrid": t.lam}.get(t.kind, 0.0)
-    flip = _BASIS if t.kind == "conjugate" else _FLIP
-    return lambda v: _k(lam, flip, v)
+def _target_k(t: TargetTransform) -> tuple[float, np.ndarray]:
+    """(lam, F) of a machine target's K map, _k's first two arguments."""
+    return ({"clone": 1.0, "hybrid": t.lam}.get(t.kind, 0.0),
+            _BASIS if t.kind == "conjugate" else _FLIP)
 
 
 def _system_ideals(t: TargetTransform, s: np.ndarray) -> np.ndarray:
     """|psi> (x) K|psi> normalized, for each row psi of s."""
-    second = _target_k(t)(s)
+    second = _k(*_target_k(t), s)
     return kron_rows(s, second / row_norms(second)[:, np.newaxis])
 
 
-def machine_deviations(m: MachineSpec, t: TargetTransform, states: StateSet,
-                       mode: str = "fixed") -> np.ndarray:
-    """1 - |<ideal|actual>|^2 between the target and the extended machine.
+def machine_deviations(m: MachineSpec, t: TargetTransform, states: StateSet) -> np.ndarray:
+    """1 - |<ideal|actual>|^2 between the target and the machine, whose
+    ideal output is |psi> (x) K|psi> (x) |0...0>.
 
-    One value per state.  In "fixed" mode the ideal's final ancilla is the
-    machine's |Q_0>.  In "best" mode the overlap is maximized over all final
-    ancilla states, which isolates the principal-system mismatch.  Every
-    state runs the exact kernel, in blocks of _STATE_BLOCK; the DSL's
-    worst-state check takes the same values from _worst_deviation, which
-    runs that kernel only on the states that can hold the maximum.
+    One value per state.  Every state runs the exact kernel, in blocks of
+    _STATE_BLOCK; the DSL's worst-state check takes the same values from
+    _worst_deviation, which runs that kernel only on the states that can
+    hold the maximum.
     """
-    s, outputs, anc = _deviation_inputs(m, t, states, mode)
+    s, outputs = _deviation_inputs(m, t, states)
     deviations = np.empty(len(s))
     for lo, hi in row_blocks(len(s), _STATE_BLOCK):
-        deviations[lo:hi] = _deviations(outputs, t, s[lo:hi], anc)
+        deviations[lo:hi] = _deviations(outputs, t, s[lo:hi])
     return deviations
 
 
-def _deviation_inputs(m: MachineSpec, t: TargetTransform, states, mode: str):
-    """machine_deviations' arguments checked, as the state rows, the machine's output map and
-    the ideal's final ancilla, None in "best" mode."""
-    if mode not in ("fixed", "best"):
-        raise ValueError(f"unknown mode {mode!r}; expected 'fixed' or 'best'")
+def _deviation_inputs(m: MachineSpec, t: TargetTransform, states):
+    """machine_deviations' arguments checked, as the state rows and the machine's output map."""
     if t.side:
         raise ValueError(f"target kind {t.kind!r} is a gate target; use check_universal_gate")
-    s = states.state_vectors
-    if mode == "fixed" and m.ancilla0.size != m.ancilla_dim:
-        raise ValueError(f"final ancilla dimension {m.ancilla0.size} does not match "
-                         f"the machine's ancilla dimension {m.ancilla_dim}")
-    return s, _output_map(m), None if mode == "best" else m.ancilla0
+    return states.state_vectors, _output_map(m)
 
 
 def _worst_deviation(m: MachineSpec, t: TargetTransform, states) -> tuple[float, int]:
-    """The largest "fixed" machine_deviations value, with its bits, and its first index; the
-    exact kernel runs only on the states _screened_max keeps."""
-    s, outputs, anc = _deviation_inputs(m, t, states, "fixed")
-    maps = _semilinear(outputs), _semilinear(_target_k(t))
-    return _screened_max(len(s), lambda lo, hi: _deviation_estimate(maps, s[lo:hi], anc),
-                         lambda rows: _deviations(outputs, t, s[rows], anc))
+    """The largest machine_deviations value, with its bits, and its first index; the exact
+    kernel runs only on the states _screened_max keeps."""
+    s, outputs = _deviation_inputs(m, t, states)
+    lam, flip = _target_k(t)
+    parts = (m.linear, m.antilinear), (np.sqrt(lam) * _BASIS, np.sqrt(1.0 - lam) * flip.T)
+    return _screened_max(len(s), lambda lo, hi: _deviation_estimate(parts, s[lo:hi]),
+                         lambda rows: _deviations(outputs, t, s[rows]))
 
 
-def _semilinear(f) -> tuple[np.ndarray, np.ndarray]:
-    """(L, A) with f(v) = v @ L + conj(v) @ A for every stack of rows v, f a sum of a linear
-    and an antilinear map, read off f's images of the basis and of i times it."""
-    images = f(np.array([[1, 0], [0, 1], [1j, 0], [0, 1j]]))
-    return (images[:2] - 1j * images[2:]) / 2.0, (images[:2] + 1j * images[2:]) / 2.0
-
-
-def _deviations(outputs, t: TargetTransform, s: np.ndarray, anc) -> np.ndarray:
-    """machine_deviations of the rows of s, the machine's outputs on them given by outputs,
-    in "best" mode when anc is None."""
+def _deviations(outputs, t: TargetTransform, s: np.ndarray) -> np.ndarray:
+    """machine_deviations of the rows of s, the machine's outputs on them given by outputs."""
     actual = outputs(s)
     actual = actual / row_norms(actual)[:, np.newaxis]
-    sys_ideal = _system_ideals(t, s)
     d = actual.shape[1] // 4
-    if anc is None:
-        residue = np.matmul(sys_ideal.conj()[:, np.newaxis, :], actual.reshape(-1, 4, d))
-        overlap_sq = abs_squared(row_norms(residue[:, 0]))
-    else:
-        ideal = kron_rows(sys_ideal, np.broadcast_to(anc, (len(s), d)))
-        overlap_sq = abs_squared(row_dots(ideal.conj(), actual))
-    return np.clip(1.0 - overlap_sq, 0.0, 1.0)
+    ket0 = np.broadcast_to(np.eye(1, d, dtype=complex), (len(s), d))   # the final ancilla
+    ideal = kron_rows(_system_ideals(t, s), ket0)
+    return np.clip(1.0 - abs_squared(row_dots(ideal.conj(), actual)), 0.0, 1.0)
 
 
-def _deviation_estimate(maps, s: np.ndarray, anc) -> np.ndarray:
-    """_deviations of the rows of s in "fixed" mode to 4e-14, in plain arithmetic; NaN where
-    that is not proven, which includes every row whose output or ideal vanishes.  maps holds
-    _semilinear of the machine's outputs and of the target's K.
+def _deviation_estimate(parts, s: np.ndarray) -> np.ndarray:
+    """_deviations of the rows of s to 4e-14, in plain arithmetic; NaN where that is not
+    proven, which includes every row whose output or ideal vanishes.  parts holds the
+    (linear, antilinear) parts of the machine and of the target's K, (sqrt(lam) I,
+    sqrt(1 - lam) F^T), each a map of rows v -> v @ L + conj(v) @ A.
 
-    Both compute 1 - |<s (x) K s (x) anc|a>|^2 / |K s|^2 |a|^2, but each path forms the
+    Both compute 1 - |<s (x) K s (x) 0|a>|^2 / |K s|^2 |a|^2, but each path forms the
     outputs a and K s its own way.  Each is within 1.1e-15 of the true one (|s| <= 1 + 1e-12,
     unit branch vectors, weights whose squares sum to 1), so where |a| and |K s| are at
     least 0.9 the two directions of each lie within 5e-15 and the squared overlaps within
     2e-14.  The dots, norms and quotient of each path round to 8.5e-15 (16 terms at most),
     and clipping to [0, 1] moves two values no further apart: 3.7e-14 in all."""
     sc = s.conj()
-    actual, k = (s @ lin + sc @ anti for lin, anti in maps)
+    actual, k = (s @ lin + sc @ anti for lin, anti in parts)
     a2, k2 = (np.einsum("ij,ij->i", x, x) for x in (actual.view(float), k.view(float)))
     ideal = sc[:, [0, 0, 1, 1]] * k.conj()[:, [0, 1, 0, 1]]   # conj(s (x) K s)
-    dot = np.einsum("ij,ij->i", ideal, actual.reshape(len(s), 4, -1) @ anc.conj())
+    dot = np.einsum("ij,ij->i", ideal, actual.reshape(len(s), 4, -1)[:, :, 0])
     with np.errstate(all="ignore"):   # a vanished output reads NaN, as unproven
         est = np.clip(1.0 - (dot.real * dot.real + dot.imag * dot.imag) / (a2 * k2), 0.0, 1.0)
     est[~((a2 >= 0.81) & (k2 >= 0.81))] = np.nan

@@ -35,9 +35,9 @@ from qnogo.states import (
     state_family,
 )
 from qnogo.verifier import (
+    MachineSpec,
     TargetTransform,
     check_universal_gate,
-    cloning_machine,
     machine_deviations,
     survey_random_unitaries,
     witness_search,
@@ -121,7 +121,7 @@ def naive_clone_deviation(a: complex, b: complex) -> float:
 
 
 def test_03_linear_extension_deviation_matches_a_naive_evaluator():
-    m = cloning_machine()
+    m = MachineSpec(np.eye(4)[[0, 3]], np.zeros((2, 4)))   # |i> -> |i>|i>, extended linearly
     t = TargetTransform("clone")
     states = state_family("bloch", 1000, 5)
     lib = machine_deviations(m, t, states)

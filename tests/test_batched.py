@@ -38,10 +38,8 @@ from qnogo.states import (
 )
 from qnogo.states import _checked
 from qnogo.verifier import (
+    MachineSpec,
     check_universal_gate,
-    cloning_machine,
-    complementing_machine,
-    conjugating_machine,
     hybrid_machine,
     machine_deviations,
     survey_random_unitaries,
@@ -55,6 +53,7 @@ from qnogo.verifier import (
     _output_map,
     _rule_violation,
     _rules,
+    _k,
     _target_k,
     _worst_deviation,
     _worst_rule,
@@ -72,6 +71,7 @@ from qnogo.verifier import (
 
 RT2 = 1.0 / np.sqrt(2.0)
 FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)   # the complement flip
+CLONER = MachineSpec(np.eye(4)[[0, 3]], np.zeros((2, 4)))   # |i> -> |i>|i>, extended linearly
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 FAMILIES = st.sampled_from(["bloch", "polar", "equatorial"])
 
@@ -155,21 +155,9 @@ def ref_worst(values):
 
 
 def ref_machine_output(m, q):
-    if m.extension == "linear":
-        return q.alpha * m.out0 + q.beta * m.out1
-    if m.extension == "antilinear":
-        return np.conj(q.alpha) * m.out0 + np.conj(q.beta) * m.out1
-    cu, ca = np.sqrt(m.lam), np.sqrt(1.0 - m.lam)
-    out = np.zeros_like(m.out0)
-    for i, amp in ((0, q.alpha), (1, q.beta)):
-        e = np.zeros(2, dtype=complex)
-        e[i] = 1.0
-        anc = m.ancilla0 if i == 0 else m.ancilla1
-        if cu > 0.0:
-            out = out + cu * amp * np.kron(np.kron(e, e), anc)
-        if ca > 0.0:
-            out = out + ca * np.conj(amp) * np.kron(np.kron(e, FLIP @ e.conj()), anc)
-    return out
+    """a L_0 + b L_1 + conj(a) A_0 + conj(b) A_1 for q = a|0> + b|1>."""
+    (a, b), (l0, l1), (a0, a1) = q.vector, m.linear, m.antilinear
+    return a * l0 + b * l1 + np.conj(a) * a0 + np.conj(b) * a1
 
 
 def ref_k(t, v):
@@ -184,16 +172,13 @@ def ref_k(t, v):
     return out
 
 
-def ref_deviation(m, t, q, mode):
+def ref_deviation(m, t, q):
     actual = ref_machine_output(m, q)
     actual = actual / np.linalg.norm(actual)
     second = ref_k(t, q.vector)
     sys_ideal = np.kron(q.vector, second / np.linalg.norm(second))
-    d = m.ancilla_dim
-    if mode == "best":
-        overlap_sq = float(np.linalg.norm(sys_ideal.conj() @ actual.reshape(4, d)) ** 2)
-    else:
-        overlap_sq = abs(np.vdot(np.kron(sys_ideal, m.ancilla0), actual)) ** 2
+    ket0 = np.eye(len(actual) // 4, dtype=complex)[0]   # the ideal's final ancilla
+    overlap_sq = abs(np.vdot(np.kron(sys_ideal, ket0), actual)) ** 2
     return float(min(max(1.0 - overlap_sq, 0.0), 1.0))
 
 
@@ -435,34 +420,45 @@ def test_qubit_lists_are_paired_with_their_complements():
 # --- machine deviations ------------------------------------------------------------
 
 
+# the second register of each basis output: the copy |i>, the complement F|i> and the conjugate
+SECONDS = {"clone": np.eye(2), "complement": FLIP.T, "conjugate": np.eye(2)}
+
+
 @st.composite
 def machine_cases(draw):
-    ancilla = draw(st.sampled_from([None, "tags"]))
-    a0, a1 = (None, None) if ancilla is None else ([1.0, 0.0], [0.0, 1.0])
+    """A machine and a machine target: the copying, complementing or conjugating rows as a
+    linear or an antilinear part, with or without the ancilla tags |0> on |0>'s branch and
+    |1> on |1>'s; or a hybrid, hybrid_machine's with one or two ancilla levels, or a tagged
+    one built from its two weighted parts."""
+    tags = draw(st.sampled_from([None, np.eye(2, dtype=complex)]))
+
+    def rows(kind):
+        out = kron_rows(np.eye(2, dtype=complex), SECONDS[kind].astype(complex))
+        return out if tags is None else kron_rows(out, tags)
     kind = draw(st.sampled_from(["clone", "complement", "conjugate", "hybrid"]))
     if kind == "hybrid":
         lam = draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
-        return hybrid_machine(lam, ancilla0=a0, ancilla1=a1), TargetTransform("hybrid", lam=lam)
-    extension = draw(st.sampled_from(["linear", "antilinear"]))
-    maker = {"clone": cloning_machine, "complement": complementing_machine,
-             "conjugate": conjugating_machine}[kind]
+        m = (hybrid_machine(lam, draw(st.sampled_from([1, 2]))) if tags is None else
+             MachineSpec(np.sqrt(lam) * rows("clone"), np.sqrt(1.0 - lam) * rows("complement")))
+        return m, TargetTransform("hybrid", lam=lam)
+    part, zero = rows(kind), np.zeros((2, 4 if tags is None else 8))
+    linear = draw(st.booleans())
     target = TargetTransform(draw(st.sampled_from(["clone", "complement", "conjugate"])))
-    return maker(extension, ancilla0=a0, ancilla1=a1), target
+    return MachineSpec(*((part, zero) if linear else (zero, part))), target
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=machine_cases(), name=FAMILIES, n=st.integers(1, 300), seed=SEEDS,
-       mode=st.sampled_from(["fixed", "best"]))
-def test_machine_deviations_match_the_scalar_reference(case, name, n, seed, mode):
+@given(case=machine_cases(), name=FAMILIES, n=st.integers(1, 300), seed=SEEDS)
+def test_machine_deviations_match_the_scalar_reference(case, name, n, seed):
     m, t = case
     pairs = ref_pairs(name, n, seed)
     family = state_family(name, n, seed)
-    batched = machine_deviations(m, t, family, mode)
-    expected = [ref_deviation(m, t, q, mode) for q, _ in pairs]
+    batched = machine_deviations(m, t, family)
+    expected = [ref_deviation(m, t, q) for q, _ in pairs]
     assert batched.tolist() == expected
     assert int(np.argmax(batched)) == ref_worst(expected)[1]
     q = pairs[-1][0]
-    assert machine_deviations(m, t, listed_set([q]), mode).tolist() == expected[-1:]
+    assert machine_deviations(m, t, listed_set([q])).tolist() == expected[-1:]
 
 
 # --- per-state blocks ------------------------------------------------------------------
@@ -478,8 +474,8 @@ def seam_family(name, n, seed):
 @settings(max_examples=60, deadline=None)
 @given(block=st.sampled_from([1, 3, 7]), size=st.sampled_from(["1", "B-1", "B", "B+1", "2B+1"]),
        name=FAMILIES | st.just("listed"), seed=SEEDS, gate=qubit_gate_cases(),
-       machine=machine_cases(), mode=st.sampled_from(["fixed", "best"]))
-def test_per_state_blocks_change_no_bit(block, size, name, seed, gate, machine, mode):
+       machine=machine_cases())
+def test_per_state_blocks_change_no_bit(block, size, name, seed, gate, machine):
     n = max(1, {"1": 1, "B-1": block - 1, "B": block, "B+1": block + 1,
                 "2B+1": 2 * block + 1}[size])
     family = seam_family(name, n, seed)
@@ -487,7 +483,7 @@ def test_per_state_blocks_change_no_bit(block, size, name, seed, gate, machine, 
     checks = [lambda: check_universal_gate(candidate, target, family),
               lambda: check_universal_gate(haar_unitaries(1, dim=4, seed=seed)[0],
                                            TargetTransform("cnot"), family),
-              lambda: machine_deviations(*machine, family, mode)]
+              lambda: machine_deviations(*machine, family)]
     whole = [check() for check in checks]   # n <= 15 states: one block of 1024
     with mock.patch("qnogo.verifier._STATE_BLOCK", block):
         blocked = [check() for check in checks]
@@ -514,10 +510,9 @@ def block_peak(run, make, n):
       for target in (TargetTransform("hadamard9"), TargetTransform("hadamard10"),
                      TargetTransform("unequal", 0.6, 0.8))],
     lambda f: check_universal_gate(cnot_computational, TargetTransform("cnot"), f),
-    lambda f: machine_deviations(cloning_machine("linear"), TargetTransform("clone"), f, "fixed"),
-    lambda f: machine_deviations(hybrid_machine(0.5, ancilla0=[1.0, 0.0], ancilla1=[0.0, 1.0]),
-                                 TargetTransform("hybrid", lam=0.5), f, "best")],
-    ids=["hadamard9", "hadamard10", "unequal", "cnot", "clone-fixed", "hybrid-best"])
+    lambda f: machine_deviations(CLONER, TargetTransform("clone"), f),
+    lambda f: machine_deviations(hybrid_machine(0.5, 2), TargetTransform("hybrid", lam=0.5), f)],
+    ids=["hadamard9", "hadamard10", "unequal", "cnot", "clone", "hybrid-ancilla"])
 def test_the_per_state_kernels_hold_one_block_whatever_the_size(check):
     # one block of temporaries at every size, so only the per-state output grows with n; whole
     # stacks peaked at 9.4 MB for the cnot rules at 8192 states, against 1.2 MB at 1024
@@ -676,10 +671,9 @@ def test_the_screened_machine_reduction_equals_the_exhaustive_scan(case, name, n
 
 def test_the_machine_reduction_computes_few_states(monkeypatch):
     family = state_family("bloch", 10_000, 0)
-    expected = exhaustive_deviation(cloning_machine("linear"), TargetTransform("clone"), family)
+    expected = exhaustive_deviation(CLONER, TargetTransform("clone"), family)
     sizes = spy_rows(monkeypatch, "_deviations")
-    same_bits(_worst_deviation(cloning_machine("linear"), TargetTransform("clone"), family),
-              expected)
+    same_bits(_worst_deviation(CLONER, TargetTransform("clone"), family), expected)
     assert sum(sizes) < len(family) // 10
 
 
@@ -690,7 +684,7 @@ def test_every_k_map_and_machine_output_keeps_the_norm_of_the_state(case, name, 
     # rows, so no ideal or machine output that machine_deviations divides by can vanish
     m, t = case
     s = seam_family(name, n, seed).state_vectors
-    assert np.max(np.abs(row_norms(_target_k(t)(s)) - 1.0)) <= 1e-15
+    assert np.max(np.abs(row_norms(_k(*_target_k(t), s)) - 1.0)) <= 1e-15
     assert np.max(np.abs(row_norms(_output_map(m)(s)) - 1.0)) <= 1e-15
 
 

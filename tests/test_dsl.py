@@ -108,8 +108,7 @@ def test_a_bad_ket_skip_stops_at_the_newline():
     assert [d.render() for d in diags] == [
         "<stdin>:2:11: error: unknown ket label",
         "<stdin>:3:1: error: unexpected character '>'",
-        "<stdin>:7:1: error: expected 'basis' or 'universal', found end of input",
-        "<stdin>:1:1: error: machine must declare a requirement"]
+        "<stdin>:7:1: error: expected 'basis' or 'universal', found end of input"]
 
 
 def test_tokenize_arrow_vs_minus():
@@ -310,7 +309,8 @@ def test_compile_clone_unit():
     assert not diags
     c = compiled[0]
     assert c.name == "main"
-    assert c.machine is not None and c.machine.extension == "linear"
+    # extend linear: the rules are the linear part, and the antilinear part is zero
+    assert np.array_equal(c.machine.linear, np.eye(4)[[0, 3]]) and not c.machine.antilinear.any()
     assert c.family == "bloch"
     assert c.candidate is None
     assert c.target_name == "clone"
@@ -341,7 +341,7 @@ def test_compile_warns_when_renormalizing():
     warnings = [d for d in cdiags if d.severity == "warning"]
     assert any(d.message == "output renormalized" for d in warnings)
     # the stored output is exactly normalized afterwards
-    assert np.linalg.norm(compiled[0].machine.out0) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(compiled[0].machine.linear[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_compile_rejects_single_register_outputs():
@@ -374,7 +374,9 @@ def test_compile_hybrid_accepts_matching_rules():
            "extend hybrid(lambda=0.5);\nrequire basis;\n")
     compiled, diags = compile_text(src)
     assert compiled and not errors(diags)
-    assert compiled[0].machine.extension == "hybrid"
+    m = compiled[0].machine
+    assert np.array_equal(m.linear, np.sqrt(0.5) * np.eye(4)[[0, 3]])
+    assert np.array_equal(m.antilinear, np.sqrt(0.5) * np.array([[0, 1, 0, 0], [0, 0, -1, 0]]))
 
 
 def test_compile_rejects_complex_unequal_candidate():
@@ -472,13 +474,35 @@ def test_a_missing_parenthesis_at_depth_5000_is_one_diagnostic():
     _, diags = parse_text(text)
     column = text.index("|0>|0>") + 1
     assert [(d.line, d.column, d.message) for d in errors(diags)] == [
-        (1, column, "expected ')', found '0'"),
-        (1, 1, "machine must declare rules for both |0> and |1>")]
+        (1, column, "expected ')', found '0'")]
     # as in one pair of parentheses
     _, diags = parse_text("on |0> -> (0.6|0>|0>;\non |1> -> |1>|1>;\nextend linear;\n"
                           "require basis;\n")
-    assert [d.message for d in errors(diags)] == [
-        "expected ')', found '0'", "machine must declare rules for both |0> and |1>"]
+    assert [d.message for d in errors(diags)] == ["expected ')', found '0'"]
+
+
+def test_a_statement_that_fails_to_parse_still_counts_as_declared():
+    # one diagnostic for the bad statement, and none saying its clause is missing; the
+    # duplicate check and the other machines' presence checks still run
+    one = "on |1> -> |1>|1>;\n"
+    rules = "on |0> -> |0>|0>;\n" + one
+    for text, expected in (
+            (rules + "extend hybrid(lambda=);\nrequire basis;\n",
+             ["3:22: error: expected a number, found ')'"]),
+            (rules + "extend linear;\nrequire always;\n",
+             ["4:9: error: unknown requirement 'always'; expected basis or universal"]),
+            ("on |+> -> |0>|0>;\nextend linear;\nrequire universal on bloch target clone;\n",
+             ["1:4: error: basis rules must be on |0> or |1>"]),
+            ("on |+> -> |0>|0>;\n" + one * 2 + "extend linear;\nrequire basis;\n",
+             ["1:4: error: basis rules must be on |0> or |1>", "3:1: error: duplicate basis rule"]),
+            ("candidate T;\nrequire universal on polar target hadamard9;\n",
+             ["1:11: error: unknown gate 'T'; expected H, HP, HE, CNOT, or UG"]),
+            ("machine a;\non |0> -> (1|0>|0>;\nrequire basis;\n"
+             "machine b;\non |0> -> |0>|0>;\nextend linear;\nrequire basis;\n",
+             ["2:13: error: expected ')', found '0'",
+              "4:1: error: machine must declare rules for both |0> and |1>"])):
+        _, diags = parse_text(text)
+        assert [d.render().removeprefix("<stdin>:") for d in diags] == expected
 
 
 def test_deep_parentheses_exit_as_their_twin_does(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Every public name is used by the package itself, or is listed here with its reason,
 every private module-level name is read somewhere in the package, and every parameter
-with a default of a public callable that the package or perfbench reads is passed, with
-another value than its default's literal, by some direct call there, or is listed here
-with its reason.
+with a default of a public callable that the package or perfbench reads, or that the
+allowlist keeps, is passed, with another value than its default's literal, by some direct
+call there, or is listed here with its reason.
 
 A helper that only tests call duplicates a path the command line runs, and
 its copy can drift from it; checks belong on the path that stays.
@@ -18,9 +18,6 @@ PERFBENCH = SRC.parents[1] / "perfbench"
 
 # public names that nothing in src/qnogo calls, each with why it stays
 ALLOWED = {
-    "cloning_machine": "the paper's copying machine, built from Python rather than a unit",
-    "complementing_machine": "the paper's complementing machine, built from Python",
-    "conjugating_machine": "the paper's conjugating machine, built from Python",
     "survey_random_unitaries": "the Haar survey, which perfbench's run_survey calls",
     "polar_set": "the polar grid that perfbench's run_survey passes to the survey",
     "target_hadamard9": "the Hadamard target that perfbench's run_survey passes to the survey",
@@ -146,8 +143,9 @@ def passes(call: ast.Call, position: int | None, name: str, default: ast.expr) -
 
 def unset_parameters() -> list[str]:
     """callable.parameter for each parameter with a default of a public module-level function
-    or class that src/qnogo or perfbench reads, and that no direct call there passes."""
-    read = referenced_names()
+    or class that src/qnogo or perfbench reads, or that ALLOWED keeps, and that no direct call
+    there passes."""
+    read = referenced_names() | set(ALLOWED)
     for tree in BENCH:
         read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}

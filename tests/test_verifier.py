@@ -23,15 +23,13 @@ from qnogo.verifier import (
     MachineSpec,
     TargetTransform,
     Verdict,
+    _output_map,
     _rules,
+    _k,
     _target_k,
     check_universal_gate,
-    cloning_machine,
-    complementing_machine,
-    conjugating_machine,
     hybrid_machine,
     machine_deviations,
-    machine_output,
     survey_random_unitaries,
     witness_search,
 )
@@ -40,6 +38,10 @@ RT2 = 1.0 / np.sqrt(2.0)
 KET0 = Qubit(1.0, 0.0)
 KET1 = Qubit(0.0, 1.0)
 PLUS = Qubit(RT2, RT2)
+COPY = np.eye(4)[[0, 3]]   # |i> -> |i>|i>
+COMPLEMENT = np.array([[0, 1, 0, 0], [0, 0, -1, 0]])   # |0> -> |0>|1>, |1> -> -|1>|0>
+NONE = np.zeros((2, 4))
+CLONER = MachineSpec(COPY, NONE)
 
 
 def first_rule_gap(t, pair1, pair2):
@@ -49,83 +51,109 @@ def first_rule_gap(t, pair1, pair2):
     return abs(np.vdot(s[0], s[1]) - np.vdot(o1, o2))
 
 
-def deviation(m, t, q, mode="fixed"):
+def deviation(m, t, q):
     """The batched deviation of the one state q."""
-    return float(machine_deviations(m, t, listed_set([q]), mode)[0])
+    return float(machine_deviations(m, t, listed_set([q]))[0])
+
+
+def output(m, q):
+    """The machine's output on the one state q."""
+    return _output_map(m)(q.vector[np.newaxis])[0]
 
 
 # --- machine construction and extensions ---------------------------------
 
 
 def test_machine_spec_rejects_nonorthogonal_outputs():
-    v = np.zeros(4, dtype=complex)
-    v[0] = 1.0
     with pytest.raises(ValueError, match="orthogonal"):
-        MachineSpec(out0=v, out1=v)
+        MachineSpec(np.eye(4)[[0, 0]], NONE)
+    # the basis outputs are the sums of the parts' rows
+    with pytest.raises(ValueError, match="orthogonal"):
+        MachineSpec(COPY, np.eye(4)[[0, 0]] - COPY)
 
 
-def test_machine_spec_rejects_bad_extension():
-    m = cloning_machine()
-    with pytest.raises(ValueError):
-        MachineSpec(out0=m.out0, out1=m.out1, extension="quadratic")
-    with pytest.raises(ValueError, match="needs lam"):
-        MachineSpec(out0=m.out0, out1=m.out1, extension="hybrid")
-    with pytest.raises(ValueError, match="no other machine takes it"):
-        MachineSpec(out0=m.out0, out1=m.out1, lam=0.5)
-    with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\], got 1.5"):
-        MachineSpec(out0=m.out0, out1=m.out1, extension="hybrid", lam=1.5)
+def test_machine_spec_checks_each_basis_output_is_a_unit_vector():
+    with pytest.raises(ValueError, match="not normalized"):
+        MachineSpec(COPY, COPY)
+    infinite = np.where(COPY, np.inf, 0.0)
+    huge = 1e308 * COPY   # finite, but its sum overflows
+    for linear, antilinear in ((infinite, NONE), (infinite, -infinite), (huge, huge)):
+        with pytest.raises(ValueError, match="non-finite"):   # and no numpy warning
+            MachineSpec(linear, antilinear)
 
 
-def test_cloning_machine_basis_outputs():
-    m = cloning_machine()
-    assert np.allclose(m.out0, tensor([1, 0], [1, 0]))
-    assert np.allclose(m.out1, tensor([0, 1], [0, 1]))
-    assert m.ancilla_dim == 1
+def test_machine_spec_refuses_other_widths_and_unequal_parts():
+    for linear, antilinear in ((np.eye(2), np.zeros((2, 2))),   # no copy register
+                               (COPY, np.zeros((2, 8))),
+                               (np.eye(32)[[0, 31]], np.zeros((2, 32))),
+                               (COPY[0], NONE[0])):
+        with pytest.raises(ValueError, match=r"machine parts must both have shape \(2, 4\)"):
+            MachineSpec(linear, antilinear)
+    for d in (0, 3, 8):   # the hybrid's ancilla too has 1, 2 or 4 levels
+        with pytest.raises(ValueError, match=f"resulting dimension {4 * d} unsupported"):
+            hybrid_machine(0.5, d)
+
+
+def test_machine_spec_parts_are_read_only_copies():
+    rows = COPY.astype(complex)
+    m = MachineSpec(rows, NONE)
+    rows[0, 0] = 0.0
+    assert m.linear[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        m.linear[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        m.linear = rows
 
 
 def test_extend_linear_on_plus():
-    m = cloning_machine()
-    out = machine_output(m, PLUS)
+    out = output(CLONER, PLUS)
     want = RT2 * (tensor([1, 0], [1, 0]) + tensor([0, 1], [0, 1]))
     assert np.allclose(out, want)
 
 
 def test_extend_antilinear_conjugates_amplitudes():
-    m = conjugating_machine()
+    m = MachineSpec(NONE, COPY)
     q = Qubit(0.6, 0.8j)
-    out = machine_output(m, q)
-    want = 0.6 * m.out0 + np.conj(0.8j) * m.out1
-    assert np.allclose(out, want)
+    want = 0.6 * COPY[0] + np.conj(0.8j) * COPY[1]
+    assert np.allclose(output(m, q), want)
 
 
 def test_hybrid_endpoints_match_pure_machines():
-    m1 = hybrid_machine(1.0)
-    mc = cloning_machine()
-    assert np.allclose(m1.out0, mc.out0) and np.allclose(m1.out1, mc.out1)
-    m0 = hybrid_machine(0.0)
-    mm = complementing_machine()
-    assert np.allclose(m0.out0, mm.out0) and np.allclose(m0.out1, mm.out1)
+    m1 = hybrid_machine(1.0, 1)
+    assert np.array_equal(m1.linear, COPY) and not m1.antilinear.any()
+    m0 = hybrid_machine(0.0, 1)
+    assert np.array_equal(m0.antilinear, COMPLEMENT) and not m0.linear.any()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_hybrid_basis_outputs_are_the_dsl_canonical_ones(d):
+    # |i> (x) K|i> (x) |0...0>, K|i> = sqrt(lam)|i> + sqrt(1 - lam) F|i>
+    for lam in (0.0, 0.3, 0.5, 1.0):
+        m = hybrid_machine(lam, d)
+        assert m.linear.shape == (2, 4 * d)
+        e = np.eye(2)
+        for i in (0, 1):
+            k = np.sqrt(lam) * e[i] + np.sqrt(1.0 - lam) * np.array([[0, -1], [1, 0]]) @ e[i]
+            canonical = np.kron(np.kron(e[i], k), np.eye(d)[0])
+            assert np.array_equal(m.linear[i] + m.antilinear[i], canonical)
 
 
 def test_extend_hybrid_mixes_both_branches():
-    m = hybrid_machine(0.5)
+    m = hybrid_machine(0.5, 1)
     q = Qubit(0.6, 0.8j)
-    out = machine_output(m, q)
     e0, e1 = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
     r = np.sqrt(0.5)
     want = (r * 0.6 * tensor(e0, e0) + r * 0.8j * tensor(e1, e1)
             + r * 0.6 * tensor(e0, e1) + r * np.conj(0.8j) * tensor(e1, -e0))
-    assert np.allclose(out, want)
+    assert np.allclose(output(m, q), want)
 
 
-def test_machine_output_respects_declared_extension():
+def test_the_two_extensions_differ_only_on_complex_amplitudes():
+    lin, anti = CLONER, MachineSpec(NONE, COPY)
     q = Qubit(0.6, 0.8)
-    lin = machine_output(cloning_machine(), q)
-    anti = machine_output(cloning_machine(extension="antilinear"), q)
-    assert np.allclose(lin, anti)  # real amplitudes: the two extensions agree
+    assert np.allclose(output(lin, q), output(anti, q))  # real amplitudes: the two agree
     qc = Qubit(0.6, 0.8j)
-    assert not np.allclose(machine_output(cloning_machine(), qc),
-                           machine_output(cloning_machine(extension="antilinear"), qc))
+    assert not np.allclose(output(lin, qc), output(anti, qc))
 
 
 # --- targets and deviations -----------------------------------------------
@@ -146,10 +174,10 @@ def test_target_validation():
             TargetTransform(name, **kwargs)
         assert str(refused.value) == message
     with pytest.raises(ValueError) as refused:
-        hybrid_machine(-0.5)
+        hybrid_machine(-0.5, 1)
     assert str(refused.value) == "lam must lie in [0, 1], got -0.5"
     with pytest.raises(ValueError, match="check_universal_gate"):
-        deviation(cloning_machine(), TargetTransform("hadamard9"), PLUS)
+        deviation(CLONER, TargetTransform("hadamard9"), PLUS)
     with pytest.raises(ValueError, match="no per-state rules"):
         next(_rules(TargetTransform("clone"), KET0.vector[np.newaxis], KET1.vector[np.newaxis]))
 
@@ -163,63 +191,52 @@ def test_each_target_kind_fixes_its_k_map():
                     (TargetTransform("complement"), complement(q).vector),
                     (TargetTransform("hybrid", lam=0.0), complement(q).vector),
                     (TargetTransform("conjugate"), q.vector.conj())):
-        assert np.array_equal(_target_k(t)(q.vector), want)
-    half = _target_k(TargetTransform("hybrid", lam=0.5))(q.vector)
+        assert np.array_equal(_k(*_target_k(t), q.vector), want)
+    half = _k(*_target_k(TargetTransform("hybrid", lam=0.5)), q.vector)
     assert np.allclose(half, RT2 * (q.vector + complement(q).vector))
 
 
 def test_ideal_output_of_clone_target():
     # each clone-like target demands |q> (x) K|q>; the deviation measures the machine against it
     q = Qubit(0.6, 0.8j)
-    m = cloning_machine()
-    actual = machine_output(m, q)
+    actual = output(CLONER, q)
     for t, second in ((TargetTransform("clone"), q.vector),
                       (TargetTransform("complement"), complement(q).vector),
                       (TargetTransform("conjugate"), q.vector.conj())):
         ideal = np.kron(q.vector, second)
         want = 1.0 - abs(np.vdot(ideal, actual)) ** 2
-        assert deviation(m, t, q) == pytest.approx(want, abs=1e-12)
+        assert deviation(CLONER, t, q) == pytest.approx(want, abs=1e-12)
 
 
 def test_machine_deviation_vanishes_on_basis_states():
-    m = cloning_machine()
     t = TargetTransform("clone")
-    assert deviation(m, t, KET0) == pytest.approx(0.0, abs=1e-12)
-    assert deviation(m, t, KET1) == pytest.approx(0.0, abs=1e-12)
+    assert deviation(CLONER, t, KET0) == pytest.approx(0.0, abs=1e-12)
+    assert deviation(CLONER, t, KET1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_machine_deviation_at_plus_is_half():
     # overlap <++|phi+> = (1+1)/ (2 sqrt2) -> fidelity 1/2
-    dev = deviation(cloning_machine(), TargetTransform("clone"), PLUS)
+    dev = deviation(CLONER, TargetTransform("clone"), PLUS)
     assert abs(dev - 0.5) < 1e-12
 
 
-def test_machine_deviation_best_mode_never_worse():
-    m = cloning_machine(ancilla0=[1, 0], ancilla1=[0, 1])
+def test_the_ideal_final_ancilla_is_the_first_basis_state():
+    # a cloner that tags |1>'s branch with |1> on the ancilla: the ideal's ancilla is |0>, so
+    # |0> matches, |1> misses entirely and |+> keeps half of its clone overlap
+    tagged = MachineSpec(np.array([np.kron(COPY[0], [1, 0]), np.kron(COPY[1], [0, 1])]),
+                         np.zeros((2, 8)))
     t = TargetTransform("clone")
-    for q in (Qubit(*v) for v in state_family("bloch", 20, 13).state_vectors):
-        fixed = deviation(m, t, q, mode="fixed")
-        best = deviation(m, t, q, mode="best")
-        assert best <= fixed + 1e-12
-
-
-def test_machine_deviation_checks_ancilla_dims():
-    m = cloning_machine(ancilla0=[1, 0], ancilla1=[0, 1])
-    t = TargetTransform("clone")
-    # fixed mode borrows the machine's ancilla0, so this works
-    deviation(m, t, PLUS)
-    # three-register outputs whose machine declares no ancilla state: |Q_0> is one-dimensional
-    e0, e1 = np.eye(2)
-    bare = MachineSpec(out0=tensor(e0, e0, e0), out1=tensor(e1, e1, e1))
-    with pytest.raises(ValueError, match="final ancilla dimension 1 does not match"):
-        deviation(bare, t, PLUS)
-    with pytest.raises(ValueError):
-        deviation(m, t, PLUS, mode="optimal")
+    assert deviation(tagged, t, KET0) == 0.0
+    assert deviation(tagged, t, KET1) == 1.0
+    assert deviation(tagged, t, PLUS) == pytest.approx(0.875, abs=1e-12)
+    # three registers with an untagged ancilla: the ideal carries |0> there too
+    bare = MachineSpec(np.kron(COPY, [1, 0]), np.zeros((2, 8)))
+    assert deviation(bare, t, PLUS) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_hybrid_target_deviation_is_continuous_in_lambda():
     q = Qubit(0.6, 0.8)
-    devs = [deviation(hybrid_machine(l), TargetTransform("hybrid", lam=l), q)
+    devs = [deviation(hybrid_machine(l, 1), TargetTransform("hybrid", lam=l), q)
             for l in (0.0, 0.25, 0.5, 0.75, 1.0)]
     assert all(0.0 <= d <= 1.0 for d in devs)
     # real-amplitude states on the polar circle keep the deviation moderate

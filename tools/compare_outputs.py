@@ -56,6 +56,7 @@ STATE_BLOCK = 1024   # qnogo.verifier._STATE_BLOCK, the rows per block of the pe
 # others exits 3
 GATE_TARGETS = TARGETS[:2] + (("unequal", "--a", "0.6", "--b", "0.8"),) + TARGETS[2:]
 _RULES = "on |0> -> |0>|0>;\non |1> -> |1>|1>;\n"
+_R = "0.7071067811865476"   # 1/sqrt(2), as machines/hybrid_half.qmachine writes it
 # command lines refused with exit 1, a usage line and one error line: by argparse, and weights
 # for a target that takes none
 USAGE_ERRORS = (
@@ -100,6 +101,9 @@ UNITS = {
     "call-no-comma": "require universal on polar target unequal(a=0.6 b=0.8);\n",
     "call-no-rparen": "extend hybrid(lambda=0.5;\n",
     "call-name-only": "candidate UG;\n",
+    # a rule that fails to parse still counts as declared: one diagnostic, not two
+    "unclosed-parenthesis": ("on |0> -> (0.6|0>|0>;\non |1> -> |1>|1>;\nextend linear;\n"
+                             "require basis;\n"),
     # compile diagnostics, and a warning that lets the check run
     "lambda-range-extend": _RULES + "extend hybrid(lambda=1.5);\nrequire basis;\n",
     "lambda-range-target": _RULES + "extend linear;\n"
@@ -114,6 +118,11 @@ UNITS = {
                              "require basis;\n"),
     "not-orthogonal": "on |0> -> |0>|0>;\non |1> -> |0>|0>;\nextend linear;\nrequire basis;\n",
     "hybrid-rule-mismatch": _RULES + "extend hybrid(lambda=0.5);\nrequire basis;\n",
+    # the one unit whose ideal output carries a two-level final ancilla
+    "three-register-hybrid": (f"on |0> -> {_R}|0>|0>|0> + {_R}|0>|1>|0>;\n"
+                              f"on |1> -> {_R}|1>|1>|0> - {_R}|1>|0>|0>;\n"
+                              "extend hybrid(lambda=0.5);\n"
+                              "require universal on bloch target hybrid(lambda=0.5);\n"),
     "three-register-linear": ("on |0> -> |0>|0>|0>;\non |1> -> |1>|1>|0>;\nextend linear;\n"
                               "require universal on bloch target clone;\n"),
     "multi-qubit-listed": "candidate H;\nrequire universal on list(|0>, |01>) target hadamard9;\n",
