@@ -15,7 +15,7 @@ import importlib
 _EXPORTS = {
     "algebra": (
         "ATOL_STATE", "ATOL_VERDICT", "SUPPORTED_DIMS", "apply", "haar_unitaries",
-        "inner_product", "is_unitary", "operator", "state_vector", "tensor",
+        "inner_product", "is_unitary", "state_vector", "tensor",
     ),
     "dsl": (
         "CheckOptions", "CompiledMachine", "Diagnostic", "UnitReport", "check_source",
@@ -26,12 +26,12 @@ _EXPORTS = {
         "optimize_fidelity", "records_to_csv", "sweep_lambda", "uniform_grid",
     ),
     "gates": (
-        "cnot_computational", "cnot_in_basis", "hadamard",
-        "hadamard_equatorial", "hadamard_polar", "unequal_gate",
+        "cnot_computational", "hadamard", "hadamard_equatorial", "hadamard_polar",
+        "unequal_gate",
     ),
     "states": (
-        "Qubit", "StateSet", "complement", "equatorial_pair", "ket_notation", "listed_set",
-        "polar_pair", "polar_set", "state_family",
+        "Qubit", "StateSet", "complement", "ket_notation", "listed_set", "polar_set",
+        "state_family",
     ),
     "verifier": (
         "MachineSpec", "SurveyResult", "TargetTransform", "Verdict", "WitnessResult",

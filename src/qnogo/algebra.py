@@ -43,14 +43,6 @@ def state_vector(amplitudes, normalized: bool = True) -> np.ndarray:
     return v
 
 
-def operator(entries) -> np.ndarray:
-    """Validated copy of a square operator on a supported dimension."""
-    m = _as_complex(entries, "operator")
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in SUPPORTED_DIMS:
-        raise ValueError(f"unsupported operator shape {m.shape}")
-    return m
-
-
 def inner_product(u, v) -> complex:
     """<u|v>, conjugate-linear in the first argument."""
     u = np.asarray(u, dtype=complex)

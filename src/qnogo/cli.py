@@ -45,9 +45,8 @@ EXIT_IO = 4
 SCHEMA_VERSION = "1"
 
 MAX_LAMBDAS = 10_001
-MAX_GRID_N = 65_536   # circle-check memory is fixed, but its time grows as n^2: 55 s on 2 cores
+MAX_GRID_N = 65_536   # circle-check memory is fixed, but its time grows as n^2: 50 s on 2 cores
 MAX_NODES = 65_536    # fidelity-sweep quadrature nodes; the grid's arrays grow linearly
-_CIRCLE_TILE = 64     # columns: five 256 x 64 complex tiles are 1.25 MiB, in a 2 MiB L2
 # The gate targets as --target spells them, cnot as cnot23, with their names in REGISTRY
 _TARGET_OPTIONS = {"cnot23" if name == "cnot" else name: name
                    for name, (_, side) in REGISTRY["target"].items() if side}
@@ -346,84 +345,9 @@ def cmd_witness(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _swap_bounds(kind: str, n: int):
-    """A bound on each computed swapped-pattern residual by d = j - i, at d + n - 1, and a floor
-    under their computed maximum.  The pattern is exactly 2|sin(pi d / 2n)| (polar)
-    or 2|sin(pi d / n)| (equatorial); the slack, 1e-13, is ten times its worst error: with grid
-    angles within 1.4e-15 and partners' (t + pi) % 2 pi within 2.7e-15, a component (modulus
-    <= 1) is within 3e-15, a Gram entry (two products) 4e-15 and the pattern (two) 1e-14."""
-    import numpy as np
-    exact = 2.0 * np.abs(np.sin(np.pi / (2 * n if kind == "polar" else n) * np.arange(1 - n, n)))
-    return exact + 1e-13, exact.max() - 1e-13
-
-
-def _circle_residuals(kind: str, n: int) -> tuple[float, float, float]:
-    """Max overlap-pattern residuals over the n x n parameter grid.
-
-    Returns (diagonal residual, own-pattern off-diagonal residual,
-    swapped-pattern off-diagonal residual).  The diagonal identity is
-    shared; the off-diagonal sign is what distinguishes the circles.
-    On the polar grid each Gram entry's imaginary part is exactly +-0, and
-    hypot(x, +-0) = |x|: the moduli are taken on the real parts.  On the
-    equatorial grid plain squared moduli re^2 + im^2, within 3e-16 of the
-    true ones relative (the entries are at most 2 in modulus), pick the
-    entries within 1e-13 relative of the largest so far; np.abs, whose bits
-    the maxima keep, runs only on those.  The swapped pattern is skipped on
-    tiles whose bounds lie below the floor under its maximum.
-    """
-    import numpy as np
-    from .algebra import row_blocks
-    from .states import state_family
-    family = state_family(kind, n)
-    s, p = family.state_vectors, family.partner_vectors
-    real = not (s.imag.any() or p.imag.any())
-    peaks, tops = [0.0] * 3, [0.0] * 3   # diagonal, own and swapped; their top squared moduli
-
-    def peak(k: int, op, a, b, spent) -> None:   # raise peaks[k] to the largest |op(a, b)|
-        x = grams[4].view(float)[:spent.size].reshape(spent.shape)   # apart from every Gram tile
-        if real:
-            peaks[k] = max(peaks[k], float(np.abs(op(a.real, b.real, out=x), out=x).max()))
-            return
-        c = op(a, b, out=spent).view(float)
-        squares = np.multiply(c, c, out=grams[1].view(float)[:c.size].reshape(c.shape))   # spent
-        sq = np.add(squares[:, 0::2], squares[:, 1::2], out=x)
-        if (top := sq.max()) >= near(tops[k]):
-            tops[k] = max(tops[k], top)
-            at = np.flatnonzero(sq >= near(tops[k]))
-            peaks[k] = max(peaks[k], float(np.abs(spent.ravel()[at]).max()))
-
-    def near(top: float) -> float:   # no entry whose squared modulus is below this is larger
-        return top * (1.0 - 1e-13) if top > 1e-290 else 0.0   # far from subnormal rounding
-
-    bound, floor = _swap_bounds(kind, n)
-    own_op, swap_op = (np.add, np.subtract) if kind == "polar" else (np.subtract, np.add)
-    grams = np.empty((5, 257 * min(_CIRCLE_TILE + 1, n)), complex)   # lone rows, columns join
-    for lo, hi in row_blocks(n, 256):   # columns lo: hold every pair, as |R_ij| = |R_ji|
-        sc, pc = s[lo:hi].conj(), p[lo:hi].conj()
-        for c0, c1 in row_blocks(n - lo, _CIRCLE_TILE):   # from the block edge: BLAS's bits
-            st, pt = s[lo + c0:lo + c1].T, p[lo + c0:lo + c1].T
-            g00, g11, g01, g10 = (x[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
-                                  for x in grams[:4])
-            peak(0, np.subtract, np.matmul(sc, st, out=g00), np.matmul(pc, pt, out=g11), g00)
-            peak(1, own_op, np.matmul(sc, pt, out=g01), np.matmul(pc, st, out=g10), g00)
-            if bound[n + c0 - (hi - lo):n + c1 - 1].max() >= floor:   # d from c0 - (hi - lo) + 1
-                peak(2, swap_op, g01, g10, g00)
-    return peaks[0], peaks[1], peaks[2]
-
-
 def cmd_circle_check(args, cfg: RunConfig) -> int:
-    pol_diag, pol_own, pol_cross = _circle_residuals("polar", cfg.grid_n)
-    eq_diag, eq_own, eq_cross = _circle_residuals("equatorial", cfg.grid_n)
-    identities = {
-        "polar-diagonal": pol_diag,
-        "polar-offdiagonal": pol_own,
-        "equatorial-diagonal": eq_diag,
-        "equatorial-offdiagonal": eq_own,
-    }
-    cross = {
-        "equatorial-pattern-on-polar": pol_cross,
-        "polar-pattern-on-equatorial": eq_cross,
-    }
+    from .verifier import circle_identities
+    identities, cross = circle_identities(cfg.grid_n)
     ok = all(v <= cfg.tolerance for v in identities.values())
     status = "REALIZABLE" if ok else "IMPOSSIBLE"
     payload = {"status": status, "grid_n": cfg.grid_n,

@@ -1,13 +1,9 @@
-"""Fixed gate matrices and basis-dependent constructions.
+"""Fixed gate matrices and the unequal rotation.
 
 The three Hadamard-like gates are the exact realizers for the
 restricted-family checks: the standard Hadamard mixes computational
 basis states, the polar variant mixes a polar-circle state with its
 partner, and the equatorial variant does the same on the equator.
-cnot_in_basis builds the two-qubit gate that flips the target in the
-basis {psi, psi-bar} controlled on the same basis; it is unitary for
-every choice of control state but different choices do not commute
-with each other, which is what the universality audits probe.
 """
 
 from __future__ import annotations
@@ -15,8 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._shared import REGISTRY
-from .algebra import operator
-from .states import Qubit, complement
 
 _S = 1.0 / np.sqrt(2.0)
 
@@ -61,17 +55,3 @@ def unequal_gate(weights) -> np.ndarray:
     if not abs(a * a + b * b - 1.0) <= 1e-12:   # NaN and inf fail too
         raise ValueError(f"weights ({a!r}, {b!r}) do not satisfy a^2 + b^2 = 1")
     return np.array([[a, -b], [b, a]], dtype=complex)
-
-
-def cnot_in_basis(q: Qubit) -> np.ndarray:
-    """Controlled flip in the basis of q: |q><q| (x) I + |qbar><qbar| (x) X_q.
-
-    The control and the flipped target share the same basis, so on the
-    computational basis state this reduces to the familiar CNOT matrix.
-    """
-    u, v = q.vector, complement(q).vector
-    ctrl0 = np.outer(u, u.conj())
-    ctrl1 = np.outer(v, v.conj())
-    flip = np.outer(u, v.conj()) + np.outer(v, u.conj())   # X_q = |q><qbar| + |qbar><q|
-    gate = np.kron(ctrl0, np.eye(2, dtype=complex)) + np.kron(ctrl1, flip)
-    return operator(gate)

@@ -10,8 +10,7 @@ side of the circle.  On the polar circle the partner coincides with the
 canonical complement.  On the equatorial circle the overlap identities
 and the diagonal phase gate hold for the antipodal state instead, which
 shares a ray with the complement but differs from it by the
-parameter-dependent phase -e^{-i phi}.  polar_pair and equatorial_pair
-write both conventions out for one parameter; state_family builds whole
+parameter-dependent phase -e^{-i phi}.  state_family builds whole
 families as (n, 2) arrays.
 """
 
@@ -55,35 +54,6 @@ class Qubit:
 def complement(q: Qubit) -> Qubit:
     """conj(alpha)|1> - conj(beta)|0>: the orthogonal state."""
     return Qubit(-np.conj(q.beta), np.conj(q.alpha))
-
-
-def polar_pair(theta: float) -> tuple[Qubit, Qubit]:
-    """Polar-circle state cos(theta/2)|0> + sin(theta/2)|1>, theta in [0, pi],
-    with its partner on the opposite side.
-
-    The partner -sin(theta/2)|0> + cos(theta/2)|1> is both the canonical
-    complement and the state at theta + pi.
-    """
-    if not 0.0 <= theta <= np.pi:   # also refuses nan
-        raise ValueError(f"polar parameter {theta!r} outside [0, pi]")
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return Qubit(c, s), Qubit(-s, c)
-
-
-def equatorial_pair(phi: float) -> tuple[Qubit, Qubit]:
-    """Equatorial-circle state (|0> + e^{i phi}|1>)/sqrt(2), phi in [0, 2 pi),
-    with its antipodal partner.
-
-    The partner is the state at phi + pi, (|0> - e^{i phi}|1>)/sqrt(2).
-    It shares a ray with the canonical complement but carries the extra
-    phase -e^{-i phi}; the overlap identities that circle-check verifies
-    hold for this partner and fail for the literal complement.
-    """
-    if not 0.0 <= phi < _TWO_PI:   # also refuses nan
-        raise ValueError(f"equatorial parameter {phi!r} outside [0, 2 pi)")
-    r = 1.0 / np.sqrt(2.0)
-    return (Qubit(r, r * np.exp(1j * phi)),
-            Qubit(r, r * np.exp(1j * ((phi + np.pi) % _TWO_PI))))
 
 
 def _checked(vectors) -> np.ndarray:
@@ -160,7 +130,9 @@ def state_family(name: str, n: int, seed: int | None = None, *,
     sampled, the probes |+> and |+i> come first (within n), so that an audit
     always meets equator points with real and with imaginary amplitudes.
     polar and equatorial are evenly spaced grids, or uniform draws from seed
-    when sampled, paired as by polar_pair and equatorial_pair.
+    when sampled: the polar state cos(t/2)|0> + sin(t/2)|1>, t in [0, pi), with
+    its complement, and the equatorial state (|0> + e^{it}|1>)/sqrt2, t in
+    [0, 2 pi), with the state at t + pi.
     """
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}; expected bloch, polar, or equatorial")

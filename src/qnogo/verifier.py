@@ -1,4 +1,4 @@
-"""Machine extensions, impossibility audits, and witness search.
+"""Machine extensions, impossibility audits, and the pair scans of witness and circle-check.
 
 A candidate machine is a linear part plus an antilinear part, each
 given by its images of the two basis inputs: extend linear has only the
@@ -57,6 +57,7 @@ _CELL, _BOUND_SLACK = 32, 1e-13
 _SCREEN_TILE = 256
 _EXACT_TILE = 1024
 _WITNESS_BLOCK = 256   # rows per block of the witness scan
+_CIRCLE_TILE = 64      # columns: five 256 x 64 complex tiles are 1.25 MiB, in a 2 MiB L2
 # States per block of the per-state kernels: memory at n states is the family arrays, the
 # per-state outputs and one block, and every row keeps its bits whatever the block.
 _STATE_BLOCK = 1024
@@ -98,8 +99,10 @@ class MachineSpec:
     sends a|0> + b|1> to a L_0 + b L_1 + conj(a) A_0 + conj(b) A_1.  extend
     linear is (rows, 0), extend antilinear (0, rows), and hybrid_machine
     builds the hybrid.  The basis outputs L_i + A_i must be normalized and
-    mutually orthogonal: the machine is meant to be isometric, and an
-    isometry maps orthogonal inputs to orthogonal outputs.
+    mutually orthogonal, and the machine must keep the norm of every input:
+    with G the Gram matrix of the rows (L_0, L_1, A_0, A_1), the squared norm
+    of its output on a|0> + b|1> is |a|^2 + |b|^2 for all a, b exactly when
+    G_00 + G_22 = G_11 + G_33 = 1 and G_01 + G_32 = G_02 = G_13 = G_03 + G_12 = 0.
     """
 
     linear: np.ndarray
@@ -114,6 +117,14 @@ class MachineSpec:
             out0, out1 = (state_vector(out) for out in parts[0] + parts[1])
         if abs(inner_product(out0, out1)) > ATOL_VERDICT:
             raise ValueError("basis outputs are not orthogonal; the machine cannot be isometric")
+        rows = np.vstack(parts)
+        with np.errstate(all="ignore"):   # parts past 1e154 overflow G: inf or NaN is refused
+            g = rows.conj() @ rows.T
+            defects = (g[0, 0] + g[2, 2] - 1.0, g[1, 1] + g[3, 3] - 1.0, g[0, 1] + g[3, 2],
+                       g[0, 2], g[1, 3], g[0, 3] + g[1, 2])
+        if not all(abs(x) <= ATOL_VERDICT for x in defects):
+            raise ValueError("machine parts do not keep the norm of every input; "
+                             "the machine cannot be isometric")
         for name, part in zip(("linear", "antilinear"), parts):
             part.setflags(write=False)
             object.__setattr__(self, name, part)
@@ -605,18 +616,41 @@ def _witness_screen(terms, order, blocks) -> np.ndarray:
     return np.full(tiles.shape, top) if top < 2 * _SCREEN_MARGIN else tiles
 
 
-def _exact_tiles(width: int, tiles: list[float], floor: float) -> list[tuple[int, int]]:
-    """The column tiles of a row block, from its first row, that the exact pass computes:
-    each maximal run of adjacent estimate tiles whose squared gap reaches floor, cut into
-    pieces of at most _EXACT_TILE columns from its start.  Any other column holds neither
-    the maximum nor a tie."""
+def _pair_spans(n: int, rows: int, width: int):
+    """(lo, hi, c0, c1) of each tile of a pair scan over n states: row blocks of rows, and
+    the columns lo:n of each in tiles of width from the block edge, a lone last row or column
+    joined to the one before it, as numpy multiplies a single one by another BLAS routine.
+    Counted from the block edge, a tile's entries keep the bits of the full Gram's."""
+    for lo, hi in row_blocks(n, rows):
+        for c0, c1 in row_blocks(n - lo, width):
+            yield lo, hi, lo + c0, lo + c1
+
+
+def _gram_tile(xc: np.ndarray, y: np.ndarray, c0: int, c1: int, buf: np.ndarray) -> np.ndarray:
+    """The Gram tile conj(x) y[c0:c1]^T of the rows xc = conj(x), which the caller conjugates
+    once per row block, written into the head of the flat buffer buf: the one product that
+    forms the complex Gram tiles of every pair scan."""
+    m, w = len(xc), c1 - c0
+    return np.matmul(xc, y[c0:c1].T, out=buf[:m * w].reshape(m, w))
+
+
+def _exact_tiles(n: int, squares, floor: float) -> list[tuple[int, int, int, int]]:
+    """The tiles (lo, hi, c0, c1) that the exact pass computes: per row block of
+    _WITNESS_BLOCK, each maximal run of adjacent estimate tiles whose squared gap,
+    squares[block][tile], reaches floor, cut into pieces of at most _EXACT_TILE columns from
+    its start.  Any other column holds neither the maximum nor a tie."""
+    hits = [(np.asarray(tiles) >= floor).tolist() for tiles in squares]
+
+    def screened(span):   # its row block, and whether its estimate tile reaches floor
+        lo, hi, c0, _ = span
+        return lo, hi, hits[lo // _WITNESS_BLOCK][(c0 - lo) // _SCREEN_TILE]
+
     out = []
-    screened = zip(row_blocks(width, _SCREEN_TILE), tiles)
-    for hit, run in groupby(screened, key=lambda tile: tile[1] >= floor):
+    for (lo, hi, hit), run in groupby(_pair_spans(n, _WITNESS_BLOCK, _SCREEN_TILE), screened):
         if hit:
-            edges = [edge for edge, _ in run]
-            r0, r1 = edges[0][0], edges[-1][1]
-            out += [(r0 + c0, r0 + c1) for c0, c1 in row_blocks(r1 - r0, _EXACT_TILE)]
+            run = list(run)
+            r0, r1 = run[0][2], run[-1][3]
+            out += [(lo, hi, r0 + c0, r0 + c1) for c0, c1 in row_blocks(r1 - r0, _EXACT_TILE)]
     return out
 
 
@@ -626,14 +660,14 @@ def _witness_tile(s, p, o1, terms, pos, buf, floor: float, lo: int, hi: int, c0:
     single-qubit target computes the whole tile, as its estimate would cost as much."""
     m, w = hi - lo, c1 - c0
     if o1 is not None:
-        gap = np.matmul(s[lo:hi].conj(), s[c0:c1].T, out=buf[0, :m * w].reshape(m, w))
-        gap -= np.matmul(o1[lo:hi].conj(), o1[c0:c1].T, out=buf[1, :m * w].reshape(m, w))
+        gap = _gram_tile(s[lo:hi].conj(), s, c0, c1, buf[0])
+        gap -= _gram_tile(o1[lo:hi].conj(), o1, c0, c1, buf[1])
         block = _mask_lower(np.abs(gap, out=buf[1].view(float)[:m * w].reshape(m, w)), lo, c0)
     else:
         block = _tile_estimate(terms, buf[1:].view(float).reshape(4, -1), lo, hi, c0, c1, pos)
         rows, cols = np.divmod(np.flatnonzero(block >= floor), w)   # (i, j) order; j <= i reads -1
-        vecs, tile = {"s": s, "p": p}, buf[0, :m * w].reshape(m, w)
-        g = {k: np.matmul(vecs[k[0]][lo:hi].conj(), vecs[k[1]][c0:c1].T, out=tile)[rows, cols]
+        vecs = {"s": s, "p": p}
+        g = {k: _gram_tile(vecs[k[0]][lo:hi].conj(), vecs[k[1]], c0, c1, buf[0])[rows, cols]
              for k in ("ss", "sp", "ps", "pp")}   # one Gram tile at a time, kept cells only
         cells = np.zeros(rows.size)
         for a1, b1, a1o, b1o in _CNOT_RULES:
@@ -684,8 +718,7 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     terms, blocks = _screen_terms(s, p, o1, wide), list(row_blocks(n, _WITNESS_BLOCK))
     squares = _witness_screen(terms, order, blocks)
     floor = squares.max() - _SCREEN_MARGIN
-    exact = [(lo, hi, lo + c0, lo + c1) for (lo, hi), tiles in zip(blocks, squares)
-             for c0, c1 in _exact_tiles(n - lo, tiles, floor)]
+    exact = _exact_tiles(n, squares, floor)
     # every exact tile reuses these: two Gram tiles, or for cnot one and the estimate's four
     size = max((hi - lo) * (c1 - c0) for lo, hi, c0, c1 in exact)
     buf, pos = np.empty((2 if o1 is not None else 3, size), complex), np.empty_like(order)
@@ -701,6 +734,78 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     return WitnessResult(pair=(Qubit(*s[best_i]), Qubit(*s[best_j])),
                          violation=max(best_v, 0.0),
                          condition="pairwise-overlap-consistency")
+
+
+def circle_identities(n: int) -> tuple[dict[str, float], dict[str, float]]:
+    """circle-check's report on the n-point polar and equatorial grids: the largest residual
+    of each circle's diagonal and own off-diagonal overlap identity, then of each circle's
+    swapped off-diagonal pattern, which is expected to fail."""
+    (pol_diag, pol_own, pol_cross), (eq_diag, eq_own, eq_cross) = (
+        _circle_residuals(kind, n) for kind in ("polar", "equatorial"))
+    return ({"polar-diagonal": pol_diag, "polar-offdiagonal": pol_own,
+             "equatorial-diagonal": eq_diag, "equatorial-offdiagonal": eq_own},
+            {"equatorial-pattern-on-polar": pol_cross, "polar-pattern-on-equatorial": eq_cross})
+
+
+def _swap_bounds(kind: str, n: int):
+    """A bound on each computed swapped-pattern residual by d = j - i, at d + n - 1, and a floor
+    under their computed maximum.  The pattern is exactly 2|sin(pi d / 2n)| (polar)
+    or 2|sin(pi d / n)| (equatorial); the slack, 1e-13, is ten times its worst error: with grid
+    angles within 1.4e-15 and partners' (t + pi) % 2 pi within 2.7e-15, a component (modulus
+    <= 1) is within 3e-15, a Gram entry (two products) 4e-15 and the pattern (two) 1e-14."""
+    exact = 2.0 * np.abs(np.sin(np.pi / (2 * n if kind == "polar" else n) * np.arange(1 - n, n)))
+    return exact + 1e-13, exact.max() - 1e-13
+
+
+def _circle_residuals(kind: str, n: int) -> tuple[float, float, float]:
+    """Max overlap-pattern residuals over the n x n parameter grid.
+
+    Returns (diagonal residual, own-pattern off-diagonal residual,
+    swapped-pattern off-diagonal residual).  The diagonal identity is
+    shared; the off-diagonal sign is what distinguishes the circles.
+    On the polar grid each Gram entry's imaginary part is exactly +-0, and
+    hypot(x, +-0) = |x|: the moduli are taken on the real parts.  On the
+    equatorial grid plain squared moduli re^2 + im^2, within 3e-16 of the
+    true ones relative (the entries are at most 2 in modulus), pick the
+    entries within 1e-13 relative of the largest so far; np.abs, whose bits
+    the maxima keep, runs only on those.  The swapped pattern is skipped on
+    tiles whose bounds lie below the floor under its maximum.
+    """
+    family = state_family(kind, n)
+    s, p = family.state_vectors, family.partner_vectors
+    real = not (s.imag.any() or p.imag.any())
+    peaks, tops = [0.0] * 3, [0.0] * 3   # diagonal, own and swapped; their top squared moduli
+
+    def peak(k: int, op, a, b, spent) -> None:   # raise peaks[k] to the largest |op(a, b)|
+        x = grams[4].view(float)[:spent.size].reshape(spent.shape)   # apart from every Gram tile
+        if real:
+            peaks[k] = max(peaks[k], float(np.abs(op(a.real, b.real, out=x), out=x).max()))
+            return
+        c = op(a, b, out=spent).view(float)
+        squares = np.multiply(c, c, out=grams[1].view(float)[:c.size].reshape(c.shape))   # spent
+        sq = np.add(squares[:, 0::2], squares[:, 1::2], out=x)
+        if (top := sq.max()) >= near(tops[k]):
+            tops[k] = max(tops[k], top)
+            at = np.flatnonzero(sq >= near(tops[k]))
+            peaks[k] = max(peaks[k], float(np.abs(spent.ravel()[at]).max()))
+
+    def near(top: float) -> float:   # no entry whose squared modulus is below this is larger
+        return top * (1.0 - 1e-13) if top > 1e-290 else 0.0   # far from subnormal rounding
+
+    bound, floor = _swap_bounds(kind, n)
+    own_op, swap_op = (np.add, np.subtract) if kind == "polar" else (np.subtract, np.add)
+    grams = np.empty((5, 257 * min(_CIRCLE_TILE + 1, n)), complex)   # lone rows, columns join
+    # the columns lo: of each row block hold every pair, as |R_ij| = |R_ji|
+    for lo, hi, c0, c1 in _pair_spans(n, 256, _CIRCLE_TILE):
+        if c0 == lo:   # a row block's first tile: its rows are conjugated once
+            sc, pc = s[lo:hi].conj(), p[lo:hi].conj()
+        g00 = _gram_tile(sc, s, c0, c1, grams[0])
+        peak(0, np.subtract, g00, _gram_tile(pc, p, c0, c1, grams[1]), g00)
+        g01, g10 = _gram_tile(sc, p, c0, c1, grams[2]), _gram_tile(pc, s, c0, c1, grams[3])
+        peak(1, own_op, g01, g10, g00)
+        if bound[n + c0 - hi:n + c1 - lo - 1].max() >= floor:   # d from c0 - hi + 1
+            peak(2, swap_op, g01, g10, g00)
+    return peaks[0], peaks[1], peaks[2]
 
 
 @record

@@ -23,7 +23,6 @@ from qnogo.fidelity import (
 )
 from qnogo.gates import (
     cnot_computational,
-    cnot_in_basis,
     hadamard_equatorial,
     hadamard_polar,
 )
@@ -42,6 +41,7 @@ from qnogo.verifier import (
     survey_random_unitaries,
     witness_search,
 )
+from references import cnot_in_basis
 
 ROOT = Path(__file__).resolve().parents[1]
 MACHINES = ROOT / "machines"

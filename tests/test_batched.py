@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 
 import qnogo.verifier
 from qnogo.algebra import abs_squared, haar_unitaries, kron_rows, row_blocks, row_norms
-from qnogo.cli import _CIRCLE_TILE, _circle_residuals, _swap_bounds
 from qnogo.gates import (
     cnot_computational,
-    cnot_in_basis,
     hadamard,
     hadamard_equatorial,
     hadamard_polar,
@@ -30,9 +28,7 @@ from qnogo.states import (
     Qubit,
     StateSet,
     complement,
-    equatorial_pair,
     listed_set,
-    polar_pair,
     polar_set,
     state_family,
 )
@@ -46,11 +42,15 @@ from qnogo.verifier import (
     witness_search,
 )
 from qnogo.verifier import (
+    _CIRCLE_TILE,
     _EXACT_TILE,
     _SCREEN_MARGIN,
+    _SCREEN_TILE,
     _STATE_BLOCK,
+    _WITNESS_BLOCK,
     TargetTransform,
     _output_map,
+    _pair_spans,
     _rule_violation,
     _rules,
     _k,
@@ -60,14 +60,18 @@ from qnogo.verifier import (
     _cell_bound,
     _cell_forms,
     _cell_order,
+    _circle_residuals,
     _exact_tiles,
+    _gram_tile,
     _mask_lower,
     _reduced,
     _screen_terms,
+    _swap_bounds,
     _tile_estimate,
     _tri_mask,
     _witness_screen,
 )
+from references import cnot_in_basis, equatorial_pair, polar_pair
 
 RT2 = 1.0 / np.sqrt(2.0)
 FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)   # the complement flip
@@ -872,8 +876,10 @@ def test_the_hand_built_scans_hold_a_long_run_and_a_gap():
 def test_exact_tiles_cut_each_run_of_screened_tiles_from_its_start(hits, tile, exact, lone):
     width = tile * len(hits) + lone   # row_blocks joins a lone last column to the last tile
     with mock.patch("qnogo.verifier._SCREEN_TILE", tile), \
-            mock.patch("qnogo.verifier._EXACT_TILE", exact):
-        pieces = _exact_tiles(width, [1.0 if hit else 0.0 for hit in hits], 0.5)
+            mock.patch("qnogo.verifier._EXACT_TILE", exact), \
+            mock.patch("qnogo.verifier._WITNESS_BLOCK", width):   # one row block, 0:width
+        pieces = [(c0, c1) for _, _, c0, c1
+                  in _exact_tiles(width, [[1.0 if hit else 0.0 for hit in hits]], 0.5)]
         estimate = list(row_blocks(width, tile))
     kept = [col for (e0, e1), hit in zip(estimate, hits) if hit for col in range(e0, e1)]
     assert [col for c0, c1 in pieces for col in range(c0, c1)] == kept
@@ -1040,8 +1046,7 @@ def test_the_exact_pass_skips_the_tiles_no_estimate_tile_reaches(monkeypatch, na
     floor = max(map(max, squares)) - _SCREEN_MARGIN
     held = sum(len(list(row_blocks(n - lo, _EXACT_TILE)))
                for (lo, _), tiles in zip(blocks, squares) if max(tiles) >= floor)
-    runs = [tile for (lo, _), tiles in zip(blocks, squares)
-            for tile in _exact_tiles(n - lo, tiles, floor)]
+    runs = _exact_tiles(n, squares, floor)
     calls = []
     tile = qnogo.verifier._witness_tile
     monkeypatch.setattr("qnogo.verifier._witness_tile", lambda *a: calls.append(a) or tile(*a))
@@ -1251,3 +1256,30 @@ def test_circle_residuals_in_row_blocks_equal_the_full_gram(n):
         sym = float(np.abs(g01 - g10).max())
         expected = (diag, anti, sym) if kind == "polar" else (diag, sym, anti)
         assert _circle_residuals(kind, n) == expected
+
+
+# --- the pair scan's tiles ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 257, 1025, 1281])
+def test_every_tile_of_the_span_walk_has_the_bits_of_the_full_gram(n):
+    # the circles' tiles, the witness screen's, and its exact pass's widest: rows of 256, and
+    # at 1025 a lone last row joins the fourth block and a column range runs one past 1024
+    widths = [(256, _CIRCLE_TILE), (_WITNESS_BLOCK, _SCREEN_TILE), (_WITNESS_BLOCK, _EXACT_TILE)]
+    buf = np.empty(257 * (_EXACT_TILE + 1), complex)   # reused, as every scan reuses its own
+    for name in ("bloch", "polar", "equatorial"):
+        family = state_family(name, n, 0, sampled=name == "bloch")
+        s, p = family.state_vectors, family.partner_vectors
+        o1 = next(_rules(TargetTransform("hadamard9"), s, p))[1]
+        for x, y in ((s, s), (s, p), (p, s), (p, p), (o1, o1)):
+            full = (x.conj() @ y.T).view(np.int64)
+            for rows, width in widths:
+                spans = list(_pair_spans(n, rows, width))
+                for lo, hi, c0, c1 in spans:
+                    tile = _gram_tile(x[lo:hi].conj(), y, c0, c1, buf)
+                    assert np.array_equal(tile.view(np.int64), full[lo:hi, 2 * c0:2 * c1])
+                # the tiles cover each pair j >= i once, in (i, j) order by row block
+                cover = np.zeros((n, n), int)
+                for lo, hi, c0, c1 in spans:
+                    cover[lo:hi, c0:c1] += 1
+                assert (np.triu(cover) == np.triu(np.ones((n, n), int))).all()

@@ -4,13 +4,13 @@ import pytest
 from qnogo.algebra import is_unitary, tensor
 from qnogo.gates import (
     cnot_computational,
-    cnot_in_basis,
     hadamard,
     hadamard_equatorial,
     hadamard_polar,
     unequal_gate,
 )
-from qnogo.states import Qubit, complement, equatorial_pair, polar_pair, state_family
+from qnogo.states import Qubit, complement, state_family
+from references import cnot_in_basis, equatorial_pair, polar_pair
 
 RT2 = 1.0 / np.sqrt(2.0)
 

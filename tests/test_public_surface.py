@@ -21,9 +21,6 @@ ALLOWED = {
     "survey_random_unitaries": "the Haar survey, which perfbench's run_survey calls",
     "polar_set": "the polar grid that perfbench's run_survey passes to the survey",
     "target_hadamard9": "the Hadamard target that perfbench's run_survey passes to the survey",
-    "cnot_in_basis": "the CNOT of one basis, the realizer that each listed-state check passes",
-    "polar_pair": "one polar pair by its angle; state_family builds the same pairs in bulk",
-    "equatorial_pair": "one equatorial pair by its angle; state_family builds them in bulk",
     "machine_deviations": "per-state deviations for library users; tests pin each against the "
                           "scalar reference",
 }

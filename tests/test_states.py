@@ -7,13 +7,12 @@ from qnogo.states import (
     StateSet,
     _bloch_rows,
     complement,
-    equatorial_pair,
     ket_notation,
     listed_set,
-    polar_pair,
     polar_set,
     state_family,
 )
+from references import equatorial_pair, polar_pair
 
 RT2 = 1.0 / np.sqrt(2.0)
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnogo.algebra import tensor
 from qnogo.gates import (
     cnot_computational,
-    cnot_in_basis,
     hadamard,
     hadamard_equatorial,
     hadamard_polar,
@@ -13,9 +14,7 @@ from qnogo.gates import (
 from qnogo.states import (
     Qubit,
     complement,
-    equatorial_pair,
     listed_set,
-    polar_pair,
     polar_set,
     state_family,
 )
@@ -33,6 +32,7 @@ from qnogo.verifier import (
     survey_random_unitaries,
     witness_search,
 )
+from references import cnot_in_basis, equatorial_pair, polar_pair
 
 RT2 = 1.0 / np.sqrt(2.0)
 KET0 = Qubit(1.0, 0.0)
@@ -80,6 +80,61 @@ def test_machine_spec_checks_each_basis_output_is_a_unit_vector():
     for linear, antilinear in ((infinite, NONE), (infinite, -infinite), (huge, huge)):
         with pytest.raises(ValueError, match="non-finite"):   # and no numpy warning
             MachineSpec(linear, antilinear)
+
+
+def test_machine_spec_refuses_parts_that_do_not_keep_the_norm():
+    # the basis outputs COPY are fine, but the parts overlap: i|0> goes to 0
+    with pytest.raises(ValueError, match="do not keep the norm of every input"):
+        MachineSpec(COPY / 2, COPY / 2)
+
+
+def random_parts(kind, d, eps, rng):
+    """Random (linear, antilinear) parts of width 4d: a hybrid-like isometry, weights
+    cos t and sin t on four orthonormal rows; two orthonormal basis outputs split between
+    overlapping parts; a map that keeps every real inner product, from four
+    real-orthonormal columns, whose basis outputs need not be orthogonal; or Gaussian
+    rows.  eps adds Gaussian noise of that size."""
+    z = rng.normal(size=(4 * d, 4)) + 1j * rng.normal(size=(4 * d, 4))
+    rows = np.linalg.qr(z)[0].T
+    if kind == "hybrid":
+        t = rng.uniform(0.0, np.pi / 2)
+        linear, antilinear = np.cos(t) * rows[:2], np.sin(t) * rows[2:]
+    elif kind == "split":   # as COPY / 2, COPY / 2, with the parts' difference at random
+        linear, antilinear = rows[:2] / 2 + z[:, 2:].T / 4, rows[:2] / 2 - z[:, 2:].T / 4
+    elif kind == "real":   # columns of the images of |0>, i|0>, |1>, i|1> as real vectors
+        c = np.linalg.qr(rng.normal(size=(8 * d, 4)))[0].T.copy().view(complex)
+        linear, antilinear = (c[0::2] - 1j * c[1::2]) / 2, (c[0::2] + 1j * c[1::2]) / 2
+    else:
+        linear, antilinear = z[:, :2].T / 2, z[:, 2:].T / 2
+    noise = rng.normal(size=(2, 2, 4 * d)) + 1j * rng.normal(size=(2, 2, 4 * d))
+    return linear + eps * noise[0], antilinear + eps * noise[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["hybrid", "split", "real", "gaussian"]),
+       d=st.sampled_from([1, 2, 4]), eps=st.sampled_from([0.0, 1e-14, 1e-6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_spec_is_refused_exactly_when_it_is_not_isometric(kind, d, eps, seed):
+    rng = np.random.default_rng(seed)
+    linear, antilinear = random_parts(kind, d, eps, rng)
+    # the machine as a real-linear map of (Re a, Im a, Re b, Im b): isometric when M^T M = I
+    m = np.stack([linear[0] + antilinear[0], 1j * (linear[0] - antilinear[0]),
+                  linear[1] + antilinear[1], 1j * (linear[1] - antilinear[1])], axis=1)
+    m = np.vstack([m.real, m.imag])
+    isometric = np.abs(m.T @ m - np.eye(4)).max() <= 1e-9
+    outputs = linear + antilinear
+    basis = np.abs(outputs.conj() @ outputs.T - np.eye(2)).max() <= 1e-9   # orthonormal
+    try:
+        spec = MachineSpec(linear, antilinear)
+    except ValueError as exc:
+        assert not (isometric and basis)
+        # past the basis-output checks, the refusal is the isometry's
+        assert basis == ("do not keep the norm of every input" in str(exc))
+        return
+    assert isometric and basis
+    a = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
+    a /= np.linalg.norm(a, axis=1)[:, np.newaxis]
+    assert np.abs(np.linalg.norm(_output_map(spec)(a), axis=1) - 1.0).max() <= 1e-12
 
 
 def test_machine_spec_refuses_other_widths_and_unequal_parts():
