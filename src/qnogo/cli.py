@@ -45,7 +45,7 @@ EXIT_IO = 4
 SCHEMA_VERSION = "1"
 
 MAX_LAMBDAS = 10_001
-MAX_GRID_N = 65_536   # circle-check memory is fixed, but its time grows as n^2: 50 s on 2 cores
+MAX_GRID_N = 65_536   # circle-check memory is fixed, but its time grows as n^2: 26 s on 2 cores
 MAX_NODES = 65_536    # fidelity-sweep quadrature nodes; the grid's arrays grow linearly
 # The gate targets as --target spells them, cnot as cnot23, with their names in REGISTRY
 _TARGET_OPTIONS = {"cnot23" if name == "cnot" else name: name

@@ -626,12 +626,26 @@ def _pair_spans(n: int, rows: int, width: int):
             yield lo, hi, lo + c0, lo + c1
 
 
+def _real_rows(*rows):
+    """The rows, None kept, as contiguous float copies if none has an imaginary part."""
+    if any(v is not None and v.imag.any() for v in rows):
+        return rows
+    return tuple(v if v is None else np.ascontiguousarray(v.real) for v in rows)
+
+
 def _gram_tile(xc: np.ndarray, y: np.ndarray, c0: int, c1: int, buf: np.ndarray) -> np.ndarray:
-    """The Gram tile conj(x) y[c0:c1]^T of the rows xc = conj(x), which the caller conjugates
-    once per row block, written into the head of the flat buffer buf: the one product that
-    forms the complex Gram tiles of every pair scan."""
+    """The Gram tile conj(x) y[c0:c1]^T of the rows xc = np.conjugate(x), formed once per row
+    block, in the head of the flat buffer buf of the rows' dtype: every pair scan's product.
+    Real rows keep the bits of zgemm's real parts, fma(x1, y1, x0 y0): xc is never x.conj(),
+    x itself on float rows, whose x x^T goes to syrk; dgemm's unfused 4-column edge kernel
+    (from about 200 columns) gets no last 4 to 7 columns; and one row is summed as zgemv does."""
     m, w = len(xc), c1 - c0
-    return np.matmul(xc, y[c0:c1].T, out=buf[:m * w].reshape(m, w))
+    out, cuts = buf[:m * w].reshape(m, w), ((0, w - w % 8, w) if w % 8 > 3 else (0, w))
+    if m == 1 and xc.dtype == float:
+        return np.add(xc[0, 0] * y[c0:c1, 0], xc[0, 1] * y[c0:c1, 1], out=out[0])[None]
+    for a, b in zip(cuts, cuts[1:]):
+        np.matmul(xc, y[c0 + a:c0 + b].T, out=out[:, a:b])
+    return out
 
 
 def _exact_tiles(n: int, squares, floor: float) -> list[tuple[int, int, int, int]]:
@@ -660,14 +674,14 @@ def _witness_tile(s, p, o1, terms, pos, buf, floor: float, lo: int, hi: int, c0:
     single-qubit target computes the whole tile, as its estimate would cost as much."""
     m, w = hi - lo, c1 - c0
     if o1 is not None:
-        gap = _gram_tile(s[lo:hi].conj(), s, c0, c1, buf[0])
-        gap -= _gram_tile(o1[lo:hi].conj(), o1, c0, c1, buf[1])
+        gap = _gram_tile(np.conjugate(s[lo:hi]), s, c0, c1, buf[0])
+        gap -= _gram_tile(np.conjugate(o1[lo:hi]), o1, c0, c1, buf[1])
         block = _mask_lower(np.abs(gap, out=buf[1].view(float)[:m * w].reshape(m, w)), lo, c0)
     else:
         block = _tile_estimate(terms, buf[1:].view(float).reshape(4, -1), lo, hi, c0, c1, pos)
         rows, cols = np.divmod(np.flatnonzero(block >= floor), w)   # (i, j) order; j <= i reads -1
         vecs = {"s": s, "p": p}
-        g = {k: _gram_tile(vecs[k[0]][lo:hi].conj(), vecs[k[1]], c0, c1, buf[0])[rows, cols]
+        g = {k: _gram_tile(np.conjugate(vecs[k[0]][lo:hi]), vecs[k[1]], c0, c1, buf[0])[rows, cols]
              for k in ("ss", "sp", "ps", "pp")}   # one Gram tile at a time, kept cells only
         cells = np.zeros(rows.size)
         for a1, b1, a1o, b1o in _CNOT_RULES:
@@ -726,9 +740,11 @@ def witness_search(t: TargetTransform, n_samples: int, seed: int | None = 42,
     s = s[pos]   # one array at a time, so each ordered copy is freed as its successor is built
     p = p[pos]
     o1 = None if o1 is None else o1[pos]
+    rows = _real_rows(s, p, o1)   # the pair is built from the complex rows s
+    buf = buf.view(rows[0].dtype)
     best_v, best_i, best_j = -1.0, 0, 1
     for lo, hi, c0, c1 in exact:
-        v, i, j = _witness_tile(s, p, o1, terms, pos, buf, floor, lo, hi, c0, c1)
+        v, i, j = _witness_tile(*rows, terms, pos, buf, floor, lo, hi, c0, c1)
         if v > best_v or v == best_v and i < best_i:   # the first pair in (i, j) order
             best_v, best_i, best_j = v, i, j
     return WitnessResult(pair=(Qubit(*s[best_i]), Qubit(*s[best_j])),
@@ -763,8 +779,8 @@ def _circle_residuals(kind: str, n: int) -> tuple[float, float, float]:
     Returns (diagonal residual, own-pattern off-diagonal residual,
     swapped-pattern off-diagonal residual).  The diagonal identity is
     shared; the off-diagonal sign is what distinguishes the circles.
-    On the polar grid each Gram entry's imaginary part is exactly +-0, and
-    hypot(x, +-0) = |x|: the moduli are taken on the real parts.  On the
+    The polar grid's tiles are real, with the bits of the complex tiles' real
+    parts (_gram_tile), whose moduli hypot(x, +-0) = |x| they keep.  On the
     equatorial grid plain squared moduli re^2 + im^2, within 3e-16 of the
     true ones relative (the entries are at most 2 in modulus), pick the
     entries within 1e-13 relative of the largest so far; np.abs, whose bits
@@ -772,14 +788,13 @@ def _circle_residuals(kind: str, n: int) -> tuple[float, float, float]:
     tiles whose bounds lie below the floor under its maximum.
     """
     family = state_family(kind, n)
-    s, p = family.state_vectors, family.partner_vectors
-    real = not (s.imag.any() or p.imag.any())
+    s, p = _real_rows(family.state_vectors, family.partner_vectors)
     peaks, tops = [0.0] * 3, [0.0] * 3   # diagonal, own and swapped; their top squared moduli
 
     def peak(k: int, op, a, b, spent) -> None:   # raise peaks[k] to the largest |op(a, b)|
         x = grams[4].view(float)[:spent.size].reshape(spent.shape)   # apart from every Gram tile
-        if real:
-            peaks[k] = max(peaks[k], float(np.abs(op(a.real, b.real, out=x), out=x).max()))
+        if a.dtype == float:   # the polar grid's real tiles
+            peaks[k] = max(peaks[k], float(np.abs(op(a, b, out=x), out=x).max()))
             return
         c = op(a, b, out=spent).view(float)
         squares = np.multiply(c, c, out=grams[1].view(float)[:c.size].reshape(c.shape))   # spent
@@ -794,11 +809,11 @@ def _circle_residuals(kind: str, n: int) -> tuple[float, float, float]:
 
     bound, floor = _swap_bounds(kind, n)
     own_op, swap_op = (np.add, np.subtract) if kind == "polar" else (np.subtract, np.add)
-    grams = np.empty((5, 257 * min(_CIRCLE_TILE + 1, n)), complex)   # lone rows, columns join
+    grams = np.empty((5, 257 * min(_CIRCLE_TILE + 1, n)), s.dtype)   # lone rows, columns join
     # the columns lo: of each row block hold every pair, as |R_ij| = |R_ji|
     for lo, hi, c0, c1 in _pair_spans(n, 256, _CIRCLE_TILE):
         if c0 == lo:   # a row block's first tile: its rows are conjugated once
-            sc, pc = s[lo:hi].conj(), p[lo:hi].conj()
+            sc, pc = np.conjugate(s[lo:hi]), np.conjugate(p[lo:hi])
         g00 = _gram_tile(sc, s, c0, c1, grams[0])
         peak(0, np.subtract, g00, _gram_tile(pc, p, c0, c1, grams[1]), g00)
         g01, g10 = _gram_tile(sc, p, c0, c1, grams[2]), _gram_tile(pc, s, c0, c1, grams[3])

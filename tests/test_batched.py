@@ -8,6 +8,7 @@ the same numbers bit for bit, and the same witness on ties.
 
 import itertools
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -64,6 +65,7 @@ from qnogo.verifier import (
     _exact_tiles,
     _gram_tile,
     _mask_lower,
+    _real_rows,
     _reduced,
     _screen_terms,
     _swap_bounds,
@@ -755,6 +757,8 @@ def witness_target(kind, a, b):
 @example(kind="hadamard10", weights=(1.0, 0.0), name="equatorial", seed=1, n=257, chunk=5)
 @example(kind="unequal", weights=(0.6, 0.8), name="polar", seed=2, n=200, chunk=3)
 @example(kind="cnot", weights=(1.0, 0.0), name="polar", seed=3, n=120, chunk=1)
+@example(kind="hadamard9", weights=(1.0, 0.0), name="polar", seed=0, n=117, chunk=1)   # a real
+# row alone goes to gemv: summed unfused, as zgemv sums it, or a last bit changes here
 @example(kind="unequal", weights=(-0.9364566872907963, -0.35078322768961984), name="bloch",
          seed=7753470, n=6, chunk=2)   # the full-width product differs in the last bit
 def test_screened_witness_search_equals_the_exhaustive_scan(kind, weights, name, seed, n,
@@ -769,6 +773,55 @@ def test_screened_witness_search_equals_the_exhaustive_scan(kind, weights, name,
         result = witness_search(witness_target(kind, a, b), n, seed=seed, family=name)
     assert result.violation == violation
     assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
+
+
+@contextmanager
+def gram_rows():
+    """The dtypes (conjugated rows, columns, buffer) of the _gram_tile calls within, as a set.
+    Conjugated rows that share memory with the columns fail at once: float rows conjugated
+    by x.conj() are x itself, and numpy sends a square tile x x^T to syrk."""
+    tile, dtypes = qnogo.verifier._gram_tile, set()
+
+    def spy(xc, y, c0, c1, buf):
+        assert not np.shares_memory(xc, y)
+        dtypes.add((xc.dtype, y.dtype, buf.dtype))
+        return tile(xc, y, c0, c1, buf)
+    with mock.patch.object(qnogo.verifier, "_gram_tile", spy):
+        yield dtypes
+
+
+REAL = {(np.dtype(float),) * 3}
+COMPLEX = {(np.dtype(complex),) * 3}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("n", [13, 65, 319, 1025])
+@pytest.mark.parametrize("kind,a,b", [("hadamard9", None, None), ("unequal", 0.6, 0.8),
+                                      ("cnot", None, None)])
+def test_real_families_scan_real_tiles_with_the_bits_of_the_complex_scan(kind, a, b, n, seed):
+    # sampled polar states, and hadamard9's and real weights' outputs, are real: the exact
+    # pass runs on float rows and finds the complex scan's pair and violation, ties included
+    s, p = ref_sampled("polar", n, seed)
+    violation, i, j = ref_witness(kind, s, p, None, a, b, list(row_blocks(n, _WITNESS_BLOCK)))
+    with gram_rows() as dtypes:
+        result = witness_search(witness_target(kind, a, b), n, seed=seed, family="polar")
+    assert np.float64(result.violation).tobytes() == np.float64(violation).tobytes()
+    assert result.pair == (Qubit(*s[i]), Qubit(*s[j]))
+    assert dtypes == REAL
+
+
+@pytest.mark.parametrize("scan,expected", [
+    (lambda: _circle_residuals("polar", 300), REAL),
+    (lambda: _circle_residuals("equatorial", 300), COMPLEX),
+    (lambda: witness_search(TargetTransform("hadamard9"), 300, 0, "bloch"), COMPLEX),
+    (lambda: witness_search(TargetTransform("cnot"), 300, 0, "bloch"), COMPLEX),
+    (lambda: witness_search(TargetTransform("cnot"), 300, 0, "equatorial"), COMPLEX),
+    # polar states, but complex weights give complex outputs
+    (lambda: witness_search(TargetTransform("unequal", 0.6, 0.8j), 300, 0, "polar"), COMPLEX)])
+def test_only_real_families_take_real_tiles(scan, expected):
+    with gram_rows() as dtypes:
+        scan()
+    assert dtypes == expected
 
 
 TILED_SCANS = [
@@ -1178,7 +1231,7 @@ def ref_circle_residuals(kind, n):
 
 @settings(max_examples=6, deadline=None)
 @given(n=st.integers(2, 1500))
-@example(n=13)   # a polar path on real products changed a last bit here
+@example(n=13)   # one square tile: real rows conjugated with .conj() went to syrk here
 @example(n=63)   # the sizes at which a block's columns end on, next to or past a tile edge
 @example(n=64)
 @example(n=65)
@@ -1194,9 +1247,13 @@ def ref_circle_residuals(kind, n):
 @example(n=4097)
 def test_circle_residuals_over_the_upper_triangle_equal_the_whole_square(n):
     # |R_ij| = |R_ji| holds exactly, but the computed Gram is not bitwise Hermitian: the
-    # maxima must still come out the same
-    for kind in ("polar", "equatorial"):
-        assert _circle_residuals(kind, n) == ref_circle_residuals(kind, n)
+    # maxima must still come out the same.  gram_rows pins the route: real polar tiles, never
+    # from rows that x.conj() returned, whose square tiles go to syrk (at 13, 29 of its
+    # entries lose the bits of zgemm's real parts, though no maximum here has changed)
+    with gram_rows() as dtypes:
+        for kind in ("polar", "equatorial"):
+            assert _circle_residuals(kind, n) == ref_circle_residuals(kind, n)
+    assert dtypes == REAL | COMPLEX
 
 
 @settings(max_examples=4, deadline=None)
@@ -1261,23 +1318,38 @@ def test_circle_residuals_in_row_blocks_equal_the_full_gram(n):
 # --- the pair scan's tiles ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 257, 1025, 1281])
+@pytest.mark.parametrize("n", [2, 13, 257, 319, 1025, 1281])
 def test_every_tile_of_the_span_walk_has_the_bits_of_the_full_gram(n):
     # the circles' tiles, the witness screen's, and its exact pass's widest: rows of 256, and
-    # at 1025 a lone last row joins the fourth block and a column range runs one past 1024
+    # at 1025 a lone last row joins the fourth block and a column range runs one past 1024;
+    # at 13 and 319 a row block meets itself in a square tile.  The polar rows, real, also
+    # give real tiles, whose moduli keep the bits of the complex tiles' real parts: their
+    # conjugated rows are a new array, or numpy sends x x^T to syrk, and at 319 the first
+    # block's 319 columns differed in up to 400 entries before their last 7 were split off
     widths = [(256, _CIRCLE_TILE), (_WITNESS_BLOCK, _SCREEN_TILE), (_WITNESS_BLOCK, _EXACT_TILE)]
     buf = np.empty(257 * (_EXACT_TILE + 1), complex)   # reused, as every scan reuses its own
     for name in ("bloch", "polar", "equatorial"):
         family = state_family(name, n, 0, sampled=name == "bloch")
         s, p = family.state_vectors, family.partner_vectors
         o1 = next(_rules(TargetTransform("hadamard9"), s, p))[1]
-        for x, y in ((s, s), (s, p), (p, s), (p, p), (o1, o1)):
+        rows_of = dict(zip("spo", (s, p, o1)))
+        real_of = dict(zip("spo", _real_rows(s, p, o1)))
+        assert real_of["s"].dtype == (float if name == "polar" else complex)
+        for a, b in ("ss", "sp", "ps", "pp", "oo"):
+            x, y = rows_of[a], rows_of[b]
             full = (x.conj() @ y.T).view(np.int64)
             for rows, width in widths:
                 spans = list(_pair_spans(n, rows, width))
                 for lo, hi, c0, c1 in spans:
-                    tile = _gram_tile(x[lo:hi].conj(), y, c0, c1, buf)
+                    tile = _gram_tile(np.conjugate(x[lo:hi]), y, c0, c1, buf)
                     assert np.array_equal(tile.view(np.int64), full[lo:hi, 2 * c0:2 * c1])
+                    if name != "polar":
+                        continue
+                    moduli = np.abs(tile.real)
+                    xc, y_real = np.conjugate(real_of[a][lo:hi]), real_of[b]
+                    assert not np.shares_memory(xc, y_real)
+                    real = np.abs(_gram_tile(xc, y_real, c0, c1, buf.view(float)))
+                    assert np.array_equal(real.view(np.int64), moduli.view(np.int64))
                 # the tiles cover each pair j >= i once, in (i, j) order by row block
                 cover = np.zeros((n, n), int)
                 for lo, hi, c0, c1 in spans:

@@ -199,13 +199,16 @@ def main(argv=None) -> int:
                                      description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path, help="tree of the parent commit")
     parser.add_argument("change", type=Path, help="tree of the change")
-    # 1025 = 4 x 256 + 1: four row blocks, the last with a lone row joined, and the first
-    # block's columns run one past an exact tile.  1281 = 5 x 256 + 1 = 1024 + 257: the first
-    # row block's last column tile is 257 wide at both the estimate's and the exact pass's tile
-    # width, a lone column joined to each
-    parser.add_argument("--grid-n", type=int, nargs="+", default=[2, 257, 321, 1025, 1281, 2000],
+    # 13: one row block meets itself in one square tile, 8 + 5 columns wide: real polar tiles
+    # lose the bits of the complex ones there if the tile goes to syrk, whose 4-column edge
+    # kernel does not fuse its multiply-adds.  1025 = 4 x 256 + 1: four row blocks,
+    # the last with a lone row joined, and the first block's columns run one past an exact
+    # tile.  1281 = 5 x 256 + 1 = 1024 + 257: the first row block's last column tile is 257
+    # wide at both the estimate's and the exact pass's tile width, a lone column joined to each
+    parser.add_argument("--grid-n", type=int, nargs="+",
+                        default=[2, 13, 257, 321, 1025, 1281, 2000],
                         help="witness, circle-check, gate-verify and dsl-check sizes "
-                             "(default 2 257 321 1025 1281 2000)")
+                             "(default 2 13 257 321 1025 1281 2000)")
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in (args.parent, args.change)]
     for tree in trees:
