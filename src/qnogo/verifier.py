@@ -42,10 +42,10 @@ from .states import Qubit, StateSet, state_family
 
 _BASIS = np.eye(2, dtype=complex)
 _BASIS.setflags(write=False)
-# F of the complement flip v -> F conj(v), which sends alpha|0> + beta|1> to
+# the complement's antilinear part, row i its image of |i>: it sends alpha|0> + beta|1> to
 # conj(alpha)|1> - conj(beta)|0>
-_FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-_FLIP.setflags(write=False)
+_COMPLEMENT = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+_COMPLEMENT.setflags(write=False)
 
 _SCREEN_MARGIN = 1e-12   # over twice the screen's error: 1e-14 rounding, 5e-14 from _reduced
 # The witness screen's states per cell, and the rounding slack of a cell's bound over its
@@ -70,39 +70,21 @@ _SURVEY_TOLERANCE, _SURVEY_BLOCK = 1e-3, 1024   # the Haar survey's pass bound, 
 _CNOT_RULES = [("s", "s", "s", "s"), ("s", "p", "s", "p"), ("p", "s", "p", "p"), ("p", "p", "p", "s")]
 
 
-def _checked_lam(lam) -> float:
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-    return lam
-
-
-def _k(lam: float, flip: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K v = sqrt(lam) v + sqrt(1 - lam) F conj(v), for a vector or each row of a stack: the
-    identity and the antiunitary v -> F conj(v) mixed with weight lam, a branch of weight 0
-    left out.  F is the complement flip, whose F conj(v) is orthogonal to v, or, at lam 0
-    only, the identity; either way |K v| = |v|."""
-    out = np.zeros_like(v)
-    if lam > 0.0:
-        out = out + np.sqrt(lam) * v
-    if lam < 1.0:
-        out = out + np.sqrt(1.0 - lam) * apply(flip, np.conj(v))
-    return out
-
-
 @record(eq=False)
 class MachineSpec:
     """A candidate machine: a linear and an antilinear part.
 
     Each part is a read-only (2, 4d) array, d in {1, 2, 4}, whose row i is
     the part's image of |i> (system, transformed copy, ancilla); the machine
-    sends a|0> + b|1> to a L_0 + b L_1 + conj(a) A_0 + conj(b) A_1.  extend
-    linear is (rows, 0), extend antilinear (0, rows), and hybrid_machine
-    builds the hybrid.  The basis outputs L_i + A_i must be normalized and
-    mutually orthogonal, and the machine must keep the norm of every input:
-    with G the Gram matrix of the rows (L_0, L_1, A_0, A_1), the squared norm
-    of its output on a|0> + b|1> is |a|^2 + |b|^2 for all a, b exactly when
-    G_00 + G_22 = G_11 + G_33 = 1 and G_01 + G_32 = G_02 = G_13 = G_03 + G_12 = 0.
+    sends a|0> + b|1> to a L_0 + b L_1 + conj(a) A_0 + conj(b) A_1, as
+    _semilinear evaluates it; a machine target's K is two 2x2 parts of the
+    same form.  extend linear is (rows, 0), extend antilinear (0, rows), and
+    hybrid_machine builds the hybrid, the hybrid K's basis action.  The basis
+    outputs L_i + A_i must be normalized and mutually orthogonal, and the
+    machine must keep the norm of every input: with G the Gram matrix of the
+    rows (L_0, L_1, A_0, A_1), the squared norm of its output on a|0> + b|1>
+    is |a|^2 + |b|^2 for all a, b exactly when G_00 + G_22 = G_11 + G_33 = 1
+    and G_01 + G_32 = G_02 = G_13 = G_03 + G_12 = 0.
     """
 
     linear: np.ndarray
@@ -133,31 +115,29 @@ class MachineSpec:
 def hybrid_machine(lam: float, ancilla_dim: int) -> MachineSpec:
     """The machine |i> -> |i> (x) K|i> (x) |0...0>, K the hybrid of weight lam.
 
-    Its linear part is sqrt(lam) times the copy |i> -> |i>|i>, its antilinear
-    part sqrt(1 - lam) times the complement |i> -> |i> F|i>; the two act
+    Row i of each part is |i> (x) (row i of K's part) (x) |0...0>: the linear
+    part is sqrt(lam) times the copy |i> -> |i>|i>, the antilinear part
+    sqrt(1 - lam) times the complement |i> -> |i> F|i>; the two act
     orthogonally on each basis state, so the basis outputs stay normalized.
     """
-    lam = _checked_lam(lam)
+    k = _target_k(TargetTransform("hybrid", lam=lam))
     ket0 = np.eye(1, ancilla_dim, dtype=complex)[0]   # |0...0> of the ancilla
-    copy = np.array([tensor(e, e, ket0) for e in _BASIS])
-    flip = np.array([tensor(e, _k(0.0, _FLIP, e), ket0) for e in _BASIS])
-    return MachineSpec(np.sqrt(lam) * copy, np.sqrt(1.0 - lam) * flip)
+    return MachineSpec(*(np.array([tensor(e, row, ket0) for e, row in zip(_BASIS, part)])
+                         for part in k))
 
 
-def _output_map(m: MachineSpec):
-    """The machine's action on each row s of an (n, 2) array, s_0 L_0 + s_1 L_1 +
-    conj(s_0) A_0 + conj(s_1) A_1, a part that is all zeros left out."""
-    parts = [(part, conj) for part, conj in ((m.linear, False), (m.antilinear, True))
-             if part.any()]
-
-    def outputs(s: np.ndarray) -> np.ndarray:
-        out = None
-        for part, conj in parts:
+def _semilinear(parts, s: np.ndarray) -> np.ndarray:
+    """The map of (linear, antilinear) parts, a machine's or a K's, on each row s of an (n, 2)
+    array: s_0 L_0 + s_1 L_1 + conj(s_0) A_0 + conj(s_1) A_1, a part that is all zeros left
+    out.  The sums run elementwise: a matrix product rounds differently where a part mixes
+    both amplitudes in one column."""
+    out = None
+    for part, conj in zip(parts, (False, True)):
+        if part.any():
             x = np.conj(s) if conj else s
             term = x[:, :1] * part[0] + x[:, 1:] * part[1]
             out = term if out is None else out + term
-        return out
-    return outputs
+    return out
 
 
 def _unit_weights(a, b) -> tuple[complex, complex]:
@@ -174,10 +154,12 @@ class TargetTransform:
 
     kind names a target of _shared.REGISTRY, which lists the arguments it
     takes: unequal the weights a and b, hybrid the weight lam (lambda in
-    the DSL).  A machine target (side 0) demands the two-register output
-    |psi> (x) K|psi>, K v = sqrt(lam) v + sqrt(1 - lam) F conj(v), where
-    the kind fixes (lam, F): clone (1, -), complement (0, the complement
-    flip), conjugate (0, the identity) and hybrid (lam, the flip).  A gate
+    the DSL), which must lie in [0, 1].  A machine target (side 0) demands
+    the two-register output |psi> (x) K|psi>, K v = sqrt(lam) v +
+    sqrt(1 - lam) F conj(v) with F conj(v) orthogonal to v.  K is stored as
+    a machine is, as linear and antilinear 2x2 parts (_target_k): clone
+    (I, 0), complement (0, F^T), conjugate (0, I) and hybrid (sqrt(lam) I,
+    sqrt(1 - lam) F^T), F = [[0, -1], [1, 0]] the complement flip.  A gate
     target has per-state rules over (state, partner) pairs that a
     candidate gate of its side must meet:
 
@@ -205,7 +187,10 @@ class TargetTransform:
             object.__setattr__(self, "a", a)
             object.__setattr__(self, "b", b)
         if self.lam is not None:
-            object.__setattr__(self, "lam", _checked_lam(self.lam))
+            lam = float(self.lam)
+            if not 0.0 <= lam <= 1.0:
+                raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
+            object.__setattr__(self, "lam", lam)
 
     @property
     def side(self) -> int:
@@ -237,16 +222,13 @@ def _rules(t: TargetTransform, s: np.ndarray, p: np.ndarray):
         raise ValueError(f"target kind {kind!r} has no per-state rules")
 
 
-def _target_k(t: TargetTransform) -> tuple[float, np.ndarray]:
-    """(lam, F) of a machine target's K map, _k's first two arguments."""
-    return ({"clone": 1.0, "hybrid": t.lam}.get(t.kind, 0.0),
-            _BASIS if t.kind == "conjugate" else _FLIP)
-
-
-def _system_ideals(t: TargetTransform, s: np.ndarray) -> np.ndarray:
-    """|psi> (x) K|psi> normalized, for each row psi of s."""
-    second = _k(*_target_k(t), s)
-    return kron_rows(s, second / row_norms(second)[:, np.newaxis])
+def _target_k(t: TargetTransform) -> tuple[np.ndarray, np.ndarray]:
+    """A machine target's K as (linear, antilinear) parts, 2x2 row maps of a machine's form:
+    the identity and the complement, or at conjugate the identity alone, weighted by
+    (sqrt(lam), sqrt(1 - lam)); a part of weight 0 is all zeros."""
+    lam = {"clone": 1.0, "hybrid": t.lam}.get(t.kind, 0.0)
+    return (np.sqrt(lam) * _BASIS,
+            np.sqrt(1.0 - lam) * (_BASIS if t.kind == "conjugate" else _COMPLEMENT))
 
 
 def machine_deviations(m: MachineSpec, t: TargetTransform, states: StateSet) -> np.ndarray:
@@ -258,45 +240,39 @@ def machine_deviations(m: MachineSpec, t: TargetTransform, states: StateSet) -> 
     _worst_deviation, which runs that kernel only on the states that can
     hold the maximum.
     """
-    s, outputs = _deviation_inputs(m, t, states)
+    if t.side:
+        raise ValueError(f"target kind {t.kind!r} is a gate target; use check_universal_gate")
+    s, parts = states.state_vectors, ((m.linear, m.antilinear), _target_k(t))
     deviations = np.empty(len(s))
     for lo, hi in row_blocks(len(s), _STATE_BLOCK):
-        deviations[lo:hi] = _deviations(outputs, t, s[lo:hi])
+        deviations[lo:hi] = _deviations(parts, s[lo:hi])
     return deviations
 
 
-def _deviation_inputs(m: MachineSpec, t: TargetTransform, states):
-    """machine_deviations' arguments checked, as the state rows and the machine's output map."""
-    if t.side:
-        raise ValueError(f"target kind {t.kind!r} is a gate target; use check_universal_gate")
-    return states.state_vectors, _output_map(m)
-
-
 def _worst_deviation(m: MachineSpec, t: TargetTransform, states) -> tuple[float, int]:
-    """The largest machine_deviations value, with its bits, and its first index; the exact
-    kernel runs only on the states _screened_max keeps."""
-    s, outputs = _deviation_inputs(m, t, states)
-    lam, flip = _target_k(t)
-    parts = (m.linear, m.antilinear), (np.sqrt(lam) * _BASIS, np.sqrt(1.0 - lam) * flip.T)
+    """The largest machine_deviations value of a machine target, with its bits, and its first
+    index; the exact kernel runs only on the states _screened_max keeps."""
+    s, parts = states.state_vectors, ((m.linear, m.antilinear), _target_k(t))
     return _screened_max(len(s), lambda lo, hi: _deviation_estimate(parts, s[lo:hi]),
-                         lambda rows: _deviations(outputs, t, s[rows]))
+                         lambda rows: _deviations(parts, s[rows]))
 
 
-def _deviations(outputs, t: TargetTransform, s: np.ndarray) -> np.ndarray:
-    """machine_deviations of the rows of s, the machine's outputs on them given by outputs."""
-    actual = outputs(s)
+def _deviations(parts, s: np.ndarray) -> np.ndarray:
+    """machine_deviations of the rows of s; parts holds the (linear, antilinear) parts of the
+    machine and of the target's K, and _semilinear applies each."""
+    actual, second = (_semilinear(p, s) for p in parts)
     actual = actual / row_norms(actual)[:, np.newaxis]
     d = actual.shape[1] // 4
     ket0 = np.broadcast_to(np.eye(1, d, dtype=complex), (len(s), d))   # the final ancilla
-    ideal = kron_rows(_system_ideals(t, s), ket0)
+    ideal = kron_rows(kron_rows(s, second / row_norms(second)[:, np.newaxis]), ket0)
     return np.clip(1.0 - abs_squared(row_dots(ideal.conj(), actual)), 0.0, 1.0)
 
 
 def _deviation_estimate(parts, s: np.ndarray) -> np.ndarray:
     """_deviations of the rows of s to 4e-14, in plain arithmetic; NaN where that is not
     proven, which includes every row whose output or ideal vanishes.  parts holds the
-    (linear, antilinear) parts of the machine and of the target's K, (sqrt(lam) I,
-    sqrt(1 - lam) F^T), each a map of rows v -> v @ L + conj(v) @ A.
+    (linear, antilinear) parts of the machine and of the target's K (_target_k), each here a
+    matrix product of rows v -> v @ L + conj(v) @ A, whose bits are free.
 
     Both compute 1 - |<s (x) K s (x) 0|a>|^2 / |K s|^2 |a|^2, but each path forms the
     outputs a and K s its own way.  Each is within 1.1e-15 of the true one (|s| <= 1 + 1e-12,

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qnogo.verifier
-from qnogo.algebra import abs_squared, haar_unitaries, kron_rows, row_blocks, row_norms
+from qnogo.algebra import abs_squared, haar_unitaries, kron_rows, row_blocks, row_norms, tensor
 from qnogo.gates import (
     cnot_computational,
     hadamard,
@@ -50,11 +50,10 @@ from qnogo.verifier import (
     _STATE_BLOCK,
     _WITNESS_BLOCK,
     TargetTransform,
-    _output_map,
     _pair_spans,
     _rule_violation,
     _rules,
-    _k,
+    _semilinear,
     _target_k,
     _worst_deviation,
     _worst_rule,
@@ -80,6 +79,7 @@ FLIP = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)   # the complement fli
 CLONER = MachineSpec(np.eye(4)[[0, 3]], np.zeros((2, 4)))   # |i> -> |i>|i>, extended linearly
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 FAMILIES = st.sampled_from(["bloch", "polar", "equatorial"])
+LAMS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)   # both endpoints, and between
 
 
 # --- scalar references -------------------------------------------------------
@@ -431,11 +431,25 @@ SECONDS = {"clone": np.eye(2), "complement": FLIP.T, "conjugate": np.eye(2)}
 
 
 @st.composite
+def machine_targets(draw):
+    kind = draw(st.sampled_from(["clone", "complement", "conjugate", "hybrid"]))
+    return TargetTransform(kind, lam=draw(LAMS) if kind == "hybrid" else None)
+
+
+@st.composite
 def machine_cases(draw):
     """A machine and a machine target: the copying, complementing or conjugating rows as a
     linear or an antilinear part, with or without the ancilla tags |0> on |0>'s branch and
     |1> on |1>'s; or a hybrid, hybrid_machine's with one or two ancilla levels, or a tagged
-    one built from its two weighted parts."""
+    one built from its two weighted parts; or a dense isometry as a linear or an antilinear
+    part, whose basis outputs, a QR of a complex Gaussian, mix both amplitudes in every
+    column."""
+    if draw(st.integers(0, 4)) == 0:
+        d, rng = draw(st.sampled_from([1, 2, 4])), np.random.default_rng(draw(SEEDS))
+        q = np.linalg.qr(rng.standard_normal((4 * d, 2)) + 1j * rng.standard_normal((4 * d, 2)))[0]
+        part, zero = q.T, np.zeros((2, 4 * d))
+        linear = draw(st.booleans())
+        return MachineSpec(*((part, zero) if linear else (zero, part))), draw(machine_targets())
     tags = draw(st.sampled_from([None, np.eye(2, dtype=complex)]))
 
     def rows(kind):
@@ -572,7 +586,7 @@ def spy_rows(monkeypatch, name):
 
     def spy(*args):
         out = kernel(*args)
-        sizes.append(len(out) if name != "_deviations" else len(args[2]))
+        sizes.append(len(out) if name != "_deviations" else len(args[1]))
         return out
     monkeypatch.setattr(qnogo.verifier, name, spy)
     return sizes
@@ -690,8 +704,25 @@ def test_every_k_map_and_machine_output_keeps_the_norm_of_the_state(case, name, 
     # rows, so no ideal or machine output that machine_deviations divides by can vanish
     m, t = case
     s = seam_family(name, n, seed).state_vectors
-    assert np.max(np.abs(row_norms(_k(*_target_k(t), s)) - 1.0)) <= 1e-15
-    assert np.max(np.abs(row_norms(_output_map(m)(s)) - 1.0)) <= 1e-15
+    assert np.max(np.abs(row_norms(_semilinear(_target_k(t), s)) - 1.0)) <= 1e-15
+    assert np.max(np.abs(row_norms(_semilinear((m.linear, m.antilinear), s)) - 1.0)) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=machine_targets(), name=FAMILIES | st.just("listed"), n=SEAMS, seed=SEEDS)
+def test_the_k_parts_map_every_state_as_the_scalar_k_does(t, name, n, seed):
+    # the one exact evaluator of machine parts gives K v with the bits of the scalar formula
+    s = seam_family(name, n, seed).state_vectors
+    expected = np.array([ref_k(t, row) for row in s])
+    assert np.array_equal(_semilinear(_target_k(t), s).view(np.int64), expected.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=LAMS, d=st.sampled_from([1, 2, 4]))
+def test_hybrid_machine_is_the_hybrid_k_on_the_basis(lam, d):
+    t, m, ket0 = TargetTransform("hybrid", lam=lam), hybrid_machine(lam, d), np.eye(d)[0]
+    for e, out in zip(np.eye(2, dtype=complex), m.linear + m.antilinear):
+        assert np.array_equal(out, tensor(e, ref_k(t, e), ket0))
 
 
 def ref_checked(v):

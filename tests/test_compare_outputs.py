@@ -15,11 +15,11 @@ _spec.loader.exec_module(compare_outputs)
 def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_seeds():
     argvs = compare_outputs.commands([2, 257], Path("units"))
     assert len(argvs) == len(set(argvs))
-    # 406 commands at each seed, the 4 usage errors, then dsl-check once on each of the 47 units
-    assert len(compare_outputs.UNITS) == 47
-    assert len(argvs) == 2 * 406 + 4 + 47
-    assert argvs[-51:-47] == list(compare_outputs.USAGE_ERRORS)
-    assert argvs[-47:] == [("dsl-check", str(Path("units") / f"{name}.qmachine"))
+    # 406 commands at each seed, the 4 usage errors, then dsl-check once on each of the 48 units
+    assert len(compare_outputs.UNITS) == 48
+    assert len(argvs) == 2 * 406 + 4 + 48
+    assert argvs[-52:-48] == list(compare_outputs.USAGE_ERRORS)
+    assert argvs[-48:] == [("dsl-check", str(Path("units") / f"{name}.qmachine"))
                            for name in compare_outputs.UNITS]
     for seed in ("0", "42"):
         mine = [a for a in argvs if a[-2:] == ("--seed", seed)]

@@ -22,9 +22,8 @@ from qnogo.verifier import (
     MachineSpec,
     TargetTransform,
     Verdict,
-    _output_map,
     _rules,
-    _k,
+    _semilinear,
     _target_k,
     check_universal_gate,
     hybrid_machine,
@@ -58,7 +57,7 @@ def deviation(m, t, q):
 
 def output(m, q):
     """The machine's output on the one state q."""
-    return _output_map(m)(q.vector[np.newaxis])[0]
+    return _semilinear((m.linear, m.antilinear), q.vector[np.newaxis])[0]
 
 
 # --- machine construction and extensions ---------------------------------
@@ -134,7 +133,8 @@ def test_a_spec_is_refused_exactly_when_it_is_not_isometric(kind, d, eps, seed):
     assert isometric and basis
     a = rng.normal(size=(64, 2)) + 1j * rng.normal(size=(64, 2))
     a /= np.linalg.norm(a, axis=1)[:, np.newaxis]
-    assert np.abs(np.linalg.norm(_output_map(spec)(a), axis=1) - 1.0).max() <= 1e-12
+    outputs = _semilinear((spec.linear, spec.antilinear), a)
+    assert np.abs(np.linalg.norm(outputs, axis=1) - 1.0).max() <= 1e-12
 
 
 def test_machine_spec_refuses_other_widths_and_unequal_parts():
@@ -231,23 +231,35 @@ def test_target_validation():
     with pytest.raises(ValueError) as refused:
         hybrid_machine(-0.5, 1)
     assert str(refused.value) == "lam must lie in [0, 1], got -0.5"
-    with pytest.raises(ValueError, match="check_universal_gate"):
+    with pytest.raises(ValueError) as refused:
         deviation(CLONER, TargetTransform("hadamard9"), PLUS)
+    assert str(refused.value) == ("target kind 'hadamard9' is a gate target; "
+                                  "use check_universal_gate")
     with pytest.raises(ValueError, match="no per-state rules"):
         next(_rules(TargetTransform("clone"), KET0.vector[np.newaxis], KET1.vector[np.newaxis]))
 
 
 def test_each_target_kind_fixes_its_k_map():
-    # K v = sqrt(lam) v + sqrt(1 - lam) F conj(v); its endpoints are exactly v, the complement
-    # and the conjugate
+    # K v = sqrt(lam) v + sqrt(1 - lam) F conj(v), kept as a machine's (linear, antilinear)
+    # parts; its endpoints are exactly v, the complement and the conjugate
+    flip_t, zero = np.array([[0, 1], [-1, 0]]), np.zeros((2, 2))   # F^T: row i is F|i>
+    for t, parts in ((TargetTransform("clone"), (np.eye(2), zero)),
+                     (TargetTransform("complement"), (zero, flip_t)),
+                     (TargetTransform("conjugate"), (zero, np.eye(2))),
+                     (TargetTransform("hybrid", lam=0.25), (0.5 * np.eye(2),
+                                                             np.sqrt(0.75) * flip_t))):
+        assert all(np.array_equal(got, want) for got, want in zip(_target_k(t), parts))
     q = Qubit(0.6, 0.8j)
+
+    def k(t):
+        return _semilinear(_target_k(t), q.vector[np.newaxis])[0]
     for t, want in ((TargetTransform("clone"), q.vector),
                     (TargetTransform("hybrid", lam=1.0), q.vector),
                     (TargetTransform("complement"), complement(q).vector),
                     (TargetTransform("hybrid", lam=0.0), complement(q).vector),
                     (TargetTransform("conjugate"), q.vector.conj())):
-        assert np.array_equal(_k(*_target_k(t), q.vector), want)
-    half = _k(*_target_k(TargetTransform("hybrid", lam=0.5)), q.vector)
+        assert np.array_equal(k(t), want)
+    half = k(TargetTransform("hybrid", lam=0.5))
     assert np.allclose(half, RT2 * (q.vector + complement(q).vector))
 
 

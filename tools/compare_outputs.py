@@ -137,6 +137,9 @@ UNITS = {
                           "on |1> -> |1>|1>;\nextend linear;\nrequire basis;\n",
     "wide-term": "on |0> -> " + "|0000>" * 6 + ";\non |1> -> |1>|1>;\nextend linear;\n"
                  "require basis;\n",
+    # parts that mix both amplitudes in one column, where a matrix product rounds otherwise
+    "dense-parts": ("on |0> -> 0.6|0>|0> + 0.8i|1>|1>;\non |1> -> 0.8|0>|0> - 0.6i|1>|1>;\n"
+                    "extend linear;\nrequire universal on polar target hybrid(lambda=0.3);\n"),
 }
 
 
