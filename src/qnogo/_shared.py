@@ -20,6 +20,7 @@ REGISTRY = {
 
 FAMILIES = ("bloch", "polar", "equatorial")   # states.state_family builds them
 
-# fidelity.OptimizerConfig's defaults, and so fidelity-sweep's
+# fidelity.OptimizerConfig's defaults and gradings, and so fidelity-sweep's
 OPTIMIZER_DEFAULTS = {"ancilla_dim": 2, "restarts": 8, "max_evals": 4000,
                       "mode": "second-register"}
+MODES = ("second-register", "joint")

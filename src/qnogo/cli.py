@@ -30,8 +30,7 @@ import sys
 import tempfile
 from functools import lru_cache
 
-from ._record import record
-from ._shared import FAMILIES, OPTIMIZER_DEFAULTS, REGISTRY
+from ._shared import FAMILIES, MODES, OPTIMIZER_DEFAULTS, REGISTRY
 
 # Each subcommand imports the qnogo modules and numpy it runs, when it runs:
 # a process loads only what its command needs.
@@ -45,8 +44,8 @@ EXIT_IO = 4
 SCHEMA_VERSION = "1"
 
 MAX_LAMBDAS = 10_001
+MIN_STEP = 1e-12   # a --lambda range's least step: its values are rounded to 12 digits
 MAX_GRID_N = 65_536   # circle-check memory is fixed, but its time grows as n^2: 26 s on 2 cores
-MAX_NODES = 65_536    # fidelity-sweep quadrature nodes; the grid's arrays grow linearly
 # The gate targets as --target spells them, cnot as cnot23, with their names in REGISTRY
 _TARGET_OPTIONS = {"cnot23" if name == "cnot" else name: name
                    for name, (_, side) in REGISTRY["target"].items() if side}
@@ -74,24 +73,6 @@ class _Parser(argparse.ArgumentParser):
             raise _CliError(EXIT_IO, "cannot write to stderr")
 
 
-@record
-class RunConfig:
-    """Resolved options shared by the subcommands."""
-
-    subcommand: str
-    tolerance: float = 1e-9
-    grid_n: int = 256
-    seed: int = 42
-    fmt: str = "human"
-    output: str | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValueError("tolerance must be positive and finite")
-        if not 2 <= self.grid_n <= MAX_GRID_N:
-            raise ValueError(f"grid size must lie in [2, {MAX_GRID_N}], got {self.grid_n}")
-
-
 def parse_complex(text: str) -> complex:
     """Parse a finite scalar like '0.6', '0.8i', '0.6+0.8i', '-i'."""
     s = text.strip().replace(" ", "")
@@ -112,7 +93,8 @@ def parse_lambda_values(text: str) -> list[float]:
     """--lambda accepts a single value, a comma list, or start:stop:step.
 
     A list or a range has from 1 to MAX_LAMBDAS values; a range's parts
-    are checked before any value is built.
+    are checked before any value is built.  Range values are rounded to 12
+    digits, so a range's step is at least MIN_STEP and its values rise strictly.
     """
     s = text.strip()
     if ":" in s:
@@ -124,18 +106,21 @@ def parse_lambda_values(text: str) -> list[float]:
             raise ValueError("range parts must be finite")
         if step <= 0.0:
             raise ValueError("step must be positive")
+        if step < MIN_STEP:   # a finer step rounds onto the values it has already given
+            raise ValueError(f"step must be at least {MIN_STEP}, got {step!r}")
         if not (0.0 <= start <= 1.0 and 0.0 <= stop <= 1.0):
             raise ValueError("range endpoints must lie in [0, 1]")
-        span = (stop - start) / step   # inf when the step underflows
+        span = (stop - start) / step
         if span > MAX_LAMBDAS - 1:
             raise ValueError(f"lambda range has more than {MAX_LAMBDAS} values")
         values = []
         # one k past the span, which rounding to 12 digits may still put at stop
         for k in range(max(math.floor(span), -1) + 2):
             v = round(start + k * step, 12)
-            if v > stop + 1e-12:
+            if v > stop + MIN_STEP:
                 break
-            values.append(min(v, stop))
+            if not values or min(v, stop) > values[-1]:   # it may round onto stop twice
+                values.append(min(v, stop))
         if not values:
             raise ValueError("empty lambda range")
     elif "," in s:
@@ -245,16 +230,16 @@ def _pair_json(pair) -> dict:
     return {"state": _qubit_json(pair[0]), "partner": _qubit_json(pair[1])}
 
 
-def emit(cfg: RunConfig, payload: dict, human_lines: list[str]) -> None:
+def emit(args, payload: dict, human_lines: list[str]) -> None:
     """Render the result in the requested format and write it out."""
-    if cfg.fmt == "json":
-        doc = {"schema_version": SCHEMA_VERSION, "command": cfg.subcommand,
-               "seed": cfg.seed}
+    if args.fmt == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand,
+               "seed": args.seed}
         doc.update(payload)
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(human_lines) + "\n"
-    _write_out(cfg.output, text)
+    _write_out(args.output, text)
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -284,7 +269,7 @@ def _write_out(path: str | None, text: str) -> None:
 # subcommands
 
 
-def cmd_gate_verify(args, cfg: RunConfig) -> int:
+def cmd_gate_verify(args) -> int:
     from .states import ket_notation, state_family
     from .verifier import check_universal_gate
     gate = resolve_gate(args.gate)
@@ -292,13 +277,13 @@ def cmd_gate_verify(args, cfg: RunConfig) -> int:
     if gate.shape != (target.side, target.side):   # refused before the family is built
         raise _CliError(EXIT_CONTENT, f"target {args.target!r} needs a "
                                       f"{target.side}x{target.side} candidate gate")
-    states = state_family(args.set, cfg.grid_n, cfg.seed)
-    verdict = check_universal_gate(gate, target, states, tol=cfg.tolerance)
+    states = state_family(args.set, args.grid_n, args.seed)
+    verdict = check_universal_gate(gate, target, states, tol=args.tolerance)
     payload = {
         "gate": args.gate,
         "target": args.target,
         "set": args.set,
-        "n": cfg.grid_n,
+        "n": args.grid_n,
         "status": verdict.status,
         "realizable": verdict.realizable,
         "violation": verdict.violation,
@@ -310,81 +295,79 @@ def cmd_gate_verify(args, cfg: RunConfig) -> int:
     lines = [f"gate-verify: {verdict.status}",
              f"  gate: {args.gate}",
              f"  target: {args.target}",
-             f"  set: {args.set} (n={cfg.grid_n}, seed={cfg.seed})",
+             f"  set: {args.set} (n={args.grid_n}, seed={args.seed})",
              f"  condition: {verdict.condition}",
              f"  violation: {verdict.violation!r}",
              f"  tolerance: {verdict.tolerance!r}"]
     if verdict.witness is not None:
         lines.append(f"  witness: {ket_notation(verdict.witness[0])}")
         lines.append(f"  partner: {ket_notation(verdict.witness[1])}")
-    emit(cfg, payload, lines)
+    emit(args, payload, lines)
     return EXIT_OK if verdict.realizable else EXIT_IMPOSSIBLE
 
 
-def cmd_witness(args, cfg: RunConfig) -> int:
+def cmd_witness(args) -> int:
     from .states import ket_notation
     from .verifier import witness_search
     target = _resolve_target(args)
-    result = witness_search(target, n_samples=cfg.grid_n, seed=cfg.seed,
+    result = witness_search(target, n_samples=args.grid_n, seed=args.seed,
                             family=args.set)
     payload = {
         "target": args.target,
         "set": args.set,
-        "n": cfg.grid_n,
+        "n": args.grid_n,
         "violation": result.violation,
         "condition": result.condition,
         "pair": _pair_json(result.pair),
     }
     lines = [f"witness: worst sampled pair for target {args.target}",
-             f"  set: {args.set} (n={cfg.grid_n}, seed={cfg.seed})",
+             f"  set: {args.set} (n={args.grid_n}, seed={args.seed})",
              f"  condition: {result.condition}",
              f"  violation: {result.violation!r}",
              f"  state: {ket_notation(result.pair[0])}",
              f"  other: {ket_notation(result.pair[1])}"]
-    emit(cfg, payload, lines)
+    emit(args, payload, lines)
     return EXIT_OK
 
 
-def cmd_circle_check(args, cfg: RunConfig) -> int:
+def cmd_circle_check(args) -> int:
     from .verifier import circle_identities
-    identities, cross = circle_identities(cfg.grid_n)
-    ok = all(v <= cfg.tolerance for v in identities.values())
+    identities, cross = circle_identities(args.grid_n)
+    ok = all(v <= args.tolerance for v in identities.values())
     status = "REALIZABLE" if ok else "IMPOSSIBLE"
-    payload = {"status": status, "grid_n": cfg.grid_n,
+    payload = {"status": status, "grid_n": args.grid_n,
                "identities": identities, "cross": cross,
-               "tolerance": cfg.tolerance}
-    lines = [f"circle-check: {status} (grid {cfg.grid_n}x{cfg.grid_n})"]
+               "tolerance": args.tolerance}
+    lines = [f"circle-check: {status} (grid {args.grid_n}x{args.grid_n})"]
     for name, value in identities.items():
         lines.append(f"  {name}: {value!r}")
     for name, value in cross.items():
         lines.append(f"  {name}: {value!r} (expected failure of the swapped pattern)")
-    emit(cfg, payload, lines)
+    emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_IMPOSSIBLE
 
 
-def cmd_fidelity_sweep(args, cfg: RunConfig) -> int:
+def cmd_fidelity_sweep(args) -> int:
     try:
         lams = parse_lambda_values(args.lam)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc))
-    if not 1 <= args.nodes <= MAX_NODES:
-        raise _CliError(EXIT_USAGE, f"nodes must lie in [1, {MAX_NODES}], got {args.nodes}")
     from .fidelity import OptimizerConfig, records_to_csv, sweep_lambda, uniform_grid
-    grid = uniform_grid(args.nodes)
-    ocfg = OptimizerConfig(ancilla_dim=args.ancilla_dim, restarts=args.restarts,
-                           max_evals=args.max_evals, seed=cfg.seed, mode=args.mode)
-    records = sweep_lambda(lams, grid, ocfg)
+    grid = uniform_grid()
+    cfg = OptimizerConfig(ancilla_dim=args.ancilla_dim, restarts=args.restarts,
+                          max_evals=args.max_evals, seed=args.seed, mode=args.mode)
+    records = sweep_lambda(lams, grid, cfg)
     payload = {"mode": args.mode, "nodes": len(grid),
                "records": [r.to_dict() for r in records]}
-    emit(cfg, payload, records_to_csv(records).splitlines())
+    emit(args, payload, records_to_csv(records).splitlines())
     return EXIT_OK
 
 
-def cmd_dsl_check(args, cfg: RunConfig) -> int:
+def cmd_dsl_check(args) -> int:
     from .dsl import CheckOptions, check_source
     text = _read_text(args.file, "")
-    opts = CheckOptions(tolerance=cfg.tolerance, samples=args.samples,
-                        seed=cfg.seed)
+    opts = CheckOptions(tolerance=args.tolerance, samples=args.samples,
+                        seed=args.seed)
     report = check_source(text, args.file, opts)
     if not _to_stderr("".join(d.render() + "\n" for d in report.diagnostics)):
         return EXIT_IO
@@ -401,7 +384,7 @@ def cmd_dsl_check(args, cfg: RunConfig) -> int:
              "witness": None if v.witness is None else _pair_json(v.witness)}
             for name, v in zip(report.names, report.verdicts)],
     }
-    emit(cfg, payload, list(report.reports))
+    emit(args, payload, list(report.reports))
     return EXIT_OK if report.ok else EXIT_IMPOSSIBLE
 
 
@@ -468,13 +451,10 @@ def build_parser() -> _Parser:
     fs.add_argument("--lambda", dest="lam", required=True,
                     help="single value, comma list, or start:stop:step")
     fs.set_defaults(**OPTIMIZER_DEFAULTS)   # OptimizerConfig's, read without loading fidelity
-    fs.add_argument("--mode", choices=("second-register", "joint"))
+    fs.add_argument("--mode", choices=MODES)
     fs.add_argument("--ancilla-dim", type=int)
     fs.add_argument("--restarts", type=int, help="most starts tried")
     fs.add_argument("--max-evals", type=int, help="most steps per start")
-    fs.add_argument("--nodes", type=int, default=200,
-                    help=f"least quadrature nodes, at most {MAX_NODES} (default 200); "
-                         "every value gives the exact average")
     _add_common(fs, tolerance=False, grid_help=None, formats=("human", "json", "csv"))
 
     dc = subs.add_parser("dsl-check", help="check a .qmachine file")
@@ -506,15 +486,18 @@ def main(argv=None) -> int:
             for key in ("a", "b"):
                 if getattr(args, key) is not None and key not in keys:
                     sub.error(f"argument --{key}: target {args.target} takes no weight {key}")
-        # --tolerance and --grid-n where the subcommand has them; RunConfig's defaults go unread
-        shared = {k: v for k, v in vars(args).items() if k in ("tolerance", "grid_n")}
-        cfg = RunConfig(subcommand=args.subcommand, seed=_resolve_seed(args.seed),
-                        fmt=args.fmt, output=args.output, **shared)
-        return _COMMANDS[cfg.subcommand](args, cfg)
+        args.seed = _resolve_seed(args.seed)
+        # --tolerance and --grid-n where the subcommand has them, before any family is built
+        if "tolerance" in args and not 0.0 < args.tolerance < math.inf:
+            raise _CliError(EXIT_USAGE, "tolerance must be positive and finite")
+        if "grid_n" in args and not 2 <= args.grid_n <= MAX_GRID_N:
+            raise _CliError(EXIT_USAGE,
+                            f"grid size must lie in [2, {MAX_GRID_N}], got {args.grid_n}")
+        return _COMMANDS[args.subcommand](args)
     except _CliError as exc:
         return exc.code if _to_stderr(f"qnogo: {exc}\n") else EXIT_IO
     except ValueError as exc:
-        # RunConfig, CheckOptions, OptimizerConfig and uniform_grid refuse bad options
+        # CheckOptions and OptimizerConfig refuse bad options
         return EXIT_USAGE if _to_stderr(f"qnogo: {exc}\n") else EXIT_IO
 
 

@@ -656,8 +656,8 @@ def check(c: CompiledMachine, opts: CheckOptions = CheckOptions()
           ) -> tuple[Verdict, str]:
     """Decide a compiled machine's requirement and narrate the outcome.
 
-    Dispatches to the verifier: basis requirements compare the extended
-    machine against its own declared rules, machine targets sweep the
+    Dispatches to the verifier: a basis requirement confirms only that the
+    unit compiled (see _check_basis), machine targets sweep the
     family for the worst deviation from the ideal two-register output,
     and gate targets check the candidate against the per-state rules.
     Returns the verdict and a deterministic multi-line report.
@@ -674,6 +674,9 @@ def check(c: CompiledMachine, opts: CheckOptions = CheckOptions()
 
 
 def _check_basis(c: CompiledMachine, opts: CheckOptions) -> Verdict:
+    """The basis-rules verdict, which confirms only that the unit compiled: the machine's
+    output on |i> is L_i + A_i, the declared rule itself, whose norm compile_unit checked,
+    so 1 - |<out|out>|^2 reads 0 to rounding for every unit that compiles."""
     import numpy as np
     from .states import Qubit, complement
     from .verifier import Verdict

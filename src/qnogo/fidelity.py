@@ -37,11 +37,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._record import record
-from ._shared import OPTIMIZER_DEFAULTS
+from ._shared import MODES, OPTIMIZER_DEFAULTS
 from .algebra import kron_rows
 from .states import _bloch_rows, _checked, _complements
-
-_MODES = ("second-register", "joint")
 
 
 @record(eq=False)
@@ -72,15 +70,12 @@ class QuadratureGrid:
         return len(self.states)
 
 
-@lru_cache(maxsize=8)   # calls with one n_min share a grid: its arrays are read-only
-def uniform_grid(n_min: int = 200) -> QuadratureGrid:
-    """Deterministic sphere quadrature with at least n_min nodes: m Gauss-Legendre
-    nodes in cos theta, m = max(2, ceil(sqrt(n_min / 2))), times max(5, 2m) azimuths.
-    Every n_min gives the exact average of Omega (module docstring)."""
-    if n_min < 1:
-        raise ValueError("need at least one node")
-    m = max(2, math.ceil(math.sqrt(n_min / 2.0)))
-    k = max(5, 2 * m)
+@lru_cache(maxsize=1)   # every call shares the grid: its arrays are read-only
+def uniform_grid() -> QuadratureGrid:
+    """The sphere quadrature of fidelity-sweep: 10 Gauss-Legendre nodes in cos theta
+    times 20 equispaced azimuths.  Any product rule of at least 2 x 5 nodes gives the
+    exact average of Omega (module docstring), so a larger one changes only rounding."""
+    m, k = 10, 20
     # Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix, and the
     # weights (summing to 1) the squares of the first row of its eigenvectors
     j = np.arange(1.0, m)
@@ -132,7 +127,7 @@ class OptimizerConfig:
             raise ValueError("ancilla dimension must lie in [1, 4]")
         if self.restarts < 1 or self.max_evals < 1:
             raise ValueError("restarts and max_evals must be positive")
-        if self.mode not in _MODES:
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 

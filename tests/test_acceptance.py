@@ -232,7 +232,7 @@ def clone_fidelity(iso: np.ndarray, states: np.ndarray, weights: np.ndarray) -> 
 
 def test_07_fidelity_curve_endpoints_and_ceiling():
     t0 = time.perf_counter()
-    grid = uniform_grid(200)
+    grid = uniform_grid()
     assert len(grid) >= 200
 
     # oracle at the unitary endpoint: scanning the symmetric family must

@@ -6,9 +6,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnogo.cli import (
     MAX_LAMBDAS,
+    MIN_STEP,
     _CliError,
     build_parser,
     load_matrix_file,
@@ -90,8 +93,39 @@ def test_parse_lambda_range_size_is_bounded():
     assert len(parse_lambda_values("0:1:0.0001")) == MAX_LAMBDAS
     with pytest.raises(ValueError, match="more than"):
         parse_lambda_values("0:1:0.00009")
-    with pytest.raises(ValueError, match="more than"):
-        parse_lambda_values("0:1:5e-324")
+
+
+@pytest.mark.parametrize("text", ["0:1e-11:3e-13", "0:1e-300:1e-301", "0:1:5e-324",
+                                  "0.5:0.5:9.99e-13"])
+def test_parse_lambda_refuses_a_step_below_the_rounding(text):
+    # values are rounded to 12 digits: 0:1e-11:3e-13 gave 35 values for 11 distinct
+    # weights, and 0:1e-300:1e-301 gave 12 values, all 0.0
+    with pytest.raises(ValueError, match=f"step must be at least {MIN_STEP}, got "):
+        parse_lambda_values(text)
+
+
+@pytest.mark.parametrize("text,values", [("0:1e-12:1e-12", [0.0, 1e-12]), ("0.1:0.1:1e-12", [0.1]),
+                                         ("0:3e-12:1e-12", [0.0, 1e-12, 2e-12, 3e-12])])
+def test_the_value_past_a_range_s_span_never_repeats_its_stop(text, values):
+    # the extra k past the span rounded to within 1e-12 above stop and was clamped onto it
+    assert parse_lambda_values(text) == values
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(0.0, 1.0),
+       width=st.one_of(st.floats(-1e-9, 1e-9), st.floats(-1.0, 1.0)),
+       step=st.one_of(st.floats(MIN_STEP, 1e-10), st.floats(MIN_STEP, 1.0),
+                      st.sampled_from([MIN_STEP, 3e-12, 0.1, 1.0 / 3.0])))
+def test_every_accepted_range_rises_strictly_within_zero_and_stop(start, width, step):
+    stop = min(max(start + width, 0.0), 1.0)
+    try:
+        values = parse_lambda_values(f"{start!r}:{stop!r}:{step!r}")
+    except ValueError as exc:   # a stop below start, or a span of too many steps
+        assert str(exc) in ("empty lambda range", f"lambda range has more than {MAX_LAMBDAS} values")
+        return
+    assert 1 <= len(values) <= MAX_LAMBDAS
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert 0.0 <= values[0] and values[-1] <= stop
 
 
 def test_fidelity_sweep_defaults_are_the_optimizer_config():
@@ -307,13 +341,14 @@ def test_fidelity_sweep_json_records(capsys):
     rec = doc["records"][0]
     assert rec["lambda"] == 1.0
     assert rec["converged"] in (True, False)
-    assert doc["nodes"] >= 200
+    assert doc["nodes"] == 200
 
 
 @pytest.mark.parametrize("extra", [["--method", "lbfgs"], ["--method", "nelder-mead"],
-                                   ["--output-csv"]])
+                                   ["--output-csv"], ["--nodes", "12"]])
 def test_the_removed_legacy_options_are_usage_errors(extra, capsys):
-    # --method and --output-csv were accepted and ignored; both are gone
+    # --method and --output-csv were accepted and ignored; --nodes changed only rounding,
+    # as every rule of at least 2 x 5 nodes gives the exact average.  All three are gone
     with pytest.raises(SystemExit) as ei:
         main(FS_FAST + extra)
     assert ei.value.code == 1

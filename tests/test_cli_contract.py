@@ -25,8 +25,6 @@ import qnogo.states
 from qnogo.cli import (
     MAX_GRID_N,
     MAX_LAMBDAS,
-    MAX_NODES,
-    RunConfig,
     main,
     parse_complex,
     parse_lambda_values,
@@ -95,8 +93,8 @@ def test_witness_has_no_tolerance_to_refuse(tolerance, capsys):
 
 
 @pytest.mark.parametrize("argv,needle", [
-    (["fidelity-sweep", "--lambda", "0.5", "--nodes", "0"], "node"),
     (["fidelity-sweep", "--lambda", "0.5", "--restarts", "0"], "restarts"),
+    (["fidelity-sweep", "--lambda", "0.5", "--max-evals", "0"], "max_evals"),
     (["fidelity-sweep", "--lambda", "0.5", "--ancilla-dim", "9"], "ancilla"),
     (["dsl-check", CLONE, "--samples", "0"], "sample"),
 ])
@@ -109,7 +107,7 @@ def test_bad_options_exit_1_without_a_traceback(argv, needle, capsys):
 
 
 @pytest.mark.parametrize("text", ["0:nan:0.1", "0:1:nan", "0:inf:0.5", "0:1:1e-9",
-                                  "0:2:0.5", "-1:1:0.5"])
+                                  "0:2:0.5", "-1:1:0.5", "0:1e-11:3e-13", "0:1e-300:1e-301"])
 def test_lambda_ranges_are_checked_before_they_are_built(text, capsys):
     code, out, err = exit_code(["fidelity-sweep", f"--lambda={text}"], capsys)
     assert code == 1
@@ -161,7 +159,7 @@ def _forbidden(*args, **kwargs):
     ["circle-check"],
 ])
 def test_grid_sizes_above_the_cap_exit_1_before_any_family(argv, value, monkeypatch, capsys):
-    # RunConfig refuses the size, so no command runs and no family is allocated
+    # main refuses the size, so no command runs and no family is allocated
     for name in ("gate-verify", "witness", "circle-check"):
         monkeypatch.setitem(qnogo.cli._COMMANDS, name, _forbidden)
     code, out, err = exit_code(argv + ["--grid-n", str(value)], capsys)
@@ -194,15 +192,27 @@ def test_sample_counts_above_the_cap_exit_1_before_any_family(value, monkeypatch
         CheckOptions(samples=value)
 
 
-@pytest.mark.parametrize("value", [MAX_NODES + 1, 10**8])
-def test_node_counts_above_the_cap_exit_1_before_any_grid(value, monkeypatch, capsys):
-    # 10^6 nodes took 5.5 s and 433 MB; 65 536 take about 0.4 s and 56 MB (whole process)
-    monkeypatch.setattr(qnogo.fidelity, "uniform_grid", _forbidden)
-    code, out, err = exit_code(["fidelity-sweep", "--lambda", "0.5", "--nodes", str(value)],
-                               capsys)
-    assert code == 1
-    assert out == ""
-    assert err == f"qnogo: nodes must lie in [1, {MAX_NODES}], got {value}\n"
+SEED_ERROR = "qnogo: --seed must be a non-negative integer, got -1\n"
+TOLERANCE_ERROR = "qnogo: tolerance must be positive and finite\n"
+GRID_ERROR = f"qnogo: grid size must lie in [2, {MAX_GRID_N}], got 1\n"
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--seed", "-1", "--tolerance", "0", "--grid-n", "1"], SEED_ERROR),
+    (["--grid-n", "1", "--tolerance", "nan", "--seed", "-1"], SEED_ERROR),
+    (["--tolerance", "0", "--grid-n", "1"], TOLERANCE_ERROR),
+    (["--grid-n", "1", "--tolerance=-inf"], TOLERANCE_ERROR),
+    (["--grid-n", "1"], GRID_ERROR),
+], ids=["seed-first", "seed-last", "tolerance-first", "tolerance-last", "grid"])
+@pytest.mark.parametrize("head", [["gate-verify", "--gate", "H", "--target", "hadamard9"],
+                                  ["circle-check"]])
+def test_seed_then_tolerance_then_grid_size_are_refused_before_any_command(head, extra, message,
+                                                                          monkeypatch, capsys):
+    # whatever their order on the command line, one message: the first of the three refused
+    for name in ("gate-verify", "circle-check"):
+        monkeypatch.setitem(qnogo.cli._COMMANDS, name, _forbidden)
+    code, out, err = exit_code(head + extra, capsys)
+    assert (code, out, err) == (1, "", message)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -234,9 +244,12 @@ def test_undecodable_files_exit_3_naming_the_file(argv, tmp_path, capsys):
     assert f"{str(path)!r} is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9" in err
 
 
-def test_the_caps_admit_every_size_the_suite_and_benchmark_use():
+def test_the_caps_admit_every_size_the_suite_and_benchmark_use(monkeypatch):
     # sizes of 10 000 are the largest in use; both caps are checked without running them
-    assert RunConfig(subcommand="witness", grid_n=MAX_GRID_N).grid_n >= 10_000
+    seen = []
+    monkeypatch.setitem(qnogo.cli._COMMANDS, "witness", lambda args: seen.append(args.grid_n))
+    main(["witness", "--target", "hadamard9", "--grid-n", str(MAX_GRID_N)])
+    assert seen == [MAX_GRID_N] and MAX_GRID_N >= 10_000
     assert CheckOptions(samples=MAX_SAMPLES).samples >= 10_000
 
 
@@ -267,7 +280,7 @@ def test_negative_zero_lambda_is_reported_as_zero(text, capsys):
     ["witness", "--target", "hadamard9", "--grid-n", "8"],
     ["gate-verify", "--gate", "H", "--target", "hadamard9", "--grid-n", "8"],
     ["circle-check", "--grid-n", "8"],
-    ["fidelity-sweep", "--lambda", "0.5", "--nodes", "12"],
+    ["fidelity-sweep", "--lambda", "0.5", "--restarts", "1"],
     ["dsl-check", CLONE, "--samples", "8"],
 ])
 @pytest.mark.parametrize("flag,env,source", [(["--seed", "-1"], None, "--seed"),

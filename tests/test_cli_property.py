@@ -71,7 +71,7 @@ COMMANDS = st.one_of(
     st.tuples(st.just(["fidelity-sweep"]), required("--lambda", LAMBDAS),
               option("--mode", one_of("second-register", "both", "joint")),
               option("--ancilla-dim", sizes(4)), option("--restarts", sizes(2)),
-              option("--max-evals", sizes(200)), option("--nodes", sizes(100)), SEED,
+              option("--max-evals", sizes(200)), SEED,
               option("--format", one_of("json", "human", "xml", "csv", "json")), OUTPUT),
     st.tuples(st.just(["dsl-check"]), one_of(*CORPUS, "missing.qmachine").map(lambda f: [f]),
               option("--samples", sizes(100)), TOLERANCE, SEED, FORMAT, OUTPUT),
@@ -79,7 +79,7 @@ COMMANDS = st.one_of(
 
 # Each subcommand's valid head, and an option it does not have: --tolerance where it decides
 # no verdict, --grid-n where it builds no family of that size, csv on all but fidelity-sweep,
-# and a weight where the target takes none
+# the removed --nodes, and a weight where the target takes none
 HEADS = {"gate-verify": ["gate-verify", "--gate", "H", "--target", "hadamard9"],
          "witness": ["witness", "--target", "hadamard9"],
          "circle-check": ["circle-check"],
@@ -92,6 +92,7 @@ REFUSED = st.one_of(
               required("--grid-n", GRID_SIZES)),
     st.tuples(one_of(*(head for name, head in HEADS.items() if name != "fidelity-sweep")),
               st.just(["--format", "csv"])),
+    st.tuples(st.just(HEADS["fidelity-sweep"]), required("--nodes", sizes(100))),
     st.tuples(one_of(HEADS["gate-verify"], HEADS["witness"], ["witness", "--target", "cnot23"]),
               st.one_of(required("--a", one_of("0.6", "0.8i")),
                         required("--b", one_of("0.8", "-i")))),

@@ -92,21 +92,14 @@ def product_rule(m: int, k: int) -> QuadratureGrid:
     return QuadratureGrid(_bloch_rows(theta.ravel(), phi.ravel()), np.repeat(w / (2.0 * k), k))
 
 
-@pytest.mark.parametrize("n_min,m,k", [(1, 2, 5), (10, 3, 6), (199, 10, 20), (200, 10, 20),
-                                        (201, 11, 22), (5000, 50, 100), (65_536, 182, 364)])
-def test_uniform_grid_is_the_gauss_legendre_product_rule(n_min, m, k):
-    g = uniform_grid(n_min)
-    assert len(g) == m * k >= n_min
+def test_uniform_grid_is_the_10_by_20_gauss_legendre_product_rule():
+    g = uniform_grid()
+    assert len(g) == 200
     assert np.all(g.weights > 0.0)
     assert abs(g.weights.sum() - 1.0) <= 1e-12
-    ref = product_rule(m, k)   # the two rules' weights differ by up to 5e-15 at m = 182
+    ref = product_rule(10, 20)
     assert np.max(np.abs(g.states - ref.states)) <= 1e-13
-    assert np.max(np.abs(g.weights - ref.weights)) <= 1e-13 / k
-
-
-def test_uniform_grid_needs_a_node():
-    with pytest.raises(ValueError):
-        uniform_grid(0)
+    assert np.max(np.abs(g.weights - ref.weights)) <= 1e-13 / 20
 
 
 LAMBDAS = (0.0, 0.1, 0.25, 0.5, 0.77, 0.976, 1.0)
@@ -115,8 +108,9 @@ LAMBDAS = (0.0, 0.1, 0.25, 0.5, 0.77, 0.976, 1.0)
 @pytest.mark.parametrize("mode", MODES)
 def test_omega_is_the_same_on_every_grid_from_the_2_by_5_rule_up(mode):
     for lam in LAMBDAS:
-        ref = _omega(uniform_grid(1), lam, mode)
-        for g in (uniform_grid(200), uniform_grid(5000), product_rule(64, 32)):
+        ref = _omega(product_rule(2, 5), lam, mode)
+        for g in (uniform_grid(), product_rule(3, 6), product_rule(50, 100),
+                  product_rule(64, 32)):
             assert np.max(np.abs(_omega(g, lam, mode) - ref)) <= 1e-15
 
 
@@ -124,12 +118,12 @@ def test_omega_is_the_same_on_every_grid_from_the_2_by_5_rule_up(mode):
 def test_smaller_product_rules_are_not_exact(m, k):
     # one node in cos(theta) misses the quadratic k = 0 terms, four azimuths
     # alias the joint grading's e^{+-4 i phi} terms onto k = 0
-    ref = _omega(uniform_grid(1), 0.5, "joint")
+    ref = _omega(product_rule(2, 5), 0.5, "joint")
     assert np.max(np.abs(_omega(product_rule(m, k), 0.5, "joint") - ref)) > 1e-2
 
 
 def test_uniform_grid_integrates_degree_two_exactly():
-    g = uniform_grid(200)
+    g = uniform_grid()
     xyz = np.array([bloch_xyz(Qubit(*row)) for row in g.states])
     w = g.weights
     # first moments vanish, second moments are delta_ij / 3
@@ -139,14 +133,14 @@ def test_uniform_grid_integrates_degree_two_exactly():
 
 
 def test_uniform_grid_is_deterministic():
-    a = uniform_grid(250).states
-    b = uniform_grid.__wrapped__(250).states   # built again, not the shared grid
+    a = uniform_grid().states
+    b = uniform_grid.__wrapped__().states   # built again, not the shared grid
     assert np.array_equal(a, b)
 
 
 def test_uniform_grid_is_built_once_and_shared_read_only():
-    g = uniform_grid(250)
-    assert uniform_grid(250) is g
+    g = uniform_grid()
+    assert uniform_grid() is g
     assert not g.states.flags.writeable
     assert not g.weights.flags.writeable
 
@@ -154,7 +148,7 @@ def test_uniform_grid_is_built_once_and_shared_read_only():
 def test_the_basis_cloner_scores_two_thirds():
     # per-state score |alpha|^4 + |beta|^4 averages to 2/3 over the sphere,
     # and the grid integrates that degree-2 expression exactly
-    g = uniform_grid(200)
+    g = uniform_grid()
     for f in (choi_fidelity(basis_cloner(), 1.0, g, "second-register"),
               per_state_fidelity(basis_cloner(), 1.0, g, "second-register")):
         assert abs(f - 2.0 / 3.0) < 1e-12
@@ -162,8 +156,7 @@ def test_the_basis_cloner_scores_two_thirds():
 
 def test_the_choi_objective_equals_the_per_state_reference():
     rng = np.random.default_rng(5)
-    for nodes in (12, 50, 200):
-        g = uniform_grid(nodes)
+    for g in (product_rule(3, 6), product_rule(5, 10), uniform_grid()):
         for lam in (0.0, 0.3, 0.7, 1.0):
             for mode in ("second-register", "joint"):
                 for dim in (1, 2, 3, 4):
@@ -192,7 +185,7 @@ def test_optimizer_config_validation():
 
 
 def test_optimize_reaches_the_symmetric_cloning_score():
-    g = uniform_grid(200)
+    g = uniform_grid()
     cfg = OptimizerConfig(restarts=2, max_evals=800, seed=42)
     res = optimize_fidelity(1.0, g, cfg)
     assert res.record.f_opt == pytest.approx(5.0 / 6.0, abs=1e-3)
@@ -204,7 +197,7 @@ def test_optimize_reaches_the_symmetric_cloning_score():
 
 
 def test_optimize_is_deterministic():
-    g = uniform_grid(200)
+    g = uniform_grid()
     cfg = OptimizerConfig(restarts=2, max_evals=500, seed=7)
     a = optimize_fidelity(0.5, g, cfg).record
     b = optimize_fidelity(0.5, g, cfg).record
@@ -212,7 +205,7 @@ def test_optimize_is_deterministic():
 
 
 def test_optimize_joint_mode_endpoint():
-    g = uniform_grid(200)
+    g = uniform_grid()
     cfg = OptimizerConfig(restarts=4, max_evals=1500, mode="joint", seed=42)
     res = optimize_fidelity(1.0, g, cfg)
     assert res.record.f_opt == pytest.approx(2.0 / 3.0, abs=5e-3)
@@ -222,11 +215,11 @@ def test_optimize_joint_mode_endpoint():
 def test_optimize_validates_lambda():
     for lam in (-0.2, 1.5, float("nan")):
         with pytest.raises(ValueError):
-            optimize_fidelity(lam, uniform_grid(24))
+            optimize_fidelity(lam, uniform_grid())
 
 
 def test_sweep_lambda_and_csv():
-    g = uniform_grid(200)
+    g = uniform_grid()
     cfg = OptimizerConfig(restarts=1, max_evals=400, seed=42)
     records = sweep_lambda([0.0, 1.0], g, cfg)
     assert len(records) == 2
@@ -265,7 +258,7 @@ CLOSED_FORMS = [("second-register", 1.0, 5.0 / 6.0),
 
 @pytest.mark.parametrize("mode,lam,exact", CLOSED_FORMS)
 def test_endpoints_hit_their_closed_forms(mode, lam, exact):
-    rec = optimize_fidelity(lam, uniform_grid(200), OptimizerConfig(mode=mode)).record
+    rec = optimize_fidelity(lam, uniform_grid(), OptimizerConfig(mode=mode)).record
     assert abs(rec.f_opt - exact) <= 1e-12
     assert rec.converged and rec.gap <= 1e-9
     assert rec.f_opt <= rec.f_upper and abs(rec.f_upper - exact) <= 1e-9
@@ -275,7 +268,7 @@ def test_endpoints_hit_their_closed_forms(mode, lam, exact):
 def test_a_one_level_ancilla_leaves_the_certificate_open():
     # the optimal cloner has Kraus rank 2, so rank 1 stops short and says so
     cfg = OptimizerConfig(ancilla_dim=1, restarts=2, max_evals=500)
-    rec = optimize_fidelity(1.0, uniform_grid(200), cfg).record
+    rec = optimize_fidelity(1.0, uniform_grid(), cfg).record
     assert rec.converged is False
     assert rec.gap > 0.0 and rec.kraus_rank == 1
     assert rec.f_upper >= 5.0 / 6.0 - 1e-12
@@ -284,7 +277,7 @@ def test_a_one_level_ancilla_leaves_the_certificate_open():
 
 
 def test_restarts_stop_at_the_first_certified_start():
-    rec = optimize_fidelity(0.5, uniform_grid(200), OptimizerConfig()).record
+    rec = optimize_fidelity(0.5, uniform_grid(), OptimizerConfig()).record
     assert rec.converged
     assert 1 <= rec.iterations <= OptimizerConfig().max_evals   # one start was enough
 
@@ -294,7 +287,7 @@ def test_restarts_stop_at_a_converged_start_that_misses_the_stop_gap(seed):
     # with 50 steps a start ends with a gap between 1.9e-10 and 4.8e-10:
     # above the 1e-10 that stops a start, inside converged
     cfg = OptimizerConfig(mode="joint", max_evals=50, seed=seed)
-    rec = optimize_fidelity(0.96, uniform_grid(200), cfg).record
+    rec = optimize_fidelity(0.96, uniform_grid(), cfg).record
     assert rec.converged and rec.gap > 1e-10
     assert rec.iterations == cfg.max_evals
 
@@ -306,17 +299,18 @@ INTERIOR = [("second-register", 0.25, 0.8720861356), ("second-register", 0.5, 0.
 
 @pytest.mark.parametrize("mode,lam,exact", INTERIOR)
 def test_interior_optima_are_the_continuum_values(mode, lam, exact):
-    rec = optimize_fidelity(lam, uniform_grid(200), OptimizerConfig(mode=mode)).record
+    rec = optimize_fidelity(lam, uniform_grid(), OptimizerConfig(mode=mode)).record
     assert rec.converged
     assert abs(rec.f_opt - exact) <= 1e-9
 
 
 @settings(max_examples=30, deadline=None)
-@given(lam=st.floats(0.0, 1.0), mode=st.sampled_from(MODES), nodes=st.integers(1, 5000))
-def test_the_optimum_does_not_depend_on_the_node_count(lam, mode, nodes):
+@given(lam=st.floats(0.0, 1.0), mode=st.sampled_from(MODES), m=st.integers(2, 50),
+       k=st.integers(5, 100))
+def test_the_optimum_does_not_depend_on_the_node_count(lam, mode, m, k):
     cfg = OptimizerConfig(mode=mode)
-    a = optimize_fidelity(lam, uniform_grid(nodes), cfg).record
-    b = optimize_fidelity(lam, uniform_grid(200), cfg).record
+    a = optimize_fidelity(lam, product_rule(m, k), cfg).record
+    b = optimize_fidelity(lam, uniform_grid(), cfg).record
     assert a.converged and b.converged
     assert abs(a.f_opt - b.f_opt) <= 1e-9
 
@@ -329,21 +323,21 @@ FLICKER = [("second-register", 0.03), ("second-register", 0.904),
 @pytest.mark.parametrize("mode,lam", [(m, round(0.1 * k, 1)) for m in MODES for k in range(11)]
                          + FLICKER)
 def test_kraus_rank_is_the_smallest_ancilla_that_reaches_the_optimum(mode, lam):
-    rec = optimize_fidelity(lam, uniform_grid(200), OptimizerConfig(mode=mode)).record
+    rec = optimize_fidelity(lam, uniform_grid(), OptimizerConfig(mode=mode)).record
     assert rec.converged
     if lam in (0.0, 1.0):
         assert rec.kraus_rank == 2
     one_level = OptimizerConfig(mode=mode, ancilla_dim=1, restarts=2, max_evals=1000)
-    one = optimize_fidelity(lam, uniform_grid(200), one_level).record
+    one = optimize_fidelity(lam, uniform_grid(), one_level).record
     assert (rec.kraus_rank == 1) == (one.gap <= 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
 @given(lam=st.floats(0.0, 1.0), mode=st.sampled_from(["second-register", "joint"]),
-       nodes=st.integers(12, 1000), ancilla_dim=st.sampled_from([2, 3, 4]),
+       m=st.integers(2, 22), k=st.integers(5, 44), ancilla_dim=st.sampled_from([2, 3, 4]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_the_certificate_brackets_the_optimum(lam, mode, nodes, ancilla_dim, seed):
-    grid = uniform_grid(nodes)
+def test_the_certificate_brackets_the_optimum(lam, mode, m, k, ancilla_dim, seed):
+    grid = product_rule(m, k)
     cfg = OptimizerConfig(ancilla_dim=ancilla_dim, mode=mode, seed=seed)
     res = optimize_fidelity(lam, grid, cfg)
     rec = res.record

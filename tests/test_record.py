@@ -13,7 +13,6 @@ import pytest
 
 from qnogo import cli, dsl, fidelity, gates, states, verifier
 from qnogo._record import _Signature, field, record
-from qnogo.cli import RunConfig
 from qnogo.dsl import Call, Diagnostic, Term, Token, parse, tokenize
 from qnogo.fidelity import OptimizerConfig
 from qnogo.states import Qubit
@@ -39,7 +38,7 @@ def _records():
 
 
 def test_every_former_dataclass_is_a_record_and_src_never_imports_dataclasses():
-    assert len(_records()) == 23
+    assert len(_records()) == 22
     for path in SRC.glob("*.py"):
         assert not re.search(r"^\s*(from|import) dataclasses\b", path.read_text(), re.M), path
 
@@ -64,7 +63,6 @@ def test_ast_nodes_compare_equal_whatever_their_line_and_column():
     lambda: Term(0.6 + 0.8j, ("0", "1"), line=4),
     lambda: OptimizerConfig(restarts=3),
     lambda: Qubit(0.6, 0.8),
-    lambda: RunConfig("witness", grid_n=8),
 ])
 def test_equal_records_hash_equal_and_refuse_assignment(make):
     a, b = make(), make()
@@ -94,8 +92,6 @@ def test_records_without_equality_compare_and_hash_by_identity():
     (OptimizerConfig(), "OptimizerConfig(ancilla_dim=2, restarts=8, max_evals=4000, seed=42, "
                         "mode='second-register')"),
     (Qubit(1, 0), "Qubit(alpha=(1+0j), beta=0j)"),
-    (RunConfig("witness"), "RunConfig(subcommand='witness', tolerance=1e-09, grid_n=256, "
-                           "seed=42, fmt='human', output=None)"),
     (SurveyResult(3, 1, 0.5, 1e-3, None), "SurveyResult(n_candidates=3, n_pass=1, "
                                           "min_worst_violation=0.5, tolerance=0.001, seed=None)"),
     (Verdict(True, 0.0, 1e-9, "c"), "Verdict(realizable=True, violation=0.0, tolerance=1e-09, "

@@ -22,7 +22,8 @@ read the same in both.  The commands are
 
 each at seeds 0 and 42, then a few usage errors (an unrecognized option, an
 invalid --format choice, a missing --target, weights for a target that takes
-none), and dsl-check on each of a fixed
+none, and the seed, tolerance and grid size that main refuses, alone and
+together) with two fidelity-sweep runs, and dsl-check on each of a fixed
 list of small units, one per diagnostic, written once to a temporary directory
 that both trees read; two commands run at a time.  A command whose exit
 code, stdout or stderr differs between the trees is printed with the
@@ -57,13 +58,26 @@ STATE_BLOCK = 1024   # qnogo.verifier._STATE_BLOCK, the rows per block of the pe
 GATE_TARGETS = TARGETS[:2] + (("unequal", "--a", "0.6", "--b", "0.8"),) + TARGETS[2:]
 _RULES = "on |0> -> |0>|0>;\non |1> -> |1>|1>;\n"
 _R = "0.7071067811865476"   # 1/sqrt(2), as machines/hybrid_half.qmachine writes it
-# command lines refused with exit 1, a usage line and one error line: by argparse, and weights
-# for a target that takes none
+_GATE = ("gate-verify", "--gate", "H", "--target", "hadamard9")
+_CLONE = str(Path("machines") / "clone.qmachine")
+# command lines refused with exit 1: by argparse, with a usage line and one error line, and
+# weights for a target that takes none; then by main, with one qnogo: line, for the first of
+# seed, tolerance and grid size that is out of range; then two fidelity-sweep runs, which read
+# their options from what main parsed
 USAGE_ERRORS = (
     ("witness", "--target", "hadamard9", "--tolerance", "1e-9"),   # witness decides no verdict
     ("circle-check", "--format", "csv"),   # a choice of fidelity-sweep alone
     ("gate-verify", "--gate", "H"),
     ("gate-verify", "--gate", "H", "--target", "hadamard9", "--a", "0.6", "--b", "0.8"),
+    *((*head, "--tolerance", value) for head in (_GATE, ("circle-check",), ("dsl-check", _CLONE))
+      for value in ("0", "nan")),
+    ("witness", "--target", "hadamard9", "--grid-n", "1"),
+    ("circle-check", "--grid-n", "65537"),
+    ("witness", "--target", "hadamard9", "--seed", "-1"),
+    (*_GATE, "--grid-n", "1", "--tolerance", "0", "--seed", "-1"),
+    (*_GATE, "--grid-n", "1", "--tolerance", "0"),
+    ("fidelity-sweep", "--lambda", "0:1:0.5", "--format", "csv"),
+    ("fidelity-sweep", "--lambda", "0:1:0.5", "--ancilla-dim", "1"),
 )
 # One unit per lexer diagnostic, parser recovery path and compile diagnostic, each reported
 # on stderr
