@@ -14,8 +14,8 @@ import importlib
 
 _EXPORTS = {
     "algebra": (
-        "ATOL_STATE", "ATOL_VERDICT", "SUPPORTED_DIMS", "apply", "haar_unitaries",
-        "inner_product", "is_unitary", "state_vector", "tensor",
+        "ATOL_STATE", "ATOL_VERDICT", "SUPPORTED_DIMS", "haar_unitaries", "is_unitary",
+        "state_vector",
     ),
     "dsl": (
         "CheckOptions", "CompiledMachine", "Diagnostic", "UnitReport", "check_source",
@@ -35,8 +35,8 @@ _EXPORTS = {
     ),
     "verifier": (
         "MachineSpec", "SurveyResult", "TargetTransform", "Verdict", "WitnessResult",
-        "check_universal_gate", "hybrid_machine", "machine_deviations",
-        "survey_random_unitaries", "target_hadamard9", "witness_search",
+        "check_universal_gate", "hybrid_machine", "survey_random_unitaries",
+        "target_hadamard9", "witness_search",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

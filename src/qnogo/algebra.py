@@ -21,13 +21,6 @@ ATOL_STATE = 1e-12
 ATOL_VERDICT = 1e-9
 
 
-def _as_complex(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} contains non-finite entries")
-    return arr
-
-
 def state_vector(amplitudes, normalized: bool = True) -> np.ndarray:
     """Validated copy of a state vector.
 
@@ -35,34 +28,14 @@ def state_vector(amplitudes, normalized: bool = True) -> np.ndarray:
     normalized=True (the default) the norm must already be 1 within
     ATOL_STATE; nothing is rescaled here.
     """
-    v = _as_complex(amplitudes, "state vector")
+    v = np.array(amplitudes, dtype=complex)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("state vector contains non-finite entries")
     if v.ndim != 1 or v.size not in SUPPORTED_DIMS:
         raise ValueError(f"unsupported state dimension {v.shape}")
     if normalized and abs(np.linalg.norm(v) - 1.0) > ATOL_STATE:
         raise ValueError(f"state vector is not normalized (norm {np.linalg.norm(v)!r})")
     return v
-
-
-def inner_product(u, v) -> complex:
-    """<u|v>, conjugate-linear in the first argument."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape:
-        raise ValueError(f"shape mismatch {u.shape} vs {v.shape}")
-    return complex(np.vdot(u, v))
-
-
-def tensor(*factors) -> np.ndarray:
-    """Kronecker product of states or operators, leftmost factor most significant."""
-    if not factors:
-        raise ValueError("tensor of nothing")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    size = out.shape[0]
-    if size not in SUPPORTED_DIMS:
-        raise ValueError(f"resulting dimension {size} unsupported")
-    return out
 
 
 def kron_rows(a, b) -> np.ndarray:
@@ -94,18 +67,6 @@ def row_blocks(n: int, size: int):
         hi = n if n - lo <= size + 1 else lo + size
         yield lo, hi
         lo = hi
-
-
-def apply(op, v) -> np.ndarray:
-    """Apply an operator to a vector, or to each row of a stack of them.
-
-    Every row gets the bits of op @ row.  The result is never
-    renormalized, so a non-isometric op leaves a visible norm defect."""
-    op = np.asarray(op, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if op.ndim != 2 or op.shape[1] != v.shape[-1]:
-        raise ValueError(f"cannot apply {op.shape} to {v.shape}")
-    return np.matmul(op, v[..., np.newaxis])[..., 0]
 
 
 def is_unitary(op) -> bool:

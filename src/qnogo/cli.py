@@ -167,16 +167,21 @@ def load_matrix_file(path: str) -> np.ndarray:
                 raise _CliError(EXIT_CONTENT,
                                 f"matrix entry {tok!r} is not of the form re,im")
             try:
-                entries.append(complex(float(parts[0]), float(parts[1])))
+                entry = complex(float(parts[0]), float(parts[1]))
             except ValueError:
                 raise _CliError(EXIT_CONTENT,
                                 f"matrix entry {tok!r} has non-numeric parts") from None
+            if not cmath.isfinite(entry):
+                raise _CliError(EXIT_CONTENT, f"matrix entry {tok!r} is not finite")
+            entries.append(entry)
         rows.append(entries)
     n = len(lines)
     if any(len(r) != n for r in rows):
         raise _CliError(EXIT_CONTENT, f"matrix file {path!r} is not square")
     m = np.array(rows, dtype=complex)
-    if not is_unitary(m):
+    with np.errstate(over="ignore", invalid="ignore"):   # a huge entry's Gram overflows
+        unitary = is_unitary(m)
+    if not unitary:
         raise _CliError(EXIT_CONTENT, f"matrix in {path!r} is not unitary")
     return m
 

@@ -28,15 +28,12 @@ from ._shared import REGISTRY
 from .algebra import (
     ATOL_VERDICT,
     abs_squared,
-    apply,
     haar_unitaries,
-    inner_product,
     kron_rows,
     row_blocks,
     row_dots,
     row_norms,
     state_vector,
-    tensor,
 )
 from .states import Qubit, StateSet, state_family
 
@@ -97,7 +94,7 @@ class MachineSpec:
                              f"got {parts[0].shape} and {parts[1].shape}")
         with np.errstate(all="ignore"):   # a non-finite sum is refused by state_vector
             out0, out1 = (state_vector(out) for out in parts[0] + parts[1])
-        if abs(inner_product(out0, out1)) > ATOL_VERDICT:
+        if abs(np.vdot(out0, out1)) > ATOL_VERDICT:
             raise ValueError("basis outputs are not orthogonal; the machine cannot be isometric")
         rows = np.vstack(parts)
         with np.errstate(all="ignore"):   # parts past 1e154 overflow G: inf or NaN is refused
@@ -122,8 +119,8 @@ def hybrid_machine(lam: float, ancilla_dim: int) -> MachineSpec:
     """
     k = _target_k(TargetTransform("hybrid", lam=lam))
     ket0 = np.eye(1, ancilla_dim, dtype=complex)[0]   # |0...0> of the ancilla
-    return MachineSpec(*(np.array([tensor(e, row, ket0) for e, row in zip(_BASIS, part)])
-                         for part in k))
+    return MachineSpec(*(np.array([np.kron(np.kron(e, row), ket0)
+                                   for e, row in zip(_BASIS, part)]) for part in k))
 
 
 def _semilinear(parts, s: np.ndarray) -> np.ndarray:
@@ -231,35 +228,19 @@ def _target_k(t: TargetTransform) -> tuple[np.ndarray, np.ndarray]:
             np.sqrt(1.0 - lam) * (_BASIS if t.kind == "conjugate" else _COMPLEMENT))
 
 
-def machine_deviations(m: MachineSpec, t: TargetTransform, states: StateSet) -> np.ndarray:
-    """1 - |<ideal|actual>|^2 between the target and the machine, whose
-    ideal output is |psi> (x) K|psi> (x) |0...0>.
-
-    One value per state.  Every state runs the exact kernel, in blocks of
-    _STATE_BLOCK; the DSL's worst-state check takes the same values from
-    _worst_deviation, which runs that kernel only on the states that can
-    hold the maximum.
-    """
-    if t.side:
-        raise ValueError(f"target kind {t.kind!r} is a gate target; use check_universal_gate")
-    s, parts = states.state_vectors, ((m.linear, m.antilinear), _target_k(t))
-    deviations = np.empty(len(s))
-    for lo, hi in row_blocks(len(s), _STATE_BLOCK):
-        deviations[lo:hi] = _deviations(parts, s[lo:hi])
-    return deviations
-
-
 def _worst_deviation(m: MachineSpec, t: TargetTransform, states) -> tuple[float, int]:
-    """The largest machine_deviations value of a machine target, with its bits, and its first
-    index; the exact kernel runs only on the states _screened_max keeps."""
+    """The largest _deviations value of a machine and a machine target over the states, with
+    its bits, and its first index; the exact kernel runs only on the states _screened_max
+    keeps."""
     s, parts = states.state_vectors, ((m.linear, m.antilinear), _target_k(t))
     return _screened_max(len(s), lambda lo, hi: _deviation_estimate(parts, s[lo:hi]),
                          lambda rows: _deviations(parts, s[rows]))
 
 
 def _deviations(parts, s: np.ndarray) -> np.ndarray:
-    """machine_deviations of the rows of s; parts holds the (linear, antilinear) parts of the
-    machine and of the target's K, and _semilinear applies each."""
+    """1 - |<ideal|actual>|^2, clipped to [0, 1], of each row of s: ideal = s (x) K s (x)
+    |0...0> and actual the machine's output, each normalized; parts holds the (linear,
+    antilinear) parts of the machine and of the target's K, and _semilinear applies each."""
     actual, second = (_semilinear(p, s) for p in parts)
     actual = actual / row_norms(actual)[:, np.newaxis]
     d = actual.shape[1] // 4
@@ -322,7 +303,8 @@ def _rule_violation(candidate: np.ndarray, rules) -> np.ndarray:
     """Worst phase-invariant mismatch of each state over the rules, (inputs, required
     outputs) pairs; 1 where a vector vanishes."""
     ins, outs = (np.stack(v) for v in zip(*rules))
-    actual = apply(candidate, ins)
+    # every row gets the bits of candidate @ row; nothing is renormalized
+    actual = np.matmul(candidate, ins[..., np.newaxis])[..., 0]
     na, no = row_norms(actual), row_norms(outs)
     with np.errstate(divide="ignore", invalid="ignore"):
         overlap_sq = abs_squared(row_dots(outs.conj(), actual)) / (na * na * no * no)

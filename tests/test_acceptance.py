@@ -36,8 +36,9 @@ from qnogo.states import (
 from qnogo.verifier import (
     MachineSpec,
     TargetTransform,
+    _deviations,
+    _target_k,
     check_universal_gate,
-    machine_deviations,
     survey_random_unitaries,
     witness_search,
 )
@@ -124,13 +125,14 @@ def test_03_linear_extension_deviation_matches_a_naive_evaluator():
     m = MachineSpec(np.eye(4)[[0, 3]], np.zeros((2, 4)))   # |i> -> |i>|i>, extended linearly
     t = TargetTransform("clone")
     states = state_family("bloch", 1000, 5)
-    lib = machine_deviations(m, t, states)
+    parts = ((m.linear, m.antilinear), _target_k(t))   # the exact kernel of dsl-check's machines
+    lib = _deviations(parts, states.state_vectors)
     naive = [naive_clone_deviation(a, b) for a, b in states.state_vectors]
     worst = float(np.max(np.abs(lib - naive)))
     assert worst < 1e-12
 
     plus = Qubit(RT2, RT2)
-    dev = float(machine_deviations(m, t, listed_set([plus]))[0])
+    dev = float(_deviations(parts, listed_set([plus]).state_vectors)[0])
     assert dev == pytest.approx(0.5, abs=1e-12)
     print(f"check 3 PASS: naive-vs-library gap {worst:.2e} on 1000 states, "
           f"|+> deviation {dev!r}")

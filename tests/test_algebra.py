@@ -4,12 +4,9 @@ import pytest
 from qnogo.algebra import (
     ATOL_STATE,
     SUPPORTED_DIMS,
-    apply,
     haar_unitaries,
-    inner_product,
     is_unitary,
     state_vector,
-    tensor,
 )
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -35,27 +32,6 @@ def test_state_vector_enforces_normalization():
     # unnormalized allowed when asked
     v = state_vector([1.0, 1.0], normalized=False)
     assert np.allclose(v, [1.0, 1.0])
-
-
-def test_inner_product_conjugates_first_argument():
-    u = state_vector([RT2, RT2 * 1j])
-    v = state_vector([RT2, -RT2 * 1j])
-    assert inner_product(u, v) == pytest.approx(np.vdot(u, v))
-    assert inner_product(u, u) == pytest.approx(1.0)
-
-
-def test_tensor_matches_kron():
-    a = state_vector([1.0, 0.0])
-    b = state_vector([RT2, RT2])
-    assert np.allclose(tensor(a, b), np.kron(a, b))
-    assert tensor(a, b, a).shape == (8,)
-
-
-def test_apply_shapes():
-    h = np.array([[RT2, RT2], [RT2, -RT2]], dtype=complex)
-    assert np.allclose(apply(h, state_vector([1.0, 0.0])), [RT2, RT2])
-    with pytest.raises(ValueError):
-        apply(h, np.ones(4) / 2.0)
 
 
 def test_is_unitary():

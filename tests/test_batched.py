@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qnogo.verifier
-from qnogo.algebra import abs_squared, haar_unitaries, kron_rows, row_blocks, row_norms, tensor
+from qnogo.algebra import abs_squared, haar_unitaries, kron_rows, row_blocks, row_norms
 from qnogo.gates import (
     cnot_computational,
     hadamard,
@@ -38,7 +38,6 @@ from qnogo.verifier import (
     MachineSpec,
     check_universal_gate,
     hybrid_machine,
-    machine_deviations,
     survey_random_unitaries,
     witness_search,
 )
@@ -50,6 +49,7 @@ from qnogo.verifier import (
     _STATE_BLOCK,
     _WITNESS_BLOCK,
     TargetTransform,
+    _deviations,
     _pair_spans,
     _rule_violation,
     _rules,
@@ -473,12 +473,12 @@ def test_machine_deviations_match_the_scalar_reference(case, name, n, seed):
     m, t = case
     pairs = ref_pairs(name, n, seed)
     family = state_family(name, n, seed)
-    batched = machine_deviations(m, t, family)
+    batched = exact_deviations(m, t, family)
     expected = [ref_deviation(m, t, q) for q, _ in pairs]
     assert batched.tolist() == expected
     assert int(np.argmax(batched)) == ref_worst(expected)[1]
     q = pairs[-1][0]
-    assert machine_deviations(m, t, listed_set([q])).tolist() == expected[-1:]
+    assert exact_deviations(m, t, listed_set([q])).tolist() == expected[-1:]
 
 
 # --- per-state blocks ------------------------------------------------------------------
@@ -503,7 +503,8 @@ def test_per_state_blocks_change_no_bit(block, size, name, seed, gate, machine):
     checks = [lambda: check_universal_gate(candidate, target, family),
               lambda: check_universal_gate(haar_unitaries(1, dim=4, seed=seed)[0],
                                            TargetTransform("cnot"), family),
-              lambda: machine_deviations(*machine, family)]
+              lambda: exact_deviations(*machine, family),
+              lambda: _worst_deviation(*machine, family)]
     whole = [check() for check in checks]   # n <= 15 states: one block of 1024
     with mock.patch("qnogo.verifier._STATE_BLOCK", block):
         blocked = [check() for check in checks]
@@ -511,6 +512,7 @@ def test_per_state_blocks_change_no_bit(block, size, name, seed, gate, machine):
         assert np.float64(many.violation).tobytes() == np.float64(one.violation).tobytes()
         assert many.witness == one.witness
     assert blocked[2].tobytes() == whole[2].tobytes()
+    same_bits(blocked[3], whole[3])
 
 
 def block_peak(run, make, n):
@@ -530,8 +532,8 @@ def block_peak(run, make, n):
       for target in (TargetTransform("hadamard9"), TargetTransform("hadamard10"),
                      TargetTransform("unequal", 0.6, 0.8))],
     lambda f: check_universal_gate(cnot_computational, TargetTransform("cnot"), f),
-    lambda f: machine_deviations(CLONER, TargetTransform("clone"), f),
-    lambda f: machine_deviations(hybrid_machine(0.5, 2), TargetTransform("hybrid", lam=0.5), f)],
+    lambda f: _worst_deviation(CLONER, TargetTransform("clone"), f),
+    lambda f: _worst_deviation(hybrid_machine(0.5, 2), TargetTransform("hybrid", lam=0.5), f)],
     ids=["hadamard9", "hadamard10", "unequal", "cnot", "clone", "hybrid-ancilla"])
 def test_the_per_state_kernels_hold_one_block_whatever_the_size(check):
     # one block of temporaries at every size, so only the per-state output grows with n; whole
@@ -569,8 +571,17 @@ def exhaustive_rule(candidate, target, s, p):
     return v[i], i
 
 
+def exact_deviations(m, t, family):
+    """Every state's exact deviation: _deviations over the row blocks of _STATE_BLOCK, the
+    kernel that _worst_deviation runs on the states it keeps."""
+    s, parts = family.state_vectors, ((m.linear, m.antilinear), _target_k(t))
+    return np.concatenate([_deviations(parts, s[lo:hi])
+                           for lo, hi in row_blocks(len(s), qnogo.verifier._STATE_BLOCK)])
+
+
 def exhaustive_deviation(m, t, family):
-    deviations = machine_deviations(m, t, family)
+    """(deviation, index) of the unscreened scan: every state's exact deviation, np.argmax."""
+    deviations = exact_deviations(m, t, family)
     i = int(np.argmax(deviations))
     return deviations[i], i
 
@@ -701,7 +712,7 @@ def test_the_machine_reduction_computes_few_states(monkeypatch):
 @given(case=machine_cases(), name=FAMILIES | st.just("listed"), n=SEAMS, seed=SEEDS)
 def test_every_k_map_and_machine_output_keeps_the_norm_of_the_state(case, name, n, seed):
     # |K v| = 1 for every machine target and weight, and every extension's outputs are unit
-    # rows, so no ideal or machine output that machine_deviations divides by can vanish
+    # rows, so no ideal or machine output that _deviations divides by can vanish
     m, t = case
     s = seam_family(name, n, seed).state_vectors
     assert np.max(np.abs(row_norms(_semilinear(_target_k(t), s)) - 1.0)) <= 1e-15
@@ -722,7 +733,7 @@ def test_the_k_parts_map_every_state_as_the_scalar_k_does(t, name, n, seed):
 def test_hybrid_machine_is_the_hybrid_k_on_the_basis(lam, d):
     t, m, ket0 = TargetTransform("hybrid", lam=lam), hybrid_machine(lam, d), np.eye(d)[0]
     for e, out in zip(np.eye(2, dtype=complex), m.linear + m.antilinear):
-        assert np.array_equal(out, tensor(e, ref_k(t, e), ket0))
+        assert np.array_equal(out, np.kron(np.kron(e, ref_k(t, e)), ket0))
 
 
 def ref_checked(v):

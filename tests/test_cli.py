@@ -149,7 +149,11 @@ def test_load_matrix_file_roundtrip(tmp_path):
     ("1,0 zebra,0\n0,0 1,0\n", 3, "non-numeric"),
     ("1,0 0,0 0,0\n0,0 1,0\n", 3, "not square"),
     ("1,0 1,0\n1,0 1,0\n", 3, "not unitary"),
+    ("inf,0 0,0\n0,0 1,0\n", 3, "matrix entry 'inf,0' is not finite"),
+    ("nan,0 0,0\n0,0 1,0\n", 3, "matrix entry 'nan,0' is not finite"),
+    ("1e308,0 0,0\n0,0 1,0\n", 3, "not unitary"),   # its Gram overflows
 ])
+@pytest.mark.filterwarnings("error")   # each refusal is its one message, with no numpy warning
 def test_load_matrix_file_content_errors(tmp_path, content, code, needle):
     path = tmp_path / "bad.mat"
     path.write_text(content)

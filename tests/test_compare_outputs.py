@@ -3,7 +3,12 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qnogo.verifier
+from qnogo.cli import _CliError, load_matrix_file
+from qnogo.gates import cnot_computational, hadamard
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("compare_outputs",
@@ -15,11 +20,11 @@ _spec.loader.exec_module(compare_outputs)
 def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_seeds():
     argvs = compare_outputs.commands([2, 257], Path("units"))
     assert len(argvs) == len(set(argvs))
-    # 406 commands at each seed, the 15 usage errors and 2 sweeps, then dsl-check once on each
+    # 411 commands at each seed, the 15 usage errors and 2 sweeps, then dsl-check once on each
     # of the 48 units
     assert len(compare_outputs.UNITS) == 48
     assert len(compare_outputs.USAGE_ERRORS) == 17
-    assert len(argvs) == 2 * 406 + 17 + 48
+    assert len(argvs) == 2 * 411 + 17 + 48
     assert argvs[-65:-48] == list(compare_outputs.USAGE_ERRORS)
     assert argvs[-48:] == [("dsl-check", str(Path("units") / f"{name}.qmachine"))
                            for name in compare_outputs.UNITS]
@@ -28,8 +33,16 @@ def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_se
         witness = [a for a in mine if a[0] == "witness" and "--set" in a and "--grid-n" in a
                    and a[a.index("--grid-n") + 1] in ("2", "257")]
         assert len(witness) == 4 * 3 * 2
+        # the Hadamard file on two families, the CNOT file, and the two files it refuses
+        files = [a for a in mine if a[0] == "gate-verify" and a[2].endswith(".mat")]
+        assert [(Path(a[2]).stem, a[4], a[6]) for a in files] == [
+            ("hadamard", "hadamard9", "bloch"), ("hadamard", "hadamard9", "polar"),
+            ("cnot", "cnot23", "bloch"), ("not-square", "hadamard9", "bloch"),
+            ("not-unitary", "hadamard9", "bloch")]
+        assert all(Path(a[2]).parent == Path("units") for a in files)
         # 5 gates x 5 targets x 3 families at the default size, mismatched sizes included
-        gates = [a for a in mine if a[0] == "gate-verify" and "--grid-n" not in a]
+        gates = [a for a in mine if a[0] == "gate-verify" and "--grid-n" not in a
+                 and a not in files]
         assert len(gates) == 5 * 5 * 3
         for gate, target in (("CNOT", "hadamard9"), ("H", "cnot23")):
             assert ("gate-verify", "--gate", gate, "--target", target, "--set", "polar",
@@ -48,11 +61,22 @@ def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_se
         # the 43 command lines of the three workloads (the survey is a library call), two of
         # them in the gate matrix, and circle-check at 2 and 257; the workloads run it at the
         # default 256 and at 2000
-        assert len(mine) - len(witness) - len(gates) - len(seams) - len(corpus) == 43 - 2 + 2
+        rest = len(mine) - len(witness) - len(files) - len(gates) - len(seams) - len(corpus)
+        assert rest == 43 - 2 + 2
         circles = [a[a.index("--grid-n") + 1] for a in mine
                    if a[0] == "circle-check" and "--grid-n" in a]
         assert sorted(circles) == ["2", "2000", "257"]
     assert all("--output" not in a for a in argvs)
+
+
+def test_the_matrix_files_load_as_their_gates(tmp_path):
+    for name, (text, _, _) in compare_outputs.MATRICES.items():
+        (tmp_path / f"{name}.mat").write_text(text, encoding="utf-8")
+    assert np.array_equal(load_matrix_file(str(tmp_path / "hadamard.mat")), hadamard)
+    assert np.array_equal(load_matrix_file(str(tmp_path / "cnot.mat")), cnot_computational)
+    for name, reason in (("not-square", "not square"), ("not-unitary", "not unitary")):
+        with pytest.raises(_CliError, match=reason):
+            load_matrix_file(str(tmp_path / f"{name}.mat"))
 
 
 def test_the_block_seam_commands_follow_the_kernels_block():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qnogo.algebra import is_unitary, tensor
+from qnogo.algebra import is_unitary
 from qnogo.gates import (
     cnot_computational,
     hadamard,
@@ -93,10 +93,10 @@ def test_cnot_in_basis_satisfies_all_four_rules():
         assert is_unitary(g)
         p = complement(q)
         u, v = q.vector, p.vector
-        assert np.allclose(g @ tensor(u, u), tensor(u, u), atol=1e-12)
-        assert np.allclose(g @ tensor(u, v), tensor(u, v), atol=1e-12)
-        assert np.allclose(g @ tensor(v, u), tensor(v, v), atol=1e-12)
-        assert np.allclose(g @ tensor(v, v), tensor(v, u), atol=1e-12)
+        assert np.allclose(g @ np.kron(u, u), np.kron(u, u), atol=1e-12)
+        assert np.allclose(g @ np.kron(u, v), np.kron(u, v), atol=1e-12)
+        assert np.allclose(g @ np.kron(v, u), np.kron(v, v), atol=1e-12)
+        assert np.allclose(g @ np.kron(v, v), np.kron(v, u), atol=1e-12)
 
 
 def test_cnot_in_different_bases_disagree():

@@ -1,8 +1,8 @@
-"""Every public name is used by the package itself, or is listed here with its reason,
-every private module-level name is read somewhere in the package, and every parameter
-with a default of a public callable that the package or perfbench reads, or that the
-allowlist keeps, is passed, with another value than its default's literal, by some direct
-call there, or is listed here with its reason.
+"""Every public name is used by the package itself, or is listed here with its reason and
+read by perfbench, every private module-level name is read somewhere in the package, and
+every parameter with a default of a public callable that the package or perfbench reads, or
+that the allowlist keeps, is passed, with another value than its default's literal, by some
+direct call there, or is listed here with its reason.
 
 A helper that only tests call duplicates a path the command line runs, and
 its copy can drift from it; checks belong on the path that stays.
@@ -16,13 +16,12 @@ import qnogo
 SRC = Path(qnogo.__file__).parent
 PERFBENCH = SRC.parents[1] / "perfbench"
 
-# public names that nothing in src/qnogo calls, each with why it stays
+# public names that nothing in src/qnogo calls, each with why it stays; perfbench reads
+# each, since a name that only library users might want is a path no command runs
 ALLOWED = {
     "survey_random_unitaries": "the Haar survey, which perfbench's run_survey calls",
     "polar_set": "the polar grid that perfbench's run_survey passes to the survey",
     "target_hadamard9": "the Hadamard target that perfbench's run_survey passes to the survey",
-    "machine_deviations": "per-state deviations for library users; tests pin each against the "
-                          "scalar reference",
 }
 
 
@@ -57,6 +56,15 @@ def referenced_names() -> set[str]:
     return read_names(skip="__init__.py")   # it lists every public name
 
 
+def bench_names() -> set[str]:
+    """Names used as a variable or an attribute anywhere under perfbench."""
+    names = set()
+    for tree in BENCH:
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return names
+
+
 def private_names() -> dict[str, str]:
     """Each module-level function, class or constant whose name starts with one underscore,
     with the module that binds it."""
@@ -83,6 +91,12 @@ def test_every_public_name_has_a_caller_in_the_package_or_a_reason():
 def test_the_allowlist_names_only_public_names_without_a_caller():
     assert set(ALLOWED) <= set(qnogo.__all__)
     assert not set(ALLOWED) & referenced_names()
+
+
+def test_perfbench_reads_every_allowlisted_name():
+    assert BENCH   # the walk found perfbench's modules
+    unread = sorted(set(ALLOWED) - bench_names())
+    assert unread == [], f"allowlisted names that nothing in perfbench reads: {unread}"
 
 
 def test_every_private_module_level_name_is_read_in_the_package():
@@ -142,10 +156,7 @@ def unset_parameters() -> list[str]:
     """callable.parameter for each parameter with a default of a public module-level function
     or class that src/qnogo or perfbench reads, or that ALLOWED keeps, and that no direct call
     there passes."""
-    read = referenced_names() | set(ALLOWED)
-    for tree in BENCH:
-        read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read = referenced_names() | set(ALLOWED) | bench_names()
     calls = direct_calls([tree for module, tree in MODULES.items() if module != "__init__.py"]
                          + BENCH)
     unset = []

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qnogo.algebra import inner_product
 from qnogo.states import (
     Qubit,
     StateSet,
@@ -32,7 +31,7 @@ def equatorial_gram_closed(p1, p2):
 
 
 def overlap(a, b):
-    return inner_product(a.vector, b.vector)
+    return complex(np.vdot(a.vector, b.vector))
 
 
 def pair_gram(first, second):

@@ -12,7 +12,10 @@ read the same in both.  The commands are
   * witness for every target and family at each --grid-n,
   * circle-check at each --grid-n,
   * gate-verify for every gate, target and family at the default size,
-    size mismatches included, and
+    size mismatches included,
+  * gate-verify on the matrix files of MATRICES: a Hadamard on bloch and
+    polar, a CNOT, and a file that is not square and one that is not
+    unitary, and
   * gate-verify for every matched gate and target on every family, and
     dsl-check on every file of machines/, at STATE_BLOCK + 1 and
     2 STATE_BLOCK + 1 states (the per-state kernels' one block with a
@@ -24,8 +27,9 @@ each at seeds 0 and 42, then a few usage errors (an unrecognized option, an
 invalid --format choice, a missing --target, weights for a target that takes
 none, and the seed, tolerance and grid size that main refuses, alone and
 together) with two fidelity-sweep runs, and dsl-check on each of a fixed
-list of small units, one per diagnostic, written once to a temporary directory
-that both trees read; two commands run at a time.  A command whose exit
+list of small units, one per diagnostic.  The units and the matrix files are
+written once to a temporary directory that both trees read; two commands run
+at a time.  A command whose exit
 code, stdout or stderr differs between the trees is printed with the
 first line that differs, and the script exits 1 if there is one, 0 if
 all agree.
@@ -156,10 +160,22 @@ UNITS = {
                     "extend linear;\nrequire universal on polar target hybrid(lambda=0.3);\n"),
 }
 
+# Matrix files in load_matrix_file's form, one row a line of 're,im' entries, each with the
+# target and family that gate-verify checks it on
+_S = "0.7071067811865475"   # 1/sqrt(2), as qnogo.gates.hadamard holds it
+_ROWS = ("1,0 0,0 0,0 0,0", "0,0 1,0 0,0 0,0", "0,0 0,0 0,0 1,0", "0,0 0,0 1,0 0,0")
+MATRICES = {
+    "hadamard": (f"{_S},0 {_S},0\n{_S},0 -{_S},0\n", "hadamard9", ("bloch", "polar")),
+    "cnot": ("\n".join(_ROWS) + "\n", "cnot23", ("bloch",)),
+    "not-square": ("1,0 0,0 0,0\n0,0 1,0\n", "hadamard9", ("bloch",)),
+    "not-unitary": ("1,0 1,0\n1,0 1,0\n", "hadamard9", ("bloch",)),
+}
+
 
 def commands(grid_sizes, unit_dir: Path) -> list[tuple[str, ...]]:
     """The argv of every command to compare, in a fixed order and without repeats;
-    unit_dir holds UNITS, each in a file named after its key."""
+    unit_dir holds UNITS, each in a file named after its key with the suffix .qmachine, and
+    MATRICES, each with the suffix .mat."""
     argvs = []
     for seed in SEEDS:
         for name in workloads.NAMES:
@@ -173,6 +189,10 @@ def commands(grid_sizes, unit_dir: Path) -> list[tuple[str, ...]]:
         for gate, target, family in itertools.product(GATES, GATE_TARGETS, FAMILIES):
             argvs.append(("gate-verify", "--gate", gate, "--target", *target, "--set", family,
                           "--format", "json", "--seed", str(seed)))
+        for name, (_, target, families) in MATRICES.items():
+            argvs += [("gate-verify", "--gate", str(unit_dir / f"{name}.mat"), "--target", target,
+                       "--set", family, "--format", "json", "--seed", str(seed))
+                      for family in families]
         sizes = dict.fromkeys((STATE_BLOCK + 1, 2 * STATE_BLOCK + 1, *grid_sizes))
         for gate, target, family, n in itertools.product(GATES, GATE_TARGETS, FAMILIES, sizes):
             if (gate == "CNOT") == (target[0] == "cnot23"):   # a mismatch builds no family
@@ -235,6 +255,8 @@ def main(argv=None) -> int:
             ThreadPoolExecutor(max_workers=2) as pool:
         for name, text in UNITS.items():
             (Path(unit_dir) / f"{name}.qmachine").write_text(text, encoding="utf-8")
+        for name, (text, _, _) in MATRICES.items():
+            (Path(unit_dir) / f"{name}.mat").write_text(text, encoding="utf-8")
         argvs = commands(args.grid_n, Path(unit_dir))
         results = [pool.map(lambda a, tree=tree: run(tree, a), argvs) for tree in trees]
         differences = [(a, difference(b, c)) for a, b, c in zip(argvs, *results)]
