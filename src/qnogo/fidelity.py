@@ -35,6 +35,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from ._record import record
 from ._shared import MODES, OPTIMIZER_DEFAULTS
@@ -177,25 +178,37 @@ _SHIFT = 1e-3            # Omega + _SHIFT I has the same maximizer, since tr J =
 # second weight of up to about 6e-8 that carries no fidelity; the rank-2 optima of
 # both modes have a second weight of at least 0.03.
 _RANK_FLOOR = 1e-5
+_DIAG = np.arange(4)     # the output registers' diagonal, where _bounds subtracts Y (x) I
+# the LAPACK gufuncs of numpy.linalg.eigh and eigvalsh: the same bits, without the wrapper
+_eigh, _eigvalsh = _umath_linalg.eigh_lo, _umath_linalg.eigvalsh_lo
+
+
+def _lapack_failed(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")   # numpy.linalg's own failure
 
 
 def _normalized(x: np.ndarray) -> np.ndarray:
-    """(tr_out X X^dagger)^(-1/2) (x) I applied to stacked Kraus vectors X."""
+    """(tr_out X X^dagger)^(-1/2) (x) I applied to stacked Kraus vectors X.  The eigh gufunc
+    skips the wrapper, most of a 2 x 2 call; optimize_fidelity's errstate raises its failure."""
     blocks = x.reshape(2, -1)   # rows: input index; columns: (out1, out2, ancilla)
-    vals, vecs = np.linalg.eigh(blocks @ blocks.conj().T)
+    vals, vecs = _eigh(blocks @ blocks.conj().T, signature="D->dD")
     return ((vecs / np.sqrt(vals)) @ vecs.conj().T @ blocks).reshape(x.shape)
 
 
 def _bounds(omega: np.ndarray, w: np.ndarray) -> tuple[float, float]:
     """tr(J Omega) for J = W W^dagger, and the dual bound tr Y + 2 lambda_max(Omega - Y (x) I)
-    from Y = Herm(tr_out Omega J): Y shifted by that lambda_max is dual feasible."""
+    from Y = Herm(tr_out Omega J): Y shifted by that lambda_max is dual feasible.  Calls the
+    eigvalsh gufunc as _normalized calls eigh; a bound that is not finite raises LinAlgError."""
     x = omega @ w
     y = x.reshape(2, -1) @ w.reshape(2, -1).conj().T
     y = 0.5 * (y + y.conj().T)
     d = omega.copy()
-    d.reshape(2, 4, 2, 4)[:, range(4), :, range(4)] -= y   # Omega - Y (x) I
-    shift = np.linalg.eigvalsh(d)[-1]
-    return float(np.vdot(w, x).real), float(np.trace(y).real + 2.0 * shift)
+    d.reshape(2, 4, 2, 4)[:, _DIAG, :, _DIAG] -= y   # Omega - Y (x) I
+    shift = _eigvalsh(d, signature="D->d")[-1]
+    f, upper = float(np.vdot(w, x).real), float(y[0, 0].real + y[1, 1].real + 2.0 * shift)
+    if not math.isfinite(f + upper):
+        raise LinAlgError(f"fidelity bounds are not finite: {f!r}, {upper!r}")
+    return f, upper
 
 
 def _aitken(w: np.ndarray, d: np.ndarray, d_prev: np.ndarray):
@@ -223,34 +236,36 @@ def optimize_fidelity(lam: float, grid: QuadratureGrid,
     climb = omega + _SHIFT * np.eye(8)   # keeps tr_out X X^dagger invertible
     a = cfg.ancilla_dim
     best_f, best_w, f_upper, steps = -math.inf, None, math.inf, 0
-    for k in range(cfg.restarts):
-        z = np.random.default_rng([cfg.seed, k]).standard_normal((2, 8, a))
-        w = w_seen = _normalized(z[0] + 1j * z[1])
-        d_seen = np.zeros_like(w)
-        for n in range(1, cfg.max_evals + 1):
-            w = _normalized(climb @ w)
-            if n % _CHECK_EVERY and n < cfg.max_evals:
-                continue
-            f, upper = _bounds(omega, w)
-            d = w - w_seen
-            jump = _aitken(w, d, d_seen)
-            if jump is not None:
-                f_jump, upper_jump = _bounds(omega, jump)
-                upper = min(upper, upper_jump)
-                if f_jump > f:
-                    w, f = jump, f_jump
-            w_seen, d_seen = w, d
-            f_upper = min(f_upper, upper)
-            if f > best_f:
-                best_f, best_w = f, w
-            if upper - f <= _STOP_GAP:
+    with np.errstate(call=_lapack_failed, invalid="call"):   # the gufuncs' failure flag
+        for k in range(cfg.restarts):
+            z = np.random.default_rng([cfg.seed, k]).standard_normal((2, 8, a))
+            w = w_seen = _normalized(z[0] + 1j * z[1])
+            d_seen = np.zeros_like(w)
+            for n in range(1, cfg.max_evals + 1):
+                w = _normalized(climb @ w)
+                if n % _CHECK_EVERY and n < cfg.max_evals:
+                    continue
+                f, upper = _bounds(omega, w)
+                d = w - w_seen
+                jump = _aitken(w, d, d_seen)
+                if jump is not None:
+                    f_jump, upper_jump = _bounds(omega, jump)
+                    upper = min(upper, upper_jump)
+                    if f_jump > f:
+                        w, f = jump, f_jump
+                w_seen, d_seen = w, d
+                f_upper = min(f_upper, upper)
+                if f > best_f:
+                    best_f, best_w = f, w
+                if upper - f <= _STOP_GAP:
+                    break
+            steps += n
+            if f_upper - best_f <= _CONVERGED_GAP:
                 break
-        steps += n
-        if f_upper - best_f <= _CONVERGED_GAP:
-            break
+        weights = _eigvalsh(best_w.conj().T @ best_w, signature="D->d")
     f_opt = min(best_f, 1.0)
     f_upper = max(f_upper, f_opt)   # rounding may put the bound 1 ulp below
-    rank = int(np.sum(np.linalg.eigvalsh(best_w.conj().T @ best_w) > _RANK_FLOOR))
+    rank = int(np.sum(weights > _RANK_FLOOR))
     iso = best_w.reshape(2, 2, 2, a).transpose(1, 2, 3, 0).reshape(4 * a, 2)
     record = FidelitySweepRecord(lam=float(lam), f_opt=f_opt, mode=cfg.mode, ancilla_dim=a,
                                  converged=f_upper - f_opt <= _CONVERGED_GAP, iterations=steps,

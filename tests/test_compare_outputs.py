@@ -20,11 +20,11 @@ _spec.loader.exec_module(compare_outputs)
 def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_seeds():
     argvs = compare_outputs.commands([2, 257], Path("units"))
     assert len(argvs) == len(set(argvs))
-    # 411 commands at each seed, the 15 usage errors and 2 sweeps, then dsl-check once on each
+    # 423 commands at each seed, the 15 usage errors and 2 sweeps, then dsl-check once on each
     # of the 48 units
     assert len(compare_outputs.UNITS) == 48
     assert len(compare_outputs.USAGE_ERRORS) == 17
-    assert len(argvs) == 2 * 411 + 17 + 48
+    assert len(argvs) == 2 * 423 + 17 + 48
     assert argvs[-65:-48] == list(compare_outputs.USAGE_ERRORS)
     assert argvs[-48:] == [("dsl-check", str(Path("units") / f"{name}.qmachine"))
                            for name in compare_outputs.UNITS]
@@ -58,10 +58,22 @@ def test_every_workload_command_and_the_witness_and_gate_matrices_run_at_both_se
                   and a[a.index("--samples") + 1] != "10000"]
         assert len(corpus) == 15 * 4
         assert {a[a.index("--samples") + 1] for a in corpus} == sizes
+        # fidelity-sweep at 21 weights: JSON for each mode and ancilla dimension, forced
+        # restarts in each mode, then CSV and the human format
+        sweeps = [a for a in mine if a[:3] == compare_outputs.SWEEP]
+        assert len(sweeps) == 2 * 4 + 2 + 2
+        assert [(a[4], a[6]) for a in sweeps[:8]] == [
+            (mode, str(dim)) for mode in ("second-register", "joint") for dim in (1, 2, 3, 4)]
+        assert [a[3:9] for a in sweeps[8:10]] == [
+            ("--mode", mode, "--restarts", "3", "--max-evals", "37")
+            for mode in ("second-register", "joint")]
+        assert all(a[-4:-2] == ("--format", "json") for a in sweeps[:10])
+        assert [a[3:-2] for a in sweeps[10:]] == [("--format", "csv"), ()]
         # the 43 command lines of the three workloads (the survey is a library call), two of
         # them in the gate matrix, and circle-check at 2 and 257; the workloads run it at the
         # default 256 and at 2000
-        rest = len(mine) - len(witness) - len(files) - len(gates) - len(seams) - len(corpus)
+        rest = (len(mine) - len(witness) - len(files) - len(gates) - len(seams) - len(corpus)
+                - len(sweeps))
         assert rest == 43 - 2 + 2
         circles = [a[a.index("--grid-n") + 1] for a in mine
                    if a[0] == "circle-check" and "--grid-n" in a]

@@ -1,8 +1,14 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import LinAlgError, _umath_linalg
 
+import qnogo.fidelity
+from qnogo.cli import main
 from qnogo.fidelity import (
     CSV_HEADER,
     FidelitySweepRecord,
@@ -350,3 +356,80 @@ def test_the_certificate_brackets_the_optimum(lam, mode, m, k, ancilla_dim, seed
     assert np.max(np.abs(res.isometry.conj().T @ res.isometry - np.eye(2))) <= 1e-9
     assert abs(choi_fidelity(res.isometry, lam, grid, mode) - rec.f_opt) <= 1e-12
     assert abs(per_state_fidelity(res.isometry, lam, grid, mode) - rec.f_opt) <= 1e-12
+
+
+def test_the_eigen_solvers_are_numpys_lapack_gufuncs():
+    # numpy renaming its private module fails here, and at the import above
+    assert qnogo.fidelity._eigh is _umath_linalg.eigh_lo
+    assert qnogo.fidelity._eigvalsh is _umath_linalg.eigvalsh_lo
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), a=st.integers(1, 4), lam=st.floats(0.0, 1.0),
+       mode=st.sampled_from(MODES), near=st.sampled_from([0.0, 1e-8, 1e-15]))
+def test_the_direct_calls_give_np_linalgs_bits(seed, a, lam, mode, near):
+    """Every shape the optimizer hands LAPACK: the 2 x 2 Gram B B^dagger of _normalized,
+    with near > 0 a nearly singular one, the 8 x 8 Omega - Y (x) I of _bounds and the
+    a x a W^dagger W of the Kraus rank."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((2, 2, 4 * a))
+    b = z[0] + 1j * z[1]
+    if near:
+        b[1] = (0.6 - 0.8j) * b[0] + near * b[1]
+    for gram in (b @ b.conj().T, b.reshape(8, a).conj().T @ b.reshape(8, a)):
+        vals, vecs = qnogo.fidelity._eigh(gram, signature="D->dD")
+        ref = np.linalg.eigh(gram)
+        assert_same_bits(vals, ref.eigenvalues)
+        assert_same_bits(vecs, ref.eigenvectors)
+        assert_same_bits(qnogo.fidelity._eigvalsh(gram, signature="D->d"),
+                         np.linalg.eigvalsh(gram))
+    y = b[:, :2] @ b[:, 2:4].conj().T
+    d = _omega(uniform_grid(), lam, mode) - np.kron(0.5 * (y + y.conj().T), np.eye(4))
+    assert_same_bits(qnogo.fidelity._eigvalsh(d, signature="D->d"), np.linalg.eigvalsh(d))
+
+
+def flagging(solver):
+    """solver, then the invalid flag set as a LAPACK failure sets it."""
+    def call(a, signature):
+        out = solver(a, signature=signature)
+        np.sqrt(np.full(1, -1.0))
+        return out
+    return call
+
+
+def returning_nan(solver):
+    """solver with every output NaN and no flag set."""
+    def call(a, signature):
+        out = solver(a, signature=signature)
+        return tuple(np.full_like(o, np.nan) for o in out) if isinstance(out, tuple) \
+            else np.full_like(out, np.nan)
+    return call
+
+
+# NaN from _eigh may already flag invalid in _normalized's division; from _eigvalsh it
+# reaches the bound unflagged
+FAILURES = [("_eigh", flagging, "did not converge"), ("_eigvalsh", flagging, "did not converge"),
+            ("_eigh", returning_nan, "did not converge|not finite"),
+            ("_eigvalsh", returning_nan, "not finite")]
+
+
+@pytest.mark.parametrize("name,fault,message", FAILURES)
+def test_a_failed_eigen_solve_raises_linalgerror(monkeypatch, name, fault, message):
+    monkeypatch.setattr(qnogo.fidelity, name, fault(getattr(qnogo.fidelity, name)))
+    with pytest.raises(LinAlgError, match=message):
+        optimize_fidelity(0.5, uniform_grid(), OptimizerConfig())
+
+
+@pytest.mark.parametrize("name,fault,message", FAILURES)
+def test_a_failed_eigen_solve_exits_1_with_one_line(monkeypatch, capsys, name, fault, message):
+    monkeypatch.setattr(qnogo.fidelity, name, fault(getattr(qnogo.fidelity, name)))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(["fidelity-sweep", "--lambda", "0.5"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and not seen
+    assert re.match(f"qnogo: .*({message})", err) and err.count("\n") == 1

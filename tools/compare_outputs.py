@@ -21,7 +21,10 @@ read the same in both.  The commands are
     2 STATE_BLOCK + 1 states (the per-state kernels' one block with a
     lone last row joined to it, and two blocks with a seam between them)
     and at each --grid-n, so that the screened worst-state reductions
-    also meet families of 10^4 or 65 536 states,
+    also meet families of 10^4 or 65 536 states, and
+  * fidelity-sweep at the 21 weights of SWEEP: in JSON for each mode and
+    ancilla dimension 1 to 4, with forced restarts in each mode, and once
+    each as CSV and in the human format,
 
 each at seeds 0 and 42, then a few usage errors (an unrecognized option, an
 invalid --format choice, a missing --target, weights for a target that takes
@@ -64,6 +67,10 @@ _RULES = "on |0> -> |0>|0>;\non |1> -> |1>|1>;\n"
 _R = "0.7071067811865476"   # 1/sqrt(2), as machines/hybrid_half.qmachine writes it
 _GATE = ("gate-verify", "--gate", "H", "--target", "hadamard9")
 _CLONE = str(Path("machines") / "clone.qmachine")
+SWEEP = ("fidelity-sweep", "--lambda", "0:1:0.05")
+MODES = ("second-register", "joint")
+# 3 starts of 37 steps: starts that miss the gap restart, and each stops off the 10-step check grid
+RESTARTS = ("--restarts", "3", "--max-evals", "37")
 # command lines refused with exit 1: by argparse, with a usage line and one error line, and
 # weights for a target that takes none; then by main, with one qnogo: line, for the first of
 # seed, tolerance and grid size that is out of range; then two fidelity-sweep runs, which read
@@ -202,6 +209,10 @@ def commands(grid_sizes, unit_dir: Path) -> list[tuple[str, ...]]:
         for stem, samples in itertools.product(sorted(workloads.CORPUS_EXIT), sizes):
             argvs.append(("dsl-check", str(Path("machines") / f"{stem}.qmachine"),
                           "--samples", str(samples), "--format", "json", "--seed", str(seed)))
+        sweeps = [("--mode", m, "--ancilla-dim", str(a)) for m in MODES for a in (1, 2, 3, 4)]
+        sweeps += [("--mode", m, *RESTARTS) for m in MODES]
+        argvs += [(*SWEEP, *o, "--format", "json", "--seed", str(seed)) for o in sweeps]
+        argvs += [(*SWEEP, "--format", "csv", "--seed", str(seed)), (*SWEEP, "--seed", str(seed))]
     argvs += USAGE_ERRORS
     argvs += [("dsl-check", str(unit_dir / f"{name}.qmachine")) for name in UNITS]
     return list(dict.fromkeys(argvs))
